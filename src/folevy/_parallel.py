@@ -1,27 +1,20 @@
-"""Deterministic block-parallel execution.
+"""Path ensembles run as wide, memory-bounded batches.
 
-Work over n items is cut into fixed blocks of 64 regardless of the thread
-count, workers touch disjoint state (their own rng streams and output
-slots), and results are returned in block order.  Outputs are therefore
-bitwise identical for any `threads` value; threads only change wall time.
+Path i of an ensemble draws only from its own rng stream (base + i) and
+every kernel operation acts row by row, so results depend only on the
+master seed and the path order, never on how paths are grouped.  An
+ensemble therefore runs as one batch, cut into consecutive ranges only
+where it exceeds MAX_WIDTH paths: the kernel's per-chunk draw buffer is
+width x 4096 x driver_dim doubles, 32 MiB for a scalar driver at 1024.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
-BLOCK = 64
-
-
-def block_ranges(n_items):
-    return [(a, min(a + BLOCK, n_items)) for a in range(0, n_items, BLOCK)]
+MAX_WIDTH = 1024
 
 
 def map_blocks(worker, n_items, threads=1):
-    """Apply worker(start, stop) over fixed 64-item blocks, in order."""
-    ranges = block_ranges(n_items)
-    threads = 1 if threads is None else int(threads)
-    if threads <= 1 or len(ranges) <= 1:
-        return [worker(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda ab: worker(*ab), ranges))
+    """Apply worker(start, stop) over consecutive ranges of at most
+    MAX_WIDTH items, in order.  `threads` is accepted and has no effect."""
+    return [worker(a, min(a + MAX_WIDTH, n_items))
+            for a in range(0, n_items, MAX_WIDTH)]

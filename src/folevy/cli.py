@@ -43,7 +43,7 @@ def _add_common(parser):
                         help="override one config entry (repeatable)")
     parser.add_argument("--seed", type=int, help="override run.master_seed")
     parser.add_argument("--threads", type=int,
-                        help="override run.threads (0 means all cores)")
+                        help="override run.threads (accepted, no effect)")
     parser.add_argument("--out", metavar="DIR", help="output directory root")
 
 
@@ -68,8 +68,6 @@ def _resolve_config(args) -> ExperimentConfig:
         run = replace(run, threads=args.threads)
     if args.out is not None:
         run = replace(run, out_dir=args.out)
-    if run.threads <= 0:
-        run = replace(run, threads=os.cpu_count() or 1)
     return replace(cfg, run=run)
 
 

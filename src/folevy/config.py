@@ -42,7 +42,7 @@ class IntegratorSection:
 class RunSection:
     master_seed: int = 20260816
     stream_base: int = 0
-    threads: int = 0                      # 0 means all available cores
+    threads: int = 0                      # accepted for old configs, no effect
     out_dir: Optional[str] = None
 
 
@@ -112,10 +112,15 @@ def config_from_dict(data) -> ExperimentConfig:
     for key in data:
         if key not in _SECTIONS:
             raise ConfigError(f"unknown config section {key!r}")
-    return ExperimentConfig(**{
+    cfg = ExperimentConfig(**{
         name: _build_section(cls, data.get(name), name)
         for name, cls in _SECTIONS.items()
     })
+    n_paths = cfg.experiment.n_paths
+    if not isinstance(n_paths, int) or n_paths < 2:
+        raise ConfigError(f"experiment.n_paths must be an integer of at least 2, "
+                          f"got {n_paths!r}")
+    return cfg
 
 
 def loads_config(text: str) -> ExperimentConfig:

@@ -5,8 +5,8 @@ the averaged flow across perturbation sizes, the probability of leaving
 the domain before the averaged near-exit time, the linear scaling of
 coupled transversal deviations, and the agreement of the two jump
 discretizations on one shared jump set.  All of them run deterministic
-per-path rng streams, so results depend on the master seed and path count
-but not on threading or block layout.
+per-path rng streams, so results depend only on the master seed and the
+path order, not on how paths are batched.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ Philox4x64 counter-based bit generator, so
 * the same pair always reproduces the same draws, bit for bit,
 * distinct stream indices give statistically independent streams, and
 * ensembles can assign stream ``base + i`` to path ``i`` and keep results
-  independent of how paths are scheduled across threads.
+  dependent only on the master seed and the path order, never on how
+  paths are grouped into batches.
 
 The derivation scheme is part of the package contract; changing it would
 invalidate the frozen calibration baselines shipped with the tests.

@@ -132,6 +132,15 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
+    out = tmp_path / "runs"
+    for bad in ("1", "0", "2.5", "true"):
+        assert main(["compare", "--out", str(out),
+                     "--set", f"experiment.n_paths={bad}"]) == 2
+        assert "experiment.n_paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_check_passes_and_writes_report(tmp_path):
     out = tmp_path / "runs"
     assert main(["check", "--out", str(out), "--seed", "7"]) == 0

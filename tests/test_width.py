@@ -1,0 +1,113 @@
+"""Batch-width contract: ensemble results do not depend on how the paths
+are grouped into batches.
+
+Path i draws only from its own stream base + i, so forcing a small batch
+width (several blocks and a ragged last one) must reproduce the one-batch
+result bit for bit, for every ensemble experiment.  Starts sit near the
+outer boundary so that some paths exit and the frozen-row masking runs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from folevy import (_parallel, averaged_field, averaging, delta_defect_lp,
+                    deviation_scaling, estimate_eta, exit_probability,
+                    experiments, make_cylinder_preset, scheme_agreement,
+                    transversal_comparison)
+
+SEED = 20260816
+X0 = np.array([1.7, 0.0, 0.0])
+PRESET = make_cylinder_preset(r_max=2.0)
+AVG = averaged_field(PRESET.chart, PRESET.fields)
+ARGS = (PRESET.fields, PRESET.chart, PRESET.driver)
+
+
+def _radial_psi(states):
+    r = np.hypot(states[..., 0], states[..., 1])
+    return states[..., 0] ** 2 / r
+
+
+def _half_radius(v):
+    return np.asarray(v, dtype=float)[..., 0] / 2.0
+
+
+# name -> (smallest path count, run(n_paths) -> comparable outputs)
+EXPERIMENTS = {
+    "transversal_comparison": (2, lambda n: transversal_comparison(
+        *ARGS, AVG, X0, epsilons=[0.5, 0.25], horizon=0.2,
+        horizons=[0.1, 0.2], n_paths=n, master_seed=SEED).summary()),
+    "exit_probability": (2, lambda n: exit_probability(
+        *ARGS, AVG, X0, epsilons=[0.5], gamma=0.1, n_paths=n,
+        master_seed=SEED).summary()),
+    "deviation_scaling": (2, lambda n: deviation_scaling(
+        *ARGS, X0, epsilons=[0.5, 0.25], horizon=0.3, n_paths=n,
+        master_seed=SEED).summary()),
+    "estimate_eta": (100, lambda n: vars(estimate_eta(
+        *ARGS, lambda s: s[..., 0], X0, horizons=[0.1, 0.2, 0.3],
+        n_paths=n, master_seed=SEED))),
+    "delta_defect_lp": (2, lambda n: delta_defect_lp(
+        *ARGS, _radial_psi, _half_radius, X0, 0.5, 0.3, n_paths=n,
+        master_seed=SEED)),
+    "scheme_agreement": (2, lambda n: scheme_agreement(
+        *ARGS, X0, horizon=0.2, n_paths=n, master_seed=SEED).summary()),
+}
+
+
+def _assert_identical(a, b):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_identical(a[key], b[key])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_identical(x, y)
+    else:
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+def _run_recording_blocks(run, n_paths):
+    """run(n_paths), returning its outputs and the width of every block."""
+    widths = []
+
+    def map_blocks(worker, n_items, threads=1):
+        def recorded(a, b):
+            widths.append(b - a)
+            return worker(a, b)
+        return _parallel.map_blocks(recorded, n_items, threads)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "map_blocks", map_blocks)
+        mp.setattr(averaging, "map_blocks", map_blocks)
+        return run(n_paths), widths
+
+
+def test_map_blocks_covers_items_in_order():
+    ranges = _parallel.map_blocks(lambda a, b: (a, b), 500)
+    assert ranges == [(0, 500)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_parallel, "MAX_WIDTH", 7)
+        ranges = _parallel.map_blocks(lambda a, b: (a, b), 23, threads=4)
+    assert ranges == [(0, 7), (7, 14), (14, 21), (21, 23)]
+    assert _parallel.map_blocks(lambda a, b: (a, b), 0) == []
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(extra=st.integers(0, 18), width=st.integers(1, 9))
+@example(extra=21, width=7)
+def test_results_independent_of_batch_width(name, extra, width):
+    smallest, run = EXPERIMENTS[name]
+    n_paths = smallest + extra
+    wide, wide_widths = _run_recording_blocks(run, n_paths)
+    assert set(wide_widths) == {n_paths}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_parallel, "MAX_WIDTH", width)
+        narrow, narrow_widths = _run_recording_blocks(run, n_paths)
+    assert max(narrow_widths) <= width
+    assert sum(narrow_widths) == sum(wide_widths)
+    _assert_identical(wide, narrow)
