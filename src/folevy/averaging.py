@@ -252,6 +252,25 @@ def rate_to_csv(est: RateEstimate, path):
                             "fitted_constant"], rows)
 
 
+def eta_grid(horizons, p, n_paths, cfg: IntegratorConfig):
+    """Checked estimate_eta inputs: the sorted horizons, the macro step h
+    and the grid index of each horizon.  Invalid inputs raise ValueError."""
+    horizons = np.asarray(sorted(float(t) for t in horizons))
+    if len(horizons) < 3 or len(np.unique(horizons)) != len(horizons):
+        raise ValueError("need at least three distinct horizons")
+    if horizons[0] <= 0:
+        raise ValueError("horizons must be positive")
+    if p < 2:
+        raise ValueError("moment order p must be at least 2")
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
+    _, h = resolve_grid(cfg, 0.0, float(horizons[-1]))
+    snap_idx = np.rint(horizons / h).astype(int)
+    if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
+        raise ValueError("horizons must sit on the integration grid")
+    return horizons, h, snap_idx
+
+
 def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                  x0, horizons: Sequence[float], p: float = 2,
                  n_paths: int = 200, master_seed: int = 0, stream_base: int = 0,
@@ -266,26 +285,14 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     mixing observables.  Errors all below 1e-14 report exponent 0 with
     constant 0: the observable averages exactly.
     """
-    horizons = np.asarray(sorted(float(t) for t in horizons))
-    if len(horizons) < 3 or len(np.unique(horizons)) != len(horizons):
-        raise ValueError("need at least three distinct horizons")
-    if horizons[0] <= 0:
-        raise ValueError("horizons must be positive")
-    if p < 2:
-        raise ValueError("moment order p must be at least 2")
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
     if cfg is None:
         cfg = IntegratorConfig()
+    horizons, h, snap_idx = eta_grid(horizons, p, n_paths, cfg)
     if q_ref is None:
         q_ref = leaf_average_quadrature(chart, psi,
                                         chart.vertical_projection(np.asarray(x0, float)),
                                         n_nodes=256)
     t_max = float(horizons[-1])
-    n_steps, h = resolve_grid(cfg, 0.0, t_max)
-    snap_idx = np.rint(horizons / h).astype(int)
-    if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
-        raise ValueError("horizons must sit on the integration grid")
 
     def run_block(a, b):
         m = b - a

@@ -19,8 +19,9 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .averaging import (averaged_field, estimate_eta, leaf_average_quadrature,
-                        rate_to_csv, solve_averaged_ode)
+from .averaging import (averaged_field, estimate_eta, eta_grid,
+                        leaf_average_quadrature, rate_to_csv,
+                        solve_averaged_ode)
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      dump_config, integrator_from_config, preset_from_config)
 from .drivers import characteristic_function, marginal_samples, truncate_gamma
@@ -85,10 +86,13 @@ def _make_run_dir(cfg: ExperimentConfig, command: str) -> str:
             path = f"{base}-{k}"
 
 
-def _setup(args, command):
+def _setup(args, command, check=None):
+    # check(cfg, icfg) raises ConfigError before the run directory exists
     cfg = _resolve_config(args)
     preset = preset_from_config(cfg)
     icfg = integrator_from_config(cfg)
+    if check is not None:
+        check(cfg, icfg)
     out = _make_run_dir(cfg, command)
     with open(os.path.join(out, "effective_config.yaml"), "w",
               encoding="utf-8") as fh:
@@ -176,8 +180,16 @@ def cmd_average(args):
     return 0
 
 
+def _check_eta(cfg, icfg):
+    exp = cfg.experiment
+    try:
+        eta_grid(exp.horizons, exp.p, exp.n_paths, icfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"eta: {exc}") from exc
+
+
 def cmd_eta(args):
-    cfg, preset, icfg, out = _setup(args, "eta")
+    cfg, preset, icfg, out = _setup(args, "eta", _check_eta)
     exp, run = cfg.experiment, cfg.run
     comp = _component_index(exp.observable)
     psi = projected_perturbation(preset.chart, preset.fields, comp)

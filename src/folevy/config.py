@@ -116,11 +116,30 @@ def config_from_dict(data) -> ExperimentConfig:
         name: _build_section(cls, data.get(name), name)
         for name, cls in _SECTIONS.items()
     })
-    n_paths = cfg.experiment.n_paths
-    if not isinstance(n_paths, int) or n_paths < 2:
-        raise ConfigError(f"experiment.n_paths must be an integer of at least 2, "
-                          f"got {n_paths!r}")
+    _check_experiment(cfg.experiment)
     return cfg
+
+
+def _real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_experiment(exp: ExperimentSection):
+    """Reject experiment values no subcommand can run, before any work."""
+    eps = exp.epsilons
+    for key, ok, want in (
+            ("n_paths", isinstance(exp.n_paths, int) and exp.n_paths >= 2,
+             "an integer of at least 2"),
+            ("epsilon", _real(exp.epsilon) and 0 <= exp.epsilon <= 1,
+             "a number in [0, 1]"),
+            ("epsilons", isinstance(eps, tuple) and len(eps) > 0
+             and all(_real(e) and 0 < e <= 1 for e in eps),
+             "a nonempty list of numbers in (0, 1]"),
+            ("horizon", _real(exp.horizon) and 0 < exp.horizon < float("inf"),
+             "a positive finite number")):
+        if not ok:
+            raise ConfigError(f"experiment.{key} must be {want}, "
+                              f"got {getattr(exp, key)!r}")
 
 
 def loads_config(text: str) -> ExperimentConfig:

@@ -355,44 +355,42 @@ class JumpEvents:
     compensator: np.ndarray     # (dimension,) drift per unit time
 
 
-def _poisson_events(gen, rate, horizon, size_draw, dim):
-    n = int(gen.poisson(rate * horizon))
-    times = np.sort(gen.uniform(0.0, horizon, size=n))
-    sizes = np.asarray(size_draw(gen, n), dtype=float).reshape(n, dim)
-    return times, sizes
+def _finite_law(spec):
+    """(rate, size_draw, dimension, compensator) of a finite-activity driver."""
+    if isinstance(spec, CompoundPoisson):
+        return (spec.intensity, spec.jump_sampler, spec.dimension,
+                np.zeros(spec.dimension))
+    if isinstance(spec, TruncatedMeasure):
+        return (spec.restricted_mass, spec.sample_sizes, 1,
+                np.array([spec.compensator]))
+    if isinstance(spec, GammaSubordinator):
+        raise ValueError("Gamma driver has no finite event set; "
+                         "apply truncate_gamma(spec, cutoff) first")
+    raise TypeError(f"unknown driver spec {type(spec).__name__}")
 
 
 def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
     """Poisson jump times with iid sizes; Gamma drivers must be truncated first."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    rate, size_draw, dim, comp = _finite_law(spec)
     gen = rng.generator()
-    if isinstance(spec, TruncatedMeasure):
-        times, sizes = _poisson_events(gen, spec.restricted_mass, horizon,
-                                       spec.sample_sizes, 1)
-        comp = np.array([spec.compensator])
-    elif isinstance(spec, CompoundPoisson):
-        times, sizes = _poisson_events(gen, spec.intensity, horizon,
-                                       spec.jump_sampler, spec.dimension)
-        comp = np.zeros(spec.dimension)
-    elif isinstance(spec, GammaSubordinator):
-        raise ValueError("Gamma driver has no finite event set; "
-                         "apply truncate_gamma(spec, cutoff) first")
-    else:
-        raise TypeError(f"unknown driver spec {type(spec).__name__}")
+    n = int(gen.poisson(rate * horizon))
+    times = np.sort(gen.uniform(0.0, horizon, size=n))
+    sizes = np.asarray(size_draw(gen, n), dtype=float).reshape(n, dim)
     return JumpEvents(float(horizon), times, sizes, comp)
 
 
-def _aggregate_events(grid, events: JumpEvents):
-    n_steps = len(grid) - 1
-    dim = events.sizes.shape[1]
-    inc = np.zeros((n_steps, dim))
-    if len(events.times):
-        # events at t contribute to the interval [grid[k], grid[k+1]) containing t
-        idx = np.searchsorted(grid, events.times, side="right") - 1
-        idx = np.clip(idx, 0, n_steps - 1)
-        np.add.at(inc, idx, events.sizes)
-    inc += events.compensator[None, :] * np.diff(grid)[:, None]
+def step_sums(grid, events):
+    """Per-interval sums of the jumps of each row's JumpEvents, shape
+    (rows, len(grid) - 1, dimension); a jump at t counts in the interval
+    [grid[k], grid[k+1]) holding t, and each sum runs in time order."""
+    inc = np.zeros((len(events), len(grid) - 1, events[0].sizes.shape[1]))
+    rows = np.repeat(np.arange(len(events)), [len(e.times) for e in events])
+    idx = np.searchsorted(grid, np.concatenate([e.times for e in events]),
+                          side="right") - 1
+    np.add.at(inc, (rows, np.clip(idx, 0, len(grid) - 2)),
+              np.concatenate([e.sizes for e in events]))
     return inc
 
 
@@ -420,7 +418,7 @@ def sample_increments(spec, grid, rng: RngStream) -> IncrementSeries:
                                compensator_drift=np.zeros(1))
 
     events = sample_jump_events(spec, float(grid[-1]), rng)
-    inc = _aggregate_events(grid, events)
+    inc = step_sums(grid, [events])[0] + events.compensator * np.diff(grid)[:, None]
     pairs = tuple((float(t), s.copy()) for t, s in zip(events.times, events.sizes))
     return IncrementSeries(grid, inc, large_jumps=pairs,
                            compensator_drift=events.compensator.copy())
@@ -440,22 +438,15 @@ def make_step_sampler(spec, h):
         def draw(gen, n):
             return gen.gamma(shape=h, scale=scale, size=n).reshape(n, 1)
         return draw
-    if isinstance(spec, (CompoundPoisson, TruncatedMeasure)):
-        if isinstance(spec, CompoundPoisson):
-            rate, size_draw, dim = spec.intensity, spec.jump_sampler, spec.dimension
-            comp = np.zeros(dim)
-        else:
-            rate, size_draw, dim = spec.restricted_mass, spec.sample_sizes, 1
-            comp = np.array([spec.compensator])
+    rate, size_draw, dim, comp = _finite_law(spec)
 
-        def draw(gen, n):
-            counts = gen.poisson(rate * h, size=n)
-            sizes = np.asarray(size_draw(gen, int(counts.sum())), dtype=float).reshape(-1, dim)
-            out = np.zeros((n, dim))
-            np.add.at(out, np.repeat(np.arange(n), counts), sizes)
-            return out + comp[None, :] * h
-        return draw
-    raise TypeError(f"unknown driver spec {type(spec).__name__}")
+    def draw(gen, n):
+        counts = gen.poisson(rate * h, size=n)
+        sizes = np.asarray(size_draw(gen, int(counts.sum())), dtype=float).reshape(-1, dim)
+        out = np.zeros((n, dim))
+        np.add.at(out, np.repeat(np.arange(n), counts), sizes)
+        return out + comp[None, :] * h
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -507,22 +498,10 @@ def marginal_samples(spec, t, n, rng: RngStream):
         raise NotImplementedError("marginal sampling only for scalar drivers")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    gen = rng.generator()
     if t == 0:
         return np.zeros(n)
-    if isinstance(spec, GammaSubordinator):
-        return gen.gamma(shape=t, scale=1.0 / spec.rate, size=n)
-    if isinstance(spec, CompoundPoisson):
-        rate, size_draw, comp = spec.intensity, spec.jump_sampler, 0.0
-    elif isinstance(spec, TruncatedMeasure):
-        rate, size_draw, comp = spec.restricted_mass, spec.sample_sizes, spec.compensator
-    else:
-        raise TypeError(f"unknown driver spec {type(spec).__name__}")
-    counts = gen.poisson(rate * t, size=n)
-    sizes = np.asarray(size_draw(gen, int(counts.sum())), dtype=float).reshape(-1)
-    out = np.zeros(n)
-    np.add.at(out, np.repeat(np.arange(n), counts), sizes)
-    return out + comp * t
+    # Z_t is one increment over a step of length t
+    return make_step_sampler(spec, t)(rng.generator(), n)[:, 0]
 
 
 def circle_law_distance(spec, t, n_paths, rng: RngStream) -> float:

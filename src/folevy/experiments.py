@@ -6,13 +6,15 @@ the domain before the averaged near-exit time, the linear scaling of
 coupled transversal deviations, and the agreement of the two jump
 discretizations on one shared jump set.  All of them run deterministic
 per-path rng streams, so results depend only on the master seed and the
-path order, not on how paths are batched.
+path order, not on how paths are batched.  Every block of paths advances
+in lockstep, through the grid kernel and, for scheme agreement's event
+half, the shared event stepper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,11 +22,14 @@ import numpy as np
 from ._parallel import map_blocks
 from .averaging import (AveragedField, AveragedSolution, fit_loglog, lp_moment,
                         solve_averaged_ode)
-from .drivers import GammaSubordinator, sample_jump_events, truncate_gamma
+from .drivers import (GammaSubordinator, sample_jump_events, step_sums,
+                      truncate_gamma)
 from .errors import ConfigError
 from .geometry import FoliatedChart, VectorFieldSet, dpi_k
-from .marcus import (IntegratorConfig, _drift_rk4, _make_drift,
-                     integrate_grid_ensemble, jump_flow, resolve_grid)
+from .marcus import (IntegratorConfig, integrate_grid_ensemble, resolve_grid,
+                     step_events)
+# unused here, but perfbench/spans.py rebinds them on this module by name
+from .marcus import _drift_rk4, jump_flow  # noqa: F401
 from .rng import path_streams
 from .tables import write_csv
 
@@ -222,16 +227,8 @@ class ExitProbabilityResult:
     n_paths: int
 
     def summary(self):
-        return {
-            "epsilons": self.epsilons,
-            "probabilities": self.probabilities,
-            "std_errors": self.std_errors,
-            "gamma": self.gamma,
-            "t_gamma": self.t_gamma,
-            "n_paths": self.n_paths,
-            "nonincreasing_in_eps": _nonincreasing_in_eps(
-                self.epsilons, self.probabilities, self.std_errors),
-        }
+        return {**vars(self), "nonincreasing_in_eps": _nonincreasing_in_eps(
+            self.epsilons, self.probabilities, self.std_errors)}
 
 
 def exit_to_csv(result: ExitProbabilityResult, path):
@@ -315,20 +312,9 @@ class DeviationResult:
     identically_zero: bool = False
 
     def summary(self):
-        return {
-            "epsilons": self.epsilons,
-            "values": self.values,
-            "std_errors": self.std_errors,
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "observable": self.observable,
-            "horizon": self.horizon,
-            "p": self.p,
-            "n_paths": self.n_paths,
-            "identically_zero": self.identically_zero,
-            "linear_in_eps": (None if self.exponent is None
-                              else bool(abs(self.exponent - 1.0) <= 0.15)),
-        }
+        return {**vars(self), "linear_in_eps": (
+            None if self.exponent is None
+            else bool(abs(self.exponent - 1.0) <= 0.15))}
 
 
 def deviation_to_csv(result: DeviationResult, path):
@@ -409,68 +395,7 @@ class SchemeAgreementResult:
     n_paths: int
 
     def summary(self):
-        return {
-            "cutoffs": self.cutoffs,
-            "steps": self.steps,
-            "l2_gaps": self.l2_gaps,
-            "std_errors": self.std_errors,
-            "ratios": self.ratios,
-            "eps": self.eps,
-            "horizon": self.horizon,
-            "n_paths": self.n_paths,
-        }
-
-
-def _sum_per_step(grid, times, sizes):
-    inc = np.zeros((len(grid) - 1, sizes.shape[1]))
-    if len(times):
-        idx = np.clip(np.searchsorted(grid, times, side="right") - 1,
-                      0, len(grid) - 2)
-        np.add.at(inc, idx, sizes)
-    return inc
-
-
-def _endpoint_with_events(fields, x0, times, sizes, comp, horizon, eps, cfg, h):
-    """Drift between and across the given jump times, jumps applied exactly."""
-    drift = _make_drift(fields, eps, comp)
-    n = max(1, int(math.ceil(horizon / h - 1e-12)))
-    grid = np.arange(n + 1) * (horizon / n)
-    grid[-1] = horizon
-    t_all = np.concatenate([grid, times])
-    jump_of = np.concatenate([np.full(len(grid), -1), np.arange(len(times))])
-    order = np.argsort(t_all, kind="stable")
-    state = np.asarray(x0, dtype=float).copy()
-    comp_sum = np.zeros_like(state)
-    t_prev = 0.0
-    for pos in order:
-        t = t_all[pos]
-        dt = t - t_prev
-        if drift is not None and dt > 0:
-            _drift_rk4(drift, state, comp_sum, dt)
-        j = jump_of[pos]
-        if j >= 0:
-            pre = state.copy()
-            state = np.asarray(jump_flow(fields, state, sizes[j], cfg),
-                               dtype=float)
-            comp_sum = np.where(state == pre, comp_sum, 0.0)
-        t_prev = t
-    return state
-
-
-def _endpoint_with_grid(fields, x0, increments, comp, h, eps, cfg):
-    drift = _make_drift(fields, eps, comp)
-    strang = cfg.splitting == "strang"
-    state = np.asarray(x0, dtype=float).copy()
-    comp_sum = np.zeros_like(state)
-    for inc in increments:
-        if strang and drift is not None:
-            _drift_rk4(drift, state, comp_sum, 0.5 * h)
-        pre = state.copy()
-        state = np.asarray(jump_flow(fields, state, inc, cfg), dtype=float)
-        comp_sum = np.where(state == pre, comp_sum, 0.0)
-        if drift is not None:
-            _drift_rk4(drift, state, comp_sum, 0.5 * h if strang else h)
-    return state
+        return dict(vars(self))
 
 
 def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
@@ -489,6 +414,10 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     sums the full set per step and carries the base compensator; both see
     the exact same randomness, so the L2 endpoint gap isolates the
     discretization error and should shrink roughly in half per halving.
+
+    A block's paths run in lockstep: the grid half through
+    integrate_grid_ensemble with the per-step sums as its increments, the
+    event half through step_events (one path at a time for generic flows).
     """
     if not isinstance(driver, GammaSubordinator):
         raise ConfigError("scheme agreement needs the Gamma driver "
@@ -497,6 +426,8 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
         cfg = IntegratorConfig()
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
+    if not (horizon > 0):
+        raise ValueError("horizon must be positive")
     levels = [(float(c), float(h)) for c, h in levels]
     for c, h in levels:
         if not (c > base_cutoff):
@@ -507,26 +438,35 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
         raise ValueError("n_paths must be at least 2")
     base = truncate_gamma(driver, base_cutoff)
     comp_base = np.array([base.compensator])
+    x0 = np.asarray(x0, dtype=float)
+
+    def level_gaps(events):
+        gaps = np.empty((len(levels), len(events)))
+        x_start = np.tile(x0, (len(events), 1))
+        for il, (cutoff, h) in enumerate(levels):
+            grid_cfg = replace(cfg, scheme="grid_increment", step_h=h)
+            n, h_grid = resolve_grid(grid_cfg, eps, horizon)
+            grid = np.arange(n + 1) * h_grid
+            grid[-1] = horizon
+            x_grid = integrate_grid_ensemble(
+                fields, None, x_start, horizon, eps, grid_cfg, None,
+                increments=step_sums(grid, events),
+                comp_rate=comp_base).final_states
+            kept = [(e.times[e.sizes[:, 0] > cutoff],
+                     e.sizes[e.sizes[:, 0] > cutoff]) for e in events]
+            x_events = step_events(fields, x_start, grid, kept, eps, cfg,
+                                   np.array([driver.mean_below(cutoff)]))
+            # the 1-D norm of each row: a batched norm rounds differently
+            gaps[il] = [np.linalg.norm(d) for d in x_events - x_grid]
+        return gaps
 
     def run_block(a, b):
         streams = path_streams(master_seed, stream_base + a, b - a)
-        gaps = np.empty((len(levels), b - a))
-        for ip, stream in enumerate(streams):
-            events = sample_jump_events(base, horizon, stream)
-            for il, (cutoff, h) in enumerate(levels):
-                keep = events.sizes[:, 0] > cutoff
-                comp_level = np.array([driver.mean_below(cutoff)])
-                x_events = _endpoint_with_events(
-                    fields, x0, events.times[keep], events.sizes[keep],
-                    comp_level, horizon, eps, cfg, h)
-                n = max(1, int(math.ceil(horizon / h - 1e-12)))
-                grid = np.arange(n + 1) * (horizon / n)
-                grid[-1] = horizon
-                inc = _sum_per_step(grid, events.times, events.sizes)
-                x_grid = _endpoint_with_grid(fields, x0, inc, comp_base,
-                                             horizon / n, eps, cfg)
-                gaps[il, ip] = float(np.linalg.norm(x_events - x_grid))
-        return gaps
+        events = [sample_jump_events(base, horizon, s) for s in streams]
+        # generic jump solves are per-path (see integrate_grid_ensemble)
+        width = len(events) if fields.exact_jump_flow is not None else 1
+        return np.concatenate([level_gaps(events[i:i + width])
+                               for i in range(0, len(events), width)], axis=1)
 
     gaps = np.concatenate(map_blocks(run_block, n_paths, threads), axis=1)
     l2 = np.zeros(len(levels))

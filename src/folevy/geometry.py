@@ -15,7 +15,7 @@ callables are vectorized over leading axes (points live on the last axis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ class FoliatedChart:
     """
 
     ambient_dim: int
-    leaf_dim: int
     vertical_dim: int
     to_chart: Callable
     from_chart: Callable
@@ -83,13 +82,11 @@ class VectorFieldSet:
     driving: Callable
     drift: Optional[Callable] = None
     perturbation: Optional[Callable] = None
-    driving_columns: Optional[Callable] = None
     exact_jump_flow: Optional[Callable] = None
 
     def without_exact_flow(self) -> "VectorFieldSet":
         """Copy that forces the generic jump-ODE solver (for cross-checks)."""
-        return VectorFieldSet(self.driver_dim, self.driving, self.drift,
-                              self.perturbation, self.driving_columns, None)
+        return replace(self, exact_jump_flow=None)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
                          np.full_like(angles, z)], axis=-1)
 
     chart = FoliatedChart(
-        ambient_dim=3, leaf_dim=1, vertical_dim=2,
+        ambient_dim=3, vertical_dim=2,
         to_chart=to_chart, from_chart=from_chart,
         vertical_projection=vertical_projection, contains=contains,
         vertical_bounds=((r_min, r_max), (z_min, z_max)),
@@ -222,21 +219,13 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         out[..., 2] = 0.0
         return out
 
-    def driving_columns(x):
-        x = np.asarray(x, dtype=float)
-        cols = np.empty(x.shape[:-1] + (3, 1))
-        cols[..., 0, 0] = -x[..., 1]
-        cols[..., 1, 0] = x[..., 0]
-        cols[..., 2, 0] = 0.0
-        return cols
-
     def exact_jump_flow(x, z):
         z = np.asarray(z, dtype=float)
         return _rotate(x, z[..., 0])
 
     fields = VectorFieldSet(
         driver_dim=1, driving=driving, drift=None, perturbation=k_choice,
-        driving_columns=driving_columns, exact_jump_flow=exact_jump_flow,
+        exact_jump_flow=exact_jump_flow,
     )
     driver = GammaSubordinator(rate=theta, exp_moment_order=kappa)
     return CylinderPreset(chart, fields, driver, r_min, r_max, z_min, z_max,

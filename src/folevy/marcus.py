@@ -16,6 +16,10 @@ to rounding.  Three schemes:
   the discarded small jumps is transported through the driving fields as a
   continuous drift F(x) b.
 
+Two lockstep steppers carry every scheme: `integrate_grid_ensemble` on
+the macro grid, and `step_events` through each row's own merged table of
+grid and jump times (the jump decomposition and scheme agreement).
+
 State updates accumulate through compensated (Kahan) summation so that
 pure-drift coordinates stay exact to a few ulp over 1e5-step horizons.
 Paths stop at their first grid or jump time outside the chart domain; the
@@ -214,39 +218,44 @@ def resolve_grid(cfg: IntegratorConfig, eps, horizon):
 def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
                             cfg: IntegratorConfig, streams, contains=None,
                             on_step=None, pair_eps=None, on_step_pair=None,
-                            chunk=4096) -> EnsembleResult:
+                            chunk=4096, increments=None,
+                            comp_rate=None) -> EnsembleResult:
     """Advance len(streams) paths in lockstep on the macro grid.
 
     Path i draws its increments from streams[i] only, so results are
-    independent of any partitioning of the path set.  `on_step(k, t, states,
-    active)` is called after every step (and once at k=0); with `pair_eps`
-    a second system is advanced from the same increments and reported
-    through `on_step_pair(k, t, states, states_pair, active)`.  Exit
-    checking applies to the primary system; exited rows freeze at their
-    exit value (the pair row freezes with them).
+    independent of any partitioning of the path set; supplied `increments`
+    (paths, n_steps, driver_dim) replace the draws, and `comp_rate` adds
+    the drift F(x) comp_rate.  `on_step(k, t, states, active)` is called
+    after every step (and once at k=0); with `pair_eps` a second system is
+    advanced from the same increments and reported through
+    `on_step_pair(k, t, states, states_pair, active)`.  Exit checking
+    applies to the primary system; exited rows freeze at their exit value
+    (the pair row freezes with them).
     """
     if cfg.scheme == "jump_decomposition":
         raise ValueError("the grid ensemble covers grid-based schemes only")
+    n_steps, h = resolve_grid(cfg, eps, horizon)
+    m_paths = len(streams) if increments is None else len(increments)
+    if increments is not None and \
+            increments.shape[1:] != (n_steps, fields.driver_dim):
+        raise ValueError("increments must have shape (paths, n_steps, driver_dim)")
     exact = fields.exact_jump_flow
     if exact is None:
         if cfg.scheme == "exact_leaf":
             raise ValueError("exact_leaf needs a closed-form jump flow")
-        if len(streams) > 1:
+        if m_paths > 1:
             raise ValueError("generic jump solves are per-path; integrate paths separately")
 
-    n_steps, h = resolve_grid(cfg, eps, horizon)
-    m_paths = len(streams)
     x0 = np.asarray(x0, dtype=float)
     states = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0.astype(float).copy()
-    dim = states.shape[1]
     rdim = fields.driver_dim
 
-    drift = _make_drift(fields, eps)
+    drift = _make_drift(fields, eps, comp_rate)
     pair = pair_eps is not None
     if pair:
         states_b = states.copy()
         comp_b = np.zeros_like(states)
-        drift_b = _make_drift(fields, pair_eps)
+        drift_b = _make_drift(fields, pair_eps, comp_rate)
     comp = np.zeros_like(states)
     active = np.ones(m_paths, dtype=bool)
     exit_times = np.full(m_paths, np.nan)
@@ -269,14 +278,18 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     if n_steps == 0:
         return EnsembleResult(states, exit_times, 0, h)
 
-    sampler = make_step_sampler(driver, h)
-    gens = [s.generator() for s in streams]
+    if increments is None:
+        sampler = make_step_sampler(driver, h)
+        gens = [s.generator() for s in streams]
     done = 0
     while done < n_steps:
         m_chunk = min(chunk, n_steps - done)
-        draws = np.empty((m_paths, m_chunk, rdim))
-        for i, g in enumerate(gens):
-            draws[i] = sampler(g, m_chunk)
+        if increments is None:
+            draws = np.empty((m_paths, m_chunk, rdim))
+            for i, g in enumerate(gens):
+                draws[i] = sampler(g, m_chunk)
+        else:
+            draws = increments[:, done:done + m_chunk]
         for j in range(m_chunk):
             t1 = (done + j + 1) * h
             z = draws[:, j, :]
@@ -330,6 +343,58 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
 
 
 # ---------------------------------------------------------------------------
+# batched event stepping
+# ---------------------------------------------------------------------------
+
+def step_events(fields: VectorFieldSet, x0, grid, events, eps,
+                cfg: IntegratorConfig, comp_rate=None, on_event=None):
+    """Advance the rows of x0 in lockstep, each through the grid merged
+    with its own jumps (`events`: one (times, sizes) pair per row).
+
+    Per column a row takes one RK4 step of the drift (with eps times the
+    perturbation and F(x) comp_rate) over the gap since its last time, then
+    its jump, if any; a zero gap (ties, padding to the longest row) skips
+    the drift.  `on_event(k, t, states, jumped)` sees every column and
+    stops the stepping by returning true.  Generic jump solves need a
+    single row.  Returns the final states.
+    """
+    states = np.array(x0, dtype=float)
+    if fields.exact_jump_flow is None and len(states) > 1:
+        raise ValueError("generic jump solves are per-path; step paths separately")
+    n_grid = len(grid)
+    shape = (len(events), n_grid + max(len(t) for t, _ in events))
+    times, jumps = np.empty(shape), np.zeros(shape, dtype=bool)
+    sizes = np.zeros(shape + (fields.driver_dim,))
+    for i, (t, z) in enumerate(events):
+        # stable: a grid point precedes a jump at the same time
+        t_all = np.concatenate([grid, t])
+        order = np.argsort(t_all, kind="stable")
+        times[i] = t_all[order[-1]]         # padding repeats the last time
+        times[i, :len(order)] = t_all[order]
+        jumps[i, :len(order)] = order >= n_grid
+        sizes[i, jumps[i]] = z[order[order >= n_grid] - n_grid]
+    drift = _make_drift(fields, eps, comp_rate)
+    comp = np.zeros_like(states)
+    gaps = np.diff(times, axis=1, prepend=0.0)
+    for k in range(shape[1]):
+        moving = gaps[:, k] > 0
+        if drift is not None and moving.any():
+            y, c = states[moving], comp[moving]
+            _drift_rk4(drift, y, c, gaps[moving, k, None])
+            states[moving], comp[moving] = y, c
+        hit = jumps[:, k]
+        if hit.any():
+            pre = states[hit]
+            post = jump_flow(fields, pre, sizes[hit, k], cfg)
+            # reset the compensation only where the jump moved the state
+            comp[hit] = np.where(post == pre, comp[hit], 0.0)
+            states[hit] = post
+        if on_event is not None and on_event(k, times[:, k], states, hit):
+            break
+    return states
+
+
+# ---------------------------------------------------------------------------
 # single-path integration
 # ---------------------------------------------------------------------------
 
@@ -367,44 +432,21 @@ def _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
     trunc = truncate_gamma(driver, cfg.jump_cutoff) \
         if isinstance(driver, GammaSubordinator) else driver
     events = sample_jump_events(trunc, horizon, rng)
-    drift = _make_drift(fields, eps, events.compensator)
-
     n_steps, h = resolve_grid(cfg, eps, horizon)
     grid = np.arange(n_steps + 1) * h
     grid[-1] = horizon
-    t_all = np.concatenate([grid, events.times])
-    is_jump = np.concatenate([np.zeros(len(grid), dtype=bool),
-                              np.ones(len(events.times), dtype=bool)])
-    sizes = np.concatenate([np.zeros((len(grid), fields.driver_dim)), events.sizes])
-    order = np.argsort(t_all, kind="stable")
-    t_all, is_jump, sizes = t_all[order], is_jump[order], sizes[order]
+    rec = []
 
-    state = np.asarray(x0, dtype=float).copy()
-    comp = np.zeros_like(state)
-    out_t = [0.0]
-    out_x = [state.copy()]
-    out_j = [False]
-    exited = False
-    exit_time = None
-    t_prev = 0.0
-    for i in range(1, len(t_all)):
-        dt = t_all[i] - t_prev
-        if drift is not None and dt > 0:
-            _drift_rk4(drift, state, comp, dt)
-        if is_jump[i]:
-            pre = state.copy()
-            state = np.asarray(jump_flow(fields, state, sizes[i], cfg), dtype=float)
-            comp = np.where(state == pre, comp, 0.0)
-        t_prev = t_all[i]
-        out_t.append(float(t_all[i]))
-        out_x.append(state.copy())
-        out_j.append(bool(is_jump[i]))
-        if not bool(chart.contains(state)):
-            exited = True
-            exit_time = float(t_all[i])
-            break
-    return Trajectory(np.array(out_t), np.array(out_x), np.array(out_j),
-                      exited=exited, exit_time=exit_time)
+    def record(k, t, states, jumped):
+        rec.append((t[0], states[0].copy(), jumped[0]))
+        return not bool(chart.contains(states[0]))
+
+    step_events(fields, x0[None, :], grid, [(events.times, events.sizes)],
+                eps, cfg, events.compensator, record)
+    times, states, flags = (np.array(col) for col in zip(*rec))
+    exited = not bool(chart.contains(states[-1]))
+    return Trajectory(times, states, flags, exited=exited,
+                      exit_time=float(times[-1]) if exited else None)
 
 
 def _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng):

@@ -102,6 +102,10 @@ def test_scheme_agreement_under_halving():
              halves,
              f"L2 gaps {np.round(res.l2_gaps, 4).tolist()} shrink with "
              f"ratios {np.round(res.ratios, 3).tolist()} (tol <= 0.7 each)")
+    for key in ("l2_gaps", "std_errors", "ratios"):
+        _verdict(f"scheme agreement {key} reproduce the baseline",
+                 getattr(res, key).tolist() == base[key],
+                 f"{getattr(res, key).tolist()} vs {base[key]}")
 
 
 def test_compare_csv_identical_across_thread_counts(tmp_path):

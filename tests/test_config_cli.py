@@ -134,10 +134,22 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
 
 def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
     out = tmp_path / "runs"
-    for bad in ("1", "0", "2.5", "true"):
-        assert main(["compare", "--out", str(out),
-                     "--set", f"experiment.n_paths={bad}"]) == 2
-        assert "experiment.n_paths" in capsys.readouterr().err
+    cases = [("compare", f"experiment.n_paths={bad}", "experiment.n_paths")
+             for bad in ("1", "0", "2.5", "true")]
+    cases += [
+        ("eta", "experiment.n_paths=50", "n_paths must be at least 100"),
+        ("eta", "experiment.horizons=[1, 2]", "three distinct horizons"),
+        ("simulate", "experiment.epsilon=2", "experiment.epsilon"),
+        ("simulate", "experiment.epsilon=-0.1", "experiment.epsilon"),
+        ("simulate", "experiment.horizon=-1", "experiment.horizon"),
+        ("simulate", "experiment.horizon=.inf", "experiment.horizon"),
+        ("compare", "experiment.epsilons=[0.1, 0]", "experiment.epsilons"),
+        ("compare", "experiment.epsilons=[1.5]", "experiment.epsilons"),
+        ("compare", "experiment.epsilons=0.1", "experiment.epsilons"),
+    ]
+    for command, override, message in cases:
+        assert main([command, "--out", str(out), "--set", override]) == 2
+        assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -277,6 +277,25 @@ def test_scheme_agreement_needs_gamma_driver():
     with pytest.raises(ValueError):
         scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
                          levels=((0.001, 0.01),), n_paths=4)
+    with pytest.raises(ValueError):
+        scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
+                         horizon=0.0, n_paths=4)
+
+
+def test_scheme_agreement_generic_flow_matches_closed_form():
+    # without a closed-form jump flow both halves step one path at a time
+    # through the Runge-Kutta jump solve
+    preset = make_cylinder_preset()
+    kwargs = dict(horizon=0.5, eps=0.5, n_paths=3, master_seed=SEED)
+    exact = scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
+                             **kwargs)
+    generic = scheme_agreement(preset.fields.without_exact_flow(),
+                               preset.chart, preset.driver, X0, **kwargs)
+    assert np.all(exact.l2_gaps > 0)
+    np.testing.assert_allclose(generic.l2_gaps, exact.l2_gaps, rtol=0,
+                               atol=1e-6)
+    np.testing.assert_allclose(generic.std_errors, exact.std_errors, rtol=0,
+                               atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ SEED_ETA = 777007
 
 
 def _timed(label, func):
-    start = time.time()
+    start = time.perf_counter()
     out = func()
-    print(f"{label}: {time.time() - start:.1f} s")
+    print(f"{label}: {time.perf_counter() - start:.1f} s")
     return out
 
 
@@ -185,6 +185,7 @@ def main():
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
     t = args.threads
+    start = time.perf_counter()
 
     baselines = {
         "comparison_case_b": _timed("comparison case B",
@@ -208,6 +209,7 @@ def main():
         json.dump(baselines, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {os.path.normpath(out)}")
+    print(f"total: {time.perf_counter() - start:.1f} s")
 
 
 if __name__ == "__main__":
