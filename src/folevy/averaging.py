@@ -41,18 +41,26 @@ def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> 
     return float(np.mean(psi(pts)))
 
 
-def _leaf_mean_dpik(chart, fields, v, n_nodes):
+def _leaf_mean_dpik(chart, fields, n_nodes):
+    """v -> leaf mean of dPi(K) over n_nodes uniform angles, which are
+    built once here."""
     # domain checks are deliberately skipped: the averaged field must stay
     # evaluable slightly past the open transversal box so that boundary
     # crossings of the averaged flow can be bracketed
-    angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
-    pts = chart.leaf_point(angles, np.asarray(v, dtype=float))
     if fields.perturbation is None:
-        return np.zeros(chart.vertical_dim)
-    jac = chart.pi_jacobian(pts) if chart.pi_jacobian is not None \
-        else _fd_pi_jacobian(chart, pts)
-    vals = np.einsum("...ij,...j->...i", jac, fields.perturbation(pts))
-    return vals.mean(axis=0)
+        return lambda v: np.zeros(chart.vertical_dim)
+    angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
+    pert = fields.perturbation
+
+    def mean(v):
+        pts = chart.leaf_point(angles, v)
+        jac = chart.pi_jacobian(pts) if chart.pi_jacobian is not None \
+            else _fd_pi_jacobian(chart, pts)
+        vals = np.einsum("...ij,...j->...i", jac, pert(pts))
+        # what vals.mean(axis=0) computes for float64, minus its overhead
+        return np.add.reduce(vals, axis=0) / n_nodes
+
+    return mean
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
         if n_nodes < 8:
             raise ValueError("n_nodes must be at least 8")
         return AveragedField(chart, method,
-                             lambda v: _leaf_mean_dpik(chart, fields, v, n_nodes))
+                             _leaf_mean_dpik(chart, fields, n_nodes))
     if method == "ergodic_mc":
         if driver is None:
             raise ValueError("ergodic_mc method needs a driver")
@@ -137,7 +145,7 @@ class AveragedSolution:
         return np.stack(cols, axis=-1)
 
     def margins(self):
-        return np.array([self.chart.boundary_distance(v) for v in self.values])
+        return self.chart.boundary_distance(self.values)
 
     def time_to_margin(self, gamma: float) -> Optional[float]:
         """First time the boundary gap drops to gamma, by linear interpolation."""
@@ -173,6 +181,12 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
     values = np.empty((n + 1, len(v0)))
     times[0] = 0.0
     values[0] = y
+    bounds = chart.vertical_bounds
+
+    def inside(v):
+        # chart.vertical_contains on plain floats: the same comparisons
+        return all(lo < c < hi for c, (lo, hi) in zip(v.tolist(), bounds))
+
     stop = n
     for k in range(n):
         k1 = avg.evaluate(y)
@@ -182,11 +196,11 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
         _kahan_add(y, comp, (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
         times[k + 1] = (k + 1) * h
         values[k + 1] = y
-        if not bool(chart.vertical_contains(y)):
+        if not inside(y):
             stop = k + 1
             break
     sol = AveragedSolution(chart, times[: stop + 1], values[: stop + 1])
-    if stop < n or not bool(chart.vertical_contains(values[stop])):
+    if stop < n or not inside(values[stop]):
         crossing = sol.time_to_margin(0.0)
         sol = AveragedSolution(chart, sol.times, sol.values, boundary_time=crossing)
     return sol

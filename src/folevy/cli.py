@@ -26,8 +26,9 @@ from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      dump_config, integrator_from_config, preset_from_config)
 from .drivers import characteristic_function, marginal_samples, truncate_gamma
 from .errors import ConfigError, FolevyError
-from .experiments import (comparison_to_csv, deviation_scaling,
-                          deviation_to_csv, exit_probability, exit_to_csv,
+from .experiments import (check_comparison_window, comparison_to_csv,
+                          deviation_scaling, deviation_to_csv,
+                          exit_probability, exit_to_csv,
                           projected_perturbation, transversal_comparison)
 from .geometry import tangency_check
 from .marcus import (IntegratorConfig, integrate_grid_ensemble,
@@ -87,17 +88,26 @@ def _make_run_dir(cfg: ExperimentConfig, command: str) -> str:
 
 
 def _setup(args, command, check=None):
-    # check(cfg, icfg) raises ConfigError before the run directory exists
+    # check(cfg, preset, icfg) raises a FolevyError before the run
+    # directory exists
     cfg = _resolve_config(args)
     preset = preset_from_config(cfg)
     icfg = integrator_from_config(cfg)
     if check is not None:
-        check(cfg, icfg)
+        check(cfg, preset, icfg)
     out = _make_run_dir(cfg, command)
     with open(os.path.join(out, "effective_config.yaml"), "w",
               encoding="utf-8") as fh:
         fh.write(dump_config(cfg))
     return cfg, preset, icfg, out
+
+
+def _averaged(cfg, preset, icfg):
+    exp, run = cfg.experiment, cfg.run
+    return averaged_field(preset.chart, preset.fields, method=exp.method,
+                          n_nodes=exp.n_nodes, driver=preset.driver,
+                          horizon=exp.search_horizon, cfg=icfg,
+                          rng=RngStream(run.master_seed, run.stream_base))
 
 
 def _component_index(observable):
@@ -141,12 +151,9 @@ def cmd_simulate(args):
 
 def cmd_average(args):
     cfg, preset, icfg, out = _setup(args, "average")
-    exp, run = cfg.experiment, cfg.run
+    exp = cfg.experiment
     chart = preset.chart
-    avg = averaged_field(chart, preset.fields, method=exp.method,
-                         n_nodes=exp.n_nodes, driver=preset.driver,
-                         horizon=exp.search_horizon, cfg=icfg,
-                         rng=RngStream(run.master_seed, run.stream_base))
+    avg = _averaged(cfg, preset, icfg)
     (r_lo, r_hi), (z_lo, z_hi) = chart.vertical_bounds
     rvals = np.linspace(r_lo, r_hi, exp.n_r + 2)[1:-1]
     zvals = np.linspace(z_lo, z_hi, exp.n_z + 2)[1:-1]
@@ -180,7 +187,7 @@ def cmd_average(args):
     return 0
 
 
-def _check_eta(cfg, icfg):
+def _check_eta(cfg, preset, icfg):
     exp = cfg.experiment
     try:
         eta_grid(exp.horizons, exp.p, exp.n_paths, icfg)
@@ -217,15 +224,25 @@ def cmd_eta(args):
     return 0
 
 
+def _check_compare(cfg, preset, icfg):
+    # the same window check transversal_comparison makes, before the run
+    # directory exists
+    exp = cfg.experiment
+    v0 = preset.chart.vertical_projection(np.asarray(exp.x0, dtype=float))
+    try:
+        sol = solve_averaged_ode(_averaged(cfg, preset, icfg), v0,
+                                 exp.horizon, exp.ode_step)
+    except ValueError as exc:
+        raise ConfigError(f"compare: {exc}") from exc
+    check_comparison_window(sol, exp.horizon)
+
+
 def cmd_compare(args):
-    cfg, preset, icfg, out = _setup(args, "compare")
+    cfg, preset, icfg, out = _setup(args, "compare", _check_compare)
     exp, run = cfg.experiment, cfg.run
-    avg = averaged_field(preset.chart, preset.fields, method=exp.method,
-                         n_nodes=exp.n_nodes, driver=preset.driver,
-                         horizon=exp.search_horizon, cfg=icfg,
-                         rng=RngStream(run.master_seed, run.stream_base))
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
-                                 avg, np.asarray(exp.x0, dtype=float),
+                                 _averaged(cfg, preset, icfg),
+                                 np.asarray(exp.x0, dtype=float),
                                  exp.epsilons, exp.horizon, exp.p, exp.n_paths,
                                  None, run.master_seed, run.stream_base, icfg,
                                  run.threads, exp.ode_step)
@@ -241,11 +258,8 @@ def cmd_compare(args):
 def cmd_exit_prob(args):
     cfg, preset, icfg, out = _setup(args, "exit-prob")
     exp, run = cfg.experiment, cfg.run
-    avg = averaged_field(preset.chart, preset.fields, method=exp.method,
-                         n_nodes=exp.n_nodes, driver=preset.driver,
-                         horizon=exp.search_horizon, cfg=icfg,
-                         rng=RngStream(run.master_seed, run.stream_base))
-    res = exit_probability(preset.fields, preset.chart, preset.driver, avg,
+    res = exit_probability(preset.fields, preset.chart, preset.driver,
+                           _averaged(cfg, preset, icfg),
                            np.asarray(exp.x0, dtype=float), exp.epsilons,
                            exp.gamma, exp.n_paths, run.master_seed,
                            run.stream_base, icfg, run.threads, exp.ode_step,

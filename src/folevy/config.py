@@ -9,6 +9,7 @@ YAML-parsed scalars applied on the raw dict before validation.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -124,10 +125,25 @@ def _real(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value):
+    return _real(value) and (isinstance(value, int) or math.isfinite(value))
+
+
+def _positive(value):
+    return _finite(value) and value > 0
+
+
 def _check_experiment(exp: ExperimentSection):
     """Reject experiment values no subcommand can run, before any work."""
     eps = exp.epsilons
+    x0 = exp.x0
     for key, ok, want in (
+            ("x0", isinstance(x0, tuple) and len(x0) == 3
+             and all(_finite(c) for c in x0), "three finite numbers"),
+            ("gamma", _positive(exp.gamma), "a positive finite number"),
+            ("ode_step", _positive(exp.ode_step), "a positive finite number"),
+            ("search_horizon", _positive(exp.search_horizon),
+             "a positive finite number"),
             ("n_paths", isinstance(exp.n_paths, int) and exp.n_paths >= 2,
              "an integer of at least 2"),
             ("epsilon", _real(exp.epsilon) and 0 <= exp.epsilon <= 1,
@@ -135,8 +151,7 @@ def _check_experiment(exp: ExperimentSection):
             ("epsilons", isinstance(eps, tuple) and len(eps) > 0
              and all(_real(e) and 0 < e <= 1 for e in eps),
              "a nonempty list of numbers in (0, 1]"),
-            ("horizon", _real(exp.horizon) and 0 < exp.horizon < float("inf"),
-             "a positive finite number")):
+            ("horizon", _positive(exp.horizon), "a positive finite number")):
         if not ok:
             raise ConfigError(f"experiment.{key} must be {want}, "
                               f"got {getattr(exp, key)!r}")

@@ -125,6 +125,15 @@ def comparison_to_csv(result: ComparisonResult, path):
                      rows)
 
 
+def check_comparison_window(sol: AveragedSolution, horizon: float):
+    """Raise ConfigError unless the averaged solution stays inside the
+    transversal box through the comparison horizon."""
+    if sol.boundary_time is not None and sol.boundary_time <= horizon:
+        raise ConfigError(
+            f"averaged path reaches the transversal boundary at "
+            f"s={sol.boundary_time:.6g}; pick a horizon below that")
+
+
 def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
                            avg: AveragedField, x0, epsilons, horizon: float,
                            p: float = 2, n_paths: int = 200, horizons=None,
@@ -151,10 +160,7 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
         cfg = IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), horizon, ode_step)
-    if sol.boundary_time is not None and sol.boundary_time <= horizon:
-        raise ConfigError(
-            f"averaged path reaches the transversal boundary at "
-            f"s={sol.boundary_time:.6g}; pick a horizon below that")
+    check_comparison_window(sol, horizon)
     if horizons is None:
         horizons = [horizon]
     horizons = sorted(float(s) for s in horizons)
@@ -175,24 +181,30 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
         wr, wz = w[:, 0], w[:, 1]
         snap_idx = np.clip(np.rint(np.asarray(horizons) / (eps * h)).astype(int),
                            0, n_steps)
+        snaps_at = {}               # step -> comparison indices due there
+        for j, k in enumerate(snap_idx.tolist()):
+            snaps_at.setdefault(k, []).append(j)
 
         def run_block(a, b):
             m = b - a
             streams = path_streams(master_seed, stream_base + a, m)
             sup = np.zeros((3, m))
+            d = np.empty((3, m))    # euclidean, radial, vertical distance
             prev_active = np.ones(m, dtype=bool)
             snaps = np.empty((n_h, 3, m))
 
             def observe(k, t, states, active):
-                dr = np.abs(np.hypot(states[:, 0], states[:, 1]) - wr[k])
-                dz = np.abs(states[:, 2] - wz[k])
-                dn = np.hypot(dr, dz)
-                live = prev_active
-                np.maximum(sup[0], np.where(live, dn, 0.0), out=sup[0])
-                np.maximum(sup[1], np.where(live, dr, 0.0), out=sup[1])
-                np.maximum(sup[2], np.where(live, dz, 0.0), out=sup[2])
+                np.hypot(states[:, 0], states[:, 1], out=d[1])
+                d[1] -= wr[k]
+                np.abs(d[1], out=d[1])
+                np.subtract(states[:, 2], wz[k], out=d[2])
+                np.abs(d[2], out=d[2])
+                np.hypot(d[1], d[2], out=d[0])
+                # sup >= 0, so skipping exited rows equals taking the
+                # maximum with 0 there
+                np.maximum(sup, d, out=sup, where=prev_active)
                 prev_active[:] = active
-                for j in np.nonzero(snap_idx == k)[0]:
+                for j in snaps_at.get(k, ()):
                     snaps[j] = sup
 
             integrate_grid_ensemble(fields, driver, x0, path_horizon, eps, cfg,

@@ -74,6 +74,8 @@ class VectorFieldSet:
 
     `driving(x, z)` applies the driving fields to a driver vector z of shape
     (..., driver_dim); `drift` and `perturbation` may be None meaning zero.
+    Every field returns a new array, never a view of its argument: the
+    drift RK4 reuses the buffer it passes in.
     `exact_jump_flow(x, z)` is the closed-form time-one jump flow when one is
     known; integrators fall back to a Runge-Kutta jump solve without it.
     """
@@ -115,7 +117,7 @@ class LinearK:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         out[..., 0] = x[..., 0]
         return out
 
@@ -197,8 +199,11 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
     def leaf_point(angles, v):
         angles = np.asarray(angles, dtype=float)
         r, z = float(v[0]), float(v[1])
-        return np.stack([r * np.cos(angles), r * np.sin(angles),
-                         np.full_like(angles, z)], axis=-1)
+        out = np.empty(angles.shape + (3,))
+        np.multiply(r, np.cos(angles), out=out[..., 0])
+        np.multiply(r, np.sin(angles), out=out[..., 1])
+        out[..., 2] = z
+        return out
 
     chart = FoliatedChart(
         ambient_dim=3, vertical_dim=2,

@@ -117,11 +117,38 @@ def _kahan_add(y, comp, incr):
 
 
 def _drift_rk4(f, y, comp, dt):
+    """One classical RK4 step of dy/dt = f(y), added to y in place with
+    Kahan compensation comp; dt is a scalar or a per-row (m, 1) array.
+
+    Every rounding is that of the textbook formula
+    ``y + (dt/6) * (k1 + 2 * (k2 + k3) + k4)`` with stage points
+    ``y + (dt/2) * k1`` etc.: each operation is the same IEEE add or
+    multiply on the same operands in the same order (only the operands of
+    one commutative op may swap), so results are bit-identical.  One work
+    buffer holds the stage points and then the combination, so f must
+    return a new array, never a view of its argument.
+    """
+    half = 0.5 * dt
     k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    _kahan_add(y, comp, (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    w = y + half * k1
+    k2 = f(w)
+    np.multiply(half, k2, out=w)
+    w += y
+    k3 = f(w)
+    np.multiply(dt, k3, out=w)
+    w += y
+    k4 = f(w)
+    np.add(k2, k3, out=w)
+    w *= 2.0
+    w += k1
+    w += k4
+    w *= dt / 6.0
+    # _kahan_add(y, comp, w) with the increment's buffer reused
+    w -= comp
+    s = y + w
+    np.subtract(s, y, out=comp)
+    comp -= w
+    y[...] = s
 
 
 def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):

@@ -226,6 +226,10 @@ def test_comparison_linear_field_decreases_and_matches_baseline():
              decreasing and regressed,
              f"sup-L2 radial {np.round(sup, 4).tolist()} strictly "
              f"decreasing (1 SE slack) and within 3 SE of frozen baseline")
+    for key in ("sup_norm", "sup_norm_se", "sup_radial", "sup_radial_se"):
+        got = getattr(res, key)[:, -1].tolist()
+        _verdict(f"comparison, linear field, {key} reproduces the baseline",
+                 got == base[key], f"{got} vs {base[key]}")
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +257,10 @@ def test_exit_probability_shrinks_with_eps(exit_run):
              f"P(exit before t_gamma={res.t_gamma:.4f}) = "
              f"{np.round(res.probabilities, 3).tolist()} over eps "
              f"{base['epsilons']}, nonincreasing and within 3 SE of frozen")
+    for key in ("t_gamma", "probabilities", "std_errors"):
+        got = np.asarray(getattr(res, key)).tolist()
+        _verdict(f"exit probability {key} reproduces the baseline",
+                 got == base[key], f"{got} vs {base[key]}")
 
 
 @pytest.mark.xfail(

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folevy import (AveragedField, ConstantK, DomainError, IntegratorConfig,
                     RateEstimate, RngStream, averaged_component,
@@ -75,6 +77,28 @@ def test_averaged_field_quadrature_closed_form():
         np.array([2.0, -1.0]))
     assert abs(q[0]) <= 1e-14
     assert abs(q[1] - 1.5) <= 1e-14
+
+
+_QUAD_PRESETS = (make_cylinder_preset(),
+                 make_cylinder_preset(k_choice=ConstantK(0.3, -0.7, 1.1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.floats(0.05, 7.0), z=st.floats(-12.0, 12.0),
+       n_nodes=st.integers(8, 130), which=st.sampled_from([0, 1]))
+def test_quadrature_field_is_bit_identical_to_einsum_mean(r, z, n_nodes,
+                                                          which):
+    # the quadrature backend must round exactly like the plain node mean,
+    # also just outside the box where the averaged ODE brackets its exit
+    preset = _QUAD_PRESETS[which]
+    chart, pert = preset.chart, preset.fields.perturbation
+    angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
+    pts = chart.leaf_point(angles, np.array([r, z]))
+    want = np.einsum("...ij,...j->...i", chart.pi_jacobian(pts),
+                     pert(pts)).mean(axis=0)
+    got = averaged_field(chart, preset.fields, n_nodes=n_nodes).evaluate(
+        np.array([r, z]))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_averaged_field_backends_agree():
@@ -164,6 +188,16 @@ def test_boundary_and_margin_times_match_logarithms():
     assert sol.time_to_margin(0.9) == 0.0
     with pytest.raises(ValueError):
         sol.time_to_margin(-0.1)
+
+
+def test_margins_match_rowwise_boundary_distance():
+    preset = make_cylinder_preset()
+    sol = solve_averaged_ode(averaged_field(preset.chart, preset.fields),
+                             np.array([1.0, 0.0]), 50.0)
+    rowwise = np.array([preset.chart.boundary_distance(v)
+                        for v in sol.values])
+    assert len(rowwise) > 3000
+    assert sol.margins().tobytes() == rowwise.tobytes()
 
 
 def test_margin_time_none_when_flow_is_stuck():

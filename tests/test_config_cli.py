@@ -146,6 +146,20 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("compare", "experiment.epsilons=[0.1, 0]", "experiment.epsilons"),
         ("compare", "experiment.epsilons=[1.5]", "experiment.epsilons"),
         ("compare", "experiment.epsilons=0.1", "experiment.epsilons"),
+        ("exit-prob", "experiment.gamma=-1", "experiment.gamma"),
+        ("exit-prob", "experiment.gamma=0", "experiment.gamma"),
+        ("exit-prob", "experiment.gamma=.nan", "experiment.gamma"),
+        ("exit-prob", "experiment.search_horizon=.inf",
+         "experiment.search_horizon"),
+        ("average", "experiment.search_horizon=0", "experiment.search_horizon"),
+        ("compare", "experiment.ode_step=0", "experiment.ode_step"),
+        ("average", "experiment.ode_step=-1e-3", "experiment.ode_step"),
+        ("simulate", "experiment.x0=[1, 0]", "experiment.x0"),
+        ("simulate", "experiment.x0=[1, 0, .nan]", "experiment.x0"),
+        ("simulate", "experiment.x0=[1, 0, z]", "experiment.x0"),
+        ("simulate", "experiment.x0=1", "experiment.x0"),
+        ("compare", "experiment.horizon=5",
+         "reaches the transversal boundary at s=3.21888"),
     ]
     for command, override, message in cases:
         assert main([command, "--out", str(out), "--set", override]) == 2

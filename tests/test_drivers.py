@@ -10,11 +10,15 @@ against each other.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import folevy
 from folevy import (CompoundPoisson, GammaSubordinator, IncrementSeries,
                     RngStream, TruncatedMeasure, characteristic_function,
                     circle_law_distance, marginal_samples, sample_increments,
@@ -357,3 +361,15 @@ def test_circle_law_distance_decays():
     assert far < 0.02, f"wrapped law still far from uniform: {far:.4f}"
     with pytest.raises(ValueError):
         circle_law_distance(spec, 1.0, 50, RngStream(SEED, 19))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.35 s to import; only circle_law_distance
+    # needs it, and it imports it when called
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(folevy.__file__)))
+    code = ("import sys, folevy, folevy.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

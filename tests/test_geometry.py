@@ -83,6 +83,31 @@ def test_leaf_point_places_on_circle():
     assert abs(x[2] + 0.4) <= 1e-12
 
 
+def test_leaf_point_is_bit_identical_to_stacked_form():
+    chart = _chart()
+    gen = np.random.default_rng(SEED)
+    v = (1.7, -2.3)
+    for angles in (0.3, gen.uniform(0, 7, 64), gen.uniform(-7, 7, (4, 5))):
+        a = np.asarray(angles, dtype=float)
+        want = np.stack([1.7 * np.cos(a), 1.7 * np.sin(a),
+                         np.full_like(a, -2.3)], axis=-1)
+        got = chart.leaf_point(angles, v)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_linear_k_is_bit_identical_to_zeros_like_form():
+    gen = np.random.default_rng(SEED)
+    wide = gen.normal(size=(6, 5))
+    for x in (gen.normal(size=3), gen.normal(size=(9, 3)),
+              gen.normal(size=(2, 4, 3)), wide[:, 1:4]):
+        want = np.zeros_like(x)
+        want[..., 0] = x[..., 0]
+        got = LinearK()(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # projection Jacobian
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from folevy import (BlowupError, ConstantK, DomainError, IntegratorConfig,
                     RngStream, VectorFieldSet, integrate_grid_ensemble,
                     integrate_perturbed, integrate_unperturbed, jump_flow,
                     make_cylinder_preset, trajectory_to_csv)
-from folevy.marcus import resolve_grid
+from folevy.marcus import _drift_rk4, _kahan_add, resolve_grid
 
 SEED = 20260816
 
@@ -213,6 +213,39 @@ def test_paths_are_bitwise_reproducible():
     c = integrate_perturbed(*args, rng=RngStream(SEED, 9))
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
+
+
+def _textbook_rk4(f, y, comp, dt):
+    # the formula _drift_rk4 must reproduce rounding for rounding
+    y, comp = y.copy(), comp.copy()
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    _kahan_add(y, comp, (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    return y, comp
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_drift_rk4_is_bit_identical_to_textbook_formula(per_row):
+    gen = np.random.default_rng(SEED)
+
+    def f(x):
+        # nonlinear, so every stage point changes the result
+        return 1.3 * np.sin(x) + x[..., ::-1] ** 2
+
+    for m in (1, 7, 64):
+        y0 = gen.normal(size=(m, 3))
+        comp0 = 1e-17 * gen.normal(size=(m, 3))
+        # per-row gaps as step_events passes them, including a zero gap
+        dt = gen.uniform(0.0, 0.05, size=(m, 1)) if per_row else 0.005
+        if per_row:
+            dt[0] = 0.0
+        want_y, want_comp = _textbook_rk4(f, y0, comp0, dt)
+        y, comp = y0.copy(), comp0.copy()
+        _drift_rk4(f, y, comp, dt)
+        assert y.tobytes() == want_y.tobytes()
+        assert comp.tobytes() == want_comp.tobytes()
 
 
 # ---------------------------------------------------------------------------
