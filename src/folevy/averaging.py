@@ -18,8 +18,9 @@ import numpy as np
 from ._parallel import map_blocks
 from .errors import ConfigError, DomainError
 from .geometry import FoliatedChart, VectorFieldSet, _fd_pi_jacobian, dpi_k
-from .marcus import (IntegratorConfig, _kahan_add, integrate_grid_ensemble,
-                     integrate_perturbed, integrate_unperturbed, resolve_grid)
+from .marcus import (IntegratorConfig, _drift_rk4, _kahan_add,
+                     integrate_grid_ensemble, integrate_perturbed,
+                     integrate_unperturbed, resolve_grid)
 from .rng import RngStream, path_streams
 from .tables import write_csv
 
@@ -33,9 +34,9 @@ def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> 
     plain node mean coincide, and convergence is spectral in n_nodes.
     """
     if chart.leaf_point is None:
-        raise ValueError("chart carries no leaf parametrization")
+        raise ConfigError("chart carries no leaf parametrization")
     if n_nodes < 8:
-        raise ValueError("n_nodes must be at least 8")
+        raise ConfigError("n_nodes must be at least 8")
     angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
     pts = chart.leaf_point(angles, np.asarray(v, dtype=float))
     return float(np.mean(psi(pts)))
@@ -92,18 +93,20 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
     """
     if method == "analytic":
         if func is None:
-            raise ValueError("analytic method needs func")
-        return AveragedField(chart, method, func)
+            raise ConfigError("analytic method needs func")
+        # a new array per call, as _drift_rk4 requires of its field
+        return AveragedField(chart, method,
+                             lambda v: np.array(func(v), dtype=float))
     if method == "quadrature":
         if n_nodes < 8:
-            raise ValueError("n_nodes must be at least 8")
+            raise ConfigError("n_nodes must be at least 8")
         return AveragedField(chart, method,
                              _leaf_mean_dpik(chart, fields, n_nodes))
     if method == "ergodic_mc":
         if driver is None:
-            raise ValueError("ergodic_mc method needs a driver")
+            raise ConfigError("ergodic_mc method needs a driver")
         if not (horizon > 0):
-            raise ValueError("ergodic_mc horizon must be positive")
+            raise ConfigError("ergodic_mc horizon must be positive")
 
         def by_time_average(v):
             start = chart.leaf_point(np.zeros(1), v)[0]
@@ -113,7 +116,7 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
             return np.trapezoid(vals, traj.times, axis=0) / traj.times[-1]
 
         return AveragedField(chart, method, by_time_average)
-    raise ValueError(f"unknown averaging method {method!r}")
+    raise ConfigError(f"unknown averaging method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +142,7 @@ class AveragedSolution:
     def interp(self, s):
         s = np.asarray(s, dtype=float)
         if np.any(s < -1e-12) or np.any(s > self.times[-1] * (1 + 1e-12) + 1e-12):
-            raise ValueError("requested time lies outside the solved range")
+            raise ConfigError("requested time lies outside the solved range")
         cols = [np.interp(s, self.times, self.values[:, i])
                 for i in range(self.values.shape[1])]
         return np.stack(cols, axis=-1)
@@ -150,7 +153,7 @@ class AveragedSolution:
     def time_to_margin(self, gamma: float) -> Optional[float]:
         """First time the boundary gap drops to gamma, by linear interpolation."""
         if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+            raise ConfigError("gamma must be nonnegative")
         m = self.margins()
         if m[0] <= gamma:
             return 0.0
@@ -172,7 +175,7 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
     if not bool(chart.vertical_contains(v0)):
         raise DomainError("v0 lies outside the transversal domain")
     if not (horizon > 0 and step > 0):
-        raise ValueError("horizon and step must be positive")
+        raise ConfigError("horizon and step must be positive")
     n = max(1, int(math.ceil(horizon / step - 1e-12)))
     h = horizon / n
     y = v0.copy()
@@ -189,11 +192,7 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
 
     stop = n
     for k in range(n):
-        k1 = avg.evaluate(y)
-        k2 = avg.evaluate(y + (0.5 * h) * k1)
-        k3 = avg.evaluate(y + (0.5 * h) * k2)
-        k4 = avg.evaluate(y + h * k3)
-        _kahan_add(y, comp, (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        _drift_rk4(avg.evaluate, y, comp, h)
         times[k + 1] = (k + 1) * h
         values[k + 1] = y
         if not inside(y):
@@ -215,7 +214,7 @@ def ergodic_average(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                     rng: RngStream = RngStream(0)) -> float:
     """Trapezoid time average of psi along one unperturbed sample path."""
     if not (horizon > 0):
-        raise ValueError("horizon must be positive")
+        raise ConfigError("horizon must be positive")
     traj = integrate_unperturbed(fields, chart, driver, x0, horizon, cfg, rng)
     vals = np.asarray(psi(traj.states), dtype=float)
     return float(np.trapezoid(vals, traj.times) / traj.times[-1])
@@ -266,25 +265,6 @@ def rate_to_csv(est: RateEstimate, path):
                             "fitted_constant"], rows)
 
 
-def eta_grid(horizons, p, n_paths, cfg: IntegratorConfig):
-    """Checked estimate_eta inputs: the sorted horizons, the macro step h
-    and the grid index of each horizon.  Invalid inputs raise ValueError."""
-    horizons = np.asarray(sorted(float(t) for t in horizons))
-    if len(horizons) < 3 or len(np.unique(horizons)) != len(horizons):
-        raise ValueError("need at least three distinct horizons")
-    if horizons[0] <= 0:
-        raise ValueError("horizons must be positive")
-    if p < 2:
-        raise ValueError("moment order p must be at least 2")
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    _, h = resolve_grid(cfg, 0.0, float(horizons[-1]))
-    snap_idx = np.rint(horizons / h).astype(int)
-    if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
-        raise ValueError("horizons must sit on the integration grid")
-    return horizons, h, snap_idx
-
-
 def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                  x0, horizons: Sequence[float], p: float = 2,
                  n_paths: int = 200, master_seed: int = 0, stream_base: int = 0,
@@ -299,9 +279,21 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     mixing observables.  Errors all below 1e-14 report exponent 0 with
     constant 0: the observable averages exactly.
     """
+    horizons = np.asarray(sorted(float(t) for t in horizons))
+    if len(horizons) < 3 or len(np.unique(horizons)) != len(horizons):
+        raise ConfigError("need at least three distinct horizons")
+    if horizons[0] <= 0:
+        raise ConfigError("horizons must be positive")
+    if p < 2:
+        raise ConfigError("moment order p must be at least 2")
+    if n_paths < 100:
+        raise ConfigError("n_paths must be at least 100")
     if cfg is None:
         cfg = IntegratorConfig()
-    horizons, h, snap_idx = eta_grid(horizons, p, n_paths, cfg)
+    _, h = resolve_grid(cfg, 0.0, float(horizons[-1]))
+    snap_idx = np.rint(horizons / h).astype(int)
+    if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
+        raise ConfigError("horizons must sit on the integration grid")
     if q_ref is None:
         q_ref = leaf_average_quadrature(chart, psi,
                                         chart.vertical_projection(np.asarray(x0, float)),
@@ -376,8 +368,10 @@ def delta_defect_lp(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                     threads: int = 1):
     """L^p size of the averaging defect over an ensemble, with a delta
     method standard error.  Paths stop contributing at their exit time."""
+    if p < 1:
+        raise ConfigError("p must be at least 1")
     if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+        raise ConfigError("n_paths must be at least 2")
     if cfg is None:
         cfg = IntegratorConfig()
 

@@ -1,10 +1,12 @@
 """Command line front end.
 
-Every subcommand reads an optional YAML config, applies `--set` overrides,
-and writes its artifacts into a fresh time-stamped directory under the
-output root (--out, then run.out_dir, then $FOLEVY_OUT_DIR, then ./runs).
-The effective configuration is copied next to the outputs so a run can be
-reproduced from its directory alone.
+Every subcommand reads an optional YAML config, applies `--set` overrides
+and computes its result.  Only then does it make a fresh time-stamped
+directory under the output root (--out, then run.out_dir, then
+$FOLEVY_OUT_DIR, then ./runs) and write its artifacts there, next to a
+copy of the effective configuration, so a run can be reproduced from its
+directory alone.  Any FolevyError raised on the way, a rejected input
+included, exits with code 2 and leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -19,16 +21,14 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .averaging import (averaged_field, estimate_eta, eta_grid,
-                        leaf_average_quadrature, rate_to_csv,
+from .averaging import (averaged_field, estimate_eta, rate_to_csv,
                         solve_averaged_ode)
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      dump_config, integrator_from_config, preset_from_config)
 from .drivers import characteristic_function, marginal_samples, truncate_gamma
 from .errors import ConfigError, FolevyError
-from .experiments import (check_comparison_window, comparison_to_csv,
-                          deviation_scaling, deviation_to_csv,
-                          exit_probability, exit_to_csv,
+from .experiments import (comparison_to_csv, deviation_scaling,
+                          deviation_to_csv, exit_probability, exit_to_csv,
                           projected_perturbation, transversal_comparison)
 from .geometry import tangency_check
 from .marcus import (IntegratorConfig, integrate_grid_ensemble,
@@ -73,7 +73,14 @@ def _resolve_config(args) -> ExperimentConfig:
     return replace(cfg, run=run)
 
 
+def _setup(args):
+    cfg = _resolve_config(args)
+    return cfg, preset_from_config(cfg), integrator_from_config(cfg)
+
+
 def _make_run_dir(cfg: ExperimentConfig, command: str) -> str:
+    """Make the run directory and write effective_config.yaml into it;
+    called once the command's computation has returned."""
     root = cfg.run.out_dir or os.environ.get("FOLEVY_OUT_DIR") or "runs"
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     base = os.path.join(root, f"{command}-{stamp}")
@@ -81,25 +88,14 @@ def _make_run_dir(cfg: ExperimentConfig, command: str) -> str:
     while True:
         try:
             os.makedirs(path)
-            return path
+            break
         except FileExistsError:
             k += 1
             path = f"{base}-{k}"
-
-
-def _setup(args, command, check=None):
-    # check(cfg, preset, icfg) raises a FolevyError before the run
-    # directory exists
-    cfg = _resolve_config(args)
-    preset = preset_from_config(cfg)
-    icfg = integrator_from_config(cfg)
-    if check is not None:
-        check(cfg, preset, icfg)
-    out = _make_run_dir(cfg, command)
-    with open(os.path.join(out, "effective_config.yaml"), "w",
+    with open(os.path.join(path, "effective_config.yaml"), "w",
               encoding="utf-8") as fh:
         fh.write(dump_config(cfg))
-    return cfg, preset, icfg, out
+    return path
 
 
 def _averaged(cfg, preset, icfg):
@@ -123,7 +119,7 @@ def _component_index(observable):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    cfg, preset, icfg, out = _setup(args, "simulate")
+    cfg, preset, icfg = _setup(args)
     exp, run = cfg.experiment, cfg.run
     rng = RngStream(run.master_seed, run.stream_base)
     x0 = np.asarray(exp.x0, dtype=float)
@@ -133,6 +129,7 @@ def cmd_simulate(args):
     else:
         traj = integrate_perturbed(preset.fields, preset.chart, preset.driver,
                                    x0, exp.horizon, exp.epsilon, icfg, rng)
+    out = _make_run_dir(cfg, "simulate")
     csv_path = trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
     write_json(os.path.join(out, "summary.json"), {
         "epsilon": exp.epsilon,
@@ -150,7 +147,7 @@ def cmd_simulate(args):
 
 
 def cmd_average(args):
-    cfg, preset, icfg, out = _setup(args, "average")
+    cfg, preset, icfg = _setup(args)
     exp = cfg.experiment
     chart = preset.chart
     avg = _averaged(cfg, preset, icfg)
@@ -162,15 +159,16 @@ def cmd_average(args):
         for z in zvals:
             q = avg.evaluate((r, z))
             rows.append((r, z, q[0], q[1]))
-    field_csv = write_csv(os.path.join(out, "averaged_field.csv"),
-                          ["r", "z", "q_r", "q_z"], rows)
     x0 = np.asarray(exp.x0, dtype=float)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), exp.horizon,
                              exp.ode_step)
+    t_gamma = sol.time_to_margin(exp.gamma)
+    out = _make_run_dir(cfg, "average")
+    field_csv = write_csv(os.path.join(out, "averaged_field.csv"),
+                          ["r", "z", "q_r", "q_z"], rows)
     path_csv = write_csv(os.path.join(out, "averaged_path.csv"),
                          ["s", "w_r", "w_z"],
                          zip(sol.times, sol.values[:, 0], sol.values[:, 1]))
-    t_gamma = sol.time_to_margin(exp.gamma)
     write_json(os.path.join(out, "summary.json"), {
         "method": exp.method,
         "boundary_time": sol.boundary_time,
@@ -187,16 +185,8 @@ def cmd_average(args):
     return 0
 
 
-def _check_eta(cfg, preset, icfg):
-    exp = cfg.experiment
-    try:
-        eta_grid(exp.horizons, exp.p, exp.n_paths, icfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"eta: {exc}") from exc
-
-
 def cmd_eta(args):
-    cfg, preset, icfg, out = _setup(args, "eta", _check_eta)
+    cfg, preset, icfg = _setup(args)
     exp, run = cfg.experiment, cfg.run
     comp = _component_index(exp.observable)
     psi = projected_perturbation(preset.chart, preset.fields, comp)
@@ -204,6 +194,7 @@ def cmd_eta(args):
                        np.asarray(exp.x0, dtype=float), exp.horizons, exp.p,
                        exp.n_paths, run.master_seed, run.stream_base, icfg,
                        run.threads)
+    out = _make_run_dir(cfg, "eta")
     csv_path = rate_to_csv(est, os.path.join(out, "eta.csv"))
     write_json(os.path.join(out, "summary.json"), {
         "observable": exp.observable,
@@ -224,21 +215,8 @@ def cmd_eta(args):
     return 0
 
 
-def _check_compare(cfg, preset, icfg):
-    # the same window check transversal_comparison makes, before the run
-    # directory exists
-    exp = cfg.experiment
-    v0 = preset.chart.vertical_projection(np.asarray(exp.x0, dtype=float))
-    try:
-        sol = solve_averaged_ode(_averaged(cfg, preset, icfg), v0,
-                                 exp.horizon, exp.ode_step)
-    except ValueError as exc:
-        raise ConfigError(f"compare: {exc}") from exc
-    check_comparison_window(sol, exp.horizon)
-
-
 def cmd_compare(args):
-    cfg, preset, icfg, out = _setup(args, "compare", _check_compare)
+    cfg, preset, icfg = _setup(args)
     exp, run = cfg.experiment, cfg.run
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                  _averaged(cfg, preset, icfg),
@@ -246,6 +224,7 @@ def cmd_compare(args):
                                  exp.epsilons, exp.horizon, exp.p, exp.n_paths,
                                  None, run.master_seed, run.stream_base, icfg,
                                  run.threads, exp.ode_step)
+    out = _make_run_dir(cfg, "compare")
     csv_path = comparison_to_csv(res, os.path.join(out, "comparison.csv"))
     write_json(os.path.join(out, "summary.json"), res.summary())
     for i, eps in enumerate(res.epsilons):
@@ -256,7 +235,7 @@ def cmd_compare(args):
 
 
 def cmd_exit_prob(args):
-    cfg, preset, icfg, out = _setup(args, "exit-prob")
+    cfg, preset, icfg = _setup(args)
     exp, run = cfg.experiment, cfg.run
     res = exit_probability(preset.fields, preset.chart, preset.driver,
                            _averaged(cfg, preset, icfg),
@@ -264,6 +243,7 @@ def cmd_exit_prob(args):
                            exp.gamma, exp.n_paths, run.master_seed,
                            run.stream_base, icfg, run.threads, exp.ode_step,
                            exp.search_horizon)
+    out = _make_run_dir(cfg, "exit-prob")
     csv_path = exit_to_csv(res, os.path.join(out, "exit_prob.csv"))
     write_json(os.path.join(out, "summary.json"), res.summary())
     print(f"averaged path comes within gamma={res.gamma:g} of the boundary "
@@ -275,12 +255,13 @@ def cmd_exit_prob(args):
 
 
 def cmd_deviation(args):
-    cfg, preset, icfg, out = _setup(args, "deviation")
+    cfg, preset, icfg = _setup(args)
     exp, run = cfg.experiment, cfg.run
     res = deviation_scaling(preset.fields, preset.chart, preset.driver,
                             np.asarray(exp.x0, dtype=float), exp.epsilons,
                             exp.horizon, exp.observable, exp.p, exp.n_paths,
                             run.master_seed, run.stream_base, icfg, run.threads)
+    out = _make_run_dir(cfg, "deviation")
     csv_path = deviation_to_csv(res, os.path.join(out, "deviation.csv"))
     write_json(os.path.join(out, "summary.json"), res.summary())
     if res.identically_zero:
@@ -292,7 +273,7 @@ def cmd_deviation(args):
 
 
 def cmd_charfn(args):
-    cfg, preset, icfg, out = _setup(args, "charfn")
+    cfg, preset, icfg = _setup(args)
     exp, run = cfg.experiment, cfg.run
     driver = preset.driver
     u = [float(v) for v in exp.u_values]
@@ -304,10 +285,11 @@ def cmd_charfn(args):
     gaps = [abs(a - b) for a, b in zip(exact, emp)]
     rows = [(uu, a.real, a.imag, b.real, b.imag, g)
             for uu, a, b, g in zip(u, exact, emp, gaps)]
+    bound = 3.0 / math.sqrt(exp.n_samples)
+    out = _make_run_dir(cfg, "charfn")
     csv_path = write_csv(os.path.join(out, "charfn.csv"),
                          ["u", "re_exact", "im_exact", "re_mc", "im_mc",
                           "abs_gap"], rows)
-    bound = 3.0 / math.sqrt(exp.n_samples)
     write_json(os.path.join(out, "summary.json"), {
         "t": exp.t,
         "n_samples": exp.n_samples,
@@ -323,7 +305,7 @@ def cmd_charfn(args):
 
 
 def cmd_check(args):
-    cfg, preset, icfg, out = _setup(args, "check")
+    cfg, preset, icfg = _setup(args)
     run = cfg.run
     chart, fields, driver = preset.chart, preset.fields, preset.driver
     checks = []
@@ -408,6 +390,7 @@ def cmd_check(args):
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
+    out = _make_run_dir(cfg, "check")
     write_json(os.path.join(out, "check.json"), {
         "checks": [{"name": n, "passed": bool(ok), "detail": d}
                    for n, ok, d in checks],

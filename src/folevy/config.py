@@ -133,6 +133,11 @@ def _positive(value):
     return _finite(value) and value > 0
 
 
+def _count(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= least
+
+
 def _check_experiment(exp: ExperimentSection):
     """Reject experiment values no subcommand can run, before any work."""
     eps = exp.epsilons
@@ -144,8 +149,11 @@ def _check_experiment(exp: ExperimentSection):
             ("ode_step", _positive(exp.ode_step), "a positive finite number"),
             ("search_horizon", _positive(exp.search_horizon),
              "a positive finite number"),
-            ("n_paths", isinstance(exp.n_paths, int) and exp.n_paths >= 2,
-             "an integer of at least 2"),
+            ("n_paths", _count(exp.n_paths, 2), "an integer of at least 2"),
+            ("n_samples", _count(exp.n_samples, 1),
+             "an integer of at least 1"),
+            ("p", _finite(exp.p) and exp.p >= 1,
+             "a finite number of at least 1"),
             ("epsilon", _real(exp.epsilon) and 0 <= exp.epsilon <= 1,
              "a number in [0, 1]"),
             ("epsilons", isinstance(eps, tuple) and len(eps) > 0
@@ -225,21 +233,15 @@ def preset_from_config(cfg: ExperimentConfig):
         k = ConstantK(*(float(v) for v in sec.k_constant))
     else:
         raise ConfigError("preset.k_choice must be 'linear' or 'constant'")
-    try:
-        return make_cylinder_preset(
-            r_min=sec.r_min, r_max=sec.r_max, z_min=sec.z_min, z_max=sec.z_max,
-            theta=sec.theta, k_choice=k, kappa=sec.kappa)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return make_cylinder_preset(
+        r_min=sec.r_min, r_max=sec.r_max, z_min=sec.z_min, z_max=sec.z_max,
+        theta=sec.theta, k_choice=k, kappa=sec.kappa)
 
 
 def integrator_from_config(cfg: ExperimentConfig):
     from .marcus import IntegratorConfig
     sec = cfg.integrator
-    try:
-        return IntegratorConfig(
-            scheme=sec.scheme, step_h=sec.step_h,
-            jump_ode_substeps=int(sec.jump_ode_substeps),
-            splitting=sec.splitting, jump_cutoff=sec.jump_cutoff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return IntegratorConfig(
+        scheme=sec.scheme, step_h=sec.step_h,
+        jump_ode_substeps=sec.jump_ode_substeps,
+        splitting=sec.splitting, jump_cutoff=sec.jump_cutoff)

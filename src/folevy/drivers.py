@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, special
 
-from .errors import DomainError, QuadratureError
+from .errors import ConfigError, DomainError, QuadratureError
 from .rng import RngStream
 
 QUAD_ABS_TOL = 1e-10
@@ -115,11 +115,11 @@ class GammaSubordinator:
 
     def __post_init__(self):
         if not (self.rate > 0 and np.isfinite(self.rate)):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+            raise ConfigError(f"rate must be positive and finite, got {self.rate}")
         kappa = self.rate / 2 if self.exp_moment_order is None else self.exp_moment_order
         if not (0 < kappa < self.rate):
             # the tail integral int_1^inf e^((kappa-rate)y)/y dy diverges
-            raise ValueError(
+            raise ConfigError(
                 f"exponential moment order must sit in (0, rate): kappa={kappa}, rate={self.rate}"
             )
         object.__setattr__(self, "exp_moment_order", float(kappa))
@@ -127,7 +127,7 @@ class GammaSubordinator:
         # closed form cannot slip through unnoticed
         value = _exp_moment_integral(self.levy_density, 0.0, np.inf, kappa)
         if not np.isfinite(value):
-            raise ValueError("exponential moment integral is not finite")
+            raise ConfigError("exponential moment integral is not finite")
 
     def levy_density(self, y):
         y = np.asarray(y, dtype=float)
@@ -136,7 +136,7 @@ class GammaSubordinator:
     def tail_mass(self, cutoff):
         """Measure of (cutoff, inf): the exponential integral E1(rate*cutoff)."""
         if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+            raise ConfigError("cutoff must be positive")
         return float(special.exp1(self.rate * cutoff))
 
     def mean_below(self, cutoff):
@@ -157,29 +157,29 @@ class CompoundPoisson:
 
     def __post_init__(self):
         if not (self.intensity > 0 and np.isfinite(self.intensity)):
-            raise ValueError(f"intensity must be positive and finite, got {self.intensity}")
+            raise ConfigError(f"intensity must be positive and finite, got {self.intensity}")
         if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+            raise ConfigError("dimension must be a positive integer")
         if self.exp_moment_order <= 0:
-            raise ValueError("exponential moment order must be positive")
+            raise ConfigError("exponential moment order must be positive")
         if self.dimension == 1 and self.jump_density is not None:
             try:
                 value = self.intensity * _exp_moment_integral(
                     lambda y: float(self.jump_density(y)), self.support[0],
                     self.support[1], self.exp_moment_order)
             except QuadratureError as exc:
-                raise ValueError(
+                raise ConfigError(
                     f"exponential moment integral of order "
                     f"{self.exp_moment_order} diverges") from exc
             if not np.isfinite(value):
-                raise ValueError("exponential moment integral is not finite")
+                raise ConfigError("exponential moment integral is not finite")
         else:
             # no usable density: estimate lambda*E[e^(kappa|Y|)] from the sampler
             probe = np.asarray(self.jump_sampler(np.random.Generator(np.random.Philox(0)), 4096))
             probe = probe.reshape(len(probe), -1)
             est = np.exp(self.exp_moment_order * np.linalg.norm(probe, axis=1)).mean()
             if not np.isfinite(est):
-                raise ValueError("exponential moment estimate overflowed; lower the order")
+                raise ConfigError("exponential moment estimate overflowed; lower the order")
 
 
 @dataclass(frozen=True)
@@ -203,14 +203,14 @@ class TruncatedMeasure:
 
     def __post_init__(self):
         if not (self.cutoff > 0 and np.isfinite(self.cutoff)):
-            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+            raise ConfigError(f"cutoff must be positive and finite, got {self.cutoff}")
         lo, hi = self.support
         if not lo < hi:
-            raise ValueError("support must be a nondegenerate interval")
+            raise ConfigError("support must be a nondegenerate interval")
         value = _exp_moment_integral(lambda y: float(self.density(y)), lo, hi,
                                      self.exp_moment_order)
         if not np.isfinite(value):
-            raise ValueError("exponential moment integral is not finite")
+            raise ConfigError("exponential moment integral is not finite")
 
         sides = []  # (sign, inner, outer)
         if hi > self.cutoff:
@@ -218,7 +218,7 @@ class TruncatedMeasure:
         if lo < -self.cutoff:
             sides.append((-1.0, self.cutoff, -lo))
         if not sides:
-            raise ValueError("support carries no mass beyond the cutoff")
+            raise ConfigError("support carries no mass beyond the cutoff")
 
         tables = []
         masses = []
@@ -229,7 +229,7 @@ class TruncatedMeasure:
                 outer_eff = self._find_tail(dens, inner)
             mass = _quad(dens, inner, outer_eff)
             if not (mass > 0 and np.isfinite(mass)):
-                raise ValueError(f"restricted mass on one side is not finite-positive: {mass}")
+                raise ConfigError(f"restricted mass on one side is not finite-positive: {mass}")
             ys = np.exp(np.linspace(math.log(inner), math.log(outer_eff), _TABLE_NODES))
             vals = np.array([dens(y) for y in ys])
             cdf = np.concatenate([[0.0], np.cumsum(np.diff(ys) * (vals[1:] + vals[:-1]) / 2)])
@@ -260,7 +260,7 @@ class TruncatedMeasure:
                 return outer
             outer *= 2.0
             if outer > 1e12:
-                raise ValueError("tail of the jump density decays too slowly to tabulate")
+                raise ConfigError("tail of the jump density decays too slowly to tabulate")
 
     def sample_sizes(self, gen, n):
         """n jump sizes from the normalized restricted measure."""
@@ -286,7 +286,7 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
     integral rather than re-integrated numerically.
     """
     if not (cutoff > 0 and np.isfinite(cutoff)):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
+        raise ConfigError(f"cutoff must be positive and finite, got {cutoff}")
     theta = spec.rate
     mass = spec.tail_mass(cutoff)
     # outer node: E1(theta*y) below _TAIL_FRACTION of the restricted mass
@@ -333,11 +333,11 @@ class IncrementSeries:
         grid = np.asarray(self.grid, dtype=float)
         inc = np.asarray(self.increments, dtype=float)
         if grid.ndim != 1 or len(grid) < 1 or grid[0] != 0.0:
-            raise ValueError("grid must be one-dimensional and start at 0")
+            raise ConfigError("grid must be one-dimensional and start at 0")
         if len(grid) > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+            raise ConfigError("grid must be strictly increasing")
         if inc.shape[0] != len(grid) - 1:
-            raise ValueError("need exactly one increment per grid interval")
+            raise ConfigError("need exactly one increment per grid interval")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "increments", inc)
         if self.compensator_drift is not None:
@@ -364,7 +364,7 @@ def _finite_law(spec):
         return (spec.restricted_mass, spec.sample_sizes, 1,
                 np.array([spec.compensator]))
     if isinstance(spec, GammaSubordinator):
-        raise ValueError("Gamma driver has no finite event set; "
+        raise ConfigError("Gamma driver has no finite event set; "
                          "apply truncate_gamma(spec, cutoff) first")
     raise TypeError(f"unknown driver spec {type(spec).__name__}")
 
@@ -372,7 +372,7 @@ def _finite_law(spec):
 def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
     """Poisson jump times with iid sizes; Gamma drivers must be truncated first."""
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise ConfigError("horizon must be nonnegative")
     rate, size_draw, dim, comp = _finite_law(spec)
     gen = rng.generator()
     n = int(gen.poisson(rate * horizon))
@@ -404,11 +404,11 @@ def sample_increments(spec, grid, rng: RngStream) -> IncrementSeries:
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a one-dimensional array")
+        raise ConfigError("grid must be a one-dimensional array")
     if grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
+        raise ConfigError("grid must start at 0")
     if len(grid) > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing")
+        raise ConfigError("grid must be strictly increasing")
 
     if isinstance(spec, GammaSubordinator):
         dt = np.diff(grid)
@@ -431,7 +431,7 @@ def make_step_sampler(spec, h):
     ensemble kernel, which draws each path's increments from its own stream.
     """
     if h <= 0:
-        raise ValueError("step must be positive")
+        raise ConfigError("step must be positive")
     if isinstance(spec, GammaSubordinator):
         scale = 1.0 / spec.rate
 
@@ -461,7 +461,7 @@ def characteristic_function(spec, u, t):
     uncompensated exponent (plus i*u*b for the truncated compensator).
     """
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ConfigError("t must be nonnegative")
     u_arr = np.asarray(u, dtype=float)
     if isinstance(spec, GammaSubordinator):
         out = np.power(1.0 - 1j * u_arr / spec.rate, -t)
@@ -472,7 +472,7 @@ def characteristic_function(spec, u, t):
     def psi(uu):
         if isinstance(spec, CompoundPoisson):
             if spec.jump_density is None:
-                raise ValueError("CompoundPoisson needs jump_density for closed evaluation")
+                raise ConfigError("CompoundPoisson needs jump_density for closed evaluation")
             lo, hi = spec.support
             re = _quad(lambda y: math.cos(uu * y) * float(spec.jump_density(y)), lo, hi)
             im = _quad(lambda y: math.sin(uu * y) * float(spec.jump_density(y)), lo, hi)
@@ -497,7 +497,7 @@ def marginal_samples(spec, t, n, rng: RngStream):
     if getattr(spec, "dimension", 1) != 1:
         raise NotImplementedError("marginal sampling only for scalar drivers")
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ConfigError("t must be nonnegative")
     if t == 0:
         return np.zeros(n)
     # Z_t is one increment over a step of length t
@@ -516,7 +516,7 @@ def circle_law_distance(spec, t, n_paths, rng: RngStream) -> float:
     from scipy import stats
 
     if n_paths < 100:
-        raise ValueError("n_paths must be at least 100 for a usable distance")
+        raise ConfigError("n_paths must be at least 100 for a usable distance")
     samples = marginal_samples(spec, t, n_paths, rng)
     angles = np.mod(samples, 2.0 * math.pi)
     return float(stats.kstest(angles, stats.uniform(loc=0.0, scale=2.0 * math.pi).cdf).statistic)

@@ -5,8 +5,8 @@ class FolevyError(Exception):
     pass
 
 
-class ConfigError(FolevyError):
-    """Invalid or inconsistent run configuration."""
+class ConfigError(FolevyError, ValueError):
+    """An argument or configuration value no computation can use."""
 
 
 class DomainError(FolevyError, ValueError):

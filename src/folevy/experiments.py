@@ -64,10 +64,10 @@ def _resolve_observable(observable):
 def _check_eps_list(epsilons):
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
-        raise ValueError("need at least one eps value")
+        raise ConfigError("need at least one eps value")
     for e in epsilons:
         if not (0 < e <= 1):
-            raise ValueError(f"eps values must lie in (0, 1], got {e}")
+            raise ConfigError(f"eps values must lie in (0, 1], got {e}")
     return epsilons
 
 
@@ -125,15 +125,6 @@ def comparison_to_csv(result: ComparisonResult, path):
                      rows)
 
 
-def check_comparison_window(sol: AveragedSolution, horizon: float):
-    """Raise ConfigError unless the averaged solution stays inside the
-    transversal box through the comparison horizon."""
-    if sol.boundary_time is not None and sol.boundary_time <= horizon:
-        raise ConfigError(
-            f"averaged path reaches the transversal boundary at "
-            f"s={sol.boundary_time:.6g}; pick a horizon below that")
-
-
 def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
                            avg: AveragedField, x0, epsilons, horizon: float,
                            p: float = 2, n_paths: int = 200, horizons=None,
@@ -151,22 +142,25 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     """
     epsilons = _check_eps_list(epsilons)
     if not (horizon > 0):
-        raise ValueError("horizon must be positive")
+        raise ConfigError("horizon must be positive")
     if p < 1:
-        raise ValueError("p must be at least 1")
+        raise ConfigError("p must be at least 1")
     if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+        raise ConfigError("n_paths must be at least 2")
     if cfg is None:
         cfg = IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), horizon, ode_step)
-    check_comparison_window(sol, horizon)
+    if sol.boundary_time is not None and sol.boundary_time <= horizon:
+        raise ConfigError(
+            f"averaged path reaches the transversal boundary at "
+            f"s={sol.boundary_time:.6g}; pick a horizon below that")
     if horizons is None:
         horizons = [horizon]
     horizons = sorted(float(s) for s in horizons)
     for s in horizons:
         if not (0 < s <= horizon):
-            raise ValueError("comparison times must lie in (0, horizon]")
+            raise ConfigError("comparison times must lie in (0, horizon]")
     n_h = len(horizons)
     shape = (len(epsilons), n_h)
     out = {name: np.zeros(shape) for name in
@@ -268,9 +262,9 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
     """
     epsilons = _check_eps_list(epsilons)
     if not (gamma > 0):
-        raise ValueError("gamma must be positive")
+        raise ConfigError("gamma must be positive")
     if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+        raise ConfigError("n_paths must be at least 2")
     if cfg is None:
         cfg = IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -354,9 +348,11 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
     name, func = _resolve_observable(observable)
     epsilons = _check_eps_list(epsilons)
     if not (horizon > 0):
-        raise ValueError("horizon must be positive")
+        raise ConfigError("horizon must be positive")
+    if p < 1:
+        raise ConfigError("p must be at least 1")
     if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+        raise ConfigError("n_paths must be at least 2")
     if cfg is None:
         cfg = IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -437,17 +433,17 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     if cfg is None:
         cfg = IntegratorConfig()
     if not (0 < eps <= 1):
-        raise ValueError("eps must lie in (0, 1]")
+        raise ConfigError("eps must lie in (0, 1]")
     if not (horizon > 0):
-        raise ValueError("horizon must be positive")
+        raise ConfigError("horizon must be positive")
     levels = [(float(c), float(h)) for c, h in levels]
     for c, h in levels:
         if not (c > base_cutoff):
-            raise ValueError("level cutoffs must exceed the base cutoff")
+            raise ConfigError("level cutoffs must exceed the base cutoff")
         if not (h > 0):
-            raise ValueError("level steps must be positive")
+            raise ConfigError("level steps must be positive")
     if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+        raise ConfigError("n_paths must be at least 2")
     base = truncate_gamma(driver, base_cutoff)
     comp_base = np.array([base.compensator])
     x0 = np.asarray(x0, dtype=float)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .rng import RngStream
 
 FD_STEP = 1e-6
@@ -160,9 +160,9 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
     from .drivers import GammaSubordinator
 
     if not (0.0 < r_min < 1.0 < r_max):
-        raise ValueError(f"need 0 < r_min < 1 < r_max, got ({r_min}, {r_max})")
+        raise ConfigError(f"need 0 < r_min < 1 < r_max, got ({r_min}, {r_max})")
     if not z_min < z_max:
-        raise ValueError(f"need z_min < z_max, got ({z_min}, {z_max})")
+        raise ConfigError(f"need z_min < z_max, got ({z_min}, {z_max})")
     if k_choice is None:
         k_choice = LinearK()
 
@@ -282,7 +282,7 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
     outside U are skipped and counted.  sample_count must be positive.
     """
     if sample_count < 1:
-        raise ValueError("sample_count must be positive")
+        raise ConfigError("sample_count must be positive")
     gen = rng.generator()
     lo, hi = chart.sample_box
     pts = gen.uniform(lo, hi, size=(sample_count, chart.ambient_dim))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .drivers import (GammaSubordinator, make_step_sampler, sample_jump_events,
                       truncate_gamma)
-from .errors import BlowupError, DomainError
+from .errors import BlowupError, ConfigError, DomainError
 from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
 from .tables import write_csv
@@ -65,15 +65,16 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.splitting not in SPLITTINGS:
-            raise ValueError(f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}")
+            raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}")
         if self.step_h is not None and not (self.step_h > 0):
-            raise ValueError("step_h must be positive when given")
-        if int(self.jump_ode_substeps) < 1:
-            raise ValueError("jump_ode_substeps must be a positive integer")
+            raise ConfigError("step_h must be positive when given")
+        if not (isinstance(self.jump_ode_substeps, (int, np.integer))
+                and self.jump_ode_substeps >= 1):
+            raise ConfigError("jump_ode_substeps must be a positive integer")
         if not (self.jump_cutoff > 0):
-            raise ValueError("jump_cutoff must be positive")
+            raise ConfigError("jump_cutoff must be positive")
 
     def resolve_step(self, eps):
         if self.step_h is not None:
@@ -234,7 +235,7 @@ def resolve_grid(cfg: IntegratorConfig, eps, horizon):
     """Number of macro steps and the step h with n * h == horizon up to
     roundoff."""
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise ConfigError("horizon must be nonnegative")
     h0 = cfg.resolve_step(eps)
     if horizon == 0:
         return 0, h0
@@ -260,18 +261,18 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     (the pair row freezes with them).
     """
     if cfg.scheme == "jump_decomposition":
-        raise ValueError("the grid ensemble covers grid-based schemes only")
+        raise ConfigError("the grid ensemble covers grid-based schemes only")
     n_steps, h = resolve_grid(cfg, eps, horizon)
     m_paths = len(streams) if increments is None else len(increments)
     if increments is not None and \
             increments.shape[1:] != (n_steps, fields.driver_dim):
-        raise ValueError("increments must have shape (paths, n_steps, driver_dim)")
+        raise ConfigError("increments must have shape (paths, n_steps, driver_dim)")
     exact = fields.exact_jump_flow
     if exact is None:
         if cfg.scheme == "exact_leaf":
-            raise ValueError("exact_leaf needs a closed-form jump flow")
+            raise ConfigError("exact_leaf needs a closed-form jump flow")
         if m_paths > 1:
-            raise ValueError("generic jump solves are per-path; integrate paths separately")
+            raise ConfigError("generic jump solves are per-path; integrate paths separately")
 
     x0 = np.asarray(x0, dtype=float)
     states = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0.astype(float).copy()
@@ -387,7 +388,7 @@ def step_events(fields: VectorFieldSet, x0, grid, events, eps,
     """
     states = np.array(x0, dtype=float)
     if fields.exact_jump_flow is None and len(states) > 1:
-        raise ValueError("generic jump solves are per-path; step paths separately")
+        raise ConfigError("generic jump solves are per-path; step paths separately")
     n_grid = len(grid)
     shape = (len(events), n_grid + max(len(t) for t, _ in events))
     times, jumps = np.empty(shape), np.zeros(shape, dtype=bool)
@@ -428,7 +429,7 @@ def step_events(fields: VectorFieldSet, x0, grid, events, eps,
 def _check_start(chart: FoliatedChart, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (chart.ambient_dim,):
-        raise ValueError(f"x0 must be a point of dimension {chart.ambient_dim}")
+        raise ConfigError(f"x0 must be a point of dimension {chart.ambient_dim}")
     if not bool(chart.contains(x0)):
         raise DomainError(f"start point {x0.tolist()} lies outside the chart domain")
     return x0
@@ -481,7 +482,7 @@ def _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng):
         cfg = IntegratorConfig()
     x0 = _check_start(chart, x0)
     if not (np.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+        raise ConfigError(f"horizon must be finite and nonnegative, got {horizon}")
     if horizon == 0:
         return Trajectory(np.zeros(1), x0[None, :].copy(), np.zeros(1, dtype=bool))
     if cfg.scheme == "jump_decomposition":
@@ -501,5 +502,5 @@ def integrate_perturbed(fields: VectorFieldSet, chart: FoliatedChart, driver,
                         rng: RngStream = RngStream(0)) -> Trajectory:
     """Dynamics with the transversal perturbation eps * K switched on."""
     if not (0 < eps <= 1):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     return _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng)

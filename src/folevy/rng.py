@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -29,18 +31,14 @@ class RngStream:
 
     def __post_init__(self):
         if not (isinstance(self.master_seed, (int, np.integer)) and self.master_seed >= 0):
-            raise ValueError("master_seed must be a nonnegative integer")
+            raise ConfigError("master_seed must be a nonnegative integer")
         if not (isinstance(self.stream_index, (int, np.integer)) and self.stream_index >= 0):
-            raise ValueError("stream_index must be a nonnegative integer")
+            raise ConfigError("stream_index must be a nonnegative integer")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(int(self.master_seed), spawn_key=(int(self.stream_index),))
         return np.random.Generator(np.random.Philox(seq))
-
-    def shifted(self, offset: int) -> "RngStream":
-        """Stream with the same master seed and index moved by offset."""
-        return RngStream(self.master_seed, self.stream_index + int(offset))
 
 
 def path_streams(master_seed: int, base: int, n_paths: int) -> list[RngStream]:

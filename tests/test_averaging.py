@@ -164,6 +164,19 @@ def test_averaged_ode_exponential_radius():
     assert np.all(sol.values[:, 1] == z0)
 
 
+def test_averaged_ode_with_field_returning_its_argument():
+    # the RK4 step reuses one work buffer, so an analytic field that hands
+    # back its own argument must still integrate dw/ds = w
+    preset = make_cylinder_preset()
+    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+                         func=lambda v: v)
+    v0 = np.array([1.0, 0.1])
+    sol = solve_averaged_ode(avg, v0, 0.5)
+    assert sol.times[-1] == 0.5
+    want = v0 * np.exp(sol.times)[:, None]
+    assert np.max(np.abs(sol.values - want)) <= 1e-8
+
+
 def test_averaged_ode_validation():
     preset = make_cylinder_preset()
     avg = averaged_field(preset.chart, preset.fields)
@@ -349,3 +362,6 @@ def test_defect_lp_shrinks_with_eps():
     with pytest.raises(ValueError):
         delta_defect_lp(preset.fields, preset.chart, preset.driver,
                         _radial_psi, _half_radius, x0, 0.1, 1.0, n_paths=1)
+    with pytest.raises(ValueError):
+        delta_defect_lp(preset.fields, preset.chart, preset.driver,
+                        _radial_psi, _half_radius, x0, 0.1, 1.0, p=0.5)

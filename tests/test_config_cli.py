@@ -7,6 +7,7 @@ the emitted CSVs, and bitwise equality of threaded against serial runs.
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import os
@@ -14,8 +15,12 @@ import os
 import numpy as np
 import pytest
 
-from folevy import ConfigError, ConstantK, LinearK
+import folevy
+from folevy import (ConfigError, ConstantK, GammaSubordinator,
+                    IntegratorConfig, LinearK, cli, estimate_eta, experiments,
+                    make_cylinder_preset, solve_averaged_ode)
 from folevy.cli import main
+from folevy.marcus import resolve_grid
 from folevy.config import (ExperimentConfig, apply_overrides, config_from_dict,
                            config_to_dict, dump_config, integrator_from_config,
                            load_config, loads_config, preset_from_config)
@@ -160,11 +165,71 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "experiment.x0=1", "experiment.x0"),
         ("compare", "experiment.horizon=5",
          "reaches the transversal boundary at s=3.21888"),
+        ("average", "experiment.x0=[6, 0, 0]",
+         "v0 lies outside the transversal domain"),
+        ("simulate", "experiment.x0=[6, 0, 0]", "outside the chart domain"),
+        ("exit-prob", "experiment.search_horizon=0.5",
+         "over the whole search horizon 0.5"),
+        ("eta", "experiment.observable=bogus", "experiment.observable"),
+        ("compare", "experiment.p=0.5", "experiment.p"),
+        ("average", "experiment.n_nodes=4", "n_nodes must be at least 8"),
+        ("charfn", "experiment.t=-1", "t must be nonnegative"),
+        ("charfn", "experiment.n_samples=0", "experiment.n_samples"),
+        ("deviation", "experiment.p=0.5", "experiment.p"),
+        ("eta", "experiment.p=1", "moment order p must be at least 2"),
     ]
     for command, override, message in cases:
         assert main([command, "--out", str(out), "--set", override]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_library_rejections_are_config_errors_and_value_errors():
+    preset = make_cylinder_preset()
+    rejections = [
+        lambda: GammaSubordinator(rate=-1),
+        lambda: IntegratorConfig(scheme="euler"),
+        lambda: estimate_eta(preset.fields, preset.chart, preset.driver,
+                             lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
+                             [5.0, 10.0, 20.0], n_paths=50),
+        lambda: resolve_grid(IntegratorConfig(), 0.1, -1),
+    ]
+    for reject in rejections:
+        with pytest.raises(ConfigError) as info:
+            reject()
+        assert isinstance(info.value, ValueError)
+
+
+def test_package_raises_no_bare_value_error():
+    src = os.path.dirname(folevy.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_compare_solves_the_averaged_ode_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_averaged_ode(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_averaged_ode", counting)
+    monkeypatch.setattr(cli, "solve_averaged_ode", counting)
+    assert main(["compare", "--out", str(tmp_path / "runs"), *SMALL]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_check_passes_and_writes_report(tmp_path):

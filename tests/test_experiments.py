@@ -247,6 +247,8 @@ def test_deviation_validation():
         deviation_scaling(*args, epsilons=[0.1], horizon=1.0, n_paths=1)
     with pytest.raises(ValueError):
         deviation_scaling(*args, epsilons=[-0.1], horizon=1.0)
+    with pytest.raises(ValueError):
+        deviation_scaling(*args, epsilons=[0.1], horizon=1.0, p=0.5)
 
 
 # ---------------------------------------------------------------------------

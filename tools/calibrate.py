@@ -6,7 +6,7 @@ to tests/data/baselines.json.  Re-running this script must reproduce the
 file bit for bit as long as the numerical kernels are unchanged, which is
 exactly what the regression assertions in the test suite lean on.
 
-Usage: python3 tools/calibrate.py [--threads N]
+Usage: python3 tools/calibrate.py
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ def _timed(label, func):
     return out
 
 
-def comparison_case_b(threads):
+def comparison_case_b():
     preset = make_cylinder_preset()
     avg = averaged_field(preset.chart, preset.fields)
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                  avg, X0, epsilons=[0.2, 0.1, 0.05, 0.02],
                                  horizon=1.0, p=2, n_paths=500,
-                                 master_seed=SEED_COMPARISON_B,
-                                 threads=threads)
+                                 master_seed=SEED_COMPARISON_B)
     return {
         "master_seed": SEED_COMPARISON_B,
         "epsilons": list(res.epsilons),
@@ -65,15 +64,14 @@ def comparison_case_b(threads):
     }
 
 
-def comparison_case_a(threads):
+def comparison_case_a():
     preset = make_cylinder_preset(k_choice=ConstantK(1.0, 0.5, 1.0))
     avg = averaged_field(preset.chart, preset.fields, method="analytic",
                          func=lambda v: np.array([0.0, 1.0]))
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                  avg, X0, epsilons=[0.1, 0.01], horizon=1.0,
                                  p=2, n_paths=200,
-                                 master_seed=SEED_COMPARISON_A,
-                                 threads=threads)
+                                 master_seed=SEED_COMPARISON_A)
     return {
         "master_seed": SEED_COMPARISON_A,
         "epsilons": list(res.epsilons),
@@ -87,13 +85,12 @@ def comparison_case_a(threads):
     }
 
 
-def exit_probabilities(threads):
+def exit_probabilities():
     preset = make_cylinder_preset(r_max=2.0)
     avg = averaged_field(preset.chart, preset.fields)
     res = exit_probability(preset.fields, preset.chart, preset.driver, avg,
                            X0, epsilons=[0.1, 0.05, 0.02], gamma=0.1,
-                           n_paths=500, master_seed=SEED_EXIT,
-                           threads=threads)
+                           n_paths=500, master_seed=SEED_EXIT)
     return {
         "master_seed": SEED_EXIT,
         "epsilons": list(res.epsilons),
@@ -106,12 +103,12 @@ def exit_probabilities(threads):
     }
 
 
-def deviation_case_b(threads):
+def deviation_case_b():
     preset = make_cylinder_preset()
     res = deviation_scaling(preset.fields, preset.chart, preset.driver, X0,
                             epsilons=[0.1, 0.05, 0.02, 0.01], horizon=1.0,
                             observable="radial", p=2, n_paths=300,
-                            master_seed=SEED_DEVIATION_B, threads=threads)
+                            master_seed=SEED_DEVIATION_B)
     return {
         "master_seed": SEED_DEVIATION_B,
         "epsilons": list(res.epsilons),
@@ -125,12 +122,12 @@ def deviation_case_b(threads):
     }
 
 
-def deviation_case_a(threads):
+def deviation_case_a():
     preset = make_cylinder_preset(k_choice=ConstantK(1.0, 0.5, 1.0))
     res = deviation_scaling(preset.fields, preset.chart, preset.driver, X0,
                             epsilons=[0.1, 0.05, 0.02, 0.01], horizon=1.0,
                             observable="vertical", p=2, n_paths=300,
-                            master_seed=SEED_DEVIATION_A, threads=threads)
+                            master_seed=SEED_DEVIATION_A)
     return {
         "master_seed": SEED_DEVIATION_A,
         "epsilons": list(res.epsilons),
@@ -145,11 +142,10 @@ def deviation_case_a(threads):
     }
 
 
-def scheme_levels(threads):
+def scheme_levels():
     preset = make_cylinder_preset()
     res = scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
-                           n_paths=128, master_seed=SEED_SCHEME,
-                           threads=threads)
+                           n_paths=128, master_seed=SEED_SCHEME)
     return {
         "master_seed": SEED_SCHEME,
         "cutoffs": list(res.cutoffs),
@@ -163,12 +159,12 @@ def scheme_levels(threads):
     }
 
 
-def eta_rate(threads):
+def eta_rate():
     preset = make_cylinder_preset()
     psi = projected_perturbation(preset.chart, preset.fields, 0)
     est = estimate_eta(preset.fields, preset.chart, preset.driver, psi, X0,
                        horizons=[10.0, 30.0, 100.0, 300.0, 1000.0], p=2,
-                       n_paths=400, master_seed=SEED_ETA, threads=threads)
+                       n_paths=400, master_seed=SEED_ETA)
     return {
         "master_seed": SEED_ETA,
         "horizons": list(est.horizons),
@@ -181,26 +177,19 @@ def eta_rate(threads):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    args = parser.parse_args()
-    t = args.threads
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     start = time.perf_counter()
 
     baselines = {
-        "comparison_case_b": _timed("comparison case B",
-                                    lambda: comparison_case_b(t)),
-        "comparison_case_a": _timed("comparison case A",
-                                    lambda: comparison_case_a(t)),
-        "exit_probability": _timed("exit probabilities",
-                                   lambda: exit_probabilities(t)),
+        "comparison_case_b": _timed("comparison case B", comparison_case_b),
+        "comparison_case_a": _timed("comparison case A", comparison_case_a),
+        "exit_probability": _timed("exit probabilities", exit_probabilities),
         "deviation_case_b": _timed("deviation case B (radial)",
-                                   lambda: deviation_case_b(t)),
+                                   deviation_case_b),
         "deviation_case_a": _timed("deviation case A (vertical)",
-                                   lambda: deviation_case_a(t)),
-        "scheme_agreement": _timed("scheme agreement",
-                                   lambda: scheme_levels(t)),
-        "eta": _timed("ergodic rate", lambda: eta_rate(t)),
+                                   deviation_case_a),
+        "scheme_agreement": _timed("scheme agreement", scheme_levels),
+        "eta": _timed("ergodic rate", eta_rate),
     }
 
     out = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
