@@ -31,9 +31,8 @@ from .experiments import (comparison_to_csv, deviation_scaling,
                           deviation_to_csv, exit_probability, exit_to_csv,
                           projected_perturbation, transversal_comparison)
 from .geometry import tangency_check
-from .marcus import (IntegratorConfig, integrate_grid_ensemble,
-                     integrate_perturbed, integrate_unperturbed, jump_flow,
-                     trajectory_to_csv)
+from .marcus import (integrate_grid_ensemble, integrate_perturbed,
+                     integrate_unperturbed, jump_flow, trajectory_to_csv)
 from .rng import RngStream, path_streams
 from .tables import write_csv, write_json
 

@@ -1,9 +1,11 @@
 """Run configuration: a strict YAML layer over nested dataclasses.
 
 Unknown sections or keys are rejected rather than ignored, so a typo in a
-config file fails loudly.  Round-tripping through `config_to_dict` and
-`config_from_dict` is idempotent; `--set section.key=value` overrides are
-YAML-parsed scalars applied on the raw dict before validation.
+config file fails loudly; so is a value that is not a number (a bool is
+not one) for a key declared `float`, `int` or `Optional[float]`.
+Round-tripping through `config_to_dict` and `config_from_dict` is
+idempotent; `--set section.key=value` overrides are YAML-parsed scalars
+applied on the raw dict before validation.
 """
 
 from __future__ import annotations
@@ -96,11 +98,15 @@ def _build_section(cls, data, section):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    allowed = {f.name for f in fields(cls)}
+    declared = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in allowed:
+        if key not in declared:
             raise ConfigError(f"unknown config key {section}.{key}")
+        kind = declared[key]
+        if kind in ("float", "int", "Optional[float]") and not (
+                _real(value) or value is None and kind == "Optional[float]"):
+            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
         kwargs[key] = _freeze(value)
     return cls(**kwargs)
 
@@ -228,8 +234,10 @@ def preset_from_config(cfg: ExperimentConfig):
     if sec.k_choice == "linear":
         k = LinearK()
     elif sec.k_choice == "constant":
-        if len(sec.k_constant) != 3:
-            raise ConfigError("preset.k_constant needs exactly three entries")
+        if not (isinstance(sec.k_constant, tuple) and len(sec.k_constant) == 3
+                and all(_real(v) for v in sec.k_constant)):
+            raise ConfigError("preset.k_constant needs exactly three numbers, "
+                              f"got {sec.k_constant!r}")
         k = ConstantK(*(float(v) for v in sec.k_constant))
     else:
         raise ConfigError("preset.k_choice must be 'linear' or 'constant'")

@@ -14,7 +14,6 @@ callables are vectorized over leading axes (points live on the last axis).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 

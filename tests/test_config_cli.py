@@ -136,6 +136,15 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
     assert main(["check", "--config", str(unknown)]) == 2
     assert "unknown config key" in capsys.readouterr().err
 
+    for k_constant in ("[a, b, c]", "1"):
+        constant = tmp_path / "constant.yaml"
+        constant.write_text("preset:\n  k_choice: constant\n"
+                            f"  k_constant: {k_constant}\n")
+        assert main(["simulate", "--out", str(tmp_path / "runs"),
+                     "--config", str(constant)]) == 2
+        assert "preset.k_constant" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
 
 def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
     out = tmp_path / "runs"
@@ -177,6 +186,11 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("charfn", "experiment.n_samples=0", "experiment.n_samples"),
         ("deviation", "experiment.p=0.5", "experiment.p"),
         ("eta", "experiment.p=1", "moment order p must be at least 2"),
+        ("simulate", "integrator.step_h=abc", "integrator.step_h"),
+        ("simulate", "integrator.jump_cutoff=abc", "integrator.jump_cutoff"),
+        ("simulate", "preset.r_min=abc", "preset.r_min"),
+        ("average", "experiment.n_nodes=abc", "experiment.n_nodes"),
+        ("average", "experiment.n_r=abc", "experiment.n_r"),
     ]
     for command, override, message in cases:
         assert main([command, "--out", str(out), "--set", override]) == 2

@@ -23,7 +23,8 @@ from folevy import (CompoundPoisson, GammaSubordinator, IncrementSeries,
                     RngStream, TruncatedMeasure, characteristic_function,
                     circle_law_distance, marginal_samples, sample_increments,
                     sample_jump_events, truncate_gamma)
-from folevy.drivers import make_step_sampler
+from folevy.drivers import _exp_tail_term, _quad, make_step_sampler
+from folevy.errors import QuadratureError
 
 SEED = 20260816
 
@@ -116,6 +117,70 @@ def test_mean_below_matches_quadrature():
     _assert_close(spec.mean_below(0.1), 1.0 - math.exp(-0.1), 1e-15)
     spec2 = GammaSubordinator(2.0)
     _assert_close(spec2.mean_below(0.1), (1.0 - math.exp(-0.2)) / 2.0, 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the in-package quadrature against scipy's QUADPACK
+# ---------------------------------------------------------------------------
+
+def _scipy_quad(f, a, b):
+    return integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
+
+
+def _two_sided_gamma_density(y):
+    # jump density exp(-2y)/y to the right of 0 and exp(y)/(2|y|) to the left
+    if y > 0:
+        return math.exp(-2.0 * y) / y
+    return 0.5 * math.exp(y) / -y if y < 0 else 0.0
+
+
+def test_quad_matches_scipy_on_package_integrands():
+    gamma = GammaSubordinator(1.0)
+    kappa = gamma.exp_moment_order
+
+    def normal(y):
+        return math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+
+    cases = {
+        # the two parts of the Gamma exponential-moment check
+        "gamma y^2 part": (lambda y: y * y * float(gamma.levy_density(y)),
+                           0.0, 1.0),
+        "gamma exponential part": (
+            lambda y: _exp_tail_term(gamma.levy_density, kappa, y),
+            1.0, np.inf),
+        # two-sided and left-sided densities over infinite ranges
+        "normal on the line": (normal, -np.inf, np.inf),
+        "normal exponential tail": (
+            lambda y: _exp_tail_term(normal, 1.0, y), -np.inf, -1.0),
+        "left density": (lambda y: math.exp(y) * (1.0 + y * y), -np.inf, 0.0),
+        # one characteristic-function integrand, with a 1/y singularity
+        # just outside the range
+        "cf integrand": (lambda y: (math.cos(2.0 * y) - 1.0)
+                         * _two_sided_gamma_density(y), 0.01, 40.0),
+    }
+    for label, (f, a, b) in cases.items():
+        ref = _scipy_quad(f, a, b)
+        _assert_close(_quad(f, a, b), ref, 1e-12 * abs(ref), label)
+
+
+def test_truncated_measure_quadratures_match_scipy():
+    measure = TruncatedMeasure(density=_two_sided_gamma_density, cutoff=0.05,
+                               exp_moment_order=0.5,
+                               support=(-np.inf, np.inf))
+    mass = sum(_scipy_quad(lambda y, s=sign: _two_sided_gamma_density(s * y),
+                           ys[0], ys[-1])
+               for sign, ys, _ in measure._tables)
+    _assert_close(measure.restricted_mass, mass, 1e-12 * mass, "mass")
+    drift = (_scipy_quad(lambda y: y * _two_sided_gamma_density(y), 0.0, 0.05)
+             + _scipy_quad(lambda y: y * _two_sided_gamma_density(y), -0.05,
+                           0.0))
+    _assert_close(measure.compensator, drift, 1e-12 * abs(drift),
+                  "compensator")
+
+
+def test_quad_rejects_a_divergent_integral():
+    with pytest.raises(QuadratureError):
+        _quad(lambda y: 1.0 / y, 0.0, 1.0)
 
 
 def test_gamma_spec_validation():
@@ -364,12 +429,20 @@ def test_circle_law_distance_decays():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.35 s to import; only circle_law_distance
-    # needs it, and it imports it when called
+    # importing scipy costs more than numpy does; the package imports
+    # scipy.special and scipy.stats only in the functions that call them,
+    # so importing it and building the preset and its averaged field load
+    # no scipy module at all
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(folevy.__file__)))
-    code = ("import sys, folevy, folevy.cli; "
-            "print('scipy.stats' in sys.modules)")
+    code = ("import sys, folevy, folevy.cli\n"
+            "preset = folevy.make_cylinder_preset()\n"
+            "folevy.averaged_field(preset.chart, preset.fields)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print(repr(folevy.truncate_gamma(preset.driver, 0.002)"
+            ".restricted_mass))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "[]"
+    driver = folevy.make_cylinder_preset().driver
+    assert out[1] == repr(truncate_gamma(driver, 0.002).restricted_mass)
