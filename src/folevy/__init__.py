@@ -13,10 +13,10 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .averaging import (AveragedField, AveragedSolution, RateEstimate,
-                        averaged_component, averaged_field, delta_defect,
-                        delta_defect_lp, ergodic_average, estimate_eta,
-                        fit_loglog, leaf_average_quadrature, lp_moment,
-                        rate_to_csv, solve_averaged_ode)
+                        averaged_field, delta_defect, delta_defect_lp,
+                        ergodic_average, estimate_eta, fit_loglog,
+                        leaf_average_quadrature, lp_moment, rate_to_csv,
+                        solve_averaged_ode)
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      config_to_dict, dump_config, integrator_from_config,
                      load_config, loads_config, preset_from_config)
@@ -49,7 +49,7 @@ __all__ = [
     "OBSERVABLES", "QuadratureError", "RateEstimate", "RngStream",
     "SchemeAgreementResult", "TangencyReport", "Trajectory",
     "TruncatedMeasure", "VectorFieldSet", "apply_overrides",
-    "averaged_component", "averaged_field", "characteristic_function",
+    "averaged_field", "characteristic_function",
     "circle_law_distance", "comparison_to_csv", "config_from_dict",
     "config_to_dict", "delta_defect", "delta_defect_lp", "deviation_scaling",
     "deviation_to_csv", "dpi_k", "dump_config", "ergodic_average",

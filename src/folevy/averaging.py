@@ -337,18 +337,6 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
 # averaging defect along perturbed paths
 # ---------------------------------------------------------------------------
 
-def averaged_component(avg: AveragedField, index: int):
-    """Scalar transversal function v -> Q(v)[index], batch-friendly."""
-
-    def q(v):
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            return float(avg.evaluate(v)[index])
-        return np.array([avg.evaluate(row)[index] for row in v])
-
-    return q
-
-
 def delta_defect(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                  q_psi, x0, eps: float, horizon: float,
                  cfg: IntegratorConfig = None,

@@ -5,7 +5,9 @@ config file fails loudly; so is a value that is not a number (a bool is
 not one) for a key declared `float`, `int` or `Optional[float]`.
 Round-tripping through `config_to_dict` and `config_from_dict` is
 idempotent; `--set section.key=value` overrides are YAML-parsed scalars
-applied on the raw dict before validation.
+applied on the raw dict before validation.  PyYAML is imported on first
+use, by the functions that parse or write YAML, so importing the package
+loads no yaml module.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import copy
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
-
-import yaml
 
 from .errors import ConfigError
 
@@ -172,6 +172,7 @@ def _check_experiment(exp: ExperimentSection):
 
 
 def loads_config(text: str) -> ExperimentConfig:
+    import yaml
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -203,11 +204,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
+    import yaml
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
 
 
 def apply_overrides(data, assignments):
     """Apply `section.key=value` strings onto a raw config dict."""
+    import yaml
     out = copy.deepcopy(data) if data else {}
     for item in assignments or []:
         key, sep, raw = item.partition("=")

@@ -303,8 +303,13 @@ class TruncatedMeasure:
         lo, hi = self.support
         if not lo < hi:
             raise ConfigError("support must be a nondegenerate interval")
-        value = _exp_moment_integral(lambda y: float(self.density(y)), lo, hi,
-                                     self.exp_moment_order)
+        try:
+            value = _exp_moment_integral(lambda y: float(self.density(y)),
+                                         lo, hi, self.exp_moment_order)
+        except QuadratureError as exc:
+            raise ConfigError(
+                f"exponential moment integral of order "
+                f"{self.exp_moment_order} diverges") from exc
         if not np.isfinite(value):
             raise ConfigError("exponential moment integral is not finite")
 

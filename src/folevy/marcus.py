@@ -153,26 +153,45 @@ def _drift_rk4(f, y, comp, dt):
 
 
 def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
-    """Compose drift + eps*perturbation + driving(.)*comp_rate; None if zero."""
-    terms = []
-    if fields.drift is not None:
-        terms.append(fields.drift)
-    if eps != 0.0 and fields.perturbation is not None:
-        pert = fields.perturbation
-        terms.append(lambda x: eps * pert(x))
+    """Compose drift + eps*perturbation + driving(.)*comp_rate; None if zero.
+
+    The terms are evaluated in that order and summed as
+    ``(drift + eps*K) + F(x) comp_rate``, the rounding of a left-to-right
+    sum.  The sum adds into the new array ``eps * K(x)`` returns and never
+    writes into an array a user's field returned: without the eps*K term
+    the drift's array is added to, not into.  The comp_rate operand is one
+    read-only broadcast view per row count, built on first use.
+    """
+    drift = fields.drift
+    pert = fields.perturbation if eps != 0.0 else None
+    scaled = None if pert is None else (lambda x: eps * pert(x))
+    compensator = None
     if comp_rate is not None:
         c = np.asarray(comp_rate, dtype=float)
         if np.any(c != 0.0):
-            terms.append(lambda x: fields.driving(x, np.broadcast_to(c, x.shape[:-1] + c.shape)))
-    if not terms:
-        return None
-    if len(terms) == 1:
-        return terms[0]
+            driving, views = fields.driving, {}
+
+            def compensator(x):
+                rows = x.shape[:-1]
+                cb = views.get(rows)
+                if cb is None:
+                    cb = views[rows] = np.broadcast_to(c, rows + c.shape)
+                return driving(x, cb)
+    terms = [t for t in (drift, scaled, compensator) if t is not None]
+    if len(terms) <= 1:
+        return terms[0] if terms else None
 
     def total(x):
-        out = np.array(terms[0](x), dtype=float)
-        for term in terms[1:]:
-            out += term(x)
+        if scaled is None:
+            return drift(x) + compensator(x)
+        if drift is None:
+            out = eps * pert(x)
+        else:
+            d = drift(x)
+            out = eps * pert(x)
+            out += d            # d + p == p + d in IEEE arithmetic
+        if compensator is not None:
+            out += compensator(x)
         return out
     return total
 
@@ -382,9 +401,12 @@ def step_events(fields: VectorFieldSet, x0, grid, events, eps,
     Per column a row takes one RK4 step of the drift (with eps times the
     perturbation and F(x) comp_rate) over the gap since its last time, then
     its jump, if any; a zero gap (ties, padding to the longest row) skips
-    the drift.  `on_event(k, t, states, jumped)` sees every column and
-    stops the stepping by returning true.  Generic jump solves need a
-    single row.  Returns the final states.
+    the drift.  A column where every row moves steps the whole state in
+    place; only a column with some zero gap gathers its moving rows and
+    scatters them back.  Both give each row the same bits, since every
+    field acts row by row.  `on_event(k, t, states, jumped)` sees every
+    column and stops the stepping by returning true.  Generic jump solves
+    need a single row.  Returns the final states.
     """
     states = np.array(x0, dtype=float)
     if fields.exact_jump_flow is None and len(states) > 1:
@@ -404,14 +426,19 @@ def step_events(fields: VectorFieldSet, x0, grid, events, eps,
     drift = _make_drift(fields, eps, comp_rate)
     comp = np.zeros_like(states)
     gaps = np.diff(times, axis=1, prepend=0.0)
+    moves = gaps > 0
+    whole, some = moves.all(axis=0).tolist(), moves.any(axis=0).tolist()
+    any_hit = jumps.any(axis=0).tolist()
     for k in range(shape[1]):
-        moving = gaps[:, k] > 0
-        if drift is not None and moving.any():
+        if drift is not None and whole[k]:
+            _drift_rk4(drift, states, comp, gaps[:, k, None])
+        elif drift is not None and some[k]:
+            moving = moves[:, k]
             y, c = states[moving], comp[moving]
             _drift_rk4(drift, y, c, gaps[moving, k, None])
             states[moving], comp[moving] = y, c
         hit = jumps[:, k]
-        if hit.any():
+        if any_hit[k]:
             pre = states[hit]
             post = jump_flow(fields, pre, sizes[hit, k], cfg)
             # reset the compensation only where the jump moved the state

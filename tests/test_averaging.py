@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folevy import (AveragedField, ConstantK, DomainError, IntegratorConfig,
-                    RateEstimate, RngStream, averaged_component,
-                    averaged_field, delta_defect, delta_defect_lp,
-                    ergodic_average, estimate_eta, fit_loglog,
-                    leaf_average_quadrature, lp_moment, make_cylinder_preset,
-                    rate_to_csv, solve_averaged_ode)
+                    RateEstimate, RngStream, averaged_field, delta_defect,
+                    delta_defect_lp, ergodic_average, estimate_eta,
+                    fit_loglog, leaf_average_quadrature, lp_moment,
+                    make_cylinder_preset, rate_to_csv, solve_averaged_ode)
 
 SEED = 20260816
 
@@ -127,15 +126,6 @@ def test_averaged_field_validation():
         averaged_field(preset.chart, preset.fields, method="ergodic_mc")
     with pytest.raises(ValueError):
         averaged_field(preset.chart, preset.fields, method="sobolev")
-
-
-def test_averaged_component_wraps_scalar_and_batch():
-    preset = make_cylinder_preset()
-    avg = averaged_field(preset.chart, preset.fields)
-    q = averaged_component(avg, 0)
-    assert abs(q(np.array([2.0, 0.0])) - 1.0) <= 1e-12
-    batch = q(np.array([[2.0, 0.0], [0.5, 1.0]]))
-    assert np.max(np.abs(batch - np.array([1.0, 0.25]))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

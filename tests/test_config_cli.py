@@ -11,6 +11,8 @@ import ast
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +216,23 @@ def test_library_rejections_are_config_errors_and_value_errors():
         with pytest.raises(ConfigError) as info:
             reject()
         assert isinstance(info.value, ValueError)
+
+
+def test_import_leaves_yaml_unloaded():
+    # PyYAML is imported only where a config is parsed or written, so
+    # importing the package and building the preset and its averaged
+    # field load no yaml module; parsing a config then still works
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(folevy.__file__)))
+    code = ("import sys, folevy\n"
+            "preset = folevy.make_cylinder_preset()\n"
+            "folevy.averaged_field(preset.chart, preset.fields)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('yaml')))\n"
+            "cfg = folevy.loads_config('preset: {theta: 2.5}')\n"
+            "print(cfg.preset.theta)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]", "2.5"]
 
 
 def test_package_raises_no_bare_value_error():

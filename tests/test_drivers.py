@@ -24,7 +24,7 @@ from folevy import (CompoundPoisson, GammaSubordinator, IncrementSeries,
                     circle_law_distance, marginal_samples, sample_increments,
                     sample_jump_events, truncate_gamma)
 from folevy.drivers import _exp_tail_term, _quad, make_step_sampler
-from folevy.errors import QuadratureError
+from folevy.errors import ConfigError, QuadratureError
 
 SEED = 20260816
 
@@ -297,6 +297,16 @@ def test_truncated_measure_validation():
     with pytest.raises(ValueError):
         # support entirely below the cutoff carries no mass
         TruncatedMeasure(density=lambda y: 1.0, cutoff=2.0, support=(0.0, 1.0))
+
+
+def test_truncated_measure_divergent_moment_is_a_config_error():
+    # e^(-y) has no exponential moment of order 1: the tail integrand is
+    # constant, so the quadrature's failure must surface as ConfigError
+    with pytest.raises(ConfigError) as info:
+        TruncatedMeasure(density=lambda y: math.exp(-y) if y > 0 else 0.0,
+                         cutoff=0.1, exp_moment_order=1.0)
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value.__cause__, QuadratureError)
 
 
 def test_jump_events_exceed_cutoff():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from folevy import (BlowupError, ConstantK, DomainError, IntegratorConfig,
                     RngStream, VectorFieldSet, integrate_grid_ensemble,
                     integrate_perturbed, integrate_unperturbed, jump_flow,
                     make_cylinder_preset, trajectory_to_csv)
-from folevy.marcus import _drift_rk4, _kahan_add, resolve_grid
+from folevy.marcus import (_drift_rk4, _kahan_add, _make_drift, resolve_grid,
+                           step_events)
 
 SEED = 20260816
 
@@ -248,9 +250,100 @@ def test_drift_rk4_is_bit_identical_to_textbook_formula(per_row):
         assert comp.tobytes() == want_comp.tobytes()
 
 
+def _nonlinear_drift(x):
+    return 0.4 * np.cos(x) - 0.2 * x[..., ::-1]
+
+
+@pytest.mark.parametrize("drift, eps", [(_nonlinear_drift, 0.3),
+                                        (None, 0.3), (_nonlinear_drift, 0.0)])
+def test_composed_drift_is_bit_identical_to_the_plain_sum(drift, eps):
+    preset = make_cylinder_preset()
+    fields = replace(preset.fields, drift=drift)
+    c = np.array([0.7])
+    handed = {}
+
+    def driving(x, z):
+        handed.setdefault(len(x), []).append(z)
+        return preset.fields.driving(x, z)
+
+    total = _make_drift(replace(fields, driving=driving), eps, c)
+    gen = np.random.default_rng(SEED)
+    # changing row counts: the first call at each count builds the
+    # compensator's broadcast, the later ones reuse it
+    for m in (5, 2, 5, 1, 2, 5):
+        x = gen.normal(size=(m, 3))
+        # the plain left-to-right sum of the present terms
+        terms = [preset.fields.driving(x, np.broadcast_to(c, (m, 1)))]
+        if eps != 0.0:
+            terms.insert(0, eps * fields.perturbation(x))
+        if drift is not None:
+            terms.insert(0, np.array(drift(x), dtype=float))
+        want = terms[0]
+        for term in terms[1:]:
+            want = want + term
+        assert total(x).tobytes() == want.tobytes()
+    for m, views in handed.items():
+        assert all(z is views[0] for z in views)
+        assert not views[0].flags.writeable
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_composed_drift_leaves_a_shared_drift_array_unmodified(eps):
+    shared = np.array([0.1, -0.2, 0.3])
+    fields = replace(make_cylinder_preset().fields, drift=lambda x: shared)
+    total = _make_drift(fields, eps, np.array([0.5]))
+    y = np.tile([1.0, 0.0, 0.0], (4, 1))
+    comp = np.zeros_like(y)
+    for _ in range(3):
+        total(y)
+        _drift_rk4(total, y, comp, 0.01)
+    assert shared.tolist() == [0.1, -0.2, 0.3]
+
+
+def test_step_events_rows_match_stepping_each_row_alone():
+    # rows with 0, 3 and 5 jumps, one of them at a grid time: columns where
+    # every row moves step the whole state, the padding and the tie leave
+    # some row at rest and take the masked path
+    preset = make_cylinder_preset()
+    grid = np.linspace(0.0, 1.0, 11)
+    events = [
+        (np.empty(0), np.empty((0, 1))),
+        (np.array([0.33, 0.5, 0.77]), np.array([[0.2], [0.05], [1.1]])),
+        (np.array([0.01, 0.12, 0.45, 0.46, 0.98]),
+         np.array([[0.3], [0.7], [0.02], [0.4], [0.9]])),
+    ]
+    x0 = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [-1.5, 0.5, -2.0]])
+    cfg, c = IntegratorConfig(), np.array([0.25])
+    together = step_events(preset.fields, x0, grid, events, 0.3, cfg, c)
+    for i in range(len(events)):
+        alone = step_events(preset.fields, x0[i:i + 1], grid, [events[i]],
+                            0.3, cfg, c)
+        assert together[i].tobytes() == alone[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # ensemble kernel
 # ---------------------------------------------------------------------------
+
+def test_lie_splitting_matches_the_closed_forms():
+    # constant vertical perturbation: rotations keep the radius, and the
+    # height moves at speed eps whatever the splitting
+    preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 1.0))
+    eps, horizon = 0.2, 3.0
+    radii = []
+
+    def observe(k, t, states, active):
+        radii.append(_radius(states))
+
+    streams = [RngStream(SEED, 30 + i) for i in range(4)]
+    res = integrate_grid_ensemble(preset.fields, preset.driver,
+                                  np.array([1.0, 0.0, 0.0]), horizon, eps,
+                                  IntegratorConfig(splitting="lie"), streams,
+                                  on_step=observe)
+    assert len(radii) == res.n_steps + 1
+    assert np.max(np.abs(np.array(radii) - 1.0)) <= 1e-12
+    assert np.max(np.abs(res.final_states[:, 2] - eps * horizon)) <= 1e-12
+
 
 def test_ensemble_is_partition_independent():
     preset = make_cylinder_preset()
