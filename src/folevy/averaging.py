@@ -27,6 +27,14 @@ from .tables import write_csv
 _ZERO_FLOOR = 1e-14
 
 
+def _check_nodes(n_nodes):
+    # np.arange(8.5) gives 9 nodes, so a fractional count would not divide
+    # the sum it weighs
+    if not (isinstance(n_nodes, (int, np.integer))
+            and not isinstance(n_nodes, bool) and n_nodes >= 8):
+        raise ConfigError(f"n_nodes must be at least 8 and an integer, got {n_nodes!r}")
+
+
 def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> float:
     """Average of psi over the closed leaf through transversal point v.
 
@@ -35,8 +43,7 @@ def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> 
     """
     if chart.leaf_point is None:
         raise ConfigError("chart carries no leaf parametrization")
-    if n_nodes < 8:
-        raise ConfigError("n_nodes must be at least 8")
+    _check_nodes(n_nodes)
     angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
     pts = chart.leaf_point(angles, np.asarray(v, dtype=float))
     return float(np.mean(psi(pts)))
@@ -98,8 +105,7 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
         return AveragedField(chart, method,
                              lambda v: np.array(func(v), dtype=float))
     if method == "quadrature":
-        if n_nodes < 8:
-            raise ConfigError("n_nodes must be at least 8")
+        _check_nodes(n_nodes)
         return AveragedField(chart, method,
                              _leaf_mean_dpik(chart, fields, n_nodes))
     if method == "ergodic_mc":

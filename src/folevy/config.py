@@ -165,7 +165,16 @@ def _check_experiment(exp: ExperimentSection):
             ("epsilons", isinstance(eps, tuple) and len(eps) > 0
              and all(_real(e) and 0 < e <= 1 for e in eps),
              "a nonempty list of numbers in (0, 1]"),
-            ("horizon", _positive(exp.horizon), "a positive finite number")):
+            ("horizon", _positive(exp.horizon), "a positive finite number"),
+            ("horizons", isinstance(exp.horizons, tuple)
+             and all(_finite(t) for t in exp.horizons),
+             "a list of finite numbers"),
+            ("u_values", isinstance(exp.u_values, tuple)
+             and len(exp.u_values) > 0
+             and all(_finite(u) for u in exp.u_values),
+             "a nonempty list of finite numbers"),
+            ("n_r", _count(exp.n_r, 1), "an integer of at least 1"),
+            ("n_z", _count(exp.n_z, 1), "an integer of at least 1")):
         if not ok:
             raise ConfigError(f"experiment.{key} must be {want}, "
                               f"got {getattr(exp, key)!r}")

@@ -393,6 +393,39 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
 # batched event stepping
 # ---------------------------------------------------------------------------
 
+def _merge_events(grid, events, dim):
+    """Each row's grid and jump times in time order, for the whole block.
+
+    Returns (times, jumps, sizes) of shape (rows, columns): the merged
+    times, the jump flags and the jump sizes (zero off jumps).  One stable
+    lexsort over (row, time) puts each row's jumps in time order, tied
+    jumps keeping their order; a jump's column is then its rank in its
+    row plus the number of grid points at or before it, so a grid point
+    precedes a jump at the same time.  The grid fills the other columns,
+    and rows shorter than the longest repeat their last time.
+    """
+    rows, n_grid = len(events), len(grid)
+    counts = np.array([len(t) for t, _ in events], dtype=int)
+    lens = n_grid + counts
+    row = np.repeat(np.arange(rows), counts)     # sorted, so row[order] too
+    t_jump = np.concatenate([t for t, _ in events])
+    order = np.lexsort((t_jump, row))
+    t_jump = t_jump[order]
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    col = np.searchsorted(grid, t_jump, side="right") + rank
+    shape = (rows, n_grid + int(counts.max()))
+    jumps = np.zeros(shape, dtype=bool)
+    jumps[row, col] = True
+    sizes = np.zeros(shape + (dim,))
+    sizes[row, col] = np.concatenate([z for _, z in events])[order]
+    times = np.empty(shape)
+    used = np.arange(shape[1]) < lens[:, None]
+    times[used & ~jumps] = np.tile(grid, rows)
+    times[row, col] = t_jump
+    times[~used] = np.repeat(times[np.arange(rows), lens - 1], shape[1] - lens)
+    return times, jumps, sizes
+
+
 def step_events(fields: VectorFieldSet, x0, grid, events, eps,
                 cfg: IntegratorConfig, comp_rate=None, on_event=None):
     """Advance the rows of x0 in lockstep, each through the grid merged
@@ -411,25 +444,14 @@ def step_events(fields: VectorFieldSet, x0, grid, events, eps,
     states = np.array(x0, dtype=float)
     if fields.exact_jump_flow is None and len(states) > 1:
         raise ConfigError("generic jump solves are per-path; step paths separately")
-    n_grid = len(grid)
-    shape = (len(events), n_grid + max(len(t) for t, _ in events))
-    times, jumps = np.empty(shape), np.zeros(shape, dtype=bool)
-    sizes = np.zeros(shape + (fields.driver_dim,))
-    for i, (t, z) in enumerate(events):
-        # stable: a grid point precedes a jump at the same time
-        t_all = np.concatenate([grid, t])
-        order = np.argsort(t_all, kind="stable")
-        times[i] = t_all[order[-1]]         # padding repeats the last time
-        times[i, :len(order)] = t_all[order]
-        jumps[i, :len(order)] = order >= n_grid
-        sizes[i, jumps[i]] = z[order[order >= n_grid] - n_grid]
+    times, jumps, sizes = _merge_events(grid, events, fields.driver_dim)
     drift = _make_drift(fields, eps, comp_rate)
     comp = np.zeros_like(states)
     gaps = np.diff(times, axis=1, prepend=0.0)
     moves = gaps > 0
     whole, some = moves.all(axis=0).tolist(), moves.any(axis=0).tolist()
     any_hit = jumps.any(axis=0).tolist()
-    for k in range(shape[1]):
+    for k in range(times.shape[1]):
         if drift is not None and whole[k]:
             _drift_rk4(drift, states, comp, gaps[:, k, None])
         elif drift is not None and some[k]:

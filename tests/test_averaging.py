@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folevy import (AveragedField, ConstantK, DomainError, IntegratorConfig,
-                    RateEstimate, RngStream, averaged_field, delta_defect,
-                    delta_defect_lp, ergodic_average, estimate_eta,
-                    fit_loglog, leaf_average_quadrature, lp_moment,
-                    make_cylinder_preset, rate_to_csv, solve_averaged_ode)
+from folevy import (AveragedField, ConfigError, ConstantK, DomainError,
+                    IntegratorConfig, RateEstimate, RngStream, averaged_field,
+                    delta_defect, delta_defect_lp, ergodic_average,
+                    estimate_eta, fit_loglog, leaf_average_quadrature,
+                    lp_moment, make_cylinder_preset, rate_to_csv,
+                    solve_averaged_ode)
 
 SEED = 20260816
 
@@ -61,6 +62,20 @@ def test_leaf_average_validation():
     with pytest.raises(ValueError):
         leaf_average_quadrature(preset.chart, _radial_psi,
                                 np.array([1.0, 0.0]), n_nodes=4)
+
+
+def test_node_count_must_be_a_whole_number():
+    # np.arange(8.5) has 9 nodes, so a fractional count divided the sum
+    # of 9 values by 8.5 (q_r = 0.5588 at r = 1, exactly 0.5)
+    preset = make_cylinder_preset()
+    for bad in (8.5, 9.0, True, np.float64(16.0)):
+        with pytest.raises(ConfigError):
+            leaf_average_quadrature(preset.chart, _radial_psi,
+                                    np.array([1.0, 0.0]), n_nodes=bad)
+        with pytest.raises(ConfigError):
+            averaged_field(preset.chart, preset.fields, n_nodes=bad)
+    q = averaged_field(preset.chart, preset.fields, n_nodes=np.int64(9))
+    assert abs(q.evaluate(np.array([1.0, 0.0]))[0] - 0.5) <= 1e-12
 
 
 def test_averaged_field_quadrature_closed_form():

@@ -193,6 +193,14 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "preset.r_min=abc", "preset.r_min"),
         ("average", "experiment.n_nodes=abc", "experiment.n_nodes"),
         ("average", "experiment.n_r=abc", "experiment.n_r"),
+        ("eta", "experiment.horizons=abc", "experiment.horizons"),
+        ("eta", "experiment.horizons=[10, abc, 100]", "experiment.horizons"),
+        ("charfn", "experiment.u_values=abc", "experiment.u_values"),
+        ("charfn", "experiment.u_values=[]", "experiment.u_values"),
+        ("average", "experiment.n_nodes=8.5", "n_nodes must be at least 8"),
+        ("average", "experiment.n_r=0", "experiment.n_r"),
+        ("average", "experiment.n_z=-1", "experiment.n_z"),
+        ("average", "experiment.n_z=2.5", "experiment.n_z"),
     ]
     for command, override, message in cases:
         assert main([command, "--out", str(out), "--set", override]) == 2

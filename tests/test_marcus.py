@@ -16,12 +16,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from folevy import (BlowupError, ConstantK, DomainError, IntegratorConfig,
-                    RngStream, VectorFieldSet, integrate_grid_ensemble,
-                    integrate_perturbed, integrate_unperturbed, jump_flow,
-                    make_cylinder_preset, trajectory_to_csv)
-from folevy.marcus import (_drift_rk4, _kahan_add, _make_drift, resolve_grid,
-                           step_events)
+from folevy import (BlowupError, CompoundPoisson, ConstantK, DomainError,
+                    IntegratorConfig, RngStream, VectorFieldSet,
+                    integrate_grid_ensemble, integrate_perturbed,
+                    integrate_unperturbed, jump_flow, make_cylinder_preset,
+                    sample_jump_events, trajectory_to_csv)
+from folevy import marcus
+from folevy.marcus import (_drift_rk4, _kahan_add, _make_drift, _merge_events,
+                           resolve_grid, step_events)
 
 SEED = 20260816
 
@@ -319,6 +321,86 @@ def test_step_events_rows_match_stepping_each_row_alone():
         alone = step_events(preset.fields, x0[i:i + 1], grid, [events[i]],
                             0.3, cfg, c)
         assert together[i].tobytes() == alone[0].tobytes()
+
+
+def _merge_per_row(grid, events, dim):
+    # the per-row merge _merge_events replaced, kept as its reference
+    n_grid = len(grid)
+    shape = (len(events), n_grid + max(len(t) for t, _ in events))
+    times, jumps = np.empty(shape), np.zeros(shape, dtype=bool)
+    sizes = np.zeros(shape + (dim,))
+    for i, (t, z) in enumerate(events):
+        t_all = np.concatenate([grid, t])
+        order = np.argsort(t_all, kind="stable")
+        times[i] = t_all[order[-1]]
+        times[i, :len(order)] = t_all[order]
+        jumps[i, :len(order)] = order >= n_grid
+        sizes[i, jumps[i]] = z[order[order >= n_grid] - n_grid]
+    return times, jumps, sizes
+
+
+def _assert_same_tables(grid, events, dim):
+    got = _merge_events(grid, events, dim)
+    want = _merge_per_row(grid, events, dim)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_merged_event_table_matches_the_per_row_merge():
+    grid = np.linspace(0.0, 1.0, 11)
+    # unsorted and tied jumps, jumps exactly at grid times (0, 0.3 and the
+    # horizon), rows without jumps first, in the middle and last
+    events = [
+        (np.empty(0), np.empty((0, 1))),
+        (np.array([0.7, 0.25, 0.25, 0.25, 0.9]),
+         np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])),
+        (np.empty(0), np.empty((0, 1))),
+        (np.array([grid[3], 0.0, 1.0, grid[3]]),
+         np.array([[0.1], [0.2], [0.3], [0.4]])),
+        (np.array([0.5]), np.array([[-0.5]])),
+        (np.empty(0), np.empty((0, 1))),
+    ]
+    _assert_same_tables(grid, events, 1)
+    _assert_same_tables(grid, events[:1], 1)
+    # a block of sampled rows, as scheme_agreement builds them
+    rng = np.random.default_rng(SEED)
+    block = []
+    for n in rng.integers(0, 9, size=40):
+        t = np.round(rng.uniform(0.0, 1.0, n), 1)   # many ties and grid hits
+        block.append((t, rng.gamma(0.5, size=(n, 2))))
+    _assert_same_tables(grid, block, 2)
+
+
+def test_step_events_with_a_planar_driver_matches_the_per_row_merge(monkeypatch):
+    # a 2-D compound Poisson driver through the generic jump solve (width
+    # 1): rotation by z0 and dilation by z1 of the first two coordinates
+    def driving(x, z):
+        out = np.zeros_like(x)
+        out[..., 0] = -x[..., 1] * z[..., 0] + 0.1 * x[..., 0] * z[..., 1]
+        out[..., 1] = x[..., 0] * z[..., 0] + 0.1 * x[..., 1] * z[..., 1]
+        return out
+
+    fields = VectorFieldSet(driver_dim=2, driving=driving,
+                            perturbation=ConstantK(0.0, 0.0, 1.0))
+    spec = CompoundPoisson(
+        intensity=6.0, dimension=2, exp_moment_order=0.5,
+        jump_sampler=lambda g, n: g.uniform(-0.5, 0.5, size=(n, 2)))
+    grid = np.linspace(0.0, 2.0, 21)
+    cfg = IntegratorConfig(scheme="jump_decomposition")
+    x0 = np.array([[1.0, 0.5, 0.0]])
+    for i in range(3):
+        ev = sample_jump_events(spec, 2.0, RngStream(SEED, 40 + i))
+        assert len(ev.times) > 0
+        times = np.concatenate([ev.times, ev.times[:1], [grid[4]]])
+        sizes = np.concatenate([ev.sizes, ev.sizes[-1:], [[0.2, -0.3]]])
+        events = [(times, sizes)]
+        _assert_same_tables(grid, events, 2)
+        with monkeypatch.context() as m:
+            m.setattr(marcus, "_merge_events", _merge_per_row)
+            want = step_events(fields, x0, grid, events, 0.3, cfg)
+        got = step_events(fields, x0, grid, events, 0.3, cfg)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
