@@ -20,10 +20,10 @@ from .averaging import (AveragedField, AveragedSolution, RateEstimate,
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      config_to_dict, dump_config, integrator_from_config,
                      load_config, loads_config, preset_from_config)
-from .drivers import (CompoundPoisson, GammaSubordinator, IncrementSeries,
-                      JumpEvents, TruncatedMeasure, characteristic_function,
+from .drivers import (CompoundPoisson, GammaSubordinator, JumpEvents,
+                      TruncatedMeasure, characteristic_function,
                       circle_law_distance, marginal_samples,
-                      sample_increments, sample_jump_events, truncate_gamma)
+                      sample_jump_events, truncate_gamma)
 from .errors import (BlowupError, ConfigError, DomainError, FolevyError,
                      QuadratureError)
 from .experiments import (OBSERVABLES, ComparisonResult, DeviationResult,
@@ -45,10 +45,10 @@ __all__ = [
     "ComparisonResult", "ConfigError", "ConstantK", "CylinderPreset",
     "DeviationResult", "DomainError", "EnsembleResult", "ExitProbabilityResult",
     "ExperimentConfig", "FoliatedChart", "FolevyError", "GammaSubordinator",
-    "IncrementSeries", "IntegratorConfig", "JumpEvents", "LinearK",
-    "OBSERVABLES", "QuadratureError", "RateEstimate", "RngStream",
-    "SchemeAgreementResult", "TangencyReport", "Trajectory",
-    "TruncatedMeasure", "VectorFieldSet", "apply_overrides",
+    "IntegratorConfig", "JumpEvents", "LinearK", "OBSERVABLES",
+    "QuadratureError", "RateEstimate", "RngStream", "SchemeAgreementResult",
+    "TangencyReport", "Trajectory", "TruncatedMeasure", "VectorFieldSet",
+    "apply_overrides",
     "averaged_field", "characteristic_function",
     "circle_law_distance", "comparison_to_csv", "config_from_dict",
     "config_to_dict", "delta_defect", "delta_defect_lp", "deviation_scaling",
@@ -58,8 +58,8 @@ __all__ = [
     "integrator_from_config", "jump_flow", "leaf_average_quadrature",
     "load_config", "loads_config", "lp_moment", "make_cylinder_preset",
     "marginal_samples", "path_streams", "preset_from_config",
-    "projected_perturbation", "rate_to_csv", "sample_increments",
-    "sample_jump_events", "scheme_agreement", "solve_averaged_ode",
+    "projected_perturbation", "rate_to_csv", "sample_jump_events",
+    "scheme_agreement", "solve_averaged_ode",
     "tangency_check", "trajectory_to_csv", "transversal_comparison",
     "truncate_gamma",
 ]

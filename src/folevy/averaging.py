@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._parallel import map_blocks
+from .drivers import _numbers
 from .errors import ConfigError, DomainError
 from .geometry import FoliatedChart, VectorFieldSet, _fd_pi_jacobian, dpi_k
 from .marcus import (IntegratorConfig, _drift_rk4, _kahan_add,
@@ -285,11 +286,11 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     mixing observables.  Errors all below 1e-14 report exponent 0 with
     constant 0: the observable averages exactly.
     """
-    horizons = np.asarray(sorted(float(t) for t in horizons))
+    horizons = np.sort(_numbers(horizons, "horizons"), axis=None)
     if len(horizons) < 3 or len(np.unique(horizons)) != len(horizons):
         raise ConfigError("need at least three distinct horizons")
-    if horizons[0] <= 0:
-        raise ConfigError("horizons must be positive")
+    if not 0 < horizons[0] <= horizons[-1] < math.inf:
+        raise ConfigError("horizons must be positive and finite")
     if p < 2:
         raise ConfigError("moment order p must be at least 2")
     if n_paths < 100:

@@ -19,14 +19,13 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import yaml
 
 from .averaging import (averaged_field, estimate_eta, rate_to_csv,
                         solve_averaged_ode)
-from .config import (ExperimentConfig, apply_overrides, config_from_dict,
-                     dump_config, integrator_from_config, preset_from_config)
+from .config import (ExperimentConfig, dump_config, integrator_from_config,
+                     load_config, preset_from_config)
 from .drivers import characteristic_function, marginal_samples, truncate_gamma
-from .errors import ConfigError, FolevyError
+from .errors import FolevyError
 from .experiments import (comparison_to_csv, deviation_scaling,
                           deviation_to_csv, exit_probability, exit_to_csv,
                           projected_perturbation, transversal_comparison)
@@ -49,19 +48,7 @@ def _add_common(parser):
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        try:
-            raw = yaml.safe_load(text) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config is not valid yaml: {exc}") from exc
-    raw = apply_overrides(raw, args.overrides)
-    cfg = config_from_dict(raw)
+    cfg = load_config(args.config, args.overrides)
     run = cfg.run
     if args.seed is not None:
         run = replace(run, master_seed=args.seed)
@@ -103,14 +90,6 @@ def _averaged(cfg, preset, icfg):
                           n_nodes=exp.n_nodes, driver=preset.driver,
                           horizon=exp.search_horizon, cfg=icfg,
                           rng=RngStream(run.master_seed, run.stream_base))
-
-
-def _component_index(observable):
-    if observable == "radial":
-        return 0
-    if observable == "vertical":
-        return 1
-    raise ConfigError("experiment.observable must be 'radial' or 'vertical'")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +166,7 @@ def cmd_average(args):
 def cmd_eta(args):
     cfg, preset, icfg = _setup(args)
     exp, run = cfg.experiment, cfg.run
-    comp = _component_index(exp.observable)
+    comp = ("radial", "vertical").index(exp.observable)
     psi = projected_perturbation(preset.chart, preset.fields, comp)
     est = estimate_eta(preset.fields, preset.chart, preset.driver, psi,
                        np.asarray(exp.x0, dtype=float), exp.horizons, exp.p,

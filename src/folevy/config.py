@@ -1,21 +1,31 @@
 """Run configuration: a strict YAML layer over nested dataclasses.
 
-Unknown sections or keys are rejected rather than ignored, so a typo in a
-config file fails loudly; so is a value that is not a number (a bool is
-not one) for a key declared `float`, `int` or `Optional[float]`.
+Each section dataclass's annotations are the one statement of what its
+keys accept, and `config_from_dict` checks every key against them: an
+unknown section or key is rejected, a number must be finite (a bool is
+not one), a tuple must have its declared length and a `Literal` key one
+of its listed strings.  An `int` key takes any finite number here; that
+it be whole is part of its range.  `_RANGES` holds the ranges of the
+experiment keys that no constructor checks; the preset, integrator and
+run ranges are checked by the objects built from them.
+
 Round-tripping through `config_to_dict` and `config_from_dict` is
 idempotent; `--set section.key=value` overrides are YAML-parsed scalars
-applied on the raw dict before validation.  PyYAML is imported on first
-use, by the functions that parse or write YAML, so importing the package
-loads no yaml module.
+applied on the raw dict before validation.  `_parse_yaml` is the one YAML
+reader, with YAML 1.2 floats, so ``1e-3`` is a number.  PyYAML and the
+resolved annotations are loaded on first use, so importing the package
+loads neither.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
-from dataclasses import dataclass, field, fields
-from typing import Optional
+import re
+from dataclasses import asdict, dataclass, field
+from typing import (Literal, Optional, Union, get_args, get_origin,
+                    get_type_hints)
 
 from .errors import ConfigError
 
@@ -27,8 +37,8 @@ class PresetSection:
     z_min: float = -10.0
     z_max: float = 10.0
     theta: float = 1.0
-    k_choice: str = "linear"              # "linear" or "constant"
-    k_constant: tuple = (0.0, 0.0, 1.0)   # used when k_choice == "constant"
+    k_choice: Literal["linear", "constant"] = "linear"
+    k_constant: tuple[float, float, float] = (0.0, 0.0, 1.0)  # for "constant"
     kappa: Optional[float] = None
 
 
@@ -51,20 +61,20 @@ class RunSection:
 
 @dataclass(frozen=True)
 class ExperimentSection:
-    x0: tuple = (1.0, 0.0, 0.0)
+    x0: tuple[float, float, float] = (1.0, 0.0, 0.0)
     epsilon: float = 0.1
-    epsilons: tuple = (0.2, 0.1, 0.05)
+    epsilons: tuple[float, ...] = (0.2, 0.1, 0.05)
     horizon: float = 1.0
-    horizons: tuple = (10.0, 30.0, 100.0)
+    horizons: tuple[float, ...] = (10.0, 30.0, 100.0)
     p: float = 2.0
     n_paths: int = 200
     gamma: float = 0.1
-    observable: str = "radial"
+    observable: Literal["radial", "vertical"] = "radial"
     method: str = "quadrature"            # averaged-field backend
     n_nodes: int = 64
     n_r: int = 5
     n_z: int = 5
-    u_values: tuple = (1.0, 2.0, 4.0)
+    u_values: tuple[float, ...] = (1.0, 2.0, 4.0)
     t: float = 1.0
     n_samples: int = 20000
     ode_step: float = 1e-3
@@ -87,10 +97,57 @@ _SECTIONS = {
 }
 
 
-def _freeze(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
+def _integer(least):
+    return (lambda v: isinstance(v, int) and v >= least,
+            f"an integer of at least {least}")
+
+
+_POSITIVE = (lambda v: v > 0, "positive")
+
+# section.key -> (test, wanted), tried on a value of the declared type:
+# the ranges that no object built from the config checks
+_RANGES = {
+    "experiment.epsilon": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "experiment.epsilons": (lambda v: v and all(0 < e <= 1 for e in v),
+                            "a nonempty list of numbers in (0, 1]"),
+    "experiment.horizon": _POSITIVE,
+    "experiment.gamma": _POSITIVE,
+    "experiment.ode_step": _POSITIVE,
+    "experiment.search_horizon": _POSITIVE,
+    "experiment.p": (lambda v: v >= 1, "at least 1"),
+    "experiment.u_values": (len, "a nonempty list"),
+    "experiment.n_paths": _integer(2),
+    "experiment.n_samples": _integer(1),
+    "experiment.n_r": _integer(1),
+    "experiment.n_z": _integer(1),
+}
+
+
+@functools.cache
+def _hints(cls):
+    return get_type_hints(cls)
+
+
+def _mismatch(kind, value):
+    """None if `value` has the declared type `kind`, else what it needs."""
+    origin, args = get_origin(kind), get_args(kind)
+    if kind in (int, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and (isinstance(value, int) or math.isfinite(value))
+        return None if ok else "a finite number"
+    if origin is Literal:
+        ok = isinstance(value, str) and value in args
+        return None if ok else "one of " + ", ".join(map(repr, args))
+    if origin is Union:                  # Optional[X]
+        want = None if value is None else _mismatch(args[0], value)
+        return want and f"{want} or null"
+    if origin is tuple:                 # of floats: n of them, or any number
+        n = None if args[-1] is Ellipsis else len(args)
+        ok = isinstance(value, (list, tuple)) and n in (None, len(value)) \
+            and not any(_mismatch(float, v) for v in value)
+        return None if ok else (f"a list of {n} finite numbers" if n
+                                else "a list of finite numbers")
+    return None if isinstance(value, str) else "a string"
 
 
 def _build_section(cls, data, section):
@@ -98,17 +155,18 @@ def _build_section(cls, data, section):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    declared = {f.name: f.type for f in fields(cls)}
-    kwargs = {}
+    hints = _hints(cls)
     for key, value in data.items():
-        if key not in declared:
+        if key not in hints:
             raise ConfigError(f"unknown config key {section}.{key}")
-        kind = declared[key]
-        if kind in ("float", "int", "Optional[float]") and not (
-                _real(value) or value is None and kind == "Optional[float]"):
-            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-        kwargs[key] = _freeze(value)
-    return cls(**kwargs)
+        want = _mismatch(hints[key], value)
+        test, wanted = _RANGES.get(f"{section}.{key}", (None, None))
+        if not want and test and not test(value):
+            want = wanted
+        if want:
+            raise ConfigError(f"{section}.{key} must be {want}, got {value!r}")
+    return cls(**{key: tuple(value) if isinstance(value, list) else value
+                  for key, value in data.items()})
 
 
 def config_from_dict(data) -> ExperimentConfig:
@@ -119,97 +177,61 @@ def config_from_dict(data) -> ExperimentConfig:
     for key in data:
         if key not in _SECTIONS:
             raise ConfigError(f"unknown config section {key!r}")
-    cfg = ExperimentConfig(**{
+    return ExperimentConfig(**{
         name: _build_section(cls, data.get(name), name)
         for name, cls in _SECTIONS.items()
     })
-    _check_experiment(cfg.experiment)
-    return cfg
 
 
-def _real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# YAML 1.2's float pattern; PyYAML follows YAML 1.1, whose pattern needs a
+# dot, so without it 1e-3 would be read as a string
+_FLOAT = r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"
 
 
-def _finite(value):
-    return _real(value) and (isinstance(value, int) or math.isfinite(value))
+@functools.cache
+def _loader():
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    # appended after the YAML 1.1 int resolver, so 3 stays an int
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_FLOAT),
+                                 list("-+.0123456789"))
+    return Loader
 
 
-def _positive(value):
-    return _finite(value) and value > 0
-
-
-def _count(value, least):
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= least
-
-
-def _check_experiment(exp: ExperimentSection):
-    """Reject experiment values no subcommand can run, before any work."""
-    eps = exp.epsilons
-    x0 = exp.x0
-    for key, ok, want in (
-            ("x0", isinstance(x0, tuple) and len(x0) == 3
-             and all(_finite(c) for c in x0), "three finite numbers"),
-            ("gamma", _positive(exp.gamma), "a positive finite number"),
-            ("ode_step", _positive(exp.ode_step), "a positive finite number"),
-            ("search_horizon", _positive(exp.search_horizon),
-             "a positive finite number"),
-            ("n_paths", _count(exp.n_paths, 2), "an integer of at least 2"),
-            ("n_samples", _count(exp.n_samples, 1),
-             "an integer of at least 1"),
-            ("p", _finite(exp.p) and exp.p >= 1,
-             "a finite number of at least 1"),
-            ("epsilon", _real(exp.epsilon) and 0 <= exp.epsilon <= 1,
-             "a number in [0, 1]"),
-            ("epsilons", isinstance(eps, tuple) and len(eps) > 0
-             and all(_real(e) and 0 < e <= 1 for e in eps),
-             "a nonempty list of numbers in (0, 1]"),
-            ("horizon", _positive(exp.horizon), "a positive finite number"),
-            ("horizons", isinstance(exp.horizons, tuple)
-             and all(_finite(t) for t in exp.horizons),
-             "a list of finite numbers"),
-            ("u_values", isinstance(exp.u_values, tuple)
-             and len(exp.u_values) > 0
-             and all(_finite(u) for u in exp.u_values),
-             "a nonempty list of finite numbers"),
-            ("n_r", _count(exp.n_r, 1), "an integer of at least 1"),
-            ("n_z", _count(exp.n_z, 1), "an integer of at least 1")):
-        if not ok:
-            raise ConfigError(f"experiment.{key} must be {want}, "
-                              f"got {getattr(exp, key)!r}")
+def _parse_yaml(text):
+    """The one YAML reader: safe loading, with YAML 1.2 floats."""
+    import yaml
+    try:
+        return yaml.load(text, Loader=_loader())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config is not valid yaml: {exc}") from exc
 
 
 def loads_config(text: str) -> ExperimentConfig:
-    import yaml
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid yaml: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(_parse_yaml(text))
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
+def load_config(path=None, overrides=()) -> ExperimentConfig:
+    """The config of the YAML file at `path` (None: the defaults), with
+    `section.key=value` overrides applied before it is checked."""
+    raw = None
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = _parse_yaml(text)
+    return config_from_dict(apply_overrides(raw, overrides))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for name, cls in _SECTIONS.items():
-        section = getattr(cfg, name)
-        out[name] = {f.name: _plain(getattr(section, f.name)) for f in fields(cls)}
-    return out
+    return {name: {key: list(v) if isinstance(v, tuple) else v
+                   for key, v in section.items()}
+            for name, section in asdict(cfg).items()}
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -219,7 +241,8 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 def apply_overrides(data, assignments):
     """Apply `section.key=value` strings onto a raw config dict."""
-    import yaml
+    if data is not None and not isinstance(data, dict):
+        raise ConfigError("config root must be a mapping")
     out = copy.deepcopy(data) if data else {}
     for item in assignments or []:
         key, sep, raw = item.partition("=")
@@ -229,10 +252,12 @@ def apply_overrides(data, assignments):
         if len(parts) != 2 or not all(parts):
             raise ConfigError(f"override key {key.strip()!r} must be section.key")
         section, name = parts
-        slot = out.setdefault(section, {})
+        if out.get(section) is None:            # absent, or empty in a file
+            out[section] = {}
+        slot = out[section]
         if not isinstance(slot, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        slot[name] = yaml.safe_load(raw) if raw.strip() else None
+        slot[name] = _parse_yaml(raw) if raw.strip() else None
     return out
 
 
@@ -243,16 +268,8 @@ def apply_overrides(data, assignments):
 def preset_from_config(cfg: ExperimentConfig):
     from .geometry import ConstantK, LinearK, make_cylinder_preset
     sec = cfg.preset
-    if sec.k_choice == "linear":
-        k = LinearK()
-    elif sec.k_choice == "constant":
-        if not (isinstance(sec.k_constant, tuple) and len(sec.k_constant) == 3
-                and all(_real(v) for v in sec.k_constant)):
-            raise ConfigError("preset.k_constant needs exactly three numbers, "
-                              f"got {sec.k_constant!r}")
-        k = ConstantK(*(float(v) for v in sec.k_constant))
-    else:
-        raise ConfigError("preset.k_choice must be 'linear' or 'constant'")
+    k = LinearK() if sec.k_choice == "linear" \
+        else ConstantK(*(float(v) for v in sec.k_constant))
     return make_cylinder_preset(
         r_min=sec.r_min, r_max=sec.r_max, z_min=sec.z_min, z_max=sec.z_max,
         theta=sec.theta, k_choice=k, kappa=sec.kappa)

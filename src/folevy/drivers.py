@@ -219,7 +219,11 @@ class GammaSubordinator:
         object.__setattr__(self, "exp_moment_order", float(kappa))
         # the check is analytic above; run the quadrature too so a broken
         # closed form cannot slip through unnoticed
-        value = _exp_moment_integral(self.levy_density, 0.0, np.inf, kappa)
+        try:
+            value = _exp_moment_integral(self.levy_density, 0.0, np.inf, kappa)
+        except QuadratureError as exc:      # e.g. a rate of 1e-138
+            raise ConfigError(f"exponential moment integral of order {kappa} "
+                              f"does not converge at rate {self.rate}") from exc
         if not np.isfinite(value):
             raise ConfigError("exponential moment integral is not finite")
 
@@ -420,37 +424,6 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IncrementSeries:
-    """Driver increments on a time grid.
-
-    `increments[k]` approximates Z(grid[k+1]) - Z(grid[k]).  In decomposition
-    mode it is the sum of the recorded above-cutoff jumps in the interval
-    plus compensator_drift * dt; in exact mode it is an exact draw and
-    compensator_drift is zero.
-    """
-
-    grid: np.ndarray
-    increments: np.ndarray
-    large_jumps: Optional[tuple] = None        # ((time, size-vector), ...)
-    compensator_drift: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        inc = np.asarray(self.increments, dtype=float)
-        if grid.ndim != 1 or len(grid) < 1 or grid[0] != 0.0:
-            raise ConfigError("grid must be one-dimensional and start at 0")
-        if len(grid) > 1 and not np.all(np.diff(grid) > 0):
-            raise ConfigError("grid must be strictly increasing")
-        if inc.shape[0] != len(grid) - 1:
-            raise ConfigError("need exactly one increment per grid interval")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "increments", inc)
-        if self.compensator_drift is not None:
-            object.__setattr__(self, "compensator_drift",
-                               np.asarray(self.compensator_drift, dtype=float))
-
-
-@dataclass(frozen=True)
 class JumpEvents:
     """Above-cutoff jumps on [0, horizon] plus the small-jump mean drift."""
 
@@ -476,8 +449,8 @@ def _finite_law(spec):
 
 def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
     """Poisson jump times with iid sizes; Gamma drivers must be truncated first."""
-    if horizon < 0:
-        raise ConfigError("horizon must be nonnegative")
+    if not 0 <= horizon < math.inf:
+        raise ConfigError(f"horizon must be nonnegative and finite, got {horizon!r}")
     rate, size_draw, dim, comp = _finite_law(spec)
     gen = rng.generator()
     n = int(gen.poisson(rate * horizon))
@@ -499,44 +472,14 @@ def step_sums(grid, events):
     return inc
 
 
-def sample_increments(spec, grid, rng: RngStream) -> IncrementSeries:
-    """Driver increments on `grid` (strictly increasing, starting at 0).
-
-    GammaSubordinator: exact marginal draws, Gamma(shape=dt, rate=rate).
-    CompoundPoisson / TruncatedMeasure: jumps above the cutoff recorded as
-    (time, size) pairs and aggregated per interval, with the compensator
-    drift added.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ConfigError("grid must be a one-dimensional array")
-    if grid[0] != 0.0:
-        raise ConfigError("grid must start at 0")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
-        raise ConfigError("grid must be strictly increasing")
-
-    if isinstance(spec, GammaSubordinator):
-        dt = np.diff(grid)
-        gen = rng.generator()
-        draws = gen.gamma(shape=dt, scale=1.0 / spec.rate) if len(dt) else np.empty(0)
-        return IncrementSeries(grid, draws.reshape(-1, 1),
-                               compensator_drift=np.zeros(1))
-
-    events = sample_jump_events(spec, float(grid[-1]), rng)
-    inc = step_sums(grid, [events])[0] + events.compensator * np.diff(grid)[:, None]
-    pairs = tuple((float(t), s.copy()) for t, s in zip(events.times, events.sizes))
-    return IncrementSeries(grid, inc, large_jumps=pairs,
-                           compensator_drift=events.compensator.copy())
-
-
 def make_step_sampler(spec, h):
     """Per-path sampler of exact-mode increments for a uniform step h.
 
     Returns fn(gen, n) -> (n, dimension) consecutive increments.  Used by the
     ensemble kernel, which draws each path's increments from its own stream.
     """
-    if h <= 0:
-        raise ConfigError("step must be positive")
+    if not 0 < h < math.inf:
+        raise ConfigError(f"step must be positive and finite, got {h!r}")
     if isinstance(spec, GammaSubordinator):
         scale = 1.0 / spec.rate
 
@@ -558,6 +501,20 @@ def make_step_sampler(spec, h):
 # distributional oracles
 # ---------------------------------------------------------------------------
 
+def _numbers(value, name):
+    """`value` as a float array; ConfigError unless every entry is a
+    number (a bool is not one)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be numeric, got {value!r}")
+    return arr.astype(float)
+
+
+def _check_time(t):
+    if not (_numbers(t, "t").ndim == 0 and 0 <= t < math.inf):
+        raise ConfigError(f"t must be nonnegative and finite, got {t!r}")
+
+
 def characteristic_function(spec, u, t):
     """E[exp(i * u * Z_t)] for scalar or array u.
 
@@ -565,9 +522,8 @@ def characteristic_function(spec, u, t):
     exp(t * psi(u)) with psi evaluated by adaptive quadrature of the
     uncompensated exponent (plus i*u*b for the truncated compensator).
     """
-    if t < 0:
-        raise ConfigError("t must be nonnegative")
-    u_arr = np.asarray(u, dtype=float)
+    _check_time(t)
+    u_arr = _numbers(u, "u")
     if isinstance(spec, GammaSubordinator):
         out = np.power(1.0 - 1j * u_arr / spec.rate, -t)
         return complex(out) if np.isscalar(u) else out
@@ -601,8 +557,7 @@ def marginal_samples(spec, t, n, rng: RngStream):
     """n independent samples of Z_t (scalar drivers)."""
     if getattr(spec, "dimension", 1) != 1:
         raise NotImplementedError("marginal sampling only for scalar drivers")
-    if t < 0:
-        raise ConfigError("t must be nonnegative")
+    _check_time(t)
     if t == 0:
         return np.zeros(n)
     # Z_t is one increment over a step of length t

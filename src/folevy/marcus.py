@@ -44,6 +44,7 @@ from .tables import write_csv
 SCHEMES = ("exact_leaf", "grid_increment", "jump_decomposition")
 SPLITTINGS = ("lie", "strang")
 _MAX_SUBSTEP_ANGLE = 0.1
+_CHUNK = 4096           # grid steps drawn per path at a time
 
 
 @dataclass(frozen=True)
@@ -265,8 +266,7 @@ def resolve_grid(cfg: IntegratorConfig, eps, horizon):
 def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
                             cfg: IntegratorConfig, streams, contains=None,
                             on_step=None, pair_eps=None, on_step_pair=None,
-                            chunk=4096, increments=None,
-                            comp_rate=None) -> EnsembleResult:
+                            increments=None, comp_rate=None) -> EnsembleResult:
     """Advance len(streams) paths in lockstep on the macro grid.
 
     Path i draws its increments from streams[i] only, so results are
@@ -330,7 +330,7 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
         gens = [s.generator() for s in streams]
     done = 0
     while done < n_steps:
-        m_chunk = min(chunk, n_steps - done)
+        m_chunk = min(_CHUNK, n_steps - done)
         if increments is None:
             draws = np.empty((m_paths, m_chunk, rdim))
             for i, g in enumerate(gens):

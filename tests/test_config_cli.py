@@ -10,17 +10,23 @@ from __future__ import annotations
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import folevy
 from folevy import (ConfigError, ConstantK, GammaSubordinator,
-                    IntegratorConfig, LinearK, cli, estimate_eta, experiments,
-                    make_cylinder_preset, solve_averaged_ode)
+                    IntegratorConfig, LinearK, RngStream,
+                    characteristic_function, cli, estimate_eta, experiments,
+                    make_cylinder_preset, marginal_samples, solve_averaged_ode)
 from folevy.cli import main
 from folevy.marcus import resolve_grid
 from folevy.config import (ExperimentConfig, apply_overrides, config_from_dict,
@@ -58,9 +64,11 @@ def test_config_round_trip_is_idempotent():
 
 
 def test_config_round_trip_preserves_overridden_values(tmp_path):
-    cfg = loads_config("preset:\n  theta: 2.5\nexperiment:\n  epsilons: [0.4, 0.2]\n")
+    cfg = loads_config("preset:\n  theta: 2.5\nexperiment:\n  epsilons: [0.4, 0.2]\n"
+                       "integrator:\n  step_h: 1e-3\n")
     assert cfg.preset.theta == 2.5
     assert cfg.experiment.epsilons == (0.4, 0.2)
+    assert cfg.integrator.step_h == 0.001
     path = tmp_path / "cfg.yaml"
     path.write_text(dump_config(cfg))
     assert load_config(path) == cfg
@@ -79,12 +87,21 @@ def test_apply_overrides_parses_yaml_values():
     raw = apply_overrides({}, ["preset.theta=2.5",
                                "experiment.epsilons=[0.4, 0.2]",
                                "run.threads=4",
-                               "experiment.observable=vertical"])
+                               "experiment.observable=vertical",
+                               "integrator.step_h=1e-3",
+                               "experiment.epsilon=1E-1",
+                               "experiment.u_values=[1e0, 2, -.5e+1]"])
     cfg = config_from_dict(raw)
+    assert cfg.integrator.step_h == 0.001
+    assert cfg.experiment.epsilon == 0.1
+    assert cfg.experiment.u_values == (1.0, 2, -5.0)
     assert cfg.preset.theta == 2.5
     assert cfg.experiment.epsilons == (0.4, 0.2)
     assert cfg.run.threads == 4
     assert cfg.experiment.observable == "vertical"
+    # a section left empty in a file reads as null and takes overrides
+    raw = apply_overrides({"experiment": None}, ["experiment.horizon=0.5"])
+    assert config_from_dict(raw).experiment.horizon == 0.5
 
 
 def test_apply_overrides_rejects_malformed_assignments():
@@ -93,6 +110,8 @@ def test_apply_overrides_rejects_malformed_assignments():
             apply_overrides({}, [bad])
     with pytest.raises(ConfigError):
         config_from_dict(apply_overrides({}, ["preset.bogus=1"]))
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
+        apply_overrides(["a", "b"], ["preset.theta=1"])
 
 
 def test_preset_from_config_wires_field_choice():
@@ -201,6 +220,11 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("average", "experiment.n_r=0", "experiment.n_r"),
         ("average", "experiment.n_z=-1", "experiment.n_z"),
         ("average", "experiment.n_z=2.5", "experiment.n_z"),
+        ("simulate", "run.out_dir=5", "run.out_dir"),
+        ("simulate", "preset.k_constant=[1, 2, .nan]", "preset.k_constant"),
+        ("charfn", "experiment.t=.nan", "experiment.t"),
+        ("charfn", "experiment.t=.inf", "experiment.t"),
+        ("simulate", "integrator.step_h=.inf", "integrator.step_h"),
     ]
     for command, override, message in cases:
         assert main([command, "--out", str(out), "--set", override]) == 2
@@ -219,6 +243,12 @@ def test_library_rejections_are_config_errors_and_value_errors():
                              lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
                              [5.0, 10.0, 20.0], n_paths=50),
         lambda: resolve_grid(IntegratorConfig(), 0.1, -1),
+        lambda: characteristic_function(preset.driver, "abc", 1.0),
+        lambda: characteristic_function(preset.driver, 1.0, math.nan),
+        lambda: marginal_samples(preset.driver, math.inf, 10, RngStream(1)),
+        lambda: estimate_eta(preset.fields, preset.chart, preset.driver,
+                             lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
+                             ["abc", 20, 30], n_paths=100),
     ]
     for reject in rejections:
         with pytest.raises(ConfigError) as info:
@@ -226,21 +256,87 @@ def test_library_rejections_are_config_errors_and_value_errors():
         assert isinstance(info.value, ValueError)
 
 
+KEYS = [(sec.name, key.name, getattr(getattr(ExperimentConfig(), sec.name),
+                                     key.name))
+        for sec in fields(ExperimentConfig)
+        for key in fields(sec.default_factory)]
+
+
+# boundary and negative numbers, the wrong type, NaN, +-inf, bools, null
+# and lists: none of them asks for much work from a command that accepts it
+_POOL = [0, 1, -1, 0.0, 1.0, -0.5, 2.5, 1e-3, math.nan, math.inf, -math.inf,
+         True, False, None, "abc", "", "radial", "constant", "strang",
+         "exact_leaf", [], [0.5], [1, 0, 0], [1.0, math.nan, "a"]]
+
+
+def _overrides(wide):
+    """1 to 3 (section.key, value) pairs; a value is the key's default or
+    from _POOL, or with `wide` any integer, float or short list."""
+    def values(default):
+        pool = st.one_of(st.just(default), st.sampled_from(_POOL))
+        if not wide:
+            return pool
+        return st.one_of(pool, st.integers(), st.floats(),
+                         st.lists(st.one_of(st.floats(), st.integers(),
+                                            st.just("a")), max_size=4))
+    pair = st.sampled_from(KEYS).flatmap(
+        lambda k: st.tuples(st.just(k[:2]), values(k[2])))
+    return st.lists(pair, min_size=1, max_size=3)
+
+
+def _raw(overrides):
+    raw = {}
+    for (section, key), value in overrides:
+        raw.setdefault(section, {})[key] = value
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(overrides=_overrides(wide=True))
+def test_every_config_key_returns_or_raises_config_error(overrides):
+    # any value of any key either builds the preset and integrator or is
+    # rejected with ConfigError; no other exception escapes
+    try:
+        cfg = config_from_dict(_raw(overrides))
+        preset_from_config(cfg)
+        integrator_from_config(cfg)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=12, deadline=None)
+@given(command=st.sampled_from(["simulate", "average", "charfn", "compare"]),
+       overrides=_overrides(wide=False))
+def test_cli_runs_exit_zero_with_a_run_dir_or_two_without(tmp_path_factory,
+                                                          command, overrides):
+    out = tmp_path_factory.mktemp("runs") / "runs"
+    args = [command, "--out", str(out), *SMALL,
+            "--set", "experiment.n_samples=200"]
+    for (section, key), value in overrides:
+        text = yaml.safe_dump(value, default_flow_style=True).split("\n")[0]
+        args += ["--set", f"{section}.{key}={text}"]
+    code = main(args)
+    assert code in (0, 2)
+    assert out.exists() == (code == 0)
+
+
 def test_import_leaves_yaml_unloaded():
-    # PyYAML is imported only where a config is parsed or written, so
+    # PyYAML is imported only where a config is parsed or written, and the
+    # config annotations are resolved only where a config is checked, so
     # importing the package and building the preset and its averaged
-    # field load no yaml module; parsing a config then still works
+    # field do neither; parsing a config then still works
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(folevy.__file__)))
     code = ("import sys, folevy\n"
             "preset = folevy.make_cylinder_preset()\n"
             "folevy.averaged_field(preset.chart, preset.fields)\n"
             "print(sorted(m for m in sys.modules if m.startswith('yaml')))\n"
+            "print(folevy.config._hints.cache_info().currsize)\n"
             "cfg = folevy.loads_config('preset: {theta: 2.5}')\n"
             "print(cfg.preset.theta)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
-    assert out == ["[]", "2.5"]
+    assert out == ["[]", "0", "2.5"]
 
 
 def test_package_raises_no_bare_value_error():

@@ -19,11 +19,12 @@ import pytest
 from scipy import integrate, special, stats
 
 import folevy
-from folevy import (CompoundPoisson, GammaSubordinator, IncrementSeries,
-                    RngStream, TruncatedMeasure, characteristic_function,
-                    circle_law_distance, marginal_samples, sample_increments,
-                    sample_jump_events, truncate_gamma)
-from folevy.drivers import _exp_tail_term, _quad, make_step_sampler
+from folevy import (CompoundPoisson, GammaSubordinator, RngStream,
+                    TruncatedMeasure, characteristic_function,
+                    circle_law_distance, marginal_samples, sample_jump_events,
+                    truncate_gamma)
+from folevy.drivers import (_exp_tail_term, _quad, make_step_sampler,
+                            step_sums)
 from folevy.errors import ConfigError, QuadratureError
 
 SEED = 20260816
@@ -193,6 +194,10 @@ def test_gamma_spec_validation():
         GammaSubordinator(1.0, exp_moment_order=1.0)
     with pytest.raises(ValueError):
         GammaSubordinator(1.0, exp_moment_order=1.5)
+    # the moment integral exists, but its tail spans 1e138 and the
+    # quadrature cannot confirm it: a ConfigError, not a QuadratureError
+    with pytest.raises(ConfigError, match="does not converge"):
+        GammaSubordinator(1e-138)
     spec = GammaSubordinator(1.0)
     assert spec.exp_moment_order == 0.5
 
@@ -201,55 +206,55 @@ def test_gamma_spec_validation():
 # exact-increment sampling
 # ---------------------------------------------------------------------------
 
+def _gamma_steps(spec, h, n, stream):
+    return make_step_sampler(spec, h)(RngStream(SEED, stream).generator(), n)
+
+
 def test_increment_sums_follow_gamma_law():
     # increments over [k, k+1) summed in blocks of 16 sub-steps are unit-time
     # marginals; the KS test against the marginal law must not reject
     n_paths, per = 10_000, 16
-    grid = np.arange(n_paths * per + 1) / per
-    spec = GammaSubordinator(1.0)
-    series = sample_increments(spec, grid, RngStream(SEED, 1))
-    sums = series.increments[:, 0].reshape(n_paths, per).sum(axis=1)
-    assert np.all(series.increments >= 0)
+    steps = _gamma_steps(GammaSubordinator(1.0), 1.0 / per, n_paths * per, 1)
+    sums = steps[:, 0].reshape(n_paths, per).sum(axis=1)
+    assert np.all(steps >= 0)
     pvalue = stats.kstest(sums, stats.gamma(a=1.0, scale=1.0).cdf).pvalue
     assert pvalue > 0.01, f"KS rejected the unit-time marginal law: p={pvalue:.4f}"
 
 
 def test_increment_mean_matches_density_mean():
-    grid = np.arange(0.0, 1001.0)
-    spec = GammaSubordinator(1.0)
-    series = sample_increments(spec, grid, RngStream(SEED, 2))
+    steps = _gamma_steps(GammaSubordinator(1.0), 1.0, 1000, 2)
     dens = stats.gamma(a=1.0, scale=1.0).pdf
     mean_oracle = integrate.quad(lambda y: y * dens(y), 0.0, np.inf)[0]
-    sample_mean = float(series.increments.mean())
-    se = float(series.increments.std(ddof=1) / math.sqrt(len(series.increments)))
-    _assert_close(sample_mean, mean_oracle, 3 * se, "unit increment mean")
+    se = float(steps.std(ddof=1) / math.sqrt(len(steps)))
+    _assert_close(float(steps.mean()), mean_oracle, 3 * se, "unit increment mean")
 
 
 def test_zero_length_horizon_gives_empty_series():
-    spec = GammaSubordinator(1.0)
-    series = sample_increments(spec, np.array([0.0]), RngStream(SEED, 3))
-    assert series.increments.shape[0] == 0
+    assert _gamma_steps(GammaSubordinator(1.0), 0.1, 0, 3).shape == (0, 1)
+    trunc = truncate_gamma(GammaSubordinator(1.0), 0.05)
+    events = sample_jump_events(trunc, 0.0, RngStream(SEED, 3))
+    assert len(events.times) == 0
+    assert step_sums(np.array([0.0]), [events]).shape == (1, 0, 1)
 
 
 def test_increments_bitwise_reproducible():
     spec = GammaSubordinator(1.0)
-    grid = np.linspace(0.0, 5.0, 51)
-    a = sample_increments(spec, grid, RngStream(SEED, 7))
-    b = sample_increments(spec, grid, RngStream(SEED, 7))
-    c = sample_increments(spec, grid, RngStream(SEED, 8))
-    assert np.array_equal(a.increments, b.increments)
-    assert not np.array_equal(a.increments, c.increments)
+    a = _gamma_steps(spec, 0.1, 50, 7)
+    b = _gamma_steps(spec, 0.1, 50, 7)
+    c = _gamma_steps(spec, 0.1, 50, 8)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_grid_validation():
     spec = GammaSubordinator(1.0)
-    rng = RngStream(SEED, 4)
-    with pytest.raises(ValueError):
-        sample_increments(spec, np.array([0.0, 2.0, 1.0]), rng)
-    with pytest.raises(ValueError):
-        sample_increments(spec, np.array([1.0, 2.0]), rng)
-    with pytest.raises(ValueError):
-        IncrementSeries(np.array([0.0, 1.0]), np.zeros((3, 1)))
+    trunc = truncate_gamma(spec, 0.05)
+    for h in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="step must be positive"):
+            make_step_sampler(spec, h)
+    for horizon in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="horizon must be nonnegative"):
+            sample_jump_events(trunc, horizon, RngStream(SEED, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +330,18 @@ def test_gamma_events_require_truncation():
 
 
 def test_increments_aggregate_the_event_set():
-    # same stream: the aggregated increments must reproduce the event sum
-    # plus compensator drift exactly
+    # the per-interval sums plus the compensator drift reproduce the event
+    # sum plus the compensator over the horizon
     trunc = truncate_gamma(GammaSubordinator(1.0), 0.05)
     grid = np.linspace(0.0, 8.0, 33)
-    rng = RngStream(SEED, 11)
-    series = sample_increments(trunc, grid, rng)
-    events = sample_jump_events(trunc, 8.0, rng)
-    assert series.large_jumps is not None
-    assert len(series.large_jumps) == len(events.times)
-    total = float(series.increments.sum())
+    events = sample_jump_events(trunc, 8.0, RngStream(SEED, 11))
+    sums = step_sums(grid, [events])[0]
+    assert sums.shape == (32, 1)
+    assert len(events.times) > 0
+    for k in range(32):
+        inside = (events.times >= grid[k]) & (events.times < grid[k + 1])
+        _assert_close(sums[k, 0], events.sizes[inside].sum(), 1e-12)
+    total = float((sums + events.compensator * np.diff(grid)[:, None]).sum())
     expected = float(events.sizes.sum()) + trunc.compensator * 8.0
     _assert_close(total, expected, 1e-12 * max(1.0, abs(expected)))
 
