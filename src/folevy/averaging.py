@@ -19,7 +19,7 @@ from ._parallel import map_blocks
 from .drivers import _numbers
 from .errors import ConfigError, DomainError
 from .geometry import FoliatedChart, VectorFieldSet, _fd_pi_jacobian, dpi_k
-from .marcus import (IntegratorConfig, _drift_rk4, _kahan_add,
+from .marcus import (IntegratorConfig, _drift_rk4, _kahan_add, _step_count,
                      integrate_grid_ensemble, integrate_perturbed,
                      integrate_unperturbed, resolve_grid)
 from .rng import RngStream, path_streams
@@ -183,7 +183,7 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
         raise DomainError("v0 lies outside the transversal domain")
     if not (horizon > 0 and step > 0):
         raise ConfigError("horizon and step must be positive")
-    n = max(1, int(math.ceil(horizon / step - 1e-12)))
+    n = _step_count(horizon, step)
     h = horizon / n
     y = v0.copy()
     comp = np.zeros_like(y)

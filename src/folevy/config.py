@@ -184,28 +184,26 @@ def config_from_dict(data) -> ExperimentConfig:
 
 
 # YAML 1.2's float pattern; PyYAML follows YAML 1.1, whose pattern needs a
-# dot, so without it 1e-3 would be read as a string
+# dot, so without it 1e-3 would be read as a string, and the string "1e5"
+# written unquoted, to be read back as a number
 _FLOAT = r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"
 
 
 @functools.cache
-def _loader():
-    import yaml
-
-    class Loader(yaml.SafeLoader):
-        pass
-
+def _yaml12(base):
+    """A subclass of PyYAML's SafeLoader or SafeDumper with YAML 1.2 floats."""
+    cls = type(base.__name__, (base,), {})
     # appended after the YAML 1.1 int resolver, so 3 stays an int
-    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_FLOAT),
-                                 list("-+.0123456789"))
-    return Loader
+    cls.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_FLOAT),
+                              list("-+.0123456789"))
+    return cls
 
 
 def _parse_yaml(text):
     """The one YAML reader: safe loading, with YAML 1.2 floats."""
     import yaml
     try:
-        return yaml.load(text, Loader=_loader())
+        return yaml.load(text, Loader=_yaml12(yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid yaml: {exc}") from exc
 
@@ -236,7 +234,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     import yaml
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
+    return yaml.dump(config_to_dict(cfg), Dumper=_yaml12(yaml.SafeDumper),
+                     sort_keys=True)
 
 
 def apply_overrides(data, assignments):

@@ -12,6 +12,12 @@ Three driver kinds are supported, all of finite variation:
   the mean of the discarded small jumps is restored as a constant
   compensator drift b = int_{|y|<=cutoff} y dens(y) dy.
 
+Each kind answers for itself through one method set: `step_sampler(h)`,
+`finite_law()` (rate, size draw, dimension and compensator of the event
+set; not for the Gamma driver), `cf(u, t)`, `for_events(cutoff)` (the
+finite driver a jump-decomposition path samples) and `mean_below(cutoff)`
+(closed form; the Gamma driver only).
+
 Increment semantics are uncompensated throughout: the simulated process is
 the plain sum of its jumps (plus the explicit compensator drift in
 truncated mode), so closed forms and quadrature below use the exponent
@@ -174,14 +180,11 @@ def _exp_moment_integral(density, lo, hi, kappa):
     the quadratic part controls the origin, the exponential part the tails.
     Raises QuadratureError when the tail integral diverges.
     """
-    if lo == -np.inf and _tail_grows(
-            lambda y: _exp_tail_term(density, kappa, -y)):
-        raise QuadratureError(
-            f"exponential moment tail integral of order {kappa} diverges")
-    if hi == np.inf and _tail_grows(
-            lambda y: _exp_tail_term(density, kappa, y)):
-        raise QuadratureError(
-            f"exponential moment tail integral of order {kappa} diverges")
+    for sign, end in ((-1.0, lo), (1.0, hi)):
+        if end == sign * np.inf and _tail_grows(
+                lambda y: _exp_tail_term(density, kappa, sign * y)):
+            raise QuadratureError(
+                f"exponential moment tail integral of order {kappa} diverges")
     total = 0.0
     if lo < -1.0:
         total += _quad(lambda y: _exp_tail_term(density, kappa, y), lo, -1.0)
@@ -192,6 +195,17 @@ def _exp_moment_integral(density, lo, hi, kappa):
     if hi > 1.0:
         total += _quad(lambda y: _exp_tail_term(density, kappa, y), 1.0, hi)
     return total
+
+
+def _check_exp_moment(density, lo, hi, kappa):
+    """ConfigError unless `_exp_moment_integral` converges to a finite value."""
+    try:
+        value = _exp_moment_integral(density, lo, hi, kappa)
+    except QuadratureError as exc:      # e.g. a Gamma rate of 1e-138
+        raise ConfigError(f"exponential moment integral of order {kappa} "
+                          f"does not converge") from exc
+    if not np.isfinite(value):
+        raise ConfigError("exponential moment integral is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +233,7 @@ class GammaSubordinator:
         object.__setattr__(self, "exp_moment_order", float(kappa))
         # the check is analytic above; run the quadrature too so a broken
         # closed form cannot slip through unnoticed
-        try:
-            value = _exp_moment_integral(self.levy_density, 0.0, np.inf, kappa)
-        except QuadratureError as exc:      # e.g. a rate of 1e-138
-            raise ConfigError(f"exponential moment integral of order {kappa} "
-                              f"does not converge at rate {self.rate}") from exc
-        if not np.isfinite(value):
-            raise ConfigError("exponential moment integral is not finite")
+        _check_exp_moment(self.levy_density, 0.0, np.inf, kappa)
 
     def levy_density(self, y):
         y = np.asarray(y, dtype=float)
@@ -243,9 +251,50 @@ class GammaSubordinator:
         """int_0^cutoff y dens(y) dy = (1 - exp(-rate*cutoff)) / rate."""
         return float(-math.expm1(-self.rate * cutoff) / self.rate)
 
+    def step_sampler(self, h):
+        def draw(gen, n):
+            return gen.gamma(shape=h, scale=1.0 / self.rate, size=n).reshape(n, 1)
+        return draw
+
+    def finite_law(self):
+        raise ConfigError("Gamma driver has no finite event set; "
+                          "apply truncate_gamma(spec, cutoff) first")
+
+    def cf(self, u, t):
+        return np.power(1.0 - 1j * u / self.rate, -t)
+
+    def for_events(self, cutoff):
+        return truncate_gamma(self, cutoff)
+
+
+class _FiniteActivity:
+    """The shared methods of the kinds with `finite_law()` and `_exponent(u)`."""
+
+    def step_sampler(self, h):
+        rate, size_draw, dim, comp = self.finite_law()
+
+        def draw(gen, n):
+            counts = gen.poisson(rate * h, size=n)
+            sizes = np.asarray(size_draw(gen, int(counts.sum())), dtype=float).reshape(-1, dim)
+            out = np.zeros((n, dim))
+            np.add.at(out, np.repeat(np.arange(n), counts), sizes)
+            return out + comp[None, :] * h
+        return draw
+
+    def cf(self, u, t):
+        return np.array([np.exp(t * self._exponent(uu))
+                         for uu in u.ravel().tolist()]).reshape(u.shape)
+
+    def for_events(self, cutoff):
+        return self
+
+    def mean_below(self, cutoff):
+        raise ConfigError("scheme agreement needs the Gamma driver "
+                          "(closed-form small-jump means per cutoff)")
+
 
 @dataclass(frozen=True)
-class CompoundPoisson:
+class CompoundPoisson(_FiniteActivity):
     """Finite-activity driver: jump_sampler(gen, n) -> (n, dimension) sizes."""
 
     intensity: float
@@ -263,16 +312,8 @@ class CompoundPoisson:
         if self.exp_moment_order <= 0:
             raise ConfigError("exponential moment order must be positive")
         if self.dimension == 1 and self.jump_density is not None:
-            try:
-                value = self.intensity * _exp_moment_integral(
-                    lambda y: float(self.jump_density(y)), self.support[0],
-                    self.support[1], self.exp_moment_order)
-            except QuadratureError as exc:
-                raise ConfigError(
-                    f"exponential moment integral of order "
-                    f"{self.exp_moment_order} diverges") from exc
-            if not np.isfinite(value):
-                raise ConfigError("exponential moment integral is not finite")
+            _check_exp_moment(lambda y: float(self.jump_density(y)),
+                              *self.support, self.exp_moment_order)
         else:
             # no usable density: estimate lambda*E[e^(kappa|Y|)] from the sampler
             probe = np.asarray(self.jump_sampler(np.random.Generator(np.random.Philox(0)), 4096))
@@ -281,9 +322,21 @@ class CompoundPoisson:
             if not np.isfinite(est):
                 raise ConfigError("exponential moment estimate overflowed; lower the order")
 
+    def finite_law(self):
+        return (self.intensity, self.jump_sampler, self.dimension,
+                np.zeros(self.dimension))
+
+    def _exponent(self, u):
+        if self.jump_density is None:
+            raise ConfigError("CompoundPoisson needs jump_density for closed evaluation")
+        lo, hi = self.support
+        re = _quad(lambda y: math.cos(u * y) * float(self.jump_density(y)), lo, hi)
+        im = _quad(lambda y: math.sin(u * y) * float(self.jump_density(y)), lo, hi)
+        return self.intensity * (complex(re, im) - 1.0)
+
 
 @dataclass(frozen=True)
-class TruncatedMeasure:
+class TruncatedMeasure(_FiniteActivity):
     """One-dimensional jump density restricted to |y| > cutoff.
 
     `density` is the full jump density away from the origin; `support` is the
@@ -307,15 +360,8 @@ class TruncatedMeasure:
         lo, hi = self.support
         if not lo < hi:
             raise ConfigError("support must be a nondegenerate interval")
-        try:
-            value = _exp_moment_integral(lambda y: float(self.density(y)),
-                                         lo, hi, self.exp_moment_order)
-        except QuadratureError as exc:
-            raise ConfigError(
-                f"exponential moment integral of order "
-                f"{self.exp_moment_order} diverges") from exc
-        if not np.isfinite(value):
-            raise ConfigError("exponential moment integral is not finite")
+        _check_exp_moment(lambda y: float(self.density(y)), lo, hi,
+                          self.exp_moment_order)
 
         sides = []  # (sign, inner, outer)
         if hi > self.cutoff:
@@ -385,6 +431,21 @@ class TruncatedMeasure:
             out[sel] = sign * np.interp(u[sel], cdf, ys)
         return out
 
+    def finite_law(self):
+        return (self.restricted_mass, self.sample_sizes, 1,
+                np.array([self.compensator]))
+
+    def _exponent(self, u):
+        # the jumps above the cutoff plus the compensator drift
+        val = 0.0 + 0.0j
+        for sign, ys, _ in self._tables:
+            a, b = ys[0], ys[-1]
+            dens = (lambda y, s=sign: float(self.density(s * y)))
+            re = _quad(lambda y: (math.cos(u * sign * y) - 1.0) * dens(y), a, b)
+            im = _quad(lambda y: math.sin(u * sign * y) * dens(y), a, b)
+            val += complex(re, im)
+        return val + 1j * u * self.compensator
+
 
 def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
     """Gamma measure restricted to (cutoff, inf), with closed-form mass/drift.
@@ -433,25 +494,11 @@ class JumpEvents:
     compensator: np.ndarray     # (dimension,) drift per unit time
 
 
-def _finite_law(spec):
-    """(rate, size_draw, dimension, compensator) of a finite-activity driver."""
-    if isinstance(spec, CompoundPoisson):
-        return (spec.intensity, spec.jump_sampler, spec.dimension,
-                np.zeros(spec.dimension))
-    if isinstance(spec, TruncatedMeasure):
-        return (spec.restricted_mass, spec.sample_sizes, 1,
-                np.array([spec.compensator]))
-    if isinstance(spec, GammaSubordinator):
-        raise ConfigError("Gamma driver has no finite event set; "
-                         "apply truncate_gamma(spec, cutoff) first")
-    raise TypeError(f"unknown driver spec {type(spec).__name__}")
-
-
 def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
     """Poisson jump times with iid sizes; Gamma drivers must be truncated first."""
     if not 0 <= horizon < math.inf:
         raise ConfigError(f"horizon must be nonnegative and finite, got {horizon!r}")
-    rate, size_draw, dim, comp = _finite_law(spec)
+    rate, size_draw, dim, comp = spec.finite_law()
     gen = rng.generator()
     n = int(gen.poisson(rate * horizon))
     times = np.sort(gen.uniform(0.0, horizon, size=n))
@@ -473,28 +520,11 @@ def step_sums(grid, events):
 
 
 def make_step_sampler(spec, h):
-    """Per-path sampler of exact-mode increments for a uniform step h.
-
-    Returns fn(gen, n) -> (n, dimension) consecutive increments.  Used by the
-    ensemble kernel, which draws each path's increments from its own stream.
-    """
+    """The driver's fn(gen, n) -> (n, dimension) of n consecutive exact
+    increments over steps of length h, one path's stream at a time."""
     if not 0 < h < math.inf:
         raise ConfigError(f"step must be positive and finite, got {h!r}")
-    if isinstance(spec, GammaSubordinator):
-        scale = 1.0 / spec.rate
-
-        def draw(gen, n):
-            return gen.gamma(shape=h, scale=scale, size=n).reshape(n, 1)
-        return draw
-    rate, size_draw, dim, comp = _finite_law(spec)
-
-    def draw(gen, n):
-        counts = gen.poisson(rate * h, size=n)
-        sizes = np.asarray(size_draw(gen, int(counts.sum())), dtype=float).reshape(-1, dim)
-        out = np.zeros((n, dim))
-        np.add.at(out, np.repeat(np.arange(n), counts), sizes)
-        return out + comp[None, :] * h
-    return draw
+    return spec.step_sampler(h)
 
 
 # ---------------------------------------------------------------------------
@@ -516,41 +546,13 @@ def _check_time(t):
 
 
 def characteristic_function(spec, u, t):
-    """E[exp(i * u * Z_t)] for scalar or array u.
-
-    Gamma subordinator: closed form (1 - i*u/rate)**(-t).  Other drivers:
-    exp(t * psi(u)) with psi evaluated by adaptive quadrature of the
-    uncompensated exponent (plus i*u*b for the truncated compensator).
-    """
+    """E[exp(i * u * Z_t)] for scalar or array u, from the driver's `cf`."""
     _check_time(t)
     u_arr = _numbers(u, "u")
-    if isinstance(spec, GammaSubordinator):
-        out = np.power(1.0 - 1j * u_arr / spec.rate, -t)
-        return complex(out) if np.isscalar(u) else out
-    if getattr(spec, "dimension", 1) != 1:
+    if spec.dimension != 1:
         raise NotImplementedError("characteristic function only for scalar drivers")
-
-    def psi(uu):
-        if isinstance(spec, CompoundPoisson):
-            if spec.jump_density is None:
-                raise ConfigError("CompoundPoisson needs jump_density for closed evaluation")
-            lo, hi = spec.support
-            re = _quad(lambda y: math.cos(uu * y) * float(spec.jump_density(y)), lo, hi)
-            im = _quad(lambda y: math.sin(uu * y) * float(spec.jump_density(y)), lo, hi)
-            return spec.intensity * (complex(re, im) - 1.0)
-        # truncated measure: jumps above the cutoff plus compensator drift
-        val = 0.0 + 0.0j
-        for sign, ys, _ in spec._tables:
-            a, b = ys[0], ys[-1]
-            dens = (lambda y, s=sign: float(spec.density(s * y)))
-            re = _quad(lambda y: (math.cos(uu * sign * y) - 1.0) * dens(y), a, b)
-            im = _quad(lambda y: math.sin(uu * sign * y) * dens(y), a, b)
-            val += complex(re, im)
-        return val + 1j * uu * spec.compensator
-
-    if np.isscalar(u):
-        return complex(np.exp(t * psi(float(u))))
-    return np.array([np.exp(t * psi(float(uu))) for uu in u_arr])
+    out = spec.cf(u_arr, t)
+    return complex(out) if np.isscalar(u) else out
 
 
 def marginal_samples(spec, t, n, rng: RngStream):

@@ -22,8 +22,7 @@ import numpy as np
 from ._parallel import map_blocks
 from .averaging import (AveragedField, AveragedSolution, fit_loglog, lp_moment,
                         solve_averaged_ode)
-from .drivers import (GammaSubordinator, sample_jump_events, step_sums,
-                      truncate_gamma)
+from .drivers import GammaSubordinator, sample_jump_events, step_sums
 from .errors import ConfigError
 from .geometry import FoliatedChart, VectorFieldSet, dpi_k
 from .marcus import (IntegratorConfig, integrate_grid_ensemble, resolve_grid,
@@ -427,9 +426,6 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     integrate_grid_ensemble with the per-step sums as its increments, the
     event half through step_events (one path at a time for generic flows).
     """
-    if not isinstance(driver, GammaSubordinator):
-        raise ConfigError("scheme agreement needs the Gamma driver "
-                          "(closed-form small-jump means per cutoff)")
     if cfg is None:
         cfg = IntegratorConfig()
     if not (0 < eps <= 1):
@@ -444,7 +440,9 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
             raise ConfigError("level steps must be positive")
     if n_paths < 2:
         raise ConfigError("n_paths must be at least 2")
-    base = truncate_gamma(driver, base_cutoff)
+    # closed-form small-jump means: a driver without them raises before any path
+    means = [np.array([driver.mean_below(c)]) for c, _ in levels]
+    base = driver.for_events(base_cutoff)
     comp_base = np.array([base.compensator])
     x0 = np.asarray(x0, dtype=float)
 
@@ -463,7 +461,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
             kept = [(e.times[e.sizes[:, 0] > cutoff],
                      e.sizes[e.sizes[:, 0] > cutoff]) for e in events]
             x_events = step_events(fields, x_start, grid, kept, eps, cfg,
-                                   np.array([driver.mean_below(cutoff)]))
+                                   means[il])
             # the 1-D norm of each row: a batched norm rounds differently
             gaps[il] = [np.linalg.norm(d) for d in x_events - x_grid]
         return gaps

@@ -34,8 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drivers import (GammaSubordinator, make_step_sampler, sample_jump_events,
-                      truncate_gamma)
+from .drivers import make_step_sampler, sample_jump_events
 from .errors import BlowupError, ConfigError, DomainError
 from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
@@ -45,6 +44,7 @@ SCHEMES = ("exact_leaf", "grid_increment", "jump_decomposition")
 SPLITTINGS = ("lie", "strang")
 _MAX_SUBSTEP_ANGLE = 0.1
 _CHUNK = 4096           # grid steps drawn per path at a time
+_MAX_STEPS = 10**8      # steps per path or solve: 1000x the longest calibration run
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,15 @@ class EnsembleResult:
     h: float
 
 
+def _step_count(span, step):
+    """ceil(span / step), at least 1; ConfigError above _MAX_STEPS or at inf."""
+    steps = span / step
+    if not steps <= _MAX_STEPS:
+        raise ConfigError(f"step {step:g} over {span:g} asks for {steps:.3g} "
+                          f"steps, more than the {_MAX_STEPS:.0e} allowed")
+    return max(1, int(math.ceil(steps - 1e-12)))
+
+
 def resolve_grid(cfg: IntegratorConfig, eps, horizon):
     """Number of macro steps and the step h with n * h == horizon up to
     roundoff."""
@@ -259,7 +268,7 @@ def resolve_grid(cfg: IntegratorConfig, eps, horizon):
     h0 = cfg.resolve_step(eps)
     if horizon == 0:
         return 0, h0
-    n = max(1, int(math.ceil(horizon / h0 - 1e-12)))
+    n = _step_count(horizon, h0)
     return n, horizon / n
 
 
@@ -299,6 +308,7 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
 
     drift = _make_drift(fields, eps, comp_rate)
     pair = pair_eps is not None
+    states_b = comp_b = None
     if pair:
         states_b = states.copy()
         comp_b = np.zeros_like(states)
@@ -325,6 +335,16 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     if n_steps == 0:
         return EnsembleResult(states, exit_times, 0, h)
 
+    def split_step(y, c, f, z):
+        # drift half (Strang), jump resetting the compensation it moved, drift
+        if strang and f is not None:
+            _drift_rk4(f, y, c, 0.5 * h)
+        post = exact(y, z) if exact is not None else _jump_rk4(fields, y, z[0], cfg)
+        c = np.where(post == y, c, 0.0)
+        if f is not None:
+            _drift_rk4(f, post, c, 0.5 * h if strang else h)
+        return post, c
+
     if increments is None:
         sampler = make_step_sampler(driver, h)
         gens = [s.generator() for s in streams]
@@ -342,38 +362,18 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
             z = draws[:, j, :]
             if frozen:
                 idle = ~active
-                keep = states[idle].copy()
-                keep_c = comp[idle].copy()
-                if pair:
-                    keep_b = states_b[idle].copy()
-                    keep_cb = comp_b[idle].copy()
+                keep = [a[idle].copy() for a in (states, comp, states_b, comp_b)
+                        if a is not None]
             if cumulative:
                 _kahan_add(angle, angle_comp, z[:, 0])
                 states = exact(x_init, angle[:, None])
             else:
-                if strang and drift is not None:
-                    _drift_rk4(drift, states, comp, 0.5 * h)
-                pre = states
-                states = exact(states, z) if exact is not None \
-                    else _jump_rk4(fields, states, z[0], cfg)
-                comp = np.where(states == pre, comp, 0.0)
-                if drift is not None:
-                    _drift_rk4(drift, states, comp, 0.5 * h if strang else h)
+                states, comp = split_step(states, comp, drift, z)
                 if pair:
-                    if strang and drift_b is not None:
-                        _drift_rk4(drift_b, states_b, comp_b, 0.5 * h)
-                    pre_b = states_b
-                    states_b = exact(states_b, z) if exact is not None \
-                        else _jump_rk4(fields, states_b, z[0], cfg)
-                    comp_b = np.where(states_b == pre_b, comp_b, 0.0)
-                    if drift_b is not None:
-                        _drift_rk4(drift_b, states_b, comp_b, 0.5 * h if strang else h)
+                    states_b, comp_b = split_step(states_b, comp_b, drift_b, z)
             if frozen:
-                states[idle] = keep
-                comp[idle] = keep_c
-                if pair:
-                    states_b[idle] = keep_b
-                    comp_b[idle] = keep_cb
+                for a, kept in zip((states, comp, states_b, comp_b), keep):
+                    a[idle] = kept
             if contains is not None:
                 newly = active & ~np.asarray(contains(states), dtype=bool)
                 if newly.any():
@@ -506,9 +506,7 @@ def _grid_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
 
 
 def _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
-    trunc = truncate_gamma(driver, cfg.jump_cutoff) \
-        if isinstance(driver, GammaSubordinator) else driver
-    events = sample_jump_events(trunc, horizon, rng)
+    events = sample_jump_events(driver.for_events(cfg.jump_cutoff), horizon, rng)
     n_steps, h = resolve_grid(cfg, eps, horizon)
     grid = np.arange(n_steps + 1) * h
     grid[-1] = horizon

@@ -29,9 +29,10 @@ from folevy import (ConfigError, ConstantK, GammaSubordinator,
                     make_cylinder_preset, marginal_samples, solve_averaged_ode)
 from folevy.cli import main
 from folevy.marcus import resolve_grid
-from folevy.config import (ExperimentConfig, apply_overrides, config_from_dict,
-                           config_to_dict, dump_config, integrator_from_config,
-                           load_config, loads_config, preset_from_config)
+from folevy.config import (_FLOAT, ExperimentConfig, apply_overrides,
+                           config_from_dict, config_to_dict, dump_config,
+                           integrator_from_config, load_config, loads_config,
+                           preset_from_config)
 
 SMALL = [
     "--set", "experiment.n_paths=8",
@@ -225,6 +226,9 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("charfn", "experiment.t=.nan", "experiment.t"),
         ("charfn", "experiment.t=.inf", "experiment.t"),
         ("simulate", "integrator.step_h=.inf", "integrator.step_h"),
+        ("simulate", "integrator.step_h=1e-9", "more than the 1e+08 allowed"),
+        ("simulate", "integrator.step_h=1e-320", "more than the 1e+08 allowed"),
+        ("average", "experiment.ode_step=1e-300", "more than the 1e+08 allowed"),
     ]
     for command, override, message in cases:
         assert main([command, "--out", str(out), "--set", override]) == 2
@@ -243,6 +247,7 @@ def test_library_rejections_are_config_errors_and_value_errors():
                              lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
                              [5.0, 10.0, 20.0], n_paths=50),
         lambda: resolve_grid(IntegratorConfig(), 0.1, -1),
+        lambda: resolve_grid(IntegratorConfig(step_h=1e-9), 0.1, 1.0),
         lambda: characteristic_function(preset.driver, "abc", 1.0),
         lambda: characteristic_function(preset.driver, 1.0, math.nan),
         lambda: marginal_samples(preset.driver, math.inf, 10, RngStream(1)),
@@ -302,6 +307,23 @@ def test_every_config_key_returns_or_raises_config_error(overrides):
         integrator_from_config(cfg)
     except ConfigError:
         pass
+
+
+# a string for a free-text key: any text, or one that YAML 1.2 reads as a
+# number (1e5, .5, 3) and so must be written quoted
+_TEXT = st.one_of(st.text(max_size=8), st.from_regex(_FLOAT, fullmatch=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(overrides=_overrides(wide=True),
+       text=st.tuples(st.sampled_from([("run", "out_dir"),
+                                       ("experiment", "method")]), _TEXT))
+def test_dumped_config_reads_back_equal(overrides, text):
+    try:
+        cfg = config_from_dict(_raw([*overrides, text]))
+    except ConfigError:
+        return
+    assert loads_config(dump_config(cfg)) == cfg
 
 
 @settings(max_examples=12, deadline=None)

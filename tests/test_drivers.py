@@ -93,6 +93,26 @@ def test_characteristic_function_modulus_bounded():
         characteristic_function(spec, 1.0, -0.5)
 
 
+def test_truncated_exponent_approaches_the_gamma_closed_form():
+    # dropping the jumps below c for their mean c' = mean_below(c) leaves
+    # |psi - psi_trunc| <= u^2 * int_0^c y^2 dens / 2 <= u^2 c^2 / 4 at
+    # rate 1, so the two characteristic functions differ by at most t times
+    # that, both having modulus at most one
+    c, t = 1e-3, 1.5
+    trunc = truncate_gamma(GammaSubordinator(1.0), c)
+    for u in (0.5, 1.0, 2.0):
+        _assert_close(characteristic_function(trunc, u, t),
+                      characteristic_function(GammaSubordinator(1.0), u, t),
+                      t * u ** 2 * c ** 2 / 4, f"truncated cf u={u}")
+
+
+def test_characteristic_function_needs_a_jump_density():
+    spec = CompoundPoisson(intensity=1.0, jump_sampler=_unit_exp_sampler,
+                           exp_moment_order=0.5)
+    with pytest.raises(ConfigError, match="jump_density"):
+        characteristic_function(spec, 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form measure quantities, with quadrature cross-checks
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from folevy import (AveragedSolution, ComparisonResult, ConfigError,
                     deviation_scaling, deviation_to_csv, exit_probability,
                     exit_to_csv, make_cylinder_preset, projected_perturbation,
                     scheme_agreement, transversal_comparison)
-from folevy.drivers import CompoundPoisson
+from folevy import experiments
+from folevy.drivers import CompoundPoisson, TruncatedMeasure
 from folevy.experiments import _nonincreasing_in_eps
 
 SEED = 20260816
@@ -265,14 +266,25 @@ def test_scheme_agreement_gap_shrinks_per_level():
     assert np.all(result.ratios < 0.9), f"ratios {result.ratios}"
 
 
-def test_scheme_agreement_needs_gamma_driver():
+def test_scheme_agreement_needs_gamma_driver(monkeypatch):
     preset = make_cylinder_preset()
-    other = CompoundPoisson(intensity=1.0,
-                            jump_sampler=lambda g, n: g.exponential(
-                                1.0, size=n).reshape(n, 1),
-                            exp_moment_order=0.5)
-    with pytest.raises(ConfigError):
-        scheme_agreement(preset.fields, preset.chart, other, X0, n_paths=4)
+    others = [
+        CompoundPoisson(intensity=1.0,
+                        jump_sampler=lambda g, n: g.exponential(
+                            1.0, size=n).reshape(n, 1),
+                        exp_moment_order=0.5),
+        # order 0.5: the default order 1 diverges for a rate-1 Gamma density
+        TruncatedMeasure(density=preset.driver.levy_density, cutoff=0.01,
+                         exp_moment_order=0.5),
+    ]
+
+    def no_path(*args):
+        raise AssertionError("a path ran before the driver was rejected")
+
+    monkeypatch.setattr(experiments, "sample_jump_events", no_path)
+    for other in others:
+        with pytest.raises(ConfigError):
+            scheme_agreement(preset.fields, preset.chart, other, X0, n_paths=4)
     with pytest.raises(ValueError):
         scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
                          eps=0.0, n_paths=4)

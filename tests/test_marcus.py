@@ -455,20 +455,46 @@ def test_ensemble_matches_single_path():
 def test_pair_mode_matches_standalone_run():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
-    # pinned step: the pair shares the primary grid, so both runs must
-    # resolve to the same h for a pathwise comparison
-    cfg = IntegratorConfig(step_h=5e-3)
-    captured = {}
+    # a constant vertical push exits the rows started higher up first; the
+    # last row never exits
+    pushed = make_cylinder_preset(z_max=0.3, k_choice=ConstantK(0.0, 0.0, 1.0))
+    rows = np.array([[1.0, 0.0, 0.2], [1.5, 0.0, 0.1], [2.0, 0.0, 0.0],
+                     [1.0, 0.0, -5.0]])
+    streams = [RngStream(SEED, 60 + i) for i in range(len(rows))]
+    for splitting in ("strang", "lie"):
+        # pinned step: the pair shares the primary grid, so both runs must
+        # resolve to the same h for a pathwise comparison
+        cfg = IntegratorConfig(step_h=5e-3, splitting=splitting)
+        captured = {}
 
-    def on_pair(k, t, states, states_b, active):
-        captured["pair"] = states_b.copy()
+        def on_pair(k, t, states, states_b, active):
+            captured["pair"] = states_b.copy()
 
-    integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0, 0.2, cfg,
-                            [RngStream(SEED, 13)], pair_eps=0.05,
-                            on_step_pair=on_pair)
-    alone = integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0,
-                                    0.05, cfg, [RngStream(SEED, 13)])
-    assert np.array_equal(captured["pair"], alone.final_states)
+        integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0, 0.2,
+                                cfg, [RngStream(SEED, 13)], pair_eps=0.05,
+                                on_step_pair=on_pair)
+        alone = integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0,
+                                        0.05, cfg, [RngStream(SEED, 13)])
+        assert np.array_equal(captured["pair"], alone.final_states)
+
+        # each pair row follows its standalone run bit for bit up to its
+        # primary's exit step and holds that state after it
+        pair, path = [], []
+        res = integrate_grid_ensemble(
+            pushed.fields, pushed.driver, rows, 1.0, 0.5, cfg, streams,
+            contains=pushed.chart.contains, pair_eps=0.05,
+            on_step_pair=lambda k, t, states, states_b, active:
+            pair.append(states_b.copy()))
+        integrate_grid_ensemble(
+            pushed.fields, pushed.driver, rows, 1.0, 0.05, cfg, streams,
+            on_step=lambda k, t, states, active: path.append(states.copy()))
+        exits = np.rint(res.exit_times / res.h)
+        assert len(set(exits[:3])) == 3 and np.isnan(exits[3])
+        pair, path = np.array(pair), np.array(path)
+        for i, k in enumerate(exits):
+            k = res.n_steps if np.isnan(k) else int(k)
+            assert np.array_equal(pair[:k + 1, i], path[:k + 1, i])
+            assert np.all(pair[k:, i] == pair[k, i])
 
 
 def test_ensemble_freezes_exited_paths():
