@@ -18,7 +18,7 @@ import numpy as np
 from ._parallel import map_blocks
 from .drivers import _numbers
 from .errors import ConfigError, DomainError
-from .geometry import FoliatedChart, VectorFieldSet, _fd_pi_jacobian, dpi_k
+from .geometry import FoliatedChart, VectorFieldSet, _pushforward, dpi_k
 from .marcus import (IntegratorConfig, _drift_rk4, _kahan_add, _step_count,
                      integrate_grid_ensemble, integrate_perturbed,
                      integrate_unperturbed, resolve_grid)
@@ -28,12 +28,15 @@ from .tables import write_csv
 _ZERO_FLOOR = 1e-14
 
 
-def _check_nodes(n_nodes):
-    # np.arange(8.5) gives 9 nodes, so a fractional count would not divide
-    # the sum it weighs
+def _leaf_nodes(chart, n_nodes):
+    """The chart's v -> points at n_nodes uniform leaf angles, from 0.  The
+    count must be whole: np.arange(8.5) gives 9 nodes, not 8.5."""
     if not (isinstance(n_nodes, (int, np.integer))
             and not isinstance(n_nodes, bool) and n_nodes >= 8):
         raise ConfigError(f"n_nodes must be at least 8 and an integer, got {n_nodes!r}")
+    if chart.leaf_nodes is None:
+        raise ConfigError("chart carries no leaf parametrization")
+    return chart.leaf_nodes(np.arange(n_nodes) * (2.0 * np.pi / n_nodes))
 
 
 def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> float:
@@ -42,32 +45,26 @@ def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> 
     Uniform-angle nodes; on a periodic integrand the trapezoid rule and the
     plain node mean coincide, and convergence is spectral in n_nodes.
     """
-    if chart.leaf_point is None:
-        raise ConfigError("chart carries no leaf parametrization")
-    _check_nodes(n_nodes)
-    angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
-    pts = chart.leaf_point(angles, np.asarray(v, dtype=float))
-    return float(np.mean(psi(pts)))
+    nodes = _leaf_nodes(chart, n_nodes)
+    return float(np.mean(psi(nodes(np.asarray(v, dtype=float)))))
 
 
 def _leaf_mean_dpik(chart, fields, n_nodes):
-    """v -> leaf mean of dPi(K) over n_nodes uniform angles, which are
-    built once here."""
+    """v -> leaf mean of dPi(K) over n_nodes uniform angles fixed here: one
+    node product, one perturbation call and one pushforward per call."""
     # domain checks are deliberately skipped: the averaged field must stay
     # evaluable slightly past the open transversal box so that boundary
     # crossings of the averaged flow can be bracketed
+    nodes = _leaf_nodes(chart, n_nodes)
     if fields.perturbation is None:
         return lambda v: np.zeros(chart.vertical_dim)
-    angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
-    pert = fields.perturbation
+    pert, push = fields.perturbation, _pushforward(chart)
 
     def mean(v):
-        pts = chart.leaf_point(angles, v)
-        jac = chart.pi_jacobian(pts) if chart.pi_jacobian is not None \
-            else _fd_pi_jacobian(chart, pts)
-        vals = np.einsum("...ij,...j->...i", jac, pert(pts))
-        # what vals.mean(axis=0) computes for float64, minus its overhead
-        return np.add.reduce(vals, axis=0) / n_nodes
+        pts = nodes(v)
+        # the bits of .mean(axis=0) without its overhead: the axis-0 reduce
+        # adds the (n, 2) rows in node order, unlike a pairwise 1-D sum
+        return np.add.reduce(push(pts, pert(pts)), axis=0) / n_nodes
 
     return mean
 
@@ -106,7 +103,6 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
         return AveragedField(chart, method,
                              lambda v: np.array(func(v), dtype=float))
     if method == "quadrature":
-        _check_nodes(n_nodes)
         return AveragedField(chart, method,
                              _leaf_mean_dpik(chart, fields, n_nodes))
     if method == "ergodic_mc":
@@ -114,9 +110,10 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
             raise ConfigError("ergodic_mc method needs a driver")
         if not (horizon > 0):
             raise ConfigError("ergodic_mc horizon must be positive")
+        nodes = _leaf_nodes(chart, 8)
 
         def by_time_average(v):
-            start = chart.leaf_point(np.zeros(1), v)[0]
+            start = nodes(v)[0]            # the node at angle 0
             traj = integrate_unperturbed(fields, chart, driver, start, horizon,
                                          cfg, rng)
             vals = dpi_k(chart, fields, traj.states)

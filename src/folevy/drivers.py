@@ -488,7 +488,6 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
 class JumpEvents:
     """Above-cutoff jumps on [0, horizon] plus the small-jump mean drift."""
 
-    horizon: float
     times: np.ndarray
     sizes: np.ndarray           # (n, dimension)
     compensator: np.ndarray     # (dimension,) drift per unit time
@@ -503,7 +502,7 @@ def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
     n = int(gen.poisson(rate * horizon))
     times = np.sort(gen.uniform(0.0, horizon, size=n))
     sizes = np.asarray(size_draw(gen, n), dtype=float).reshape(n, dim)
-    return JumpEvents(float(horizon), times, sizes, comp)
+    return JumpEvents(times, sizes, comp)
 
 
 def step_sums(grid, events):

@@ -23,6 +23,7 @@ from .errors import ConfigError, DomainError
 from .rng import RngStream
 
 FD_STEP = 1e-6
+_R_R_Z = np.array([0, 0, 1])   # picks (r, r, z) out of a cylinder's (r, z)
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +38,11 @@ class FoliatedChart:
     leaves the pair (cos angle, sin angle)) and v the vertical coordinate;
     `from_chart(u, v)` inverts it.  `vertical_bounds` is the open box V the
     vertical coordinate ranges over, and `sample_box` an ambient box
-    enclosing U used for Monte Carlo point sampling.  `leaf_point(angles, v)`
-    parametrizes the leaf over v (circle charts only).
+    enclosing U used for Monte Carlo point sampling.  Optional hooks:
+    `pi_push(x, w)` is the pushforward dPi_x(w), shape (..., vertical_dim)
+    (without it, a central difference of `vertical_projection`), and
+    `leaf_nodes(angles)` returns v -> the points at those angles on the
+    leaf through v (circle charts only), so angles are fixed once.
     """
 
     ambient_dim: int
@@ -49,8 +53,8 @@ class FoliatedChart:
     contains: Callable
     vertical_bounds: tuple
     sample_box: tuple
-    pi_jacobian: Optional[Callable] = None
-    leaf_point: Optional[Callable] = None
+    pi_push: Optional[Callable] = None
+    leaf_nodes: Optional[Callable] = None
 
     def vertical_contains(self, v):
         v = np.asarray(v, dtype=float)
@@ -128,10 +132,10 @@ class LinearK:
 def _rotate(x, angle):
     c = np.cos(angle)
     s = np.sin(angle)
-    out = np.empty_like(np.asarray(x, dtype=float))
-    out[..., 0] = x[..., 0] * c - x[..., 1] * s
-    out[..., 1] = x[..., 0] * s + x[..., 1] * c
-    out[..., 2] = x[..., 2]
+    out = np.array(x, dtype=float)      # z comes with the copy
+    x0, x1 = x[..., 0], x[..., 1]
+    out[..., 0] = x0 * c - x1 * s
+    out[..., 1] = x0 * s + x1 * c
     return out
 
 
@@ -186,23 +190,22 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         r = np.hypot(x[..., 0], x[..., 1])
         return (r > r_min) & (r < r_max) & (x[..., 2] > z_min) & (x[..., 2] < z_max)
 
-    def pi_jacobian(x):
-        x = np.asarray(x, dtype=float)
+    def pi_push(x, w):
+        # dPi's rows (x/r, y/r, 0) and (0, 0, 1) applied to w: the bits of
+        # contracting the Jacobian, up to the sign of an exactly zero sum
         r = np.hypot(x[..., 0], x[..., 1])
-        jac = np.zeros(x.shape[:-1] + (2, 3))
-        jac[..., 0, 0] = x[..., 0] / r
-        jac[..., 0, 1] = x[..., 1] / r
-        jac[..., 1, 2] = 1.0
-        return jac
-
-    def leaf_point(angles, v):
-        angles = np.asarray(angles, dtype=float)
-        r, z = float(v[0]), float(v[1])
-        out = np.empty(angles.shape + (3,))
-        np.multiply(r, np.cos(angles), out=out[..., 0])
-        np.multiply(r, np.sin(angles), out=out[..., 1])
-        out[..., 2] = z
+        out = np.empty(x.shape[:-1] + (2,))
+        np.add(x[..., 0] / r * w[..., 0], x[..., 1] / r * w[..., 1],
+               out=out[..., 0])
+        out[..., 1] = w[..., 2]
         return out
+
+    def leaf_nodes(angles):
+        angles = np.asarray(angles, dtype=float)
+        unit = np.stack([np.cos(angles), np.sin(angles),
+                         np.ones_like(angles)], axis=-1)
+        # (cos, sin, 1) * (r, r, z): the bits of r cos, r sin and z, as 1 z = z
+        return lambda v: unit * np.asarray(v, dtype=float)[_R_R_Z]
 
     chart = FoliatedChart(
         ambient_dim=3, vertical_dim=2,
@@ -210,7 +213,7 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         vertical_projection=vertical_projection, contains=contains,
         vertical_bounds=((r_min, r_max), (z_min, z_max)),
         sample_box=(np.array([-r_max, -r_max, z_min]), np.array([r_max, r_max, z_max])),
-        pi_jacobian=pi_jacobian, leaf_point=leaf_point,
+        pi_push=pi_push, leaf_nodes=leaf_nodes,
     )
 
     def driving(x, z):
@@ -240,30 +243,27 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
 # derivative helpers and checks
 # ---------------------------------------------------------------------------
 
-def _fd_pi_jacobian(chart, x, step=FD_STEP):
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.shape[-1]):
-        e = np.zeros_like(x)
-        e[..., i] = step
-        cols.append((chart.vertical_projection(x + e)
-                     - chart.vertical_projection(x - e)) / (2 * step))
-    return np.stack(cols, axis=-1)
+def _pushforward(chart: FoliatedChart) -> Callable:
+    """(x, w) -> dPi_x(w): the chart's pi_push, else a central difference
+    of the projection along w, which takes two projections."""
+    if chart.pi_push is not None:
+        return chart.pi_push
+    proj, h = chart.vertical_projection, FD_STEP
+    return lambda x, w: (proj(x + h * w) - proj(x - h * w)) / (2 * h)
 
 
 def dpi_k(chart: FoliatedChart, fields: VectorFieldSet, x):
     """Directional derivative of Pi along the perturbation, dPi(K)(x).
 
-    Uses the analytic Jacobian when the chart has one, otherwise central
-    finite differences with step 1e-6.  Points outside U are rejected.
+    Uses the chart's pushforward when it has one, otherwise a central
+    difference with step 1e-6.  Points outside U are rejected.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(chart.contains(x)):
         raise DomainError("dpi_k evaluated outside the chart domain")
     if fields.perturbation is None:
         return np.zeros(x.shape[:-1] + (chart.vertical_dim,))
-    jac = chart.pi_jacobian(x) if chart.pi_jacobian is not None else _fd_pi_jacobian(chart, x)
-    return np.einsum("...ij,...j->...i", jac, fields.perturbation(x))
+    return _pushforward(chart)(x, fields.perturbation(x))
 
 
 @dataclass(frozen=True)
@@ -290,11 +290,11 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
     n_skipped = int(sample_count - len(pts))
     if len(pts) == 0:
         return TangencyReport(0.0, 0, n_skipped)
-    jac = chart.pi_jacobian(pts) if chart.pi_jacobian is not None else _fd_pi_jacobian(chart, pts)
+    push = _pushforward(chart)
     worst = 0.0
     for j in range(fields.driver_dim):
         e = np.zeros((len(pts), fields.driver_dim))
         e[:, j] = 1.0
         col = fields.driving(pts, e)
-        worst = max(worst, float(np.abs(np.einsum("nij,nj->ni", jac, col)).max()))
+        worst = max(worst, float(np.abs(push(pts, col)).max()))
     return TangencyReport(worst, int(len(pts)), n_skipped)

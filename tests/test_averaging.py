@@ -9,6 +9,7 @@ making its defect vanish identically.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -102,14 +103,19 @@ _QUAD_PRESETS = (make_cylinder_preset(),
        n_nodes=st.integers(8, 130), which=st.sampled_from([0, 1]))
 def test_quadrature_field_is_bit_identical_to_einsum_mean(r, z, n_nodes,
                                                           which):
-    # the quadrature backend must round exactly like the plain node mean,
-    # also just outside the box where the averaged ODE brackets its exit
+    # the quadrature backend must round exactly like the plain node mean of
+    # the Jacobian contraction, also just outside the box where the
+    # averaged ODE brackets its exit
     preset = _QUAD_PRESETS[which]
     chart, pert = preset.chart, preset.fields.perturbation
     angles = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
-    pts = chart.leaf_point(angles, np.array([r, z]))
-    want = np.einsum("...ij,...j->...i", chart.pi_jacobian(pts),
-                     pert(pts)).mean(axis=0)
+    pts = np.stack([r * np.cos(angles), r * np.sin(angles),
+                    np.full_like(angles, z)], axis=-1)
+    assert chart.leaf_nodes(angles)(np.array([r, z])).tobytes() == pts.tobytes()
+    rad = np.hypot(pts[:, 0], pts[:, 1])
+    jac = np.zeros((n_nodes, 2, 3))
+    jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 2] = pts[:, 0] / rad, pts[:, 1] / rad, 1.0
+    want = np.einsum("...ij,...j->...i", jac, pert(pts)).mean(axis=0)
     got = averaged_field(chart, preset.fields, n_nodes=n_nodes).evaluate(
         np.array([r, z]))
     assert got.tobytes() == want.tobytes()
@@ -141,6 +147,35 @@ def test_averaged_field_validation():
         averaged_field(preset.chart, preset.fields, method="ergodic_mc")
     with pytest.raises(ValueError):
         averaged_field(preset.chart, preset.fields, method="sobolev")
+
+
+def test_chart_without_leaf_nodes_fails_when_the_field_is_built():
+    # the quadrature nodes and the ergodic start point need leaf_nodes; a
+    # chart without them is refused before any evaluation or ODE step
+    preset = make_cylinder_preset()
+    bare = dataclasses.replace(preset.chart, leaf_nodes=None)
+    no_k = dataclasses.replace(preset.fields, perturbation=None)
+    for fields in (preset.fields, no_k):
+        with pytest.raises(ConfigError, match="no leaf parametrization"):
+            averaged_field(bare, fields)
+    with pytest.raises(ConfigError, match="no leaf parametrization"):
+        averaged_field(bare, preset.fields, method="ergodic_mc",
+                       driver=preset.driver)
+    with pytest.raises(ConfigError, match="no leaf parametrization"):
+        leaf_average_quadrature(bare, _radial_psi, np.array([1.0, 0.0]))
+    closed = averaged_field(bare, preset.fields, method="analytic",
+                            func=_half_radius)
+    assert closed.evaluate(np.array([1.0, 0.0])) == 0.5
+
+
+def test_quadrature_field_without_pushforward_uses_central_differences():
+    preset = make_cylinder_preset()
+    fd_chart = dataclasses.replace(preset.chart, pi_push=None)
+    avg = averaged_field(fd_chart, preset.fields)
+    for r in (0.5, 1.0, 2.0):
+        q = avg.evaluate(np.array([r, 0.3]))
+        assert abs(q[0] - r / 2.0) <= 1e-8
+        assert abs(q[1]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _constant_vertical_setup(k3=1.0, **preset_kwargs):
 def test_projected_perturbation_observable():
     preset = make_cylinder_preset()
     psi = projected_perturbation(preset.chart, preset.fields, 0)
-    x = preset.chart.leaf_point(np.array([0.4]), np.array([1.5, 0.0]))[0]
+    x = preset.chart.leaf_nodes(np.array([0.4]))(np.array([1.5, 0.0]))[0]
     assert abs(psi(x) - 1.5 * math.cos(0.4) ** 2) <= 1e-12
     batch = psi(np.stack([x, X0]))
     assert batch.shape == (2,)

@@ -1,9 +1,10 @@
 """Chart, projection, and tangency tests on the cylinder preset.
 
-The analytic projection Jacobian is checked against central finite
-differences, and dpi_k against hand-derived closed forms for the linear and
-constant vertical fields.  Leaf invariance of the rotation flow is exercised
-through the exact jump map.
+The chart's pushforward pi_push is checked against central finite
+differences and, bit for bit, against the contraction of the closed-form
+projection Jacobian; dpi_k against hand-derived closed forms for the linear
+and constant vertical fields.  Leaf invariance of the rotation flow is
+exercised through the exact jump map.
 """
 
 from __future__ import annotations
@@ -17,13 +18,33 @@ import pytest
 from folevy import (ConstantK, DomainError, LinearK, RngStream,
                     VectorFieldSet, dpi_k, make_cylinder_preset,
                     tangency_check)
-from folevy.geometry import _fd_pi_jacobian, _rotate
+from folevy.geometry import _pushforward, _rotate
 
 SEED = 20260816
 
 
 def _chart(**kwargs):
     return make_cylinder_preset(**kwargs).chart
+
+
+def _jacobian(x):
+    # dPi of the cylinder, rows (x/r, y/r, 0) and (0, 0, 1)
+    r = np.hypot(x[..., 0], x[..., 1])
+    jac = np.zeros(x.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = x[..., 0] / r
+    jac[..., 0, 1] = x[..., 1] / r
+    jac[..., 1, 2] = 1.0
+    return jac
+
+
+def _contract(x, w):
+    """The Jacobian contraction pi_push replaces: the reference it must
+    equal bit for bit."""
+    return np.einsum("...ij,...j->...i", _jacobian(x), w)
+
+
+def _fd_push(chart):
+    return _pushforward(dataclasses.replace(chart, pi_push=None))
 
 
 def _points_inside(preset, n, seed=SEED):
@@ -77,7 +98,7 @@ def test_vertical_bounds_and_distance():
 
 def test_leaf_point_places_on_circle():
     chart = _chart()
-    x = chart.leaf_point(np.array([np.pi / 3]), np.array([2.0, -0.4]))[0]
+    x = chart.leaf_nodes(np.array([np.pi / 3]))(np.array([2.0, -0.4]))[0]
     assert abs(x[0] - 2.0 * math.cos(np.pi / 3)) <= 1e-12
     assert abs(x[1] - 2.0 * math.sin(np.pi / 3)) <= 1e-12
     assert abs(x[2] + 0.4) <= 1e-12
@@ -91,7 +112,7 @@ def test_leaf_point_is_bit_identical_to_stacked_form():
         a = np.asarray(angles, dtype=float)
         want = np.stack([1.7 * np.cos(a), 1.7 * np.sin(a),
                          np.full_like(a, -2.3)], axis=-1)
-        got = chart.leaf_point(angles, v)
+        got = chart.leaf_nodes(angles)(v)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -109,25 +130,43 @@ def test_linear_k_is_bit_identical_to_zeros_like_form():
 
 
 # ---------------------------------------------------------------------------
-# projection Jacobian
+# projection Jacobian, applied through pi_push
 # ---------------------------------------------------------------------------
 
 def test_pi_jacobian_matches_finite_differences():
     preset = make_cylinder_preset()
+    chart, fd = preset.chart, _fd_push(preset.chart)
+    gen = np.random.default_rng(SEED)
     for x in _points_inside(preset, 40, seed=SEED + 1):
-        analytic = preset.chart.pi_jacobian(x)
-        numeric = _fd_pi_jacobian(preset.chart, x)
+        # the Jacobian's columns are the pushforwards of the unit vectors
+        analytic = np.stack([chart.pi_push(x, e) for e in np.eye(3)], axis=-1)
+        numeric = np.stack([fd(x, e) for e in np.eye(3)], axis=-1)
         assert analytic.shape == (2, 3)
         assert np.max(np.abs(analytic - numeric)) <= 1e-6
+        w = gen.normal(size=3)
+        assert np.max(np.abs(chart.pi_push(x, w) - fd(x, w))) <= 1e-6
 
 
 def test_pi_jacobian_closed_form_row():
     chart = _chart()
     x = np.array([2.0 * math.cos(0.3), 2.0 * math.sin(0.3), 1.0])
-    jac = chart.pi_jacobian(x)
+    jac = np.stack([chart.pi_push(x, e) for e in np.eye(3)], axis=-1)
     expected = np.array([[math.cos(0.3), math.sin(0.3), 0.0],
                          [0.0, 0.0, 1.0]])
     assert np.max(np.abs(jac - expected)) <= 1e-12
+
+
+def test_pi_push_is_bit_identical_to_jacobian_contraction():
+    preset = make_cylinder_preset()
+    gen = np.random.default_rng(SEED + 6)
+    x = _points_inside(preset, 2000, seed=SEED + 7)
+    for w in (gen.normal(size=x.shape), LinearK()(x),
+              ConstantK(0.3, -0.7, 1.1)(x)):
+        got = preset.chart.pi_push(x, w)
+        assert got.shape == (len(x), 2)
+        assert got.tobytes() == _contract(x, w).tobytes()
+    one = preset.chart.pi_push(x[0], w[0])
+    assert one.tobytes() == _contract(x[0], w[0]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +177,7 @@ def test_dpi_k_linear_closed_form():
     # K(x) = (x, 0, 0): radial component r cos^2(phi), no vertical part
     preset = make_cylinder_preset()
     for r, phi in [(0.5, 0.0), (1.0, 0.9), (2.0, 2.5), (3.0, -1.2)]:
-        x = preset.chart.leaf_point(np.array([phi]), np.array([r, 0.0]))[0]
+        x = preset.chart.leaf_nodes(np.array([phi]))(np.array([r, 0.0]))[0]
         val = dpi_k(preset.chart, preset.fields, x)
         expected = np.array([r * math.cos(phi) ** 2, 0.0])
         assert np.max(np.abs(val - expected)) <= 1e-10
@@ -146,30 +185,58 @@ def test_dpi_k_linear_closed_form():
 
 def test_dpi_k_constant_closed_forms():
     vertical = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 2.0))
-    x = vertical.chart.leaf_point(np.array([1.1]), np.array([1.5, 0.3]))[0]
+    x = vertical.chart.leaf_nodes(np.array([1.1]))(np.array([1.5, 0.3]))[0]
     val = dpi_k(vertical.chart, vertical.fields, x)
     assert np.max(np.abs(val - np.array([0.0, 2.0]))) <= 1e-12
 
     planar = make_cylinder_preset(k_choice=ConstantK(1.0, 0.0, 0.0))
-    x0 = planar.chart.leaf_point(np.array([0.0]), np.array([1.5, 0.0]))[0]
+    x0 = planar.chart.leaf_nodes(np.array([0.0]))(np.array([1.5, 0.0]))[0]
     val0 = dpi_k(planar.chart, planar.fields, x0)
     # at angle 0 the unit horizontal (1, 0, 0) is exactly radial
     assert np.max(np.abs(val0 - np.array([1.0, 0.0]))) <= 1e-12
 
 
+def test_dpi_k_is_bit_identical_to_jacobian_contraction():
+    # ConstantK(0, 0, 2) has a radial part of exactly zero: the
+    # contraction's sum starts at +0.0, while pi_push keeps the sign of
+    # (x/r)*0 + (y/r)*0, so there the values match but not their bytes
+    for k, zero_radial in ((LinearK(), False), (ConstantK(0.3, -0.7, 1.1), False),
+                           (ConstantK(0.0, 0.0, 2.0), True)):
+        preset = make_cylinder_preset(k_choice=k)
+        x = _points_inside(preset, 2000, seed=SEED + 8)
+        got = dpi_k(preset.chart, preset.fields, x)
+        want = _contract(x, k(x))
+        if zero_radial:
+            assert np.array_equal(got, want)
+            assert got[:, 1].tobytes() == want[:, 1].tobytes()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
 def test_dpi_k_finite_difference_backend():
     preset = make_cylinder_preset()
-    fd_chart = dataclasses.replace(preset.chart, pi_jacobian=None)
-    x = preset.chart.leaf_point(np.array([0.7]), np.array([1.2, 0.1]))[0]
+    fd_chart = dataclasses.replace(preset.chart, pi_push=None)
+    x = preset.chart.leaf_nodes(np.array([0.7]))(np.array([1.2, 0.1]))[0]
     a = dpi_k(preset.chart, preset.fields, x)
     b = dpi_k(fd_chart, preset.fields, x)
     assert np.max(np.abs(a - b)) <= 1e-6
+    xs = _points_inside(preset, 50, seed=SEED + 9)
+    assert np.max(np.abs(dpi_k(preset.chart, preset.fields, xs)
+                         - dpi_k(fd_chart, preset.fields, xs))) <= 1e-6
 
 
 def test_dpi_k_outside_domain_raises():
     preset = make_cylinder_preset(r_min=0.5, r_max=2.0)
     with pytest.raises(DomainError):
         dpi_k(preset.chart, preset.fields, np.array([3.0, 0.0, 0.0]))
+    # one point outside a batch, with either pushforward or no perturbation
+    batch = np.array([[1.0, 0.0, 0.0], [0.0, 1.5, 0.2], [0.1, 0.0, 0.0]])
+    for chart in (preset.chart, dataclasses.replace(preset.chart, pi_push=None)):
+        for fields in (preset.fields,
+                       dataclasses.replace(preset.fields, perturbation=None)):
+            with pytest.raises(DomainError):
+                dpi_k(chart, fields, batch)
+            assert dpi_k(chart, fields, batch[:2]).shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +267,25 @@ def test_rotation_preserves_radius_and_height():
     assert np.max(np.abs(r_out - r_in)) <= 1e-12
     # height is copied through untouched, not recomputed
     assert np.array_equal(out[:, 2], x[:, 2])
+
+
+def test_rotate_is_bit_identical_to_textbook_form():
+    gen = np.random.default_rng(SEED + 10)
+    wide = gen.normal(size=(7, 5))
+    cases = [(gen.normal(size=3), 0.7), (gen.normal(size=3), np.array(-2.1)),
+             (gen.normal(size=(1, 3)), gen.normal(size=1)),
+             (gen.normal(size=(64, 3)), gen.gamma(0.005, size=64)),
+             (gen.normal(size=(64, 3)), 1.3),
+             (gen.normal(size=(2, 4, 3)), gen.normal(size=(2, 4)) * 5.0),
+             (wide[:, 1:4], gen.normal(size=7))]
+    for x, a in cases:
+        c, s = np.cos(a), np.sin(a)
+        want = np.stack([x[..., 0] * c - x[..., 1] * s,
+                         x[..., 0] * s + x[..., 1] * c,
+                         x[..., 2]], axis=-1)
+        got = _rotate(x, a)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rotation_group_laws():

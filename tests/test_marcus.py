@@ -15,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folevy import (BlowupError, CompoundPoisson, ConstantK, DomainError,
                     IntegratorConfig, RngStream, VectorFieldSet,
@@ -112,6 +114,31 @@ def test_jump_flow_preserves_invariants():
         # default substeps advertise 1e-6 accuracy; radius drift sits below
         approx = jump_flow(generic, x, z)
         assert abs(_radius(approx) - _radius(x)) <= 5e-7
+
+
+_JUMP_PRESET = make_cylinder_preset()
+_GENERIC = _JUMP_PRESET.fields.without_exact_flow()
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(0.3, 3.0), phi=st.floats(-math.pi, math.pi),
+       z=st.floats(-2.0, 2.0),
+       jumps=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+def test_jump_sequences_hold_the_leaf(r, phi, z, jumps):
+    # along a sequence of jumps the closed-form flow holds the radius to
+    # 1e-12 and the height exactly, the generic RK4 solve holds the radius
+    # to 1e-6, and the two flows agree jump by jump and at the end
+    start = np.array([r * math.cos(phi), r * math.sin(phi), z])
+    exact, generic = start, start
+    for a in jumps:
+        step = jump_flow(_GENERIC, exact, a)
+        exact = jump_flow(_JUMP_PRESET.fields, exact, a)
+        generic = jump_flow(_GENERIC, generic, a)
+        assert np.max(np.abs(step - exact)) <= 1e-6
+        assert abs(_radius(exact) - _radius(start)) <= 1e-12
+        assert exact[2] == z
+        assert abs(_radius(generic) - _radius(start)) <= 1e-6
+    assert np.max(np.abs(generic - exact)) <= 1e-6 * len(jumps)
 
 
 def test_jump_flow_blowup_reports_ode_time():
