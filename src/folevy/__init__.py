@@ -18,8 +18,8 @@ from .averaging import (AveragedField, AveragedSolution, RateEstimate,
                         leaf_average_quadrature, lp_moment, rate_to_csv,
                         solve_averaged_ode)
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
-                     config_to_dict, dump_config, integrator_from_config,
-                     load_config, loads_config, preset_from_config)
+                     config_to_dict, dump_config, load_config, loads_config,
+                     preset_from_config)
 from .drivers import (CompoundPoisson, GammaSubordinator, JumpEvents,
                       TruncatedMeasure, characteristic_function,
                       circle_law_distance, marginal_samples,
@@ -43,23 +43,21 @@ from .rng import RngStream, path_streams
 __all__ = [
     "AveragedField", "AveragedSolution", "BlowupError", "CompoundPoisson",
     "ComparisonResult", "ConfigError", "ConstantK", "CylinderPreset",
-    "DeviationResult", "DomainError", "EnsembleResult", "ExitProbabilityResult",
-    "ExperimentConfig", "FoliatedChart", "FolevyError", "GammaSubordinator",
-    "IntegratorConfig", "JumpEvents", "LinearK", "OBSERVABLES",
-    "QuadratureError", "RateEstimate", "RngStream", "SchemeAgreementResult",
-    "TangencyReport", "Trajectory", "TruncatedMeasure", "VectorFieldSet",
-    "apply_overrides",
-    "averaged_field", "characteristic_function",
-    "circle_law_distance", "comparison_to_csv", "config_from_dict",
-    "config_to_dict", "delta_defect", "delta_defect_lp", "deviation_scaling",
-    "deviation_to_csv", "dpi_k", "dump_config", "ergodic_average",
-    "estimate_eta", "exit_probability", "exit_to_csv", "fit_loglog",
-    "integrate_grid_ensemble", "integrate_perturbed", "integrate_unperturbed",
-    "integrator_from_config", "jump_flow", "leaf_average_quadrature",
+    "DeviationResult", "DomainError", "EnsembleResult",
+    "ExitProbabilityResult", "ExperimentConfig", "FoliatedChart",
+    "FolevyError", "GammaSubordinator", "IntegratorConfig", "JumpEvents",
+    "LinearK", "OBSERVABLES", "QuadratureError", "RateEstimate", "RngStream",
+    "SchemeAgreementResult", "TangencyReport", "Trajectory",
+    "TruncatedMeasure", "VectorFieldSet", "apply_overrides", "averaged_field",
+    "characteristic_function", "circle_law_distance", "comparison_to_csv",
+    "config_from_dict", "config_to_dict", "delta_defect", "delta_defect_lp",
+    "deviation_scaling", "deviation_to_csv", "dpi_k", "dump_config",
+    "ergodic_average", "estimate_eta", "exit_probability", "exit_to_csv",
+    "fit_loglog", "integrate_grid_ensemble", "integrate_perturbed",
+    "integrate_unperturbed", "jump_flow", "leaf_average_quadrature",
     "load_config", "loads_config", "lp_moment", "make_cylinder_preset",
     "marginal_samples", "path_streams", "preset_from_config",
     "projected_perturbation", "rate_to_csv", "sample_jump_events",
-    "scheme_agreement", "solve_averaged_ode",
-    "tangency_check", "trajectory_to_csv", "transversal_comparison",
-    "truncate_gamma",
+    "scheme_agreement", "solve_averaged_ode", "tangency_check",
+    "trajectory_to_csv", "transversal_comparison", "truncate_gamma",
 ]

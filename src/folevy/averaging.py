@@ -261,6 +261,9 @@ class RateEstimate:
     n_paths: int
     identically_zero: bool = False
 
+    def summary(self):
+        return dict(vars(self))
+
 
 def rate_to_csv(est: RateEstimate, path):
     rows = [(t, e, est.p, est.exponent, est.constant)

@@ -1,12 +1,16 @@
 """Command line front end.
 
 Every subcommand reads an optional YAML config, applies `--set` overrides
-and computes its result.  Only then does it make a fresh time-stamped
-directory under the output root (--out, then run.out_dir, then
-$FOLEVY_OUT_DIR, then ./runs) and write its artifacts there, next to a
-copy of the effective configuration, so a run can be reproduced from its
-directory alone.  Any FolevyError raised on the way, a rejected input
-included, exits with code 2 and leaves no directory behind.
+and computes its result; a `cmd_*` function only computes, and returns
+the files to write, the summary, the report lines and the exit code.
+Only then does `_run` make a fresh time-stamped directory under the
+output root (--out, then run.out_dir, then $FOLEVY_OUT_DIR, then ./runs)
+and write into it, in this order: `effective_config.yaml`, from which
+the run can be reproduced, then the command's files (its CSVs, or
+`check.json` for `check`), then `summary.json` (all but `check`).  It
+prints the report lines and one `wrote <path>` line per CSV.  Any
+FolevyError raised on the way, a rejected input included, exits with
+code 2 and leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .averaging import (averaged_field, estimate_eta, rate_to_csv,
                         solve_averaged_ode)
-from .config import (ExperimentConfig, dump_config, integrator_from_config,
-                     load_config, preset_from_config)
+from .config import (ExperimentConfig, config_from_dict, config_to_dict,
+                     dump_config, load_config, preset_from_config)
 from .drivers import characteristic_function, marginal_samples, truncate_gamma
 from .errors import FolevyError
 from .experiments import (comparison_to_csv, deviation_scaling,
@@ -48,40 +52,44 @@ def _add_common(parser):
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config, args.overrides)
-    run = cfg.run
-    if args.seed is not None:
-        run = replace(run, master_seed=args.seed)
-    if args.threads is not None:
-        run = replace(run, threads=args.threads)
-    if args.out is not None:
-        run = replace(run, out_dir=args.out)
-    return replace(cfg, run=run)
+    raw = config_to_dict(load_config(args.config, args.overrides))
+    # the flags are checked again with the run section, like its keys
+    for key, flag in (("master_seed", args.seed), ("threads", args.threads),
+                      ("out_dir", args.out)):
+        if flag is not None:
+            raw["run"][key] = flag
+    return config_from_dict(raw)
 
 
-def _setup(args):
+def _run(args) -> int:
+    """Compute the subcommand's result, then make its run directory and
+    write effective_config.yaml, the command's files and summary.json."""
     cfg = _resolve_config(args)
-    return cfg, preset_from_config(cfg), integrator_from_config(cfg)
-
-
-def _make_run_dir(cfg: ExperimentConfig, command: str) -> str:
-    """Make the run directory and write effective_config.yaml into it;
-    called once the command's computation has returned."""
+    files, summary, lines, code = args.compute(cfg, preset_from_config(cfg),
+                                               cfg.integrator)
     root = cfg.run.out_dir or os.environ.get("FOLEVY_OUT_DIR") or "runs"
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    base = os.path.join(root, f"{command}-{stamp}")
-    path, k = base, 1
+    base = os.path.join(root, f"{args.command}-{stamp}")
+    out, k = base, 1
     while True:
         try:
-            os.makedirs(path)
+            os.makedirs(out)
             break
         except FileExistsError:
             k += 1
-            path = f"{base}-{k}"
-    with open(os.path.join(path, "effective_config.yaml"), "w",
+            out = f"{base}-{k}"
+    with open(os.path.join(out, "effective_config.yaml"), "w",
               encoding="utf-8") as fh:
         fh.write(dump_config(cfg))
-    return path
+    written = [write(os.path.join(out, name)) for name, write in files.items()]
+    if summary is not None:
+        write_json(os.path.join(out, "summary.json"), summary)
+    for line in lines:
+        print(line)
+    for path in written:
+        if path.suffix == ".csv":
+            print(f"wrote {path}")
+    return code
 
 
 def _averaged(cfg, preset, icfg):
@@ -96,8 +104,7 @@ def _averaged(cfg, preset, icfg):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_simulate(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     rng = RngStream(run.master_seed, run.stream_base)
     x0 = np.asarray(exp.x0, dtype=float)
@@ -107,9 +114,7 @@ def cmd_simulate(args):
     else:
         traj = integrate_perturbed(preset.fields, preset.chart, preset.driver,
                                    x0, exp.horizon, exp.epsilon, icfg, rng)
-    out = _make_run_dir(cfg, "simulate")
-    csv_path = trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-    write_json(os.path.join(out, "summary.json"), {
+    summary = {
         "epsilon": exp.epsilon,
         "horizon": exp.horizon,
         "scheme": icfg.scheme,
@@ -117,15 +122,14 @@ def cmd_simulate(args):
         "exited": traj.exited,
         "exit_time": traj.exit_time,
         "final_state": traj.states[-1],
-    })
+    }
     tail = f", exited at t={traj.exit_time:g}" if traj.exited else ""
-    print(f"simulated one path over {len(traj.times) - 1} recorded steps{tail}")
-    print(f"wrote {csv_path}")
-    return 0
+    return ({"trajectory.csv": partial(trajectory_to_csv, traj)}, summary,
+            [f"simulated one path over {len(traj.times) - 1} recorded steps"
+             f"{tail}"], 0)
 
 
-def cmd_average(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_average(cfg, preset, icfg):
     exp = cfg.experiment
     chart = preset.chart
     avg = _averaged(cfg, preset, icfg)
@@ -140,31 +144,28 @@ def cmd_average(args):
     x0 = np.asarray(exp.x0, dtype=float)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), exp.horizon,
                              exp.ode_step)
-    t_gamma = sol.time_to_margin(exp.gamma)
-    out = _make_run_dir(cfg, "average")
-    field_csv = write_csv(os.path.join(out, "averaged_field.csv"),
-                          ["r", "z", "q_r", "q_z"], rows)
-    path_csv = write_csv(os.path.join(out, "averaged_path.csv"),
-                         ["s", "w_r", "w_z"],
-                         zip(sol.times, sol.values[:, 0], sol.values[:, 1]))
-    write_json(os.path.join(out, "summary.json"), {
+    files = {
+        "averaged_field.csv": lambda path: write_csv(
+            path, ["r", "z", "q_r", "q_z"], rows),
+        "averaged_path.csv": lambda path: write_csv(
+            path, ["s", "w_r", "w_z"],
+            zip(sol.times, sol.values[:, 0], sol.values[:, 1])),
+    }
+    summary = {
         "method": exp.method,
         "boundary_time": sol.boundary_time,
         "gamma": exp.gamma,
-        "t_gamma": t_gamma,
+        "t_gamma": sol.time_to_margin(exp.gamma),
         "final_value": sol.values[-1],
         "solved_until": sol.times[-1],
-    })
+    }
     note = "stays inside" if sol.boundary_time is None \
         else f"reaches the boundary at s={sol.boundary_time:.6g}"
-    print(f"averaged path solved to s={sol.times[-1]:g} ({note})")
-    print(f"wrote {field_csv}")
-    print(f"wrote {path_csv}")
-    return 0
+    return files, summary, [f"averaged path solved to s={sol.times[-1]:g} "
+                            f"({note})"], 0
 
 
-def cmd_eta(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_eta(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     comp = ("radial", "vertical").index(exp.observable)
     psi = projected_perturbation(preset.chart, preset.fields, comp)
@@ -172,29 +173,16 @@ def cmd_eta(args):
                        np.asarray(exp.x0, dtype=float), exp.horizons, exp.p,
                        exp.n_paths, run.master_seed, run.stream_base, icfg,
                        run.threads)
-    out = _make_run_dir(cfg, "eta")
-    csv_path = rate_to_csv(est, os.path.join(out, "eta.csv"))
-    write_json(os.path.join(out, "summary.json"), {
-        "observable": exp.observable,
-        "horizons": est.horizons,
-        "lp_errors": est.lp_errors,
-        "exponent": est.exponent,
-        "constant": est.constant,
-        "identically_zero": est.identically_zero,
-        "p": est.p,
-        "n_paths": est.n_paths,
-    })
     if est.identically_zero:
-        print("time averages match the leaf average exactly; decay exponent 0")
+        line = "time averages match the leaf average exactly; decay exponent 0"
     else:
-        print(f"fitted decay exponent {est.exponent:.4f} "
-              f"(prefactor {est.constant:.4g})")
-    print(f"wrote {csv_path}")
-    return 0
+        line = (f"fitted decay exponent {est.exponent:.4f} "
+                f"(prefactor {est.constant:.4g})")
+    return ({"eta.csv": partial(rate_to_csv, est)},
+            {"observable": exp.observable, **est.summary()}, [line], 0)
 
 
-def cmd_compare(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_compare(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                  _averaged(cfg, preset, icfg),
@@ -202,18 +190,14 @@ def cmd_compare(args):
                                  exp.epsilons, exp.horizon, exp.p, exp.n_paths,
                                  None, run.master_seed, run.stream_base, icfg,
                                  run.threads, exp.ode_step)
-    out = _make_run_dir(cfg, "compare")
-    csv_path = comparison_to_csv(res, os.path.join(out, "comparison.csv"))
-    write_json(os.path.join(out, "summary.json"), res.summary())
-    for i, eps in enumerate(res.epsilons):
-        print(f"eps={eps:g}: sup L{res.p:g} distance "
-              f"{res.sup_norm[i, -1]:.6g} (se {res.sup_norm_se[i, -1]:.2g})")
-    print(f"wrote {csv_path}")
-    return 0
+    lines = [f"eps={eps:g}: sup L{res.p:g} distance {res.sup_norm[i, -1]:.6g} "
+             f"(se {res.sup_norm_se[i, -1]:.2g})"
+             for i, eps in enumerate(res.epsilons)]
+    return ({"comparison.csv": partial(comparison_to_csv, res)}, res.summary(),
+            lines, 0)
 
 
-def cmd_exit_prob(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_exit_prob(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = exit_probability(preset.fields, preset.chart, preset.driver,
                            _averaged(cfg, preset, icfg),
@@ -221,37 +205,29 @@ def cmd_exit_prob(args):
                            exp.gamma, exp.n_paths, run.master_seed,
                            run.stream_base, icfg, run.threads, exp.ode_step,
                            exp.search_horizon)
-    out = _make_run_dir(cfg, "exit-prob")
-    csv_path = exit_to_csv(res, os.path.join(out, "exit_prob.csv"))
-    write_json(os.path.join(out, "summary.json"), res.summary())
-    print(f"averaged path comes within gamma={res.gamma:g} of the boundary "
-          f"at s={res.t_gamma:.6g}")
-    for eps, pr, se in zip(res.epsilons, res.probabilities, res.std_errors):
-        print(f"eps={eps:g}: exit probability {pr:.4f} (se {se:.4f})")
-    print(f"wrote {csv_path}")
-    return 0
+    lines = [f"averaged path comes within gamma={res.gamma:g} of the boundary "
+             f"at s={res.t_gamma:.6g}"]
+    lines += [f"eps={eps:g}: exit probability {pr:.4f} (se {se:.4f})"
+              for eps, pr, se in zip(res.epsilons, res.probabilities,
+                                     res.std_errors)]
+    return ({"exit_prob.csv": partial(exit_to_csv, res)}, res.summary(),
+            lines, 0)
 
 
-def cmd_deviation(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_deviation(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = deviation_scaling(preset.fields, preset.chart, preset.driver,
                             np.asarray(exp.x0, dtype=float), exp.epsilons,
                             exp.horizon, exp.observable, exp.p, exp.n_paths,
                             run.master_seed, run.stream_base, icfg, run.threads)
-    out = _make_run_dir(cfg, "deviation")
-    csv_path = deviation_to_csv(res, os.path.join(out, "deviation.csv"))
-    write_json(os.path.join(out, "summary.json"), res.summary())
-    if res.identically_zero:
-        print("deviations vanish identically for this observable")
-    else:
-        print(f"fitted scaling exponent {res.exponent:.4f} across eps")
-    print(f"wrote {csv_path}")
-    return 0
+    line = ("deviations vanish identically for this observable"
+            if res.identically_zero
+            else f"fitted scaling exponent {res.exponent:.4f} across eps")
+    return ({"deviation.csv": partial(deviation_to_csv, res)}, res.summary(),
+            [line], 0)
 
 
-def cmd_charfn(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_charfn(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     driver = preset.driver
     u = [float(v) for v in exp.u_values]
@@ -264,26 +240,22 @@ def cmd_charfn(args):
     rows = [(uu, a.real, a.imag, b.real, b.imag, g)
             for uu, a, b, g in zip(u, exact, emp, gaps)]
     bound = 3.0 / math.sqrt(exp.n_samples)
-    out = _make_run_dir(cfg, "charfn")
-    csv_path = write_csv(os.path.join(out, "charfn.csv"),
-                         ["u", "re_exact", "im_exact", "re_mc", "im_mc",
-                          "abs_gap"], rows)
-    write_json(os.path.join(out, "summary.json"), {
+    summary = {
         "t": exp.t,
         "n_samples": exp.n_samples,
         "u_values": u,
         "max_abs_gap": max(gaps),
         "mc_bound": bound,
         "within_mc_bound": bool(max(gaps) <= bound),
-    })
-    for uu, a, g in zip(u, exact, gaps):
-        print(f"u={uu:g}: exact {a.real:+.6f}{a.imag:+.6f}i, mc gap {g:.2e}")
-    print(f"wrote {csv_path}")
-    return 0
+    }
+    lines = [f"u={uu:g}: exact {a.real:+.6f}{a.imag:+.6f}i, mc gap {g:.2e}"
+             for uu, a, g in zip(u, exact, gaps)]
+    return ({"charfn.csv": lambda path: write_csv(
+        path, ["u", "re_exact", "im_exact", "re_mc", "im_mc", "abs_gap"],
+        rows)}, summary, lines, 0)
 
 
-def cmd_check(args):
-    cfg, preset, icfg = _setup(args)
+def cmd_check(cfg, preset, icfg):
     run = cfg.run
     chart, fields, driver = preset.chart, preset.fields, preset.driver
     checks = []
@@ -365,20 +337,16 @@ def cmd_check(args):
     checks.append(("restricted jump sampler calibrated", trunc_ok,
                    f"mean gap {mean_gap:.2e} vs 5*se {5 * se:.2e}"))
 
-    failed = [name for name, ok, _ in checks if not ok]
-    for name, ok, detail in checks:
-        print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
-    out = _make_run_dir(cfg, "check")
-    write_json(os.path.join(out, "check.json"), {
-        "checks": [{"name": n, "passed": bool(ok), "detail": d}
-                   for n, ok, d in checks],
-        "all_passed": not failed,
-    })
-    if failed:
-        print(f"{len(failed)} of {len(checks)} checks failed")
-        return 1
-    print(f"all {len(checks)} checks passed")
-    return 0
+    failed = sum(not ok for _, ok, _ in checks)
+    lines = [f"[{'ok' if ok else 'FAIL'}] {name}: {detail}"
+             for name, ok, detail in checks]
+    lines.append(f"{failed} of {len(checks)} checks failed" if failed
+                 else f"all {len(checks)} checks passed")
+    report = {"checks": [{"name": n, "passed": bool(ok), "detail": d}
+                         for n, ok, d in checks],
+              "all_passed": not failed}
+    return ({"check.json": lambda path: write_json(path, report)}, None, lines,
+            1 if failed else 0)
 
 
 _COMMANDS = [
@@ -404,17 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="jump-driven flows on a foliated cylinder: simulation, "
                     "averaging, and rate experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler in _COMMANDS:
+    for name, help_text, compute in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(compute=compute)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(args)
     except FolevyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

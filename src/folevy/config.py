@@ -5,9 +5,12 @@ keys accept, and `config_from_dict` checks every key against them: an
 unknown section or key is rejected, a number must be finite (a bool is
 not one), a tuple must have its declared length and a `Literal` key one
 of its listed strings.  An `int` key takes any finite number here; that
-it be whole is part of its range.  `_RANGES` holds the ranges of the
-experiment keys that no constructor checks; the preset, integrator and
-run ranges are checked by the objects built from them.
+it be whole is part of its range.  The integrator section is
+`marcus.IntegratorConfig` itself, so its `__post_init__` checks the
+integrator ranges as the config is loaded.  `_RANGES` holds the ranges
+that no constructor checks, those of the experiment keys and of
+`run.threads`; the preset and seed ranges are checked by the objects built
+from them, before any work starts.
 
 Round-tripping through `config_to_dict` and `config_from_dict` is
 idempotent; `--set section.key=value` overrides are YAML-parsed scalars
@@ -28,6 +31,7 @@ from typing import (Literal, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
 from .errors import ConfigError
+from .marcus import IntegratorConfig    # loaded by the package before this
 
 
 @dataclass(frozen=True)
@@ -40,15 +44,6 @@ class PresetSection:
     k_choice: Literal["linear", "constant"] = "linear"
     k_constant: tuple[float, float, float] = (0.0, 0.0, 1.0)  # for "constant"
     kappa: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class IntegratorSection:
-    scheme: str = "grid_increment"
-    step_h: Optional[float] = None
-    jump_ode_substeps: int = 20
-    splitting: str = "strang"
-    jump_cutoff: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,14 +79,14 @@ class ExperimentSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     preset: PresetSection = field(default_factory=PresetSection)
-    integrator: IntegratorSection = field(default_factory=IntegratorSection)
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     run: RunSection = field(default_factory=RunSection)
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
 
 
 _SECTIONS = {
     "preset": PresetSection,
-    "integrator": IntegratorSection,
+    "integrator": IntegratorConfig,
     "run": RunSection,
     "experiment": ExperimentSection,
 }
@@ -120,6 +115,7 @@ _RANGES = {
     "experiment.n_samples": _integer(1),
     "experiment.n_r": _integer(1),
     "experiment.n_z": _integer(1),
+    "run.threads": _integer(0),
 }
 
 
@@ -273,11 +269,3 @@ def preset_from_config(cfg: ExperimentConfig):
         r_min=sec.r_min, r_max=sec.r_max, z_min=sec.z_min, z_max=sec.z_max,
         theta=sec.theta, k_choice=k, kappa=sec.kappa)
 
-
-def integrator_from_config(cfg: ExperimentConfig):
-    from .marcus import IntegratorConfig
-    sec = cfg.integrator
-    return IntegratorConfig(
-        scheme=sec.scheme, step_h=sec.step_h,
-        jump_ode_substeps=sec.jump_ode_substeps,
-        splitting=sec.splitting, jump_cutoff=sec.jump_cutoff)

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from ._parallel import map_blocks
-from .averaging import (AveragedField, AveragedSolution, fit_loglog, lp_moment,
-                        solve_averaged_ode)
+from .averaging import (_ZERO_FLOOR, AveragedField, AveragedSolution,
+                        fit_loglog, lp_moment, solve_averaged_ode)
 from .drivers import GammaSubordinator, sample_jump_events, step_sums
 from .errors import ConfigError
 from .geometry import FoliatedChart, VectorFieldSet, dpi_k
@@ -31,8 +31,6 @@ from .marcus import (IntegratorConfig, integrate_grid_ensemble, resolve_grid,
 from .marcus import _drift_rk4, jump_flow  # noqa: F401
 from .rng import path_streams
 from .tables import write_csv
-
-_ZERO_FLOOR = 1e-14
 
 OBSERVABLES = {
     "radial": lambda x: np.hypot(x[..., 0], x[..., 1]),
@@ -97,21 +95,10 @@ class ComparisonResult:
     solution: AveragedSolution
 
     def summary(self):
-        return {
-            "epsilons": self.epsilons,
-            "horizons": self.horizons,
-            "p": self.p,
-            "n_paths": self.n_paths,
-            "sup_norm": self.sup_norm,
-            "sup_norm_se": self.sup_norm_se,
-            "sup_radial": self.sup_radial,
-            "sup_radial_se": self.sup_radial_se,
-            "sup_vertical": self.sup_vertical,
-            "sup_vertical_se": self.sup_vertical_se,
-            "boundary_time": self.solution.boundary_time,
-            "monotone_in_eps": _nonincreasing_in_eps(
-                self.epsilons, self.sup_norm[:, -1], self.sup_norm_se[:, -1]),
-        }
+        out = {k: v for k, v in vars(self).items() if k != "solution"}
+        return {**out, "boundary_time": self.solution.boundary_time,
+                "monotone_in_eps": _nonincreasing_in_eps(
+                    self.epsilons, self.sup_norm[:, -1], self.sup_norm_se[:, -1])}
 
 
 def comparison_to_csv(result: ComparisonResult, path):
@@ -363,12 +350,12 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
             m = b - a
             streams = path_streams(master_seed, stream_base + a, m)
             sup = np.zeros(m)
-            prev_active = np.ones(m, dtype=bool)
 
+            # no mask for exited rows: the kernel freezes a row and its pair
+            # row together, so after the exit dev repeats its exit value
             def observe(k, t, states, states_pair, active):
-                dev = np.abs(func(states) - func(states_pair))
-                np.maximum(sup, np.where(prev_active, dev, 0.0), out=sup)
-                prev_active[:] = active
+                np.maximum(sup, np.abs(func(states) - func(states_pair)),
+                           out=sup)
 
             integrate_grid_ensemble(fields, driver, x0, horizon, eps, cfg,
                                     streams, contains=chart.contains,

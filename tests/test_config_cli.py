@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +32,7 @@ from folevy.cli import main
 from folevy.marcus import resolve_grid
 from folevy.config import (_FLOAT, ExperimentConfig, apply_overrides,
                            config_from_dict, config_to_dict, dump_config,
-                           integrator_from_config, load_config, loads_config,
-                           preset_from_config)
+                           load_config, loads_config, preset_from_config)
 
 SMALL = [
     "--set", "experiment.n_paths=8",
@@ -128,11 +128,13 @@ def test_preset_from_config_wires_field_choice():
         preset_from_config(loads_config("preset:\n  r_min: 1.5\n"))
 
 
-def test_integrator_from_config_validates_scheme():
+def test_integrator_section_validates_scheme():
+    # the integrator section is the integrator's config, checked at load
     cfg = loads_config("integrator:\n  scheme: jump_decomposition\n")
-    assert integrator_from_config(cfg).scheme == "jump_decomposition"
+    assert isinstance(cfg.integrator, IntegratorConfig)
+    assert cfg.integrator.scheme == "jump_decomposition"
     with pytest.raises(ConfigError):
-        integrator_from_config(loads_config("integrator:\n  scheme: euler\n"))
+        loads_config("integrator:\n  scheme: euler\n")
 
 
 def test_config_to_dict_uses_plain_types():
@@ -222,6 +224,8 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("average", "experiment.n_z=-1", "experiment.n_z"),
         ("average", "experiment.n_z=2.5", "experiment.n_z"),
         ("simulate", "run.out_dir=5", "run.out_dir"),
+        ("simulate", "run.threads=0.001", "run.threads"),
+        ("simulate", "run.threads=-7", "run.threads"),
         ("simulate", "preset.k_constant=[1, 2, .nan]", "preset.k_constant"),
         ("charfn", "experiment.t=.nan", "experiment.t"),
         ("charfn", "experiment.t=.inf", "experiment.t"),
@@ -235,6 +239,10 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # the --threads flag meets the range of run.threads
+    assert main(["simulate", "--out", str(out), "--threads", "-7"]) == 2
+    assert capsys.readouterr().err == \
+        "error: run.threads must be an integer of at least 0, got -7\n"
     assert not out.exists()
 
 
@@ -299,12 +307,12 @@ def _raw(overrides):
 @settings(max_examples=300, deadline=None)
 @given(overrides=_overrides(wide=True))
 def test_every_config_key_returns_or_raises_config_error(overrides):
-    # any value of any key either builds the preset and integrator or is
-    # rejected with ConfigError; no other exception escapes
+    # any value of any key either builds the integrator section and the
+    # preset or is rejected with ConfigError; no other exception escapes
     try:
         cfg = config_from_dict(_raw(overrides))
         preset_from_config(cfg)
-        integrator_from_config(cfg)
+        assert isinstance(cfg.integrator, IntegratorConfig)
     except ConfigError:
         pass
 
@@ -399,9 +407,57 @@ def test_cli_check_passes_and_writes_report(tmp_path):
     assert len(report["checks"]) == 8
 
 
+def test_cli_check_failure_exits_one_with_report(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(cli, "tangency_check", lambda *args: SimpleNamespace(
+        max_violation=1.0, n_checked=1))
+    out = tmp_path / "runs"
+    assert main(["check", "--out", str(out), "--seed", "7"]) == 1
+    run = _run_dir(out)
+    assert sorted(os.listdir(run)) == ["check.json", "effective_config.yaml"]
+    report = json.load(open(os.path.join(run, "check.json")))
+    assert not report["all_passed"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "driving fields tangent to leaves"]
+    assert capsys.readouterr().out.splitlines()[-1] == "1 of 8 checks failed"
+
+
 # ---------------------------------------------------------------------------
 # artifacts per subcommand
 # ---------------------------------------------------------------------------
+
+# command, tiny-size arguments, the CSVs it writes in write order
+SUBCOMMANDS = [
+    ("simulate", [], ["trajectory.csv"]),
+    ("average", ["--set", "experiment.n_nodes=16"],
+     ["averaged_field.csv", "averaged_path.csv"]),
+    ("eta", ["--set", "experiment.horizons=[1.0, 2.0, 4.0]",
+             "--set", "experiment.n_paths=100"], ["eta.csv"]),
+    ("compare", SMALL, ["comparison.csv"]),
+    ("exit-prob", ["--set", "preset.r_max=2.0",
+                   "--set", "experiment.epsilons=[0.5]",
+                   "--set", "experiment.n_paths=4"], ["exit_prob.csv"]),
+    ("deviation", SMALL, ["deviation.csv"]),
+    ("charfn", ["--set", "experiment.n_samples=200"], ["charfn.csv"]),
+    ("check", [], []),
+]
+
+
+@pytest.mark.parametrize("command, args, csvs", SUBCOMMANDS,
+                         ids=[c for c, _, _ in SUBCOMMANDS])
+def test_subcommand_run_directory_and_wrote_lines(tmp_path, capsys, command,
+                                                  args, csvs):
+    out = tmp_path / "runs"
+    assert main([command, "--out", str(out), "--seed", "5", *args]) == 0
+    (name,) = os.listdir(out)
+    assert name.startswith(f"{command}-")
+    run = out / name
+    report = "check.json" if command == "check" else "summary.json"
+    assert set(os.listdir(run)) == {"effective_config.yaml", report, *csvs}
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {run / csv_name}" for csv_name in csvs]
+
 
 def test_simulate_unperturbed_trajectory(tmp_path):
     out = tmp_path / "runs"
