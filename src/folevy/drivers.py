@@ -25,11 +25,11 @@ int (e^{iuy} - 1) dens(y) dy without a centering term.
 
 The exponential-moment checks, the generic truncated tables and the
 characteristic-function exponent integrate with `_quad`, an adaptive
-Gauss-Kronrod rule in this module.  scipy serves only the exponential
-integral E1 of the Gamma tail (`scipy.special`, in `tail_mass` and
-`truncate_gamma`) and the Kolmogorov-Smirnov test of `circle_law_distance`
-(`scipy.stats`).  Each is imported on first use, so importing the package
-or building a driver loads no scipy module.
+Gauss-Kronrod rule in this module; the Gamma tail mass and its inverse-CDF
+table use `_exp1`, the exponential integral E1 from its power series and
+continued fraction; `circle_law_distance` computes its Kolmogorov-Smirnov
+statistic directly.  The module needs only numpy; the test suite checks
+all three against a reference library.
 """
 
 from __future__ import annotations
@@ -153,6 +153,76 @@ def _quad(f, a, b, tol=QUAD_ABS_TOL):
     return value
 
 
+# ---------------------------------------------------------------------------
+# the exponential integral E1
+# ---------------------------------------------------------------------------
+
+_EULER_GAMMA = 0.5772156649015329
+# c_k = (-1)^k / ((k+1) (k+1)!), k = 0 .. 17: for 0 < x <= 1 the sum
+# sum_k c_k x^k exceeds 0.79 and |c_17| x^17 is below 1e-17
+_E1_SERIES = tuple((-1.0) ** k / ((k + 1) * math.factorial(k + 1))
+                   for k in range(18))
+
+
+def _exp1(x):
+    """The exponential integral E1(x) = int_x^inf e^(-t)/t dt, elementwise
+    for an array of x > 0 (Abramowitz and Stegun 5.1.11 and 5.1.22): the
+    power series for x <= 1, the continued fraction for x > 1."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    small = x <= 1.0
+    if small.any():
+        out[small] = _exp1_series(x[small])
+    if not small.all():
+        out[~small] = _exp1_fraction(x[~small])
+    return out
+
+
+def _exp1_series(x):
+    # E1 = -gamma - ln x + x * sum_k c_k x^k in Horner form, without the
+    # terms from the first one below 1e-17 at the largest x on
+    top = float(x.max())
+    n = next((k for k, c in enumerate(_E1_SERIES) if abs(c) * top ** k < 1e-17),
+             len(_E1_SERIES))
+    p = np.zeros(x.shape)
+    for c in reversed(_E1_SERIES[:n]):
+        p *= x
+        p += c
+    p *= x
+    p -= np.log(x)
+    return p - _EULER_GAMMA
+
+
+def _exp1_fraction(x):
+    """E1 = e^(-x) / (x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))), the even part
+    of A&S 5.1.22, from level m = 10 + floor(64/x) up.
+
+    Writing the fraction as e^(-x) / (x + 1 - t_1) with t_k = k^2 / (x + 2k
+    + 1 - t_(k+1)), its tail obeys t_k = k - sqrt(x k) + (2x - 1)/4 +
+    O(1/sqrt(k)) as k grows; starting from that value of t_(m+1) instead of
+    0 reaches the rounding floor at two thirds of the depth.  All x step
+    through the levels together, so a level costs three array operations on
+    the x deep enough to need it."""
+    order = np.argsort(x)           # ascending x: descending depth
+    xs = x[order]
+    depth = 10 + (64.0 / xs).astype(np.intp)
+    # active[k]: how many of the sorted x have depth >= k
+    active = np.searchsorted(-depth, -np.arange(depth[0] + 1),
+                             side="right").tolist()
+    # the denominator x + 2m + 1 - t_(m+1) at m = depth
+    s = 0.5 * xs + depth + 0.25 + np.sqrt(xs) * np.sqrt(depth + 1.0)
+    q = np.empty(xs.shape)
+    for k in range(int(depth[0]), 0, -1):
+        n = active[k]
+        sk, qk = s[:n], q[:n]
+        np.divide(k * k, sk, out=qk)
+        np.add(xs[:n], 2.0 * k - 1.0, out=sk)
+        sk -= qk
+    out = np.empty(x.shape)
+    out[order] = np.exp(-xs) / s
+    return out
+
+
 def _exp_tail_term(density, kappa, y):
     # log-space evaluation: e^(kappa|y|) alone overflows long before the
     # product with a decaying density does
@@ -209,6 +279,27 @@ def _check_exp_moment(density, lo, hi, kappa):
 
 
 # ---------------------------------------------------------------------------
+# argument checks
+# ---------------------------------------------------------------------------
+
+def _check_positive_finite(value, name):
+    """ConfigError unless `value` is a number in (0, inf); an integer too
+    large for a float is not finite."""
+    try:
+        ok = value > 0 and math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_count(n, name):
+    """ConfigError unless `n` is a nonnegative integer (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {n!r}")
+
+
+# ---------------------------------------------------------------------------
 # driver kinds
 # ---------------------------------------------------------------------------
 
@@ -222,8 +313,7 @@ class GammaSubordinator:
     dimension = 1
 
     def __post_init__(self):
-        if not (self.rate > 0 and np.isfinite(self.rate)):
-            raise ConfigError(f"rate must be positive and finite, got {self.rate}")
+        _check_positive_finite(self.rate, "rate")
         kappa = self.rate / 2 if self.exp_moment_order is None else self.exp_moment_order
         if not (0 < kappa < self.rate):
             # the tail integral int_1^inf e^((kappa-rate)y)/y dy diverges
@@ -241,11 +331,8 @@ class GammaSubordinator:
 
     def tail_mass(self, cutoff):
         """Measure of (cutoff, inf): the exponential integral E1(rate*cutoff)."""
-        if cutoff <= 0:
-            raise ConfigError("cutoff must be positive")
-        from scipy import special
-
-        return float(special.exp1(self.rate * cutoff))
+        _check_positive_finite(cutoff, "cutoff")
+        return float(_exp1(self.rate * cutoff))
 
     def mean_below(self, cutoff):
         """int_0^cutoff y dens(y) dy = (1 - exp(-rate*cutoff)) / rate."""
@@ -305,8 +392,7 @@ class CompoundPoisson(_FiniteActivity):
     support: tuple = (-np.inf, np.inf)
 
     def __post_init__(self):
-        if not (self.intensity > 0 and np.isfinite(self.intensity)):
-            raise ConfigError(f"intensity must be positive and finite, got {self.intensity}")
+        _check_positive_finite(self.intensity, "intensity")
         if self.dimension < 1:
             raise ConfigError("dimension must be a positive integer")
         if self.exp_moment_order <= 0:
@@ -355,8 +441,7 @@ class TruncatedMeasure(_FiniteActivity):
     dimension = 1
 
     def __post_init__(self):
-        if not (self.cutoff > 0 and np.isfinite(self.cutoff)):
-            raise ConfigError(f"cutoff must be positive and finite, got {self.cutoff}")
+        _check_positive_finite(self.cutoff, "cutoff")
         lo, hi = self.support
         if not lo < hi:
             raise ConfigError("support must be a nondegenerate interval")
@@ -453,19 +538,28 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
     The inverse CDF is tabulated from exact values of the exponential
     integral rather than re-integrated numerically.
     """
-    from scipy import special
-
-    if not (cutoff > 0 and np.isfinite(cutoff)):
-        raise ConfigError(f"cutoff must be positive and finite, got {cutoff}")
     theta = spec.rate
     mass = spec.tail_mass(cutoff)
-    # outer node: E1(theta*y) below _TAIL_FRACTION of the restricted mass
     target = mass * _TAIL_FRACTION
-    hi = cutoff
-    while special.exp1(theta * hi) > target:
-        hi *= 2.0
+    if not (target > 0.0 and mass < math.inf):
+        raise ConfigError(f"rate*cutoff = {theta * cutoff} leaves a tail mass "
+                          f"E1 = {mass} too small or too large to tabulate")
+    # outer node: the first doubling hi = cutoff * 2**j at which E1(theta*hi)
+    # is at most the target, by theta*hi >= 746 at the latest.  As
+    # exp(-x)/(x+1) < E1(x) < exp(-x)/x (A&S 5.1.19), the bounds settle every
+    # doubling but those whose bounds straddle the target, and one _exp1
+    # call settles these; the bounds are compared in logs, as exp(-x)
+    # underflows before the target does
+    n_doublings = math.ceil(math.log2(746.0) - math.log2(theta * cutoff)) + 1
+    his = np.ldexp(cutoff, np.arange(n_doublings))
+    x = theta * his
+    log_target = math.log(target)
+    ends = -x - np.log(x) <= log_target
+    straddle = np.flatnonzero(~ends & (-x - np.log1p(x) <= log_target))
+    ends[straddle] = _exp1(x[straddle]) <= target
+    hi = his[np.argmax(ends)]
     ys = np.exp(np.linspace(math.log(cutoff), math.log(hi), _TABLE_NODES))
-    cdf = 1.0 - special.exp1(theta * ys) / mass
+    cdf = 1.0 - _exp1(theta * ys) / mass
     cdf[0] = 0.0
     cdf = cdf / cdf[-1]
     obj = TruncatedMeasure.__new__(TruncatedMeasure)
@@ -559,6 +653,7 @@ def marginal_samples(spec, t, n, rng: RngStream):
     if getattr(spec, "dimension", 1) != 1:
         raise NotImplementedError("marginal sampling only for scalar drivers")
     _check_time(t)
+    _check_count(n, "n")
     if t == 0:
         return np.zeros(n)
     # Z_t is one increment over a step of length t
@@ -570,14 +665,15 @@ def circle_law_distance(spec, t, n_paths, rng: RngStream) -> float:
 
     Monte Carlo with n_paths >= 100 samples; the distance decays to the
     sampling floor as t grows, which is how leafwise equidistribution of the
-    driven rotation is checked.
+    driven rotation is checked.  The statistic is the one-sample KS
+    statistic max_i max(i/n - F_i, F_i - (i-1)/n) of the sorted wrapped
+    samples' uniform CDF values F_i = angle_i / (2*pi).
     """
-    # scipy.stats is imported here, not at module level: importing it
-    # costs about 0.35 s, and this is its only use in the package
-    from scipy import stats
-
+    _check_count(n_paths, "n_paths")
     if n_paths < 100:
         raise ConfigError("n_paths must be at least 100 for a usable distance")
     samples = marginal_samples(spec, t, n_paths, rng)
-    angles = np.mod(samples, 2.0 * math.pi)
-    return float(stats.kstest(angles, stats.uniform(loc=0.0, scale=2.0 * math.pi).cdf).statistic)
+    cdf = np.sort(np.mod(samples, 2.0 * math.pi)) / (2.0 * math.pi)
+    d_plus = (np.arange(1.0, n_paths + 1) / n_paths - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n_paths) / n_paths).max()
+    return float(max(d_plus, d_minus))

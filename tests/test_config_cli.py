@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import folevy
@@ -306,6 +306,12 @@ def _raw(overrides):
 
 @settings(max_examples=300, deadline=None)
 @given(overrides=_overrides(wide=True))
+# integers past the float range, and at its edge, for a key the drivers
+# check; nan and inf for the same key
+@example(overrides=[(("preset", "theta"), 2 ** 64)])
+@example(overrides=[(("preset", "theta"), 10 ** 400)])
+@example(overrides=[(("preset", "theta"), math.nan)])
+@example(overrides=[(("preset", "theta"), math.inf)])
 def test_every_config_key_returns_or_raises_config_error(overrides):
     # any value of any key either builds the integrator section and the
     # preset or is rejected with ConfigError; no other exception escapes

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from folevy import (CompoundPoisson, GammaSubordinator, RngStream,
                     TruncatedMeasure, characteristic_function,
                     circle_law_distance, marginal_samples, sample_jump_events,
                     truncate_gamma)
-from folevy.drivers import (_exp_tail_term, _quad, make_step_sampler,
+from folevy.drivers import (_TABLE_NODES, _TAIL_FRACTION, _exp1,
+                            _exp_tail_term, _quad, make_step_sampler,
                             step_sums)
 from folevy.errors import ConfigError, QuadratureError
 
@@ -182,6 +184,56 @@ def test_quad_matches_scipy_on_package_integrands():
     for label, (f, a, b) in cases.items():
         ref = _scipy_quad(f, a, b)
         _assert_close(_quad(f, a, b), ref, 1e-12 * abs(ref), label)
+
+
+# ---------------------------------------------------------------------------
+# the in-package exponential integral against scipy.special.exp1
+# ---------------------------------------------------------------------------
+
+def _assert_rel_close(values, refs, tol, label):
+    rel = np.max(np.abs(values - refs) / refs)
+    assert rel <= tol, f"{label}: relative gap {rel:.2e} exceeds {tol:.0e}"
+
+
+def test_exp1_matches_scipy():
+    x = np.exp(np.random.default_rng(SEED).uniform(
+        math.log(1e-300), math.log(700.0), 10 ** 5))
+    _assert_rel_close(_exp1(x), special.exp1(x), 4e-15, "log-uniform points")
+    # the seam between the series and the continued fraction
+    seam = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+    _assert_rel_close(_exp1(seam), special.exp1(seam), 4e-15, "x = 1")
+    # the inverse-CDF table nodes of the preset's driver at the base cutoff
+    # of scheme_agreement
+    _, ys, _ = truncate_gamma(GammaSubordinator(1.0), 0.002)._tables[0]
+    assert len(ys) == _TABLE_NODES
+    _assert_rel_close(_exp1(ys), special.exp1(ys), 4e-15, "table nodes")
+    assert _exp1(np.array([])).shape == (0,)
+    assert _exp1(0.5).shape == ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow on the way to 0
+        assert _exp1(np.array([800.0, 1.7e308])).tolist() == [0.0, 0.0]
+
+
+def test_truncate_gamma_outer_node_is_the_first_doubling_below_target():
+    # the vectorized search picks the node the one-at-a-time doubling loop
+    # picks: the first cutoff * 2**j with E1(rate * that) <= the target
+    for rate in (1e-3, 0.5, 1.0, 3.0, 50.0):
+        spec = GammaSubordinator(rate)
+        # 1e-308 * 1e-3 is a subnormal rate * cutoff
+        for cutoff in (1e-308, 1e-300, 1e-12, 0.002, 0.1, 1.0, 20.0 / rate,
+                       600.0 / rate):
+            target = special.exp1(rate * cutoff) * _TAIL_FRACTION
+            hi = cutoff
+            while special.exp1(rate * hi) > target:
+                hi *= 2.0
+            ys = np.exp(np.linspace(math.log(cutoff), math.log(hi),
+                                    _TABLE_NODES))
+            assert np.array_equal(truncate_gamma(spec, cutoff)._tables[0][1],
+                                  ys), (rate, cutoff)
+    # E1(1000) is 0, and 1e-14 * E1(710) underflows
+    for cutoff in (1000.0, 710.0):
+        with pytest.raises(ConfigError, match="tail mass"):
+            truncate_gamma(GammaSubordinator(1.0), cutoff)
 
 
 def test_truncated_measure_quadratures_match_scipy():
@@ -465,21 +517,109 @@ def test_circle_law_distance_decays():
         circle_law_distance(spec, 1.0, 50, RngStream(SEED, 19))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # importing scipy costs more than numpy does; the package imports
-    # scipy.special and scipy.stats only in the functions that call them,
-    # so importing it and building the preset and its averaged field load
-    # no scipy module at all
+def test_circle_law_distance_is_the_kstest_statistic():
+    spec = GammaSubordinator(1.0)
+    for seed, t, n in ((SEED, 0.5, 100), (SEED + 1, 1.0, 1001),
+                       (SEED + 2, 10.0, 4000), (SEED + 3, 0.0, 250)):
+        angles = np.mod(marginal_samples(spec, t, n, RngStream(seed, 1)),
+                        2.0 * math.pi)
+        ref = stats.kstest(angles, stats.uniform(loc=0.0,
+                                                 scale=2.0 * math.pi).cdf)
+        assert circle_law_distance(spec, t, n, RngStream(seed, 1)) == \
+            ref.statistic
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+# ---------------------------------------------------------------------------
+
+_POSITIVE_FINITE_SITES = {
+    "GammaSubordinator rate": lambda v: GammaSubordinator(v),
+    "tail_mass cutoff": lambda v: GammaSubordinator(1.0).tail_mass(v),
+    "truncate_gamma cutoff": lambda v: truncate_gamma(GammaSubordinator(1.0),
+                                                      v),
+    "TruncatedMeasure cutoff": lambda v: TruncatedMeasure(
+        density=lambda y: math.exp(-y) / y, cutoff=v),
+    "CompoundPoisson intensity": lambda v: CompoundPoisson(
+        intensity=v, jump_sampler=_unit_exp_sampler, exp_moment_order=0.5),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_POSITIVE_FINITE_SITES))
+@pytest.mark.parametrize("value", [10 ** 400, math.nan, math.inf, -math.inf,
+                                   0.0, -1, "abc", None])
+def test_positive_finite_arguments_raise_config_error(site, value):
+    # an integer too large for a float is as unusable as inf
+    with pytest.raises(ConfigError, match="must be positive and finite"):
+        _POSITIVE_FINITE_SITES[site](value)
+
+
+def test_large_integer_arguments_are_numbers():
+    assert GammaSubordinator(2 ** 64).rate == 2 ** 64
+    assert GammaSubordinator(1.0).tail_mass(2 ** 64) == 0.0
+    assert CompoundPoisson(intensity=2 ** 64, jump_sampler=_unit_exp_sampler,
+                           exp_moment_order=0.5).intensity == 2 ** 64
+
+
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("drew from the stream before checking the count")
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: circle_law_distance(GammaSubordinator(1.0), 1.0, 150.5, rng),
+    lambda rng: circle_law_distance(GammaSubordinator(1.0), 1.0, 1e6, rng),
+    lambda rng: circle_law_distance(GammaSubordinator(1.0), 1.0, True, rng),
+    lambda rng: circle_law_distance(GammaSubordinator(1.0), 1.0, "200", rng),
+    lambda rng: marginal_samples(GammaSubordinator(1.0), 1.0, -3, rng),
+    lambda rng: marginal_samples(GammaSubordinator(1.0), 1.0, 2.0, rng),
+    lambda rng: marginal_samples(GammaSubordinator(1.0), 0.0, 2.5, rng),
+    lambda rng: marginal_samples(GammaSubordinator(1.0), 1.0, False, rng),
+])
+def test_counts_must_be_nonnegative_integers(call):
+    with pytest.raises(ConfigError, match="must be a nonnegative integer"):
+        call(_NoDraws())
+
+
+def test_package_runs_with_scipy_refused(tmp_path):
+    # scipy is a test dependency only: with every scipy import refused, the
+    # package imports, builds the preset and its averaged field, draws the
+    # Gamma tail, runs a 4-path scheme comparison and the KS distance, and
+    # `folevy check` passes, with the same numbers as in this process
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(folevy.__file__)))
-    code = ("import sys, folevy, folevy.cli\n"
-            "preset = folevy.make_cylinder_preset()\n"
-            "folevy.averaged_field(preset.chart, preset.fields)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            "print(repr(folevy.truncate_gamma(preset.driver, 0.002)"
-            ".restricted_mass))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
-    assert out[0] == "[]"
-    driver = folevy.make_cylinder_preset().driver
-    assert out[1] == repr(truncate_gamma(driver, 0.002).restricted_mass)
+    code = (
+        "import sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy refused: ' + name)\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
+        "import folevy, folevy.cli\n"
+        "preset = folevy.make_cylinder_preset()\n"
+        "folevy.averaged_field(preset.chart, preset.fields)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(repr(folevy.truncate_gamma(preset.driver, 0.002)"
+        ".restricted_mass))\n"
+        "print(repr(preset.driver.tail_mass(0.05)))\n"
+        "print(repr(folevy.scheme_agreement(preset.fields, preset.chart, "
+        "preset.driver, [1.0, 0.0, 0.0], levels=((0.08, 0.04),), "
+        "n_paths=4, master_seed=5).l2_gaps.tolist()))\n"
+        "print(repr(folevy.circle_law_distance(preset.driver, 1.0, 200, "
+        "folevy.RngStream(5, 1))))\n"
+        "sys.exit(folevy.cli.main(['check', '--out', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "runs")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    preset = folevy.make_cylinder_preset()
+    assert out[:5] == [
+        "[]",
+        repr(truncate_gamma(preset.driver, 0.002).restricted_mass),
+        repr(preset.driver.tail_mass(0.05)),
+        repr(folevy.scheme_agreement(
+            preset.fields, preset.chart, preset.driver, [1.0, 0.0, 0.0],
+            levels=((0.08, 0.04),), n_paths=4,
+            master_seed=5).l2_gaps.tolist()),
+        repr(circle_law_distance(preset.driver, 1.0, 200, RngStream(5, 1))),
+    ]

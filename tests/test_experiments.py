@@ -17,13 +17,15 @@ import pytest
 
 from folevy import (AveragedSolution, ComparisonResult, ConfigError,
                     ConstantK, DeviationResult, ExitProbabilityResult,
-                    RngStream, averaged_field, comparison_to_csv,
-                    deviation_scaling, deviation_to_csv, exit_probability,
-                    exit_to_csv, make_cylinder_preset, projected_perturbation,
+                    IntegratorConfig, RngStream, averaged_field,
+                    comparison_to_csv, deviation_scaling, deviation_to_csv,
+                    exit_probability, exit_to_csv, integrate_perturbed,
+                    lp_moment, make_cylinder_preset, projected_perturbation,
                     scheme_agreement, transversal_comparison)
 from folevy import experiments
 from folevy.drivers import CompoundPoisson, TruncatedMeasure
 from folevy.experiments import _nonincreasing_in_eps
+from folevy.marcus import resolve_grid
 
 SEED = 20260816
 X0 = np.array([1.0, 0.0, 0.0])
@@ -96,6 +98,41 @@ def test_comparison_error_shrinks_with_eps():
     final = result.sup_norm[:, -1]
     assert final[1] < final[0], f"sup errors {final} did not shrink"
     assert np.all(result.sup_norm_se >= 0)
+
+
+def test_comparison_running_sup_stops_at_each_exit():
+    # on a thin annulus every path exits, and the kernel freezes it there;
+    # the averaged path w keeps moving, so a sup that kept accumulating
+    # would measure the frozen exit point against later w.  The reference
+    # takes each single path, cut at its exit, against w on its own clock.
+    preset = make_cylinder_preset(r_min=0.9, r_max=1.1,
+                                  k_choice=ConstantK(1.0, 0.0, 1.0))
+    avg = averaged_field(preset.chart, preset.fields)
+    epsilons, horizon, n_paths, seed = (0.5, 0.2), 1.2, 64, 3
+    result = transversal_comparison(preset.fields, preset.chart,
+                                    preset.driver, avg, X0, epsilons=epsilons,
+                                    horizon=horizon, n_paths=n_paths,
+                                    master_seed=seed)
+
+    def distance(states, times, eps):
+        w = result.solution.interp(np.minimum(eps * times, horizon))
+        radial = np.abs(np.hypot(states[:, 0], states[:, 1]) - w[:, 0])
+        return np.hypot(radial, np.abs(states[:, 2] - w[:, 1]))
+
+    for i, eps in enumerate(epsilons):
+        n_steps, h = resolve_grid(IntegratorConfig(), eps, horizon / eps)
+        grid = np.arange(n_steps + 1) * h
+        cut, kept = [], []
+        for path in range(n_paths):
+            traj = integrate_perturbed(preset.fields, preset.chart,
+                                       preset.driver, X0, horizon / eps, eps,
+                                       rng=RngStream(seed, path))
+            assert traj.exited
+            cut.append(distance(traj.states, traj.times, eps).max())
+            frozen = np.repeat(traj.states[-1:], n_steps + 1, axis=0)
+            kept.append(distance(frozen, grid, eps).max())
+        assert result.sup_norm[i, -1] == lp_moment(np.array(cut), 2)[0]
+        assert lp_moment(np.array(kept), 2)[0] > 5 * result.sup_norm[i, -1]
 
 
 def test_comparison_rejects_horizon_past_boundary():
