@@ -13,8 +13,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .averaging import (AveragedField, AveragedSolution, RateEstimate,
-                        averaged_field, delta_defect, delta_defect_lp,
-                        ergodic_average, estimate_eta, fit_loglog,
+                        averaged_field, estimate_eta, fit_loglog,
                         leaf_average_quadrature, lp_moment, rate_to_csv,
                         solve_averaged_ode)
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
@@ -50,9 +49,9 @@ __all__ = [
     "SchemeAgreementResult", "TangencyReport", "Trajectory",
     "TruncatedMeasure", "VectorFieldSet", "apply_overrides", "averaged_field",
     "characteristic_function", "circle_law_distance", "comparison_to_csv",
-    "config_from_dict", "config_to_dict", "delta_defect", "delta_defect_lp",
-    "deviation_scaling", "deviation_to_csv", "dpi_k", "dump_config",
-    "ergodic_average", "estimate_eta", "exit_probability", "exit_to_csv",
+    "config_from_dict", "config_to_dict", "deviation_scaling",
+    "deviation_to_csv", "dpi_k", "dump_config", "estimate_eta",
+    "exit_probability", "exit_to_csv",
     "fit_loglog", "integrate_grid_ensemble", "integrate_perturbed",
     "integrate_unperturbed", "jump_flow", "leaf_average_quadrature",
     "load_config", "loads_config", "lp_moment", "make_cylinder_preset",

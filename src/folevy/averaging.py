@@ -2,9 +2,9 @@
 
 The transversal motion of a slowly perturbed leaf process is governed by
 the leaf average of the projected perturbation.  This module computes that
-average (closed form, leaf quadrature, or ergodic time average along an
-unperturbed path), solves the resulting transversal ODE with boundary
-tracking, and estimates how fast time averages converge to leaf averages.
+average (closed form or leaf quadrature), solves the resulting transversal
+ODE with boundary tracking, and estimates how fast time averages along
+unperturbed paths converge to leaf averages.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import numpy as np
 from ._parallel import map_blocks
 from .drivers import _numbers
 from .errors import ConfigError, DomainError
-from .geometry import FoliatedChart, VectorFieldSet, _pushforward, dpi_k
+from .geometry import FoliatedChart, VectorFieldSet, _pushforward
 from .marcus import (IntegratorConfig, _drift_rk4, _kahan_add, _step_count,
-                     integrate_grid_ensemble, integrate_perturbed,
-                     integrate_unperturbed, resolve_grid)
-from .rng import RngStream, path_streams
+                     integrate_grid_ensemble, resolve_grid)
+from .rng import path_streams
 from .tables import write_csv
 
 _ZERO_FLOOR = 1e-14
@@ -85,16 +84,12 @@ class AveragedField:
 
 
 def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
-                   method: str = "quadrature", func=None, n_nodes: int = 64,
-                   driver=None, horizon: float = 200.0,
-                   cfg: IntegratorConfig = None,
-                   rng: RngStream = RngStream(0)) -> AveragedField:
-    """Build the averaged field Q by one of three backends.
+                   method: str = "quadrature", func=None,
+                   n_nodes: int = 64) -> AveragedField:
+    """Build the averaged field Q by one of two backends.
 
     ``analytic`` wraps a user-supplied closed form, ``quadrature`` averages
-    the projected perturbation over the leaf, ``ergodic_mc`` takes the time
-    average of it along one unperturbed sample path per query point (slow,
-    meant for cross-checks).
+    the projected perturbation over the leaf.
     """
     if method == "analytic":
         if func is None:
@@ -105,21 +100,6 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
     if method == "quadrature":
         return AveragedField(chart, method,
                              _leaf_mean_dpik(chart, fields, n_nodes))
-    if method == "ergodic_mc":
-        if driver is None:
-            raise ConfigError("ergodic_mc method needs a driver")
-        if not (horizon > 0):
-            raise ConfigError("ergodic_mc horizon must be positive")
-        nodes = _leaf_nodes(chart, 8)
-
-        def by_time_average(v):
-            start = nodes(v)[0]            # the node at angle 0
-            traj = integrate_unperturbed(fields, chart, driver, start, horizon,
-                                         cfg, rng)
-            vals = dpi_k(chart, fields, traj.states)
-            return np.trapezoid(vals, traj.times, axis=0) / traj.times[-1]
-
-        return AveragedField(chart, method, by_time_average)
     raise ConfigError(f"unknown averaging method {method!r}")
 
 
@@ -213,17 +193,6 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
 # ergodic averages and their rate
 # ---------------------------------------------------------------------------
 
-def ergodic_average(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
-                    x0, horizon: float, cfg: IntegratorConfig = None,
-                    rng: RngStream = RngStream(0)) -> float:
-    """Trapezoid time average of psi along one unperturbed sample path."""
-    if not (horizon > 0):
-        raise ConfigError("horizon must be positive")
-    traj = integrate_unperturbed(fields, chart, driver, x0, horizon, cfg, rng)
-    vals = np.asarray(psi(traj.states), dtype=float)
-    return float(np.trapezoid(vals, traj.times) / traj.times[-1])
-
-
 def lp_moment(samples, p):
     """Empirical L^p moment of |samples| with a delta method standard error."""
     samples = np.asarray(samples, dtype=float)
@@ -291,8 +260,8 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
         raise ConfigError("need at least three distinct horizons")
     if not 0 < horizons[0] <= horizons[-1] < math.inf:
         raise ConfigError("horizons must be positive and finite")
-    if p < 2:
-        raise ConfigError("moment order p must be at least 2")
+    if not 2 <= p < math.inf:
+        raise ConfigError(f"moment order p must be at least 2 and finite, got {p!r}")
     if n_paths < 100:
         raise ConfigError("n_paths must be at least 100")
     if cfg is None:
@@ -338,63 +307,3 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     if slope is None:
         return RateEstimate(horizons, lp, 0.0, float(lp.max()), p, n_paths)
     return RateEstimate(horizons, lp, slope, const, p, n_paths)
-
-
-# ---------------------------------------------------------------------------
-# averaging defect along perturbed paths
-# ---------------------------------------------------------------------------
-
-def delta_defect(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
-                 q_psi, x0, eps: float, horizon: float,
-                 cfg: IntegratorConfig = None,
-                 rng: RngStream = RngStream(0)) -> float:
-    """Averaging defect of one perturbed path on [0, horizon & exit]:
-    eps times the integral of psi(X_s) - q_psi(Pi(X_s))."""
-    traj = integrate_perturbed(fields, chart, driver, x0, horizon, eps, cfg, rng)
-    vals = np.asarray(psi(traj.states), dtype=float)
-    vals = vals - np.asarray(q_psi(chart.vertical_projection(traj.states)), dtype=float)
-    return float(eps * np.trapezoid(vals, traj.times))
-
-
-def delta_defect_lp(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
-                    q_psi, x0, eps: float, horizon: float, p: float = 2,
-                    n_paths: int = 200, master_seed: int = 0,
-                    stream_base: int = 0, cfg: IntegratorConfig = None,
-                    threads: int = 1):
-    """L^p size of the averaging defect over an ensemble, with a delta
-    method standard error.  Paths stop contributing at their exit time."""
-    if p < 1:
-        raise ConfigError("p must be at least 1")
-    if n_paths < 2:
-        raise ConfigError("n_paths must be at least 2")
-    if cfg is None:
-        cfg = IntegratorConfig()
-
-    def integrand(states):
-        proj = chart.vertical_projection(states)
-        return np.asarray(psi(states), dtype=float) - np.asarray(q_psi(proj), dtype=float)
-
-    n_steps, h = resolve_grid(cfg, eps, horizon)
-
-    def run_block(a, b):
-        m = b - a
-        streams = path_streams(master_seed, stream_base + a, m)
-        integral = np.zeros(m)
-        integral_comp = np.zeros(m)
-        prev = np.empty(m)
-        prev_active = np.ones(m, dtype=bool)
-
-        def observe(k, t, states, active):
-            vals = integrand(states)
-            if k > 0:
-                inc = np.where(prev_active, (0.5 * h) * (vals + prev), 0.0)
-                _kahan_add(integral, integral_comp, inc)
-            prev[:] = vals
-            prev_active[:] = active
-
-        integrate_grid_ensemble(fields, driver, x0, horizon, eps, cfg, streams,
-                                contains=chart.contains, on_step=observe)
-        return integral
-
-    deltas = eps * np.concatenate(map_blocks(run_block, n_paths, threads))
-    return lp_moment(deltas, p)

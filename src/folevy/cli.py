@@ -46,16 +46,13 @@ def _add_common(parser):
                         metavar="SECTION.KEY=VALUE",
                         help="override one config entry (repeatable)")
     parser.add_argument("--seed", type=int, help="override run.master_seed")
-    parser.add_argument("--threads", type=int,
-                        help="override run.threads (accepted, no effect)")
     parser.add_argument("--out", metavar="DIR", help="output directory root")
 
 
 def _resolve_config(args) -> ExperimentConfig:
     raw = config_to_dict(load_config(args.config, args.overrides))
     # the flags are checked again with the run section, like its keys
-    for key, flag in (("master_seed", args.seed), ("threads", args.threads),
-                      ("out_dir", args.out)):
+    for key, flag in (("master_seed", args.seed), ("out_dir", args.out)):
         if flag is not None:
             raw["run"][key] = flag
     return config_from_dict(raw)
@@ -92,12 +89,9 @@ def _run(args) -> int:
     return code
 
 
-def _averaged(cfg, preset, icfg):
-    exp, run = cfg.experiment, cfg.run
-    return averaged_field(preset.chart, preset.fields, method=exp.method,
-                          n_nodes=exp.n_nodes, driver=preset.driver,
-                          horizon=exp.search_horizon, cfg=icfg,
-                          rng=RngStream(run.master_seed, run.stream_base))
+def _averaged(cfg, preset):
+    return averaged_field(preset.chart, preset.fields,
+                          n_nodes=cfg.experiment.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,7 @@ def cmd_simulate(cfg, preset, icfg):
 def cmd_average(cfg, preset, icfg):
     exp = cfg.experiment
     chart = preset.chart
-    avg = _averaged(cfg, preset, icfg)
+    avg = _averaged(cfg, preset)
     (r_lo, r_hi), (z_lo, z_hi) = chart.vertical_bounds
     rvals = np.linspace(r_lo, r_hi, exp.n_r + 2)[1:-1]
     zvals = np.linspace(z_lo, z_hi, exp.n_z + 2)[1:-1]
@@ -152,7 +146,7 @@ def cmd_average(cfg, preset, icfg):
             zip(sol.times, sol.values[:, 0], sol.values[:, 1])),
     }
     summary = {
-        "method": exp.method,
+        "method": avg.method,
         "boundary_time": sol.boundary_time,
         "gamma": exp.gamma,
         "t_gamma": sol.time_to_margin(exp.gamma),
@@ -171,8 +165,7 @@ def cmd_eta(cfg, preset, icfg):
     psi = projected_perturbation(preset.chart, preset.fields, comp)
     est = estimate_eta(preset.fields, preset.chart, preset.driver, psi,
                        np.asarray(exp.x0, dtype=float), exp.horizons, exp.p,
-                       exp.n_paths, run.master_seed, run.stream_base, icfg,
-                       run.threads)
+                       exp.n_paths, run.master_seed, run.stream_base, icfg)
     if est.identically_zero:
         line = "time averages match the leaf average exactly; decay exponent 0"
     else:
@@ -185,11 +178,11 @@ def cmd_eta(cfg, preset, icfg):
 def cmd_compare(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
-                                 _averaged(cfg, preset, icfg),
+                                 _averaged(cfg, preset),
                                  np.asarray(exp.x0, dtype=float),
                                  exp.epsilons, exp.horizon, exp.p, exp.n_paths,
                                  None, run.master_seed, run.stream_base, icfg,
-                                 run.threads, exp.ode_step)
+                                 ode_step=exp.ode_step)
     lines = [f"eps={eps:g}: sup L{res.p:g} distance {res.sup_norm[i, -1]:.6g} "
              f"(se {res.sup_norm_se[i, -1]:.2g})"
              for i, eps in enumerate(res.epsilons)]
@@ -200,11 +193,11 @@ def cmd_compare(cfg, preset, icfg):
 def cmd_exit_prob(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = exit_probability(preset.fields, preset.chart, preset.driver,
-                           _averaged(cfg, preset, icfg),
+                           _averaged(cfg, preset),
                            np.asarray(exp.x0, dtype=float), exp.epsilons,
                            exp.gamma, exp.n_paths, run.master_seed,
-                           run.stream_base, icfg, run.threads, exp.ode_step,
-                           exp.search_horizon)
+                           run.stream_base, icfg, ode_step=exp.ode_step,
+                           search_horizon=exp.search_horizon)
     lines = [f"averaged path comes within gamma={res.gamma:g} of the boundary "
              f"at s={res.t_gamma:.6g}"]
     lines += [f"eps={eps:g}: exit probability {pr:.4f} (se {se:.4f})"
@@ -219,7 +212,7 @@ def cmd_deviation(cfg, preset, icfg):
     res = deviation_scaling(preset.fields, preset.chart, preset.driver,
                             np.asarray(exp.x0, dtype=float), exp.epsilons,
                             exp.horizon, exp.observable, exp.p, exp.n_paths,
-                            run.master_seed, run.stream_base, icfg, run.threads)
+                            run.master_seed, run.stream_base, icfg)
     line = ("deviations vanish identically for this observable"
             if res.identically_zero
             else f"fitted scaling exponent {res.exponent:.4f} across eps")

@@ -8,9 +8,9 @@ of its listed strings.  An `int` key takes any finite number here; that
 it be whole is part of its range.  The integrator section is
 `marcus.IntegratorConfig` itself, so its `__post_init__` checks the
 integrator ranges as the config is loaded.  `_RANGES` holds the ranges
-that no constructor checks, those of the experiment keys and of
-`run.threads`; the preset and seed ranges are checked by the objects built
-from them, before any work starts.
+that no constructor checks, those of the experiment keys; the preset and
+seed ranges are checked by the objects built from them, before any work
+starts.
 
 Round-tripping through `config_to_dict` and `config_from_dict` is
 idempotent; `--set section.key=value` overrides are YAML-parsed scalars
@@ -50,7 +50,6 @@ class PresetSection:
 class RunSection:
     master_seed: int = 20260816
     stream_base: int = 0
-    threads: int = 0                      # accepted for old configs, no effect
     out_dir: Optional[str] = None
 
 
@@ -65,7 +64,6 @@ class ExperimentSection:
     n_paths: int = 200
     gamma: float = 0.1
     observable: Literal["radial", "vertical"] = "radial"
-    method: str = "quadrature"            # averaged-field backend
     n_nodes: int = 64
     n_r: int = 5
     n_z: int = 5
@@ -115,7 +113,6 @@ _RANGES = {
     "experiment.n_samples": _integer(1),
     "experiment.n_r": _integer(1),
     "experiment.n_z": _integer(1),
-    "run.threads": _integer(0),
 }
 
 
@@ -128,8 +125,11 @@ def _mismatch(kind, value):
     """None if `value` has the declared type `kind`, else what it needs."""
     origin, args = get_origin(kind), get_args(kind)
     if kind in (int, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and (isinstance(value, int) or math.isfinite(value))
+        try:                            # float() of an int past 1e308 overflows
+            ok = isinstance(value, (int, float)) \
+                and not isinstance(value, bool) and math.isfinite(float(value))
+        except OverflowError:
+            ok = False
         return None if ok else "a finite number"
     if origin is Literal:
         ok = isinstance(value, str) and value in args

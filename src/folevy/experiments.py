@@ -129,8 +129,8 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     epsilons = _check_eps_list(epsilons)
     if not (horizon > 0):
         raise ConfigError("horizon must be positive")
-    if p < 1:
-        raise ConfigError("p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise ConfigError(f"p must be at least 1 and finite, got {p!r}")
     if n_paths < 2:
         raise ConfigError("n_paths must be at least 2")
     if cfg is None:
@@ -335,8 +335,8 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
     epsilons = _check_eps_list(epsilons)
     if not (horizon > 0):
         raise ConfigError("horizon must be positive")
-    if p < 1:
-        raise ConfigError("p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise ConfigError(f"p must be at least 1 and finite, got {p!r}")
     if n_paths < 2:
         raise ConfigError("n_paths must be at least 2")
     if cfg is None:

@@ -149,8 +149,6 @@ class CylinderPreset:
     r_max: float
     z_min: float
     z_max: float
-    theta: float
-    k_choice: object
 
 
 def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
@@ -235,8 +233,7 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         exact_jump_flow=exact_jump_flow,
     )
     driver = GammaSubordinator(rate=theta, exp_moment_order=kappa)
-    return CylinderPreset(chart, fields, driver, r_min, r_max, z_min, z_max,
-                          theta, k_choice)
+    return CylinderPreset(chart, fields, driver, r_min, r_max, z_min, z_max)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,6 @@ def dpi_k(chart: FoliatedChart, fields: VectorFieldSet, x):
 class TangencyReport:
     max_violation: float
     n_checked: int
-    n_skipped: int
 
 
 def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
@@ -278,7 +274,7 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
     """Max |dPi(F_j)| over sampled points of U, for each driving column.
 
     Points drawn uniformly from the ambient sample box; draws landing
-    outside U are skipped and counted.  sample_count must be positive.
+    outside U are skipped.  sample_count must be positive.
     """
     if sample_count < 1:
         raise ConfigError("sample_count must be positive")
@@ -287,9 +283,8 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
     pts = gen.uniform(lo, hi, size=(sample_count, chart.ambient_dim))
     keep = chart.contains(pts)
     pts = pts[keep]
-    n_skipped = int(sample_count - len(pts))
     if len(pts) == 0:
-        return TangencyReport(0.0, 0, n_skipped)
+        return TangencyReport(0.0, 0)
     push = _pushforward(chart)
     worst = 0.0
     for j in range(fields.driver_dim):
@@ -297,4 +292,4 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
         e[:, j] = 1.0
         col = fields.driving(pts, e)
         worst = max(worst, float(np.abs(push(pts, col)).max()))
-    return TangencyReport(worst, int(len(pts)), n_skipped)
+    return TangencyReport(worst, int(len(pts)))

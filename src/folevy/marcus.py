@@ -69,13 +69,13 @@ class IntegratorConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.splitting not in SPLITTINGS:
             raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}")
-        if self.step_h is not None and not (self.step_h > 0):
-            raise ConfigError("step_h must be positive when given")
+        if self.step_h is not None and not 0 < self.step_h < math.inf:
+            raise ConfigError("step_h must be positive and finite when given")
         if not (isinstance(self.jump_ode_substeps, (int, np.integer))
                 and self.jump_ode_substeps >= 1):
             raise ConfigError("jump_ode_substeps must be a positive integer")
-        if not (self.jump_cutoff > 0):
-            raise ConfigError("jump_cutoff must be positive")
+        if not 0 < self.jump_cutoff < math.inf:
+            raise ConfigError("jump_cutoff must be positive and finite")
 
     def resolve_step(self, eps):
         if self.step_h is not None:

@@ -31,7 +31,6 @@ from folevy import (ConstantK, GammaSubordinator, IntegratorConfig,
                     marginal_samples, projected_perturbation,
                     scheme_agreement, solve_averaged_ode,
                     transversal_comparison)
-from folevy.cli import main
 
 X0 = np.array([1.0, 0.0, 0.0])
 SEED_LEAF = 880001
@@ -106,25 +105,6 @@ def test_scheme_agreement_under_halving():
         _verdict(f"scheme agreement {key} reproduce the baseline",
                  getattr(res, key).tolist() == base[key],
                  f"{getattr(res, key).tolist()} vs {base[key]}")
-
-
-def test_compare_csv_identical_across_thread_counts(tmp_path):
-    args = ["--set", "experiment.n_paths=24",
-            "--set", "experiment.epsilons=[0.3, 0.15]",
-            "--set", "experiment.horizon=0.5"]
-    blobs = {}
-    for threads in ("1", "8"):
-        root = tmp_path / f"t{threads}"
-        code = main(["compare", "--out", str(root), "--seed", "4242",
-                     "--threads", threads, *args])
-        assert code == 0
-        run = os.path.join(root, sorted(os.listdir(root))[-1])
-        with open(os.path.join(run, "comparison.csv"), "rb") as fh:
-            blobs[threads] = fh.read()
-    _verdict("thread-count determinism",
-             len(blobs["1"]) > 0 and blobs["1"] == blobs["8"],
-             f"comparison.csv identical at --threads 1 and 8 "
-             f"({len(blobs['1'])} bytes)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Leaf averages, the averaged ODE, ergodic rates, and the defect estimator.
+"""Leaf averages, the averaged ODE, and ergodic rates.
 
 Closed forms on the cylinder anchor everything: the leaf average of the
 linear field is r/2 radially, the averaged flow is r0*exp(s/2) with hitting
-time 2*log(r_target/r0), and a constant vertical field averages to itself,
-making its defect vanish identically.
+time 2*log(r_target/r0), and a constant vertical field averages to itself.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folevy import (AveragedField, ConfigError, ConstantK, DomainError,
-                    IntegratorConfig, RateEstimate, RngStream, averaged_field,
-                    delta_defect, delta_defect_lp, ergodic_average,
-                    estimate_eta, fit_loglog, leaf_average_quadrature,
-                    lp_moment, make_cylinder_preset, rate_to_csv,
-                    solve_averaged_ode)
+from folevy import (ConfigError, ConstantK, DomainError, RateEstimate,
+                    averaged_field, estimate_eta, fit_loglog,
+                    leaf_average_quadrature, lp_moment, make_cylinder_preset,
+                    rate_to_csv, solve_averaged_ode)
 
 SEED = 20260816
 
@@ -129,13 +126,6 @@ def test_averaged_field_backends_agree():
     for v in (np.array([0.7, 0.0]), np.array([1.0, 2.0]), np.array([3.0, -4.0])):
         assert np.max(np.abs(quad(v) - closed(v))) <= 1e-12
 
-    mc = averaged_field(preset.chart, preset.fields, method="ergodic_mc",
-                        driver=preset.driver, horizon=200.0,
-                        rng=RngStream(SEED, 1))
-    gap = np.max(np.abs(mc.evaluate(np.array([1.0, 0.0]))
-                        - np.array([0.5, 0.0])))
-    assert gap <= 0.08, f"time average off by {gap:.3f}"
-
 
 def test_averaged_field_validation():
     preset = make_cylinder_preset()
@@ -144,23 +134,18 @@ def test_averaged_field_validation():
     with pytest.raises(ValueError):
         averaged_field(preset.chart, preset.fields, n_nodes=4)
     with pytest.raises(ValueError):
-        averaged_field(preset.chart, preset.fields, method="ergodic_mc")
-    with pytest.raises(ValueError):
         averaged_field(preset.chart, preset.fields, method="sobolev")
 
 
 def test_chart_without_leaf_nodes_fails_when_the_field_is_built():
-    # the quadrature nodes and the ergodic start point need leaf_nodes; a
-    # chart without them is refused before any evaluation or ODE step
+    # the quadrature nodes need leaf_nodes; a chart without them is refused
+    # before any evaluation or ODE step
     preset = make_cylinder_preset()
     bare = dataclasses.replace(preset.chart, leaf_nodes=None)
     no_k = dataclasses.replace(preset.fields, perturbation=None)
     for fields in (preset.fields, no_k):
         with pytest.raises(ConfigError, match="no leaf parametrization"):
             averaged_field(bare, fields)
-    with pytest.raises(ConfigError, match="no leaf parametrization"):
-        averaged_field(bare, preset.fields, method="ergodic_mc",
-                       driver=preset.driver)
     with pytest.raises(ConfigError, match="no leaf parametrization"):
         leaf_average_quadrature(bare, _radial_psi, np.array([1.0, 0.0]))
     closed = averaged_field(bare, preset.fields, method="analytic",
@@ -274,29 +259,8 @@ def test_interp_rejects_times_outside_range():
 
 
 # ---------------------------------------------------------------------------
-# ergodic averages and the mixing rate
+# the mixing rate of ergodic averages
 # ---------------------------------------------------------------------------
-
-def test_ergodic_average_of_constant():
-    preset = make_cylinder_preset()
-    got = ergodic_average(preset.fields, preset.chart, preset.driver,
-                          lambda s: np.full(s.shape[:-1], 2.5),
-                          np.array([1.0, 0.0, 0.0]), 10.0,
-                          rng=RngStream(SEED, 2))
-    assert got == 2.5
-    with pytest.raises(ValueError):
-        ergodic_average(preset.fields, preset.chart, preset.driver,
-                        _radial_psi, np.array([1.0, 0.0, 0.0]), 0.0)
-
-
-def test_ergodic_average_converges_to_leaf_average():
-    preset = make_cylinder_preset()
-    got = ergodic_average(preset.fields, preset.chart, preset.driver,
-                          _radial_psi, np.array([1.0, 0.0, 0.0]), 400.0,
-                          cfg=IntegratorConfig(scheme="exact_leaf"),
-                          rng=RngStream(SEED, 3))
-    assert abs(got - 0.5) <= 0.1
-
 
 def test_estimate_eta_square_root_decay():
     preset = make_cylinder_preset()
@@ -369,39 +333,3 @@ def test_rate_csv_columns(tmp_path):
                        "fitted_constant"]
     assert len(rows) == 3
     assert float(rows[1][1]) == 0.5
-
-
-# ---------------------------------------------------------------------------
-# averaging defect
-# ---------------------------------------------------------------------------
-
-def test_defect_vanishes_for_self_averaging_observable():
-    preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 2.0))
-    psi = lambda s: np.full(s.shape[:-1], 2.0)
-    q_psi = lambda v: np.full(np.asarray(v).shape[:-1], 2.0)
-    x0 = np.array([1.0, 0.0, 0.0])
-    got = delta_defect(preset.fields, preset.chart, preset.driver, psi, q_psi,
-                       x0, 0.3, 5.0, rng=RngStream(SEED, 4))
-    assert got == 0.0
-    at_zero = delta_defect(preset.fields, preset.chart, preset.driver, psi,
-                           q_psi, x0, 0.3, 0.0, rng=RngStream(SEED, 5))
-    assert at_zero == 0.0
-
-
-def test_defect_lp_shrinks_with_eps():
-    preset = make_cylinder_preset()
-    x0 = np.array([1.0, 0.0, 0.0])
-    vals = {}
-    for eps in (0.2, 0.05):
-        vals[eps], se = delta_defect_lp(preset.fields, preset.chart,
-                                        preset.driver, _radial_psi,
-                                        _half_radius, x0, eps, 1.0,
-                                        n_paths=200, master_seed=SEED)
-        assert se >= 0
-    assert vals[0.05] < vals[0.2]
-    with pytest.raises(ValueError):
-        delta_defect_lp(preset.fields, preset.chart, preset.driver,
-                        _radial_psi, _half_radius, x0, 0.1, 1.0, n_paths=1)
-    with pytest.raises(ValueError):
-        delta_defect_lp(preset.fields, preset.chart, preset.driver,
-                        _radial_psi, _half_radius, x0, 0.1, 1.0, p=0.5)

@@ -2,7 +2,7 @@
 
 CLI tests run main() in process against temporary output directories and
 small --set overrides, checking artifact layout, frozen oracle values in
-the emitted CSVs, and bitwise equality of threaded against serial runs.
+the emitted CSVs, and bitwise equality of repeated runs.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from hypothesis import strategies as st
 
 import folevy
 from folevy import (ConfigError, ConstantK, GammaSubordinator,
-                    IntegratorConfig, LinearK, RngStream,
-                    characteristic_function, cli, estimate_eta, experiments,
-                    make_cylinder_preset, marginal_samples, solve_averaged_ode)
+                    IntegratorConfig, LinearK, RngStream, averaged_field,
+                    characteristic_function, cli, deviation_scaling,
+                    estimate_eta, experiments, make_cylinder_preset,
+                    marginal_samples, solve_averaged_ode,
+                    transversal_comparison)
 from folevy.cli import main
 from folevy.marcus import resolve_grid
 from folevy.config import (_FLOAT, ExperimentConfig, apply_overrides,
@@ -87,7 +89,7 @@ def test_config_rejects_unknown_entries():
 def test_apply_overrides_parses_yaml_values():
     raw = apply_overrides({}, ["preset.theta=2.5",
                                "experiment.epsilons=[0.4, 0.2]",
-                               "run.threads=4",
+                               "run.stream_base=4",
                                "experiment.observable=vertical",
                                "integrator.step_h=1e-3",
                                "experiment.epsilon=1E-1",
@@ -98,7 +100,7 @@ def test_apply_overrides_parses_yaml_values():
     assert cfg.experiment.u_values == (1.0, 2, -5.0)
     assert cfg.preset.theta == 2.5
     assert cfg.experiment.epsilons == (0.4, 0.2)
-    assert cfg.run.threads == 4
+    assert cfg.run.stream_base == 4
     assert cfg.experiment.observable == "vertical"
     # a section left empty in a file reads as null and takes overrides
     raw = apply_overrides({"experiment": None}, ["experiment.horizon=0.5"])
@@ -224,8 +226,11 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("average", "experiment.n_z=-1", "experiment.n_z"),
         ("average", "experiment.n_z=2.5", "experiment.n_z"),
         ("simulate", "run.out_dir=5", "run.out_dir"),
-        ("simulate", "run.threads=0.001", "run.threads"),
-        ("simulate", "run.threads=-7", "run.threads"),
+        ("simulate", "run.stream_base=0.001", "stream_index must be"),
+        ("simulate", "run.stream_base=-7", "stream_index must be"),
+        ("simulate", "run.threads=1", "unknown config key run.threads"),
+        ("compare", "experiment.method=quadrature",
+         "unknown config key experiment.method"),
         ("simulate", "preset.k_constant=[1, 2, .nan]", "preset.k_constant"),
         ("charfn", "experiment.t=.nan", "experiment.t"),
         ("charfn", "experiment.t=.inf", "experiment.t"),
@@ -234,15 +239,19 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "integrator.step_h=1e-320", "more than the 1e+08 allowed"),
         ("average", "experiment.ode_step=1e-300", "more than the 1e+08 allowed"),
     ]
+    # an integer past the float range is not a finite number
+    cases += [(command, f"experiment.horizon={10 ** 400}",
+               "experiment.horizon must be a finite number")
+              for command in ("average", "compare", "simulate")]
     for command, override, message in cases:
         assert main([command, "--out", str(out), "--set", override]) == 2
         err = capsys.readouterr().err
         assert message in err
         assert err.startswith("error: ") and err.count("\n") == 1
-    # the --threads flag meets the range of run.threads
-    assert main(["simulate", "--out", str(out), "--threads", "-7"]) == 2
+    # the --seed flag meets the range of run.master_seed
+    assert main(["simulate", "--out", str(out), "--seed", "-7"]) == 2
     assert capsys.readouterr().err == \
-        "error: run.threads must be an integer of at least 0, got -7\n"
+        "error: master_seed must be a nonnegative integer\n"
     assert not out.exists()
 
 
@@ -267,6 +276,35 @@ def test_library_rejections_are_config_errors_and_value_errors():
         with pytest.raises(ConfigError) as info:
             reject()
         assert isinstance(info.value, ValueError)
+
+
+def _non_finite_call(name, value):
+    preset = make_cylinder_preset()
+    args = (preset.fields, preset.chart, preset.driver)
+    x0 = np.array([1.0, 0.0, 0.0])
+    if name == "estimate_eta.p":
+        return estimate_eta(*args, lambda s: s[..., 0], x0, [5.0, 10.0, 20.0],
+                            p=value, n_paths=100)
+    if name == "deviation_scaling.p":
+        return deviation_scaling(*args, x0, [0.5, 0.25], 0.3, p=value,
+                                 n_paths=4)
+    if name == "transversal_comparison.p":
+        return transversal_comparison(
+            *args, averaged_field(preset.chart, preset.fields), x0, [0.5],
+            0.3, p=value, n_paths=4)
+    return IntegratorConfig(**{name.split(".")[1]: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["estimate_eta.p", "deviation_scaling.p",
+                                  "transversal_comparison.p",
+                                  "IntegratorConfig.step_h",
+                                  "IntegratorConfig.jump_cutoff"])
+def test_non_finite_numbers_are_rejected_before_any_path(name, value):
+    # unchecked, p=nan fits an eta exponent of 0.0, p=inf reads deviation
+    # values of [1.0, 1.0], and step_h=inf takes one step over the horizon
+    with pytest.raises(ConfigError):
+        _non_finite_call(name, value)
 
 
 KEYS = [(sec.name, key.name, getattr(getattr(ExperimentConfig(), sec.name),
@@ -330,8 +368,7 @@ _TEXT = st.one_of(st.text(max_size=8), st.from_regex(_FLOAT, fullmatch=True))
 
 @settings(max_examples=300, deadline=None)
 @given(overrides=_overrides(wide=True),
-       text=st.tuples(st.sampled_from([("run", "out_dir"),
-                                       ("experiment", "method")]), _TEXT))
+       text=st.tuples(st.just(("run", "out_dir")), _TEXT))
 def test_dumped_config_reads_back_equal(overrides, text):
     try:
         cfg = config_from_dict(_raw([*overrides, text]))
@@ -484,12 +521,12 @@ def test_simulate_unperturbed_trajectory(tmp_path):
 def test_effective_config_records_overrides(tmp_path):
     out = tmp_path / "runs"
     assert main(["simulate", "--out", str(out), "--seed", "123",
-                 "--set", "preset.theta=2.0", "--threads", "3"]) == 0
+                 "--set", "preset.theta=2.0", "--set", "run.stream_base=3"]) == 0
     eff = loads_config(open(os.path.join(_run_dir(out),
                                          "effective_config.yaml")).read())
     assert eff.preset.theta == 2.0
     assert eff.run.master_seed == 123
-    assert eff.run.threads == 3
+    assert eff.run.stream_base == 3
     assert eff.run.out_dir == str(out)
 
 
@@ -575,18 +612,6 @@ def test_deviation_subcommand(tmp_path):
     assert rows[0] == ["epsilon", "t", "p", "sup_lp", "std_error", "n_paths"]
     summary = json.load(open(os.path.join(run, "summary.json")))
     assert summary["observable"] == "radial"
-
-
-def test_compare_csv_identical_across_threads(tmp_path):
-    outs = {}
-    for threads in ("1", "8"):
-        root = tmp_path / f"threads{threads}"
-        assert main(["compare", "--out", str(root), "--seed", "42",
-                     "--threads", threads, *SMALL]) == 0
-        outs[threads] = open(os.path.join(_run_dir(root), "comparison.csv"),
-                             "rb").read()
-    assert outs["1"] == outs["8"]
-    assert len(outs["1"]) > 0
 
 
 def test_simulate_is_reproducible_across_runs(tmp_path):

@@ -363,7 +363,6 @@ def test_preset_rejects_bad_geometry():
 def test_preset_wires_driver_rate():
     preset = make_cylinder_preset(theta=2.5)
     assert preset.driver.rate == 2.5
-    assert preset.theta == 2.5
 
 
 def test_without_exact_flow_strips_only_the_flow():

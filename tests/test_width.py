@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from folevy import (_parallel, averaged_field, averaging, delta_defect_lp,
-                    deviation_scaling, estimate_eta, exit_probability,
-                    experiments, make_cylinder_preset, scheme_agreement,
+from folevy import (_parallel, averaged_field, averaging, deviation_scaling,
+                    estimate_eta, exit_probability, experiments,
+                    make_cylinder_preset, scheme_agreement,
                     transversal_comparison)
 
 SEED = 20260816
@@ -24,15 +24,6 @@ X0 = np.array([1.7, 0.0, 0.0])
 PRESET = make_cylinder_preset(r_max=2.0)
 AVG = averaged_field(PRESET.chart, PRESET.fields)
 ARGS = (PRESET.fields, PRESET.chart, PRESET.driver)
-
-
-def _radial_psi(states):
-    r = np.hypot(states[..., 0], states[..., 1])
-    return states[..., 0] ** 2 / r
-
-
-def _half_radius(v):
-    return np.asarray(v, dtype=float)[..., 0] / 2.0
 
 
 # name -> (smallest path count, run(n_paths) -> comparable outputs)
@@ -49,9 +40,6 @@ EXPERIMENTS = {
     "estimate_eta": (100, lambda n: vars(estimate_eta(
         *ARGS, lambda s: s[..., 0], X0, horizons=[0.1, 0.2, 0.3],
         n_paths=n, master_seed=SEED))),
-    "delta_defect_lp": (2, lambda n: delta_defect_lp(
-        *ARGS, _radial_psi, _half_radius, X0, 0.5, 0.3, n_paths=n,
-        master_seed=SEED)),
     "scheme_agreement": (2, lambda n: scheme_agreement(
         *ARGS, X0, horizon=0.2, n_paths=n, master_seed=SEED).summary()),
 }
@@ -62,10 +50,6 @@ def _assert_identical(a, b):
         assert a.keys() == b.keys()
         for key in a:
             _assert_identical(a[key], b[key])
-    elif isinstance(a, tuple):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            _assert_identical(x, y)
     else:
         np.testing.assert_array_equal(a, b, strict=True)
 
