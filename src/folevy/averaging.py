@@ -16,11 +16,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._parallel import map_blocks
-from .drivers import _numbers
-from .errors import ConfigError, DomainError
+from .errors import (_MAX_COUNT, ConfigError, DomainError, _count, _real,
+                     _reals)
 from .geometry import FoliatedChart, VectorFieldSet, _pushforward
-from .marcus import (IntegratorConfig, _drift_rk4, _kahan_add, _step_count,
-                     integrate_grid_ensemble, resolve_grid)
+from .marcus import (IntegratorConfig, _drift_rk4, _grid_config, _kahan_add,
+                     _step_count, integrate_grid_ensemble, resolve_grid)
 from .rng import path_streams
 from .tables import write_csv
 
@@ -30,9 +30,7 @@ _ZERO_FLOOR = 1e-14
 def _leaf_nodes(chart, n_nodes):
     """The chart's v -> points at n_nodes uniform leaf angles, from 0.  The
     count must be whole: np.arange(8.5) gives 9 nodes, not 8.5."""
-    if not (isinstance(n_nodes, (int, np.integer))
-            and not isinstance(n_nodes, bool) and n_nodes >= 8):
-        raise ConfigError(f"n_nodes must be at least 8 and an integer, got {n_nodes!r}")
+    _count(n_nodes, "n_nodes", 8, _MAX_COUNT)
     if chart.leaf_nodes is None:
         raise ConfigError("chart carries no leaf parametrization")
     return chart.leaf_nodes(np.arange(n_nodes) * (2.0 * np.pi / n_nodes))
@@ -136,8 +134,7 @@ class AveragedSolution:
 
     def time_to_margin(self, gamma: float) -> Optional[float]:
         """First time the boundary gap drops to gamma, by linear interpolation."""
-        if gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        _real(gamma, "gamma", least=0)
         m = self.margins()
         if m[0] <= gamma:
             return 0.0
@@ -154,12 +151,12 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
                        step: float = 1e-3) -> AveragedSolution:
     """Integrate dw/ds = Q(w) with classical Runge-Kutta and compensated
     accumulation, stopping one step past the transversal boundary."""
+    _real(horizon, "horizon", above=0)
+    _real(step, "step", above=0)
     chart = avg.chart
     v0 = np.asarray(v0, dtype=float)
     if not bool(chart.vertical_contains(v0)):
         raise DomainError("v0 lies outside the transversal domain")
-    if not (horizon > 0 and step > 0):
-        raise ConfigError("horizon and step must be positive")
     n = _step_count(horizon, step)
     h = horizon / n
     y = v0.copy()
@@ -255,17 +252,14 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     mixing observables.  Errors all below 1e-14 report exponent 0 with
     constant 0: the observable averages exactly.
     """
-    horizons = np.sort(_numbers(horizons, "horizons"), axis=None)
+    horizons = np.sort(_reals(horizons, "horizons", above=0))
     if len(horizons) < 3 or len(np.unique(horizons)) != len(horizons):
         raise ConfigError("need at least three distinct horizons")
-    if not 0 < horizons[0] <= horizons[-1] < math.inf:
-        raise ConfigError("horizons must be positive and finite")
-    if not 2 <= p < math.inf:
-        raise ConfigError(f"moment order p must be at least 2 and finite, got {p!r}")
-    if n_paths < 100:
-        raise ConfigError("n_paths must be at least 100")
-    if cfg is None:
-        cfg = IntegratorConfig()
+    _real(p, "moment order p", least=2)
+    _count(n_paths, "n_paths", 100)
+    _count(master_seed, "master_seed")
+    _count(stream_base, "stream_base")
+    cfg = _grid_config(cfg)
     _, h = resolve_grid(cfg, 0.0, float(horizons[-1]))
     snap_idx = np.rint(horizons / h).astype(int)
     if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
@@ -274,6 +268,8 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
         q_ref = leaf_average_quadrature(chart, psi,
                                         chart.vertical_projection(np.asarray(x0, float)),
                                         n_nodes=256)
+    else:
+        _real(q_ref, "q_ref")
     t_max = float(horizons[-1])
 
     def run_block(a, b):

@@ -7,10 +7,11 @@ not one), a tuple must have its declared length and a `Literal` key one
 of its listed strings.  An `int` key takes any finite number here; that
 it be whole is part of its range.  The integrator section is
 `marcus.IntegratorConfig` itself, so its `__post_init__` checks the
-integrator ranges as the config is loaded.  `_RANGES` holds the ranges
-that no constructor checks, those of the experiment keys; the preset and
-seed ranges are checked by the objects built from them, before any work
-starts.
+integrator ranges as the config is loaded.  `_RANGES` maps each
+experiment key that no constructor checks to a call of the checks in
+`errors` that every library entry point runs too, so a key's error reads
+`section.key must be ...`; the preset and seed ranges are checked by the
+objects built from them, before any work starts.
 
 Round-tripping through `config_to_dict` and `config_from_dict` is
 idempotent; `--set section.key=value` overrides are YAML-parsed scalars
@@ -23,14 +24,13 @@ loads neither.
 from __future__ import annotations
 
 import copy
-import functools
-import math
 import re
 from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 from typing import (Literal, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
-from .errors import ConfigError
+from .errors import _MAX_COUNT, ConfigError, _count, _real, _reals
 from .marcus import IntegratorConfig    # loaded by the package before this
 
 
@@ -90,33 +90,25 @@ _SECTIONS = {
 }
 
 
-def _integer(least):
-    return (lambda v: isinstance(v, int) and v >= least,
-            f"an integer of at least {least}")
-
-
-_POSITIVE = (lambda v: v > 0, "positive")
-
-# section.key -> (test, wanted), tried on a value of the declared type:
-# the ranges that no object built from the config checks
+# section.key -> the check of its range, run on a value of the declared
+# type: the ranges that no object built from the config checks
 _RANGES = {
-    "experiment.epsilon": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "experiment.epsilons": (lambda v: v and all(0 < e <= 1 for e in v),
-                            "a nonempty list of numbers in (0, 1]"),
-    "experiment.horizon": _POSITIVE,
-    "experiment.gamma": _POSITIVE,
-    "experiment.ode_step": _POSITIVE,
-    "experiment.search_horizon": _POSITIVE,
-    "experiment.p": (lambda v: v >= 1, "at least 1"),
-    "experiment.u_values": (len, "a nonempty list"),
-    "experiment.n_paths": _integer(2),
-    "experiment.n_samples": _integer(1),
-    "experiment.n_r": _integer(1),
-    "experiment.n_z": _integer(1),
+    "experiment.epsilon": partial(_real, least=0, most=1),
+    "experiment.epsilons": partial(_reals, above=0, most=1),
+    "experiment.horizon": partial(_real, above=0),
+    "experiment.gamma": partial(_real, above=0),
+    "experiment.ode_step": partial(_real, above=0),
+    "experiment.search_horizon": partial(_real, above=0),
+    "experiment.p": partial(_real, least=1),
+    "experiment.u_values": _reals,
+    "experiment.n_paths": partial(_count, least=2),
+    "experiment.n_samples": partial(_count, least=1, most=_MAX_COUNT),
+    "experiment.n_r": partial(_count, least=1),
+    "experiment.n_z": partial(_count, least=1),
 }
 
 
-@functools.cache
+@cache
 def _hints(cls):
     return get_type_hints(cls)
 
@@ -125,12 +117,11 @@ def _mismatch(kind, value):
     """None if `value` has the declared type `kind`, else what it needs."""
     origin, args = get_origin(kind), get_args(kind)
     if kind in (int, float):
-        try:                            # float() of an int past 1e308 overflows
-            ok = isinstance(value, (int, float)) \
-                and not isinstance(value, bool) and math.isfinite(float(value))
-        except OverflowError:
-            ok = False
-        return None if ok else "a finite number"
+        try:
+            _real(value, "")
+        except ConfigError:
+            return "a finite number"
+        return None
     if origin is Literal:
         ok = isinstance(value, str) and value in args
         return None if ok else "one of " + ", ".join(map(repr, args))
@@ -153,14 +144,14 @@ def _build_section(cls, data, section):
         raise ConfigError(f"section {section!r} must be a mapping")
     hints = _hints(cls)
     for key, value in data.items():
+        name = f"{section}.{key}"
         if key not in hints:
-            raise ConfigError(f"unknown config key {section}.{key}")
+            raise ConfigError(f"unknown config key {name}")
         want = _mismatch(hints[key], value)
-        test, wanted = _RANGES.get(f"{section}.{key}", (None, None))
-        if not want and test and not test(value):
-            want = wanted
         if want:
-            raise ConfigError(f"{section}.{key} must be {want}, got {value!r}")
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+        if name in _RANGES:
+            _RANGES[name](value, name)
     return cls(**{key: tuple(value) if isinstance(value, list) else value
                   for key, value in data.items()})
 
@@ -185,7 +176,7 @@ def config_from_dict(data) -> ExperimentConfig:
 _FLOAT = r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"
 
 
-@functools.cache
+@cache
 def _yaml12(base):
     """A subclass of PyYAML's SafeLoader or SafeDumper with YAML 1.2 floats."""
     cls = type(base.__name__, (base,), {})

@@ -41,7 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import (_MAX_COUNT, ConfigError, QuadratureError, _count,
+                     _real)
 from .rng import RngStream
 
 QUAD_ABS_TOL = 1e-10
@@ -279,27 +280,6 @@ def _check_exp_moment(density, lo, hi, kappa):
 
 
 # ---------------------------------------------------------------------------
-# argument checks
-# ---------------------------------------------------------------------------
-
-def _check_positive_finite(value, name):
-    """ConfigError unless `value` is a number in (0, inf); an integer too
-    large for a float is not finite."""
-    try:
-        ok = value > 0 and math.isfinite(float(value))
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_count(n, name):
-    """ConfigError unless `n` is a nonnegative integer (a bool is not one)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ConfigError(f"{name} must be a nonnegative integer, got {n!r}")
-
-
-# ---------------------------------------------------------------------------
 # driver kinds
 # ---------------------------------------------------------------------------
 
@@ -313,9 +293,9 @@ class GammaSubordinator:
     dimension = 1
 
     def __post_init__(self):
-        _check_positive_finite(self.rate, "rate")
+        _real(self.rate, "rate", above=0)
         kappa = self.rate / 2 if self.exp_moment_order is None else self.exp_moment_order
-        if not (0 < kappa < self.rate):
+        if not 0 < _real(kappa, "exponential moment order") < self.rate:
             # the tail integral int_1^inf e^((kappa-rate)y)/y dy diverges
             raise ConfigError(
                 f"exponential moment order must sit in (0, rate): kappa={kappa}, rate={self.rate}"
@@ -331,7 +311,7 @@ class GammaSubordinator:
 
     def tail_mass(self, cutoff):
         """Measure of (cutoff, inf): the exponential integral E1(rate*cutoff)."""
-        _check_positive_finite(cutoff, "cutoff")
+        _real(cutoff, "cutoff", above=0)
         return float(_exp1(self.rate * cutoff))
 
     def mean_below(self, cutoff):
@@ -392,11 +372,9 @@ class CompoundPoisson(_FiniteActivity):
     support: tuple = (-np.inf, np.inf)
 
     def __post_init__(self):
-        _check_positive_finite(self.intensity, "intensity")
-        if self.dimension < 1:
-            raise ConfigError("dimension must be a positive integer")
-        if self.exp_moment_order <= 0:
-            raise ConfigError("exponential moment order must be positive")
+        _real(self.intensity, "intensity", above=0)
+        _count(self.dimension, "dimension", 1)
+        _real(self.exp_moment_order, "exponential moment order", above=0)
         if self.dimension == 1 and self.jump_density is not None:
             _check_exp_moment(lambda y: float(self.jump_density(y)),
                               *self.support, self.exp_moment_order)
@@ -441,7 +419,8 @@ class TruncatedMeasure(_FiniteActivity):
     dimension = 1
 
     def __post_init__(self):
-        _check_positive_finite(self.cutoff, "cutoff")
+        _real(self.cutoff, "cutoff", above=0)
+        _real(self.exp_moment_order, "exponential moment order", above=0)
         lo, hi = self.support
         if not lo < hi:
             raise ConfigError("support must be a nondegenerate interval")
@@ -589,8 +568,7 @@ class JumpEvents:
 
 def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
     """Poisson jump times with iid sizes; Gamma drivers must be truncated first."""
-    if not 0 <= horizon < math.inf:
-        raise ConfigError(f"horizon must be nonnegative and finite, got {horizon!r}")
+    _real(horizon, "horizon", least=0)
     rate, size_draw, dim, comp = spec.finite_law()
     gen = rng.generator()
     n = int(gen.poisson(rate * horizon))
@@ -615,8 +593,7 @@ def step_sums(grid, events):
 def make_step_sampler(spec, h):
     """The driver's fn(gen, n) -> (n, dimension) of n consecutive exact
     increments over steps of length h, one path's stream at a time."""
-    if not 0 < h < math.inf:
-        raise ConfigError(f"step must be positive and finite, got {h!r}")
+    _real(h, "step", above=0)
     return spec.step_sampler(h)
 
 
@@ -624,27 +601,15 @@ def make_step_sampler(spec, h):
 # distributional oracles
 # ---------------------------------------------------------------------------
 
-def _numbers(value, name):
-    """`value` as a float array; ConfigError unless every entry is a
-    number (a bool is not one)."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must be numeric, got {value!r}")
-    return arr.astype(float)
-
-
-def _check_time(t):
-    if not (_numbers(t, "t").ndim == 0 and 0 <= t < math.inf):
-        raise ConfigError(f"t must be nonnegative and finite, got {t!r}")
-
-
 def characteristic_function(spec, u, t):
     """E[exp(i * u * Z_t)] for scalar or array u, from the driver's `cf`."""
-    _check_time(t)
-    u_arr = _numbers(u, "u")
+    _real(t, "t", least=0)
+    u_arr = np.asarray(u)
+    if u_arr.dtype.kind not in "iuf":       # a bool array is not numeric
+        raise ConfigError(f"u must be numeric, got {u!r}")
     if spec.dimension != 1:
         raise NotImplementedError("characteristic function only for scalar drivers")
-    out = spec.cf(u_arr, t)
+    out = spec.cf(u_arr.astype(float), t)
     return complex(out) if np.isscalar(u) else out
 
 
@@ -652,8 +617,8 @@ def marginal_samples(spec, t, n, rng: RngStream):
     """n independent samples of Z_t (scalar drivers)."""
     if getattr(spec, "dimension", 1) != 1:
         raise NotImplementedError("marginal sampling only for scalar drivers")
-    _check_time(t)
-    _check_count(n, "n")
+    _real(t, "t", least=0)
+    _count(n, "n", most=_MAX_COUNT)
     if t == 0:
         return np.zeros(n)
     # Z_t is one increment over a step of length t
@@ -669,9 +634,7 @@ def circle_law_distance(spec, t, n_paths, rng: RngStream) -> float:
     statistic max_i max(i/n - F_i, F_i - (i-1)/n) of the sorted wrapped
     samples' uniform CDF values F_i = angle_i / (2*pi).
     """
-    _check_count(n_paths, "n_paths")
-    if n_paths < 100:
-        raise ConfigError("n_paths must be at least 100 for a usable distance")
+    _count(n_paths, "n_paths", 100, _MAX_COUNT)
     samples = marginal_samples(spec, t, n_paths, rng)
     cdf = np.sort(np.mod(samples, 2.0 * math.pi)) / (2.0 * math.pi)
     d_plus = (np.arange(1.0, n_paths + 1) / n_paths - cdf).max()

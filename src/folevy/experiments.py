@@ -23,10 +23,10 @@ from ._parallel import map_blocks
 from .averaging import (_ZERO_FLOOR, AveragedField, AveragedSolution,
                         fit_loglog, lp_moment, solve_averaged_ode)
 from .drivers import GammaSubordinator, sample_jump_events, step_sums
-from .errors import ConfigError
+from .errors import ConfigError, _count, _real, _reals
 from .geometry import FoliatedChart, VectorFieldSet, dpi_k
-from .marcus import (IntegratorConfig, integrate_grid_ensemble, resolve_grid,
-                     step_events)
+from .marcus import (IntegratorConfig, _grid_config, integrate_grid_ensemble,
+                     resolve_grid, step_events)
 # unused here, but perfbench/spans.py rebinds them on this module by name
 from .marcus import _drift_rk4, jump_flow  # noqa: F401
 from .rng import path_streams
@@ -56,16 +56,6 @@ def _resolve_observable(observable):
         return observable, OBSERVABLES[observable]
     raise ConfigError(f"unknown observable {observable!r}; choose from "
                       f"{sorted(OBSERVABLES)} or pass a callable")
-
-
-def _check_eps_list(epsilons):
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons:
-        raise ConfigError("need at least one eps value")
-    for e in epsilons:
-        if not (0 < e <= 1):
-            raise ConfigError(f"eps values must lie in (0, 1], got {e}")
-    return epsilons
 
 
 def _nonincreasing_in_eps(epsilons, values, slack):
@@ -126,27 +116,21 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     transversal boundary; otherwise the comparison window is ill posed and
     a ConfigError is raised.
     """
-    epsilons = _check_eps_list(epsilons)
-    if not (horizon > 0):
-        raise ConfigError("horizon must be positive")
-    if not 1 <= p < math.inf:
-        raise ConfigError(f"p must be at least 1 and finite, got {p!r}")
-    if n_paths < 2:
-        raise ConfigError("n_paths must be at least 2")
-    if cfg is None:
-        cfg = IntegratorConfig()
+    epsilons = _reals(epsilons, "eps values", above=0, most=1)
+    _real(horizon, "horizon", above=0)
+    horizons = sorted(_reals([horizon] if horizons is None else horizons,
+                             "comparison times", above=0, most=horizon))
+    _real(p, "p", least=1)
+    _count(n_paths, "n_paths", 2)
+    _count(master_seed, "master_seed")
+    _count(stream_base, "stream_base")
+    cfg = _grid_config(cfg)
     x0 = np.asarray(x0, dtype=float)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), horizon, ode_step)
     if sol.boundary_time is not None and sol.boundary_time <= horizon:
         raise ConfigError(
             f"averaged path reaches the transversal boundary at "
             f"s={sol.boundary_time:.6g}; pick a horizon below that")
-    if horizons is None:
-        horizons = [horizon]
-    horizons = sorted(float(s) for s in horizons)
-    for s in horizons:
-        if not (0 < s <= horizon):
-            raise ConfigError("comparison times must lie in (0, horizon]")
     n_h = len(horizons)
     shape = (len(epsilons), n_h)
     out = {name: np.zeros(shape) for name in
@@ -246,13 +230,12 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
     within gamma gives t_gamma = 0 and zero probabilities: there is no
     time window in which to exit.
     """
-    epsilons = _check_eps_list(epsilons)
-    if not (gamma > 0):
-        raise ConfigError("gamma must be positive")
-    if n_paths < 2:
-        raise ConfigError("n_paths must be at least 2")
-    if cfg is None:
-        cfg = IntegratorConfig()
+    epsilons = _reals(epsilons, "eps values", above=0, most=1)
+    _real(gamma, "gamma", above=0)
+    _count(n_paths, "n_paths", 2)
+    _count(master_seed, "master_seed")
+    _count(stream_base, "stream_base")
+    cfg = _grid_config(cfg)
     x0 = np.asarray(x0, dtype=float)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), search_horizon,
                              ode_step)
@@ -332,15 +315,13 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
     identically_zero flag.
     """
     name, func = _resolve_observable(observable)
-    epsilons = _check_eps_list(epsilons)
-    if not (horizon > 0):
-        raise ConfigError("horizon must be positive")
-    if not 1 <= p < math.inf:
-        raise ConfigError(f"p must be at least 1 and finite, got {p!r}")
-    if n_paths < 2:
-        raise ConfigError("n_paths must be at least 2")
-    if cfg is None:
-        cfg = IntegratorConfig()
+    epsilons = _reals(epsilons, "eps values", above=0, most=1)
+    _real(horizon, "horizon", above=0)
+    _real(p, "p", least=1)
+    _count(n_paths, "n_paths", 2)
+    _count(master_seed, "master_seed")
+    _count(stream_base, "stream_base")
+    cfg = _grid_config(cfg)
     x0 = np.asarray(x0, dtype=float)
     values = np.zeros(len(epsilons))
     ses = np.zeros(len(epsilons))
@@ -415,18 +396,14 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    if not (0 < eps <= 1):
-        raise ConfigError("eps must lie in (0, 1]")
-    if not (horizon > 0):
-        raise ConfigError("horizon must be positive")
-    levels = [(float(c), float(h)) for c, h in levels]
-    for c, h in levels:
-        if not (c > base_cutoff):
-            raise ConfigError("level cutoffs must exceed the base cutoff")
-        if not (h > 0):
-            raise ConfigError("level steps must be positive")
-    if n_paths < 2:
-        raise ConfigError("n_paths must be at least 2")
+    _real(eps, "eps", above=0, most=1)
+    _real(horizon, "horizon", above=0)
+    _real(base_cutoff, "base_cutoff", above=0)
+    levels = [(float(_real(c, "level cutoffs", above=base_cutoff)),
+               float(_real(h, "level steps", above=0))) for c, h in levels]
+    _count(n_paths, "n_paths", 2)
+    _count(master_seed, "master_seed")
+    _count(stream_base, "stream_base")
     # closed-form small-jump means: a driver without them raises before any path
     means = [np.array([driver.mean_below(c)]) for c, _ in levels]
     base = driver.for_events(base_cutoff)

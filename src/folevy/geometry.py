@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import _MAX_COUNT, ConfigError, DomainError, _count, _real
 from .rng import RngStream
 
 FD_STEP = 1e-6
@@ -160,9 +160,9 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
     """
     from .drivers import GammaSubordinator
 
-    if not (0.0 < r_min < 1.0 < r_max):
+    if not 0.0 < _real(r_min, "r_min") < 1.0 < _real(r_max, "r_max"):
         raise ConfigError(f"need 0 < r_min < 1 < r_max, got ({r_min}, {r_max})")
-    if not z_min < z_max:
+    if not _real(z_min, "z_min") < _real(z_max, "z_max"):
         raise ConfigError(f"need z_min < z_max, got ({z_min}, {z_max})")
     if k_choice is None:
         k_choice = LinearK()
@@ -276,8 +276,7 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
     Points drawn uniformly from the ambient sample box; draws landing
     outside U are skipped.  sample_count must be positive.
     """
-    if sample_count < 1:
-        raise ConfigError("sample_count must be positive")
+    _count(sample_count, "sample_count", 1, _MAX_COUNT)
     gen = rng.generator()
     lo, hi = chart.sample_box
     pts = gen.uniform(lo, hi, size=(sample_count, chart.ambient_dim))

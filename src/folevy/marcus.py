@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .drivers import make_step_sampler, sample_jump_events
-from .errors import BlowupError, ConfigError, DomainError
+from .errors import BlowupError, ConfigError, DomainError, _count, _real
 from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
 from .tables import write_csv
@@ -69,13 +69,10 @@ class IntegratorConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.splitting not in SPLITTINGS:
             raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}")
-        if self.step_h is not None and not 0 < self.step_h < math.inf:
-            raise ConfigError("step_h must be positive and finite when given")
-        if not (isinstance(self.jump_ode_substeps, (int, np.integer))
-                and self.jump_ode_substeps >= 1):
-            raise ConfigError("jump_ode_substeps must be a positive integer")
-        if not 0 < self.jump_cutoff < math.inf:
-            raise ConfigError("jump_cutoff must be positive and finite")
+        if self.step_h is not None:
+            _real(self.step_h, "step_h", above=0)
+        _count(self.jump_ode_substeps, "jump_ode_substeps", 1)
+        _real(self.jump_cutoff, "jump_cutoff", above=0)
 
     def resolve_step(self, eps):
         if self.step_h is not None:
@@ -263,13 +260,22 @@ def _step_count(span, step):
 def resolve_grid(cfg: IntegratorConfig, eps, horizon):
     """Number of macro steps and the step h with n * h == horizon up to
     roundoff."""
-    if horizon < 0:
-        raise ConfigError("horizon must be nonnegative")
+    _real(horizon, "horizon", least=0)
     h0 = cfg.resolve_step(eps)
     if horizon == 0:
         return 0, h0
     n = _step_count(horizon, h0)
     return n, horizon / n
+
+
+def _grid_config(cfg):
+    """cfg, or the default config for None; ConfigError for the one scheme
+    the grid ensemble cannot run, so an experiment rejects it first."""
+    if cfg is None:
+        return IntegratorConfig()
+    if cfg.scheme == "jump_decomposition":
+        raise ConfigError("the grid ensemble covers grid-based schemes only")
+    return cfg
 
 
 def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
@@ -288,8 +294,7 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     applies to the primary system; exited rows freeze at their exit value
     (the pair row freezes with them).
     """
-    if cfg.scheme == "jump_decomposition":
-        raise ConfigError("the grid ensemble covers grid-based schemes only")
+    cfg = _grid_config(cfg)
     n_steps, h = resolve_grid(cfg, eps, horizon)
     m_paths = len(streams) if increments is None else len(increments)
     if increments is not None and \
@@ -527,9 +532,8 @@ def _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
 def _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng):
     if cfg is None:
         cfg = IntegratorConfig()
+    _real(horizon, "horizon", least=0)
     x0 = _check_start(chart, x0)
-    if not (np.isfinite(horizon) and horizon >= 0):
-        raise ConfigError(f"horizon must be finite and nonnegative, got {horizon}")
     if horizon == 0:
         return Trajectory(np.zeros(1), x0[None, :].copy(), np.zeros(1, dtype=bool))
     if cfg.scheme == "jump_decomposition":
@@ -548,6 +552,5 @@ def integrate_perturbed(fields: VectorFieldSet, chart: FoliatedChart, driver,
                         x0, horizon, eps, cfg: IntegratorConfig = None,
                         rng: RngStream = RngStream(0)) -> Trajectory:
     """Dynamics with the transversal perturbation eps * K switched on."""
-    if not (0 < eps <= 1):
-        raise ConfigError(f"eps must lie in (0, 1], got {eps}")
+    _real(eps, "eps", above=0, most=1)
     return _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _count
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx)
 _POOL = 4
@@ -143,10 +143,8 @@ class RngStream:
                                  compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.master_seed, (int, np.integer)) and self.master_seed >= 0):
-            raise ConfigError("master_seed must be a nonnegative integer")
-        if not (isinstance(self.stream_index, (int, np.integer)) and self.stream_index >= 0):
-            raise ConfigError("stream_index must be a nonnegative integer")
+        _count(self.master_seed, "master_seed")
+        _count(self.stream_index, "stream_index")
 
     def generate_state(self, n_words, dtype=np.uint32):
         """What ``np.random.SeedSequence(master_seed,
@@ -173,6 +171,9 @@ def path_streams(master_seed: int, base: int, n_paths: int) -> list[RngStream]:
     The Philox keys of the indices below 2**32 (one spawn word) are
     derived in one vectorized pass; larger indices derive theirs on use.
     """
+    _count(master_seed, "master_seed")
+    _count(base, "base")
+    _count(n_paths, "n_paths")
     streams = [RngStream(master_seed, base + i) for i in range(n_paths)]
     small = max(0, min(n_paths, 2 ** 32 - int(base)))
     if small:

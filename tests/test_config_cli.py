@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +25,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import folevy
-from folevy import (ConfigError, ConstantK, GammaSubordinator,
-                    IntegratorConfig, LinearK, RngStream, averaged_field,
-                    characteristic_function, cli, deviation_scaling,
-                    estimate_eta, experiments, make_cylinder_preset,
-                    marginal_samples, solve_averaged_ode,
-                    transversal_comparison)
+from folevy import (CompoundPoisson, ConfigError, ConstantK,
+                    GammaSubordinator, IntegratorConfig, LinearK, RngStream,
+                    TruncatedMeasure, averaged_field, averaging,
+                    characteristic_function, circle_law_distance, cli,
+                    deviation_scaling, estimate_eta, exit_probability,
+                    experiments, integrate_unperturbed,
+                    leaf_average_quadrature, make_cylinder_preset,
+                    marginal_samples, path_streams, sample_jump_events,
+                    scheme_agreement, solve_averaged_ode, tangency_check,
+                    transversal_comparison, truncate_gamma)
 from folevy.cli import main
 from folevy.marcus import resolve_grid
 from folevy.config import (_FLOAT, ExperimentConfig, apply_overrides,
@@ -238,6 +243,11 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "integrator.step_h=1e-9", "more than the 1e+08 allowed"),
         ("simulate", "integrator.step_h=1e-320", "more than the 1e+08 allowed"),
         ("average", "experiment.ode_step=1e-300", "more than the 1e+08 allowed"),
+        # counts that size an allocation up front have a ceiling
+        ("average", "experiment.n_nodes=100000000000",
+         "n_nodes must be at least 8 and at most 10000000"),
+        ("charfn", "experiment.n_samples=100000000000",
+         "experiment.n_samples must be at least 1 and at most 10000000"),
     ]
     # an integer past the float range is not a finite number
     cases += [(command, f"experiment.horizon={10 ** 400}",
@@ -257,6 +267,11 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
 
 def test_library_rejections_are_config_errors_and_value_errors():
     preset = make_cylinder_preset()
+    args = (preset.fields, preset.chart, preset.driver)
+    avg = averaged_field(preset.chart, preset.fields)
+    x0 = np.array([1.0, 0.0, 0.0])
+    eta = partial(estimate_eta, *args, lambda s: s[..., 0], x0,
+                  [5.0, 10.0, 20.0])
     rejections = [
         lambda: GammaSubordinator(rate=-1),
         lambda: IntegratorConfig(scheme="euler"),
@@ -271,6 +286,42 @@ def test_library_rejections_are_config_errors_and_value_errors():
         lambda: estimate_eta(preset.fields, preset.chart, preset.driver,
                              lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
                              ["abc", 20, 30], n_paths=100),
+        # a count that is not an integer, a string, an integer past the
+        # float range, a bool, a count past its ceiling
+        lambda: transversal_comparison(*args, avg, x0, [0.5], 0.3,
+                                       n_paths=2.5),
+        lambda: transversal_comparison(*args, avg, x0, [0.5], 0.3,
+                                       n_paths=np.float64(3.0)),
+        lambda: scheme_agreement(*args, x0, n_paths=3.5),
+        lambda: exit_probability(*args, avg, x0, [0.5], 0.1, n_paths="3"),
+        lambda: transversal_comparison(*args, avg, x0, [0.5], 0.3,
+                                       p=10 ** 400, n_paths=4),
+        lambda: deviation_scaling(*args, x0, [0.5], 0.3, p=10 ** 400,
+                                  n_paths=4),
+        lambda: transversal_comparison(*args, avg, x0, [0.5], 10 ** 400,
+                                       n_paths=4),
+        lambda: deviation_scaling(*args, x0, [0.5], 10 ** 400, n_paths=4),
+        lambda: eta(p=10 ** 400, n_paths=100),
+        lambda: eta(n_paths=100.5),
+        lambda: deviation_scaling(*args, x0, ["a"], 0.3, n_paths=4),
+        lambda: IntegratorConfig(step_h="a"),
+        lambda: integrate_unperturbed(*args, x0, 1.0,
+                                      IntegratorConfig(step_h=10 ** 400)),
+        lambda: IntegratorConfig(jump_cutoff=10 ** 400),
+        lambda: solve_averaged_ode(avg, np.array([1.0, 0.0]), 10 ** 400),
+        lambda: sample_jump_events(truncate_gamma(preset.driver, 0.01),
+                                   10 ** 400, RngStream(1)),
+        lambda: integrate_unperturbed(*args, x0, 10 ** 400),
+        lambda: tangency_check(preset.fields, preset.chart, 2.5,
+                               RngStream(1)),
+        lambda: path_streams(0, 0, -1),
+        lambda: GammaSubordinator(rate=True),
+        lambda: RngStream(True),
+        lambda: circle_law_distance(preset.driver, 1.0, 10 ** 12,
+                                    RngStream(1)),
+        lambda: leaf_average_quadrature(preset.chart, lambda s: s[..., 0],
+                                        np.array([1.0, 0.0]),
+                                        n_nodes=10 ** 11),
     ]
     for reject in rejections:
         with pytest.raises(ConfigError) as info:
@@ -305,6 +356,202 @@ def test_non_finite_numbers_are_rejected_before_any_path(name, value):
     # values of [1.0, 1.0], and step_h=inf takes one step over the horizon
     with pytest.raises(ConfigError):
         _non_finite_call(name, value)
+
+
+class _Reached(Exception):
+    """Raised by the stand-ins for the path kernel and the stream maker."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+_PRESET = make_cylinder_preset()
+_ARGS = (_PRESET.fields, _PRESET.chart, _PRESET.driver)
+_AVG = averaged_field(_PRESET.chart, _PRESET.fields)
+_X0 = np.array([1.0, 0.0, 0.0])
+_GAMMA = GammaSubordinator(1.0)
+
+
+def _unit_exp_sampler(gen, n):
+    return gen.exponential(1.0, size=n).reshape(n, 1)
+
+
+# site -> (the call with value v in place of one argument, its valid
+# value, its kind, values out of its range)
+_SITES = {
+    "transversal_comparison.epsilons": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, v, 0.3, n_paths=4), [0.5], "list",
+        [[0.0], [1.5], [-0.5]]),
+    "transversal_comparison.horizon": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], v, n_paths=4), 0.3, "real", [0, -1.0]),
+    "transversal_comparison.p": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
+    "transversal_comparison.n_paths": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1, 0]),
+    "transversal_comparison.horizons": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], 0.3, horizons=v, n_paths=4), [0.3],
+        "list", [[0.0], [0.1, 0.4]]),
+    "transversal_comparison.master_seed": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, master_seed=v), 0,
+        "count", []),
+    "transversal_comparison.stream_base": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, stream_base=v), 0,
+        "count", []),
+    "transversal_comparison.ode_step": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, ode_step=v), 1e-3,
+        "real", [0, -1e-3]),
+    "exit_probability.epsilons": (lambda v: exit_probability(
+        *_ARGS, _AVG, _X0, v, 0.1, n_paths=4), [0.5], "list", [[1.5]]),
+    "exit_probability.gamma": (lambda v: exit_probability(
+        *_ARGS, _AVG, _X0, [0.5], v, n_paths=4), 0.1, "real", [0, -1.0]),
+    "exit_probability.n_paths": (lambda v: exit_probability(
+        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=v), 4, "count", [1]),
+    "exit_probability.master_seed": (lambda v: exit_probability(
+        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, master_seed=v), 0,
+        "count", []),
+    "exit_probability.ode_step": (lambda v: exit_probability(
+        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, ode_step=v), 1e-3,
+        "real", [0]),
+    "exit_probability.search_horizon": (lambda v: exit_probability(
+        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, search_horizon=v), 50.0,
+        "real", [0, -1.0]),
+    "deviation_scaling.epsilons": (lambda v: deviation_scaling(
+        *_ARGS, _X0, v, 0.3, n_paths=4), [0.5], "list", [[0.0]]),
+    "deviation_scaling.horizon": (lambda v: deviation_scaling(
+        *_ARGS, _X0, [0.5], v, n_paths=4), 0.3, "real", [0]),
+    "deviation_scaling.p": (lambda v: deviation_scaling(
+        *_ARGS, _X0, [0.5], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
+    "deviation_scaling.n_paths": (lambda v: deviation_scaling(
+        *_ARGS, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1]),
+    "deviation_scaling.stream_base": (lambda v: deviation_scaling(
+        *_ARGS, _X0, [0.5], 0.3, n_paths=4, stream_base=v), 0, "count", []),
+    "scheme_agreement.horizon": (lambda v: scheme_agreement(
+        *_ARGS, _X0, horizon=v, n_paths=4), 2.0, "real", [0]),
+    "scheme_agreement.eps": (lambda v: scheme_agreement(
+        *_ARGS, _X0, eps=v, n_paths=4), 0.5, "real", [0, 1.5]),
+    "scheme_agreement.level_cutoff": (lambda v: scheme_agreement(
+        *_ARGS, _X0, levels=((v, 0.04),), n_paths=4), 0.08, "real",
+        [0.002, 0.001]),
+    "scheme_agreement.level_step": (lambda v: scheme_agreement(
+        *_ARGS, _X0, levels=((0.08, v),), n_paths=4), 0.04, "real", [0]),
+    "scheme_agreement.base_cutoff": (lambda v: scheme_agreement(
+        *_ARGS, _X0, base_cutoff=v, n_paths=4), 0.002, "real", [0, -1.0]),
+    "scheme_agreement.n_paths": (lambda v: scheme_agreement(
+        *_ARGS, _X0, n_paths=v), 4, "count", [1]),
+    "scheme_agreement.master_seed": (lambda v: scheme_agreement(
+        *_ARGS, _X0, n_paths=4, master_seed=v), 0, "count", []),
+    "estimate_eta.horizons": (lambda v: estimate_eta(
+        *_ARGS, lambda s: s[..., 0], _X0, v, n_paths=100),
+        [5.0, 10.0, 20.0], "list", [[5.0, -10.0, 20.0]]),
+    "estimate_eta.p": (lambda v: estimate_eta(
+        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], p=v,
+        n_paths=100), 2, "real", [1.5]),
+    "estimate_eta.n_paths": (lambda v: estimate_eta(
+        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=v),
+        100, "count", [99]),
+    "estimate_eta.stream_base": (lambda v: estimate_eta(
+        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=100,
+        stream_base=v), 0, "count", []),
+    "estimate_eta.q_ref": (lambda v: estimate_eta(
+        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=100,
+        q_ref=v), 0.0, "real", []),
+    "IntegratorConfig.step_h": (lambda v: IntegratorConfig(step_h=v), 0.01,
+                                "real", [0, -1e-3]),
+    "IntegratorConfig.jump_ode_substeps": (
+        lambda v: IntegratorConfig(jump_ode_substeps=v), 20, "count", [0]),
+    "IntegratorConfig.jump_cutoff": (lambda v: IntegratorConfig(
+        jump_cutoff=v), 1e-3, "real", [0]),
+    "solve_averaged_ode.horizon": (lambda v: solve_averaged_ode(
+        _AVG, np.array([1.0, 0.0]), v), 0.1, "real", [0, -1.0]),
+    "solve_averaged_ode.step": (lambda v: solve_averaged_ode(
+        _AVG, np.array([1.0, 0.0]), 0.1, v), 1e-3, "real", [0]),
+    "GammaSubordinator.rate": (lambda v: GammaSubordinator(v), 1.0, "real",
+                               [0, -1.0]),
+    "GammaSubordinator.exp_moment_order": (
+        lambda v: GammaSubordinator(1.0, exp_moment_order=v), 0.5, "real",
+        [0, 1.0, 2.0]),
+    "CompoundPoisson.intensity": (lambda v: CompoundPoisson(
+        intensity=v, jump_sampler=_unit_exp_sampler, exp_moment_order=0.5),
+        1.0, "real", [0]),
+    "CompoundPoisson.dimension": (lambda v: CompoundPoisson(
+        intensity=1.0, jump_sampler=_unit_exp_sampler, dimension=v,
+        exp_moment_order=0.5), 1, "count", [0]),
+    "CompoundPoisson.exp_moment_order": (lambda v: CompoundPoisson(
+        intensity=1.0, jump_sampler=_unit_exp_sampler, exp_moment_order=v),
+        0.5, "real", [0]),
+    "TruncatedMeasure.cutoff": (lambda v: TruncatedMeasure(
+        density=_GAMMA.levy_density, cutoff=v, exp_moment_order=0.5), 0.01,
+        "real", [0]),
+    "TruncatedMeasure.exp_moment_order": (lambda v: TruncatedMeasure(
+        density=_GAMMA.levy_density, cutoff=0.01, exp_moment_order=v), 0.5,
+        "real", [0, -1.0]),
+    "truncate_gamma.cutoff": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
+                              "real", [0]),
+    "characteristic_function.t": (lambda v: characteristic_function(
+        _GAMMA, 1.0, v), 1.0, "real", [-1.0]),
+    "marginal_samples.t": (lambda v: marginal_samples(
+        _GAMMA, v, 10, RngStream(1)), 1.0, "real", [-1.0]),
+    "marginal_samples.n": (lambda v: marginal_samples(
+        _GAMMA, 1.0, v, RngStream(1)), 10, "count", [10 ** 8, 10 ** 400]),
+    "circle_law_distance.t": (lambda v: circle_law_distance(
+        _GAMMA, v, 200, RngStream(1)), 1.0, "real", [-1.0]),
+    "circle_law_distance.n_paths": (lambda v: circle_law_distance(
+        _GAMMA, 1.0, v, RngStream(1)), 200, "count",
+        [99, 10 ** 8, 10 ** 400]),
+    "sample_jump_events.horizon": (lambda v: sample_jump_events(
+        truncate_gamma(_GAMMA, 0.05), v, RngStream(1)), 1.0, "real",
+        [-1.0]),
+    "leaf_average_quadrature.n_nodes": (lambda v: leaf_average_quadrature(
+        _PRESET.chart, lambda s: s[..., 0], np.array([1.0, 0.0]),
+        n_nodes=v), 64, "count", [7, 10 ** 8, 10 ** 400]),
+    "RngStream.master_seed": (lambda v: RngStream(v), 1, "count", []),
+    "RngStream.stream_index": (lambda v: RngStream(1, v), 1, "count", []),
+    "path_streams.master_seed": (lambda v: path_streams(v, 0, 2), 1,
+                                 "count", []),
+    "path_streams.base": (lambda v: path_streams(1, v, 2), 0, "count", []),
+    "path_streams.n_paths": (lambda v: path_streams(1, 0, v), 2, "count",
+                             []),
+}
+
+# invalid for any argument of the kind: an integer past the float range,
+# nan and +-inf, strings, bools, and for counts non-integral values
+_INVALID = {
+    "real": [10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf, "abc",
+             "1", True, False],
+    "count": [-1, 2.5, np.float64(3.0), math.nan, math.inf, "3", True,
+              False],
+}
+_INVALID["list"] = [[0.5, v] for v in _INVALID["real"]] + ["abc", [], 0.5]
+
+
+def _no_work(monkeypatch):
+    # an entry point that checks its arguments first never reaches these
+    for module in (experiments, averaging):
+        monkeypatch.setattr(module, "path_streams", _reached)
+        monkeypatch.setattr(module, "integrate_grid_ensemble", _reached)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), site=st.sampled_from(sorted(_SITES)))
+def test_invalid_numbers_are_config_errors_before_any_path(data, site):
+    call, _, kind, out_of_range = _SITES[site]
+    value = data.draw(st.sampled_from(_INVALID[kind] + out_of_range))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _no_work(monkeypatch)
+        with pytest.raises(ConfigError):
+            call(value)
+
+
+@pytest.mark.parametrize("site", sorted(_SITES))
+def test_argument_sites_accept_their_valid_value(site, monkeypatch):
+    # each site of the test above rejects its value, not another argument
+    call, valid, _, _ = _SITES[site]
+    _no_work(monkeypatch)
+    try:
+        call(valid)
+    except _Reached:
+        pass
 
 
 KEYS = [(sec.name, key.name, getattr(getattr(ExperimentConfig(), sec.name),

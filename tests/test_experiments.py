@@ -19,10 +19,11 @@ from folevy import (AveragedSolution, ComparisonResult, ConfigError,
                     ConstantK, DeviationResult, ExitProbabilityResult,
                     IntegratorConfig, RngStream, averaged_field,
                     comparison_to_csv, deviation_scaling, deviation_to_csv,
-                    exit_probability, exit_to_csv, integrate_perturbed,
-                    lp_moment, make_cylinder_preset, projected_perturbation,
-                    scheme_agreement, transversal_comparison)
-from folevy import experiments
+                    estimate_eta, exit_probability, exit_to_csv,
+                    integrate_perturbed, lp_moment, make_cylinder_preset,
+                    projected_perturbation, scheme_agreement,
+                    transversal_comparison)
+from folevy import averaging, experiments
 from folevy.drivers import CompoundPoisson, TruncatedMeasure
 from folevy.experiments import _nonincreasing_in_eps
 from folevy.marcus import resolve_grid
@@ -271,6 +272,33 @@ def test_deviation_accepts_callable_observable():
                                master_seed=SEED)
     assert result.observable == "height_squared"
     assert result.values[0] > 0
+
+
+def test_grid_experiments_reject_jump_decomposition_before_any_work(
+        monkeypatch):
+    # the grid ensemble cannot run the jump decomposition, so neither the
+    # averaged ODE nor the reference leaf average may be computed first
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the scheme was rejected")
+
+    monkeypatch.setattr(experiments, "solve_averaged_ode", no_work)
+    monkeypatch.setattr(averaging, "leaf_average_quadrature", no_work)
+    preset = make_cylinder_preset()
+    avg = averaged_field(preset.chart, preset.fields)
+    args = (preset.fields, preset.chart, preset.driver)
+    cfg = IntegratorConfig(scheme="jump_decomposition")
+    calls = [
+        lambda: transversal_comparison(*args, avg, X0, [0.5], 0.3, n_paths=4,
+                                       cfg=cfg),
+        lambda: exit_probability(*args, avg, X0, [0.5], 0.1, n_paths=4,
+                                 cfg=cfg),
+        lambda: deviation_scaling(*args, X0, [0.5], 0.3, n_paths=4, cfg=cfg),
+        lambda: estimate_eta(*args, lambda s: s[..., 0], X0,
+                             [5.0, 10.0, 20.0], n_paths=100, cfg=cfg),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="grid-based schemes only"):
+            call()
 
 
 def test_deviation_validation():
