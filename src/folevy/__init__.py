@@ -19,10 +19,9 @@ from .averaging import (AveragedField, AveragedSolution, RateEstimate,
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      config_to_dict, dump_config, load_config, loads_config,
                      preset_from_config)
-from .drivers import (CompoundPoisson, GammaSubordinator, JumpEvents,
-                      TruncatedMeasure, characteristic_function,
-                      circle_law_distance, marginal_samples,
-                      sample_jump_events, truncate_gamma)
+from .drivers import (GammaSubordinator, JumpEvents, TruncatedMeasure,
+                      characteristic_function, circle_law_distance,
+                      marginal_samples, sample_jump_events, truncate_gamma)
 from .errors import (BlowupError, ConfigError, DomainError, FolevyError,
                      QuadratureError)
 from .experiments import (OBSERVABLES, ComparisonResult, DeviationResult,
@@ -40,8 +39,7 @@ from .marcus import (EnsembleResult, IntegratorConfig, Trajectory,
 from .rng import RngStream, path_streams
 
 __all__ = [
-    "AveragedField", "AveragedSolution", "BlowupError", "CompoundPoisson",
-    "ComparisonResult", "ConfigError", "ConstantK", "CylinderPreset",
+    "AveragedField", "AveragedSolution", "BlowupError", "ComparisonResult", "ConfigError", "ConstantK", "CylinderPreset",
     "DeviationResult", "DomainError", "EnsembleResult",
     "ExitProbabilityResult", "ExperimentConfig", "FoliatedChart",
     "FolevyError", "GammaSubordinator", "IntegratorConfig", "JumpEvents",

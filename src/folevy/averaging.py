@@ -19,12 +19,16 @@ from ._parallel import map_blocks
 from .errors import (_MAX_COUNT, ConfigError, DomainError, _count, _real,
                      _reals)
 from .geometry import FoliatedChart, VectorFieldSet, _pushforward
-from .marcus import (IntegratorConfig, _drift_rk4, _grid_config, _kahan_add,
-                     _step_count, integrate_grid_ensemble, resolve_grid)
+from .marcus import (IntegratorConfig, _check_plan, _drift_rk4, _grid_config,
+                     _kahan_add, _step_count, integrate_grid_ensemble,
+                     resolve_grid)
 from .rng import path_streams
 from .tables import write_csv
 
 _ZERO_FLOOR = 1e-14
+# where the largest |x|**p must lie for lp_moment to take the powers as
+# they are: there they and their variance stay finite and normal
+_POWER_RANGE = (np.finfo(float).tiny, 1e150)
 
 
 def _leaf_nodes(chart, n_nodes):
@@ -191,11 +195,22 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
 # ---------------------------------------------------------------------------
 
 def lp_moment(samples, p):
-    """Empirical L^p moment of |samples| with a delta method standard error."""
-    samples = np.asarray(samples, dtype=float)
-    powered = np.abs(samples) ** p
+    """Empirical L^p moment of |samples| with a delta method standard error.
+
+    When the largest |x|**p leaves `_POWER_RANGE`, as it does for a large
+    p, the moment is taken of |x| / max|x| and scaled back, so it neither
+    overflows nor vanishes while a sample does not."""
+    samples = np.abs(np.asarray(samples, dtype=float))
+    with np.errstate(over="ignore"):
+        powered = samples ** p
+    scale = 1.0
+    top = float(samples.max(initial=0.0))
+    lo, hi = _POWER_RANGE
+    if 0.0 < top < math.inf and not lo <= float(powered.max()) <= hi:
+        scale = top
+        powered = (samples / top) ** p
     mean_pow = float(np.mean(powered))
-    value = mean_pow ** (1.0 / p)
+    value = scale * mean_pow ** (1.0 / p)
     if mean_pow == 0.0 or len(samples) < 2:
         return value, 0.0
     se_mean = float(np.std(powered, ddof=1) / math.sqrt(len(samples)))
@@ -260,7 +275,8 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
-    _, h = resolve_grid(cfg, 0.0, float(horizons[-1]))
+    n, h = resolve_grid(cfg, 0.0, float(horizons[-1]))
+    _check_plan(n_paths, [n])
     snap_idx = np.rint(horizons / h).astype(int)
     if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
         raise ConfigError("horizons must sit on the integration grid")
@@ -296,7 +312,11 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     parts = map_blocks(run_block, n_paths, threads)
     snaps = np.concatenate(parts, axis=1)
     errors = np.abs(snaps / horizons[:, None] - q_ref)
-    lp = np.mean(errors ** p, axis=1) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        lp = np.mean(errors ** p, axis=1) ** (1.0 / p)
+    # rows whose plain powers overflow or underflow (a large p)
+    bad = ~(np.isfinite(lp) & ((lp > 0) | ~errors.any(axis=1)))
+    lp[bad] = [lp_moment(row, p)[0] for row in errors[bad]]
     if np.all(lp <= _ZERO_FLOOR):
         return RateEstimate(horizons, lp, 0.0, 0.0, p, n_paths, identically_zero=True)
     slope, const = fit_loglog(horizons, lp)

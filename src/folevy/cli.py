@@ -26,10 +26,11 @@ import numpy as np
 
 from .averaging import (averaged_field, estimate_eta, rate_to_csv,
                         solve_averaged_ode)
-from .config import (ExperimentConfig, config_from_dict, config_to_dict,
-                     dump_config, load_config, preset_from_config)
+from .config import (_MAX_FIELD_POINTS, ExperimentConfig, config_from_dict,
+                     config_to_dict, dump_config, load_config,
+                     preset_from_config)
 from .drivers import characteristic_function, marginal_samples, truncate_gamma
-from .errors import FolevyError
+from .errors import ConfigError, FolevyError
 from .experiments import (comparison_to_csv, deviation_scaling,
                           deviation_to_csv, exit_probability, exit_to_csv,
                           projected_perturbation, transversal_comparison)
@@ -125,6 +126,9 @@ def cmd_simulate(cfg, preset, icfg):
 
 def cmd_average(cfg, preset, icfg):
     exp = cfg.experiment
+    if exp.n_r * exp.n_z > _MAX_FIELD_POINTS:
+        raise ConfigError(f"experiment.n_r x experiment.n_z must be at most "
+                          f"{_MAX_FIELD_POINTS}, got {exp.n_r * exp.n_z}")
     chart = preset.chart
     avg = _averaged(cfg, preset)
     (r_lo, r_hi), (z_lo, z_hi) = chart.vertical_bounds

@@ -90,6 +90,10 @@ _SECTIONS = {
 }
 
 
+# averaged-field evaluations of `folevy average`, experiment.n_r x n_z:
+# 4000x the default grid
+_MAX_FIELD_POINTS = 10**5
+
 # section.key -> the check of its range, run on a value of the declared
 # type: the ranges that no object built from the config checks
 _RANGES = {
@@ -103,8 +107,8 @@ _RANGES = {
     "experiment.u_values": _reals,
     "experiment.n_paths": partial(_count, least=2),
     "experiment.n_samples": partial(_count, least=1, most=_MAX_COUNT),
-    "experiment.n_r": partial(_count, least=1),
-    "experiment.n_z": partial(_count, least=1),
+    "experiment.n_r": partial(_count, least=1, most=_MAX_FIELD_POINTS),
+    "experiment.n_z": partial(_count, least=1, most=_MAX_FIELD_POINTS),
 }
 
 

@@ -1,42 +1,44 @@
-"""Pure-jump Levy drivers and their distributional oracles.
+"""The Gamma subordinator, its truncation, and their distributional oracles.
 
-Three driver kinds are supported, all of finite variation:
+The driver is the Gamma subordinator, pure-jump and of finite variation,
+in one of two forms:
 
-* `GammaSubordinator` -- one-sided jump measure dens(y) = exp(-rate*y)/y on
+* `GammaSubordinator` -- jump measure dens(y) = exp(-rate*y)/y on
   (0, inf).  Increments over a step of length dt have the exact marginal
   Gamma(shape=dt, rate=rate), which is what exact-mode sampling uses, and
   the characteristic function (1 - i*u/rate)**(-t) in closed form.
-* `CompoundPoisson` -- finite activity, user-supplied jump sampler/density.
-* `TruncatedMeasure` -- a jump density restricted to |y| > cutoff.  Sampling
-  draws a Poisson number of jumps from the normalized restricted measure;
-  the mean of the discarded small jumps is restored as a constant
-  compensator drift b = int_{|y|<=cutoff} y dens(y) dy.
+* `TruncatedMeasure` -- that measure restricted to (cutoff, inf), as
+  `truncate_gamma` builds it.  Sampling draws a Poisson number of jumps
+  from the normalized restricted measure; the mean of the discarded small
+  jumps is restored as a constant compensator drift
+  b = int_0^cutoff y dens(y) dy.
 
-Each kind answers for itself through one method set: `step_sampler(h)`,
+Each form answers for itself through one method set: `step_sampler(h)`,
 `finite_law()` (rate, size draw, dimension and compensator of the event
-set; not for the Gamma driver), `cf(u, t)`, `for_events(cutoff)` (the
-finite driver a jump-decomposition path samples) and `mean_below(cutoff)`
-(closed form; the Gamma driver only).
+set; the truncation only), `cf(u, t)`, `for_events(cutoff)` (the finite
+driver a jump-decomposition path samples) and `mean_below(cutoff)` (closed
+form; the untruncated driver only).
 
 Increment semantics are uncompensated throughout: the simulated process is
 the plain sum of its jumps (plus the explicit compensator drift in
 truncated mode), so closed forms and quadrature below use the exponent
 int (e^{iuy} - 1) dens(y) dy without a centering term.
 
-The exponential-moment checks, the generic truncated tables and the
-characteristic-function exponent integrate with `_quad`, an adaptive
-Gauss-Kronrod rule in this module; the Gamma tail mass and its inverse-CDF
-table use `_exp1`, the exponential integral E1 from its power series and
-continued fraction; `circle_law_distance` computes its Kolmogorov-Smirnov
-statistic directly.  The module needs only numpy; the test suite checks
-all three against a reference library.
+The exponential-moment check and the truncated characteristic-function
+exponent integrate with `_quad`, an adaptive Gauss-Kronrod rule in this
+module; the tail mass and the inverse-CDF table use `_exp1`, the
+exponential integral E1 from its power series and continued fraction;
+`circle_law_distance` computes its Kolmogorov-Smirnov statistic directly.
+The module needs only numpy; the test suite checks all three against a
+reference library.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -244,34 +246,25 @@ def _tail_grows(term):
     return b > 0.0 and b >= a
 
 
-def _exp_moment_integral(density, lo, hi, kappa):
-    """int_{|y|<=1} y^2 dens + int_{|y|>1} e^(kappa|y|) dens over [lo, hi].
+def _exp_moment_integral(density, kappa):
+    """int_0^1 y^2 dens + int_1^inf e^(kappa y) dens for a density on (0, inf).
 
     This is the usual reading of the wedge criterion e^{kappa|y|} ^ |y|^2:
-    the quadratic part controls the origin, the exponential part the tails.
+    the quadratic part controls the origin, the exponential part the tail.
     Raises QuadratureError when the tail integral diverges.
     """
-    for sign, end in ((-1.0, lo), (1.0, hi)):
-        if end == sign * np.inf and _tail_grows(
-                lambda y: _exp_tail_term(density, kappa, sign * y)):
-            raise QuadratureError(
-                f"exponential moment tail integral of order {kappa} diverges")
-    total = 0.0
-    if lo < -1.0:
-        total += _quad(lambda y: _exp_tail_term(density, kappa, y), lo, -1.0)
-    if lo < 0.0:
-        total += _quad(lambda y: y * y * density(y), max(lo, -1.0), 0.0)
-    if hi > 0.0:
-        total += _quad(lambda y: y * y * density(y), 0.0, min(hi, 1.0))
-    if hi > 1.0:
-        total += _quad(lambda y: _exp_tail_term(density, kappa, y), 1.0, hi)
-    return total
+    tail = partial(_exp_tail_term, density, kappa)
+    if _tail_grows(tail):
+        raise QuadratureError(
+            f"exponential moment tail integral of order {kappa} diverges")
+    return (_quad(lambda y: y * y * density(y), 0.0, 1.0)
+            + _quad(tail, 1.0, np.inf))
 
 
-def _check_exp_moment(density, lo, hi, kappa):
+def _check_exp_moment(density, kappa):
     """ConfigError unless `_exp_moment_integral` converges to a finite value."""
     try:
-        value = _exp_moment_integral(density, lo, hi, kappa)
+        value = _exp_moment_integral(density, kappa)
     except QuadratureError as exc:      # e.g. a Gamma rate of 1e-138
         raise ConfigError(f"exponential moment integral of order {kappa} "
                           f"does not converge") from exc
@@ -280,7 +273,7 @@ def _check_exp_moment(density, lo, hi, kappa):
 
 
 # ---------------------------------------------------------------------------
-# driver kinds
+# the Gamma driver and its truncation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -303,7 +296,7 @@ class GammaSubordinator:
         object.__setattr__(self, "exp_moment_order", float(kappa))
         # the check is analytic above; run the quadrature too so a broken
         # closed form cannot slip through unnoticed
-        _check_exp_moment(self.levy_density, 0.0, np.inf, kappa)
+        _check_exp_moment(self.levy_density, kappa)
 
     def levy_density(self, y):
         y = np.asarray(y, dtype=float)
@@ -334,23 +327,52 @@ class GammaSubordinator:
         return truncate_gamma(self, cutoff)
 
 
-class _FiniteActivity:
-    """The shared methods of the kinds with `finite_law()` and `_exponent(u)`."""
+@dataclass(frozen=True)
+class TruncatedMeasure:
+    """The Gamma jump measure restricted to (cutoff, inf), from `truncate_gamma`.
+
+    It holds the restricted mass, the compensator drift of the discarded
+    small jumps, the full jump density its `cf` integrates, and the
+    inverse-CDF table (`ys`, `cdf`) that size sampling interpolates.
+    """
+
+    cutoff: float
+    restricted_mass: float
+    compensator: float
+    density: Callable[[float], float]
+    ys: np.ndarray = field(compare=False, repr=False)
+    cdf: np.ndarray = field(compare=False, repr=False)
+
+    dimension = 1
+
+    def sample_sizes(self, gen, n):
+        """n jump sizes from the normalized restricted measure."""
+        return np.interp(gen.uniform(size=n), self.cdf, self.ys)
 
     def step_sampler(self, h):
-        rate, size_draw, dim, comp = self.finite_law()
-
         def draw(gen, n):
-            counts = gen.poisson(rate * h, size=n)
-            sizes = np.asarray(size_draw(gen, int(counts.sum())), dtype=float).reshape(-1, dim)
-            out = np.zeros((n, dim))
-            np.add.at(out, np.repeat(np.arange(n), counts), sizes)
-            return out + comp[None, :] * h
+            counts = gen.poisson(self.restricted_mass * h, size=n)
+            sizes = self.sample_sizes(gen, int(counts.sum()))
+            out = np.zeros((n, 1))
+            np.add.at(out, np.repeat(np.arange(n), counts), sizes[:, None])
+            return out + self.compensator * h
         return draw
+
+    def finite_law(self):
+        return (self.restricted_mass, self.sample_sizes, 1,
+                np.array([self.compensator]))
 
     def cf(self, u, t):
         return np.array([np.exp(t * self._exponent(uu))
                          for uu in u.ravel().tolist()]).reshape(u.shape)
+
+    def _exponent(self, u):
+        # the jumps above the cutoff plus the compensator drift
+        a, b = self.ys[0], self.ys[-1]
+        re = _quad(lambda y: (math.cos(u * y) - 1.0) * float(self.density(y)),
+                   a, b)
+        im = _quad(lambda y: math.sin(u * y) * float(self.density(y)), a, b)
+        return complex(re, im) + 1j * u * self.compensator
 
     def for_events(self, cutoff):
         return self
@@ -360,162 +382,11 @@ class _FiniteActivity:
                           "(closed-form small-jump means per cutoff)")
 
 
-@dataclass(frozen=True)
-class CompoundPoisson(_FiniteActivity):
-    """Finite-activity driver: jump_sampler(gen, n) -> (n, dimension) sizes."""
-
-    intensity: float
-    jump_sampler: Callable[[np.random.Generator, int], np.ndarray]
-    jump_density: Optional[Callable] = None
-    dimension: int = 1
-    exp_moment_order: float = 1.0
-    support: tuple = (-np.inf, np.inf)
-
-    def __post_init__(self):
-        _real(self.intensity, "intensity", above=0)
-        _count(self.dimension, "dimension", 1)
-        _real(self.exp_moment_order, "exponential moment order", above=0)
-        if self.dimension == 1 and self.jump_density is not None:
-            _check_exp_moment(lambda y: float(self.jump_density(y)),
-                              *self.support, self.exp_moment_order)
-        else:
-            # no usable density: estimate lambda*E[e^(kappa|Y|)] from the sampler
-            probe = np.asarray(self.jump_sampler(np.random.Generator(np.random.Philox(0)), 4096))
-            probe = probe.reshape(len(probe), -1)
-            est = np.exp(self.exp_moment_order * np.linalg.norm(probe, axis=1)).mean()
-            if not np.isfinite(est):
-                raise ConfigError("exponential moment estimate overflowed; lower the order")
-
-    def finite_law(self):
-        return (self.intensity, self.jump_sampler, self.dimension,
-                np.zeros(self.dimension))
-
-    def _exponent(self, u):
-        if self.jump_density is None:
-            raise ConfigError("CompoundPoisson needs jump_density for closed evaluation")
-        lo, hi = self.support
-        re = _quad(lambda y: math.cos(u * y) * float(self.jump_density(y)), lo, hi)
-        im = _quad(lambda y: math.sin(u * y) * float(self.jump_density(y)), lo, hi)
-        return self.intensity * (complex(re, im) - 1.0)
-
-
-@dataclass(frozen=True)
-class TruncatedMeasure(_FiniteActivity):
-    """One-dimensional jump density restricted to |y| > cutoff.
-
-    `density` is the full jump density away from the origin; `support` is the
-    closed interval it lives on (one of the endpoints may be infinite, and
-    the interval may sit on one side of 0).  Construction computes the
-    restricted mass, the compensator drift, and an inverse-CDF table used
-    for size sampling, and rejects measures whose restricted mass is not
-    finite and positive.
-    """
-
-    density: Callable[[float], float]
-    cutoff: float
-    exp_moment_order: float = 1.0
-    support: tuple = (0.0, np.inf)
-
-    dimension = 1
-
-    def __post_init__(self):
-        _real(self.cutoff, "cutoff", above=0)
-        _real(self.exp_moment_order, "exponential moment order", above=0)
-        lo, hi = self.support
-        if not lo < hi:
-            raise ConfigError("support must be a nondegenerate interval")
-        _check_exp_moment(lambda y: float(self.density(y)), lo, hi,
-                          self.exp_moment_order)
-
-        sides = []  # (sign, inner, outer)
-        if hi > self.cutoff:
-            sides.append((1.0, self.cutoff, hi))
-        if lo < -self.cutoff:
-            sides.append((-1.0, self.cutoff, -lo))
-        if not sides:
-            raise ConfigError("support carries no mass beyond the cutoff")
-
-        tables = []
-        masses = []
-        for sign, inner, outer in sides:
-            dens = (lambda y, s=sign: float(self.density(s * y)))
-            outer_eff = outer
-            if not np.isfinite(outer):
-                outer_eff = self._find_tail(dens, inner)
-            mass = _quad(dens, inner, outer_eff)
-            if not (mass > 0 and np.isfinite(mass)):
-                raise ConfigError(f"restricted mass on one side is not finite-positive: {mass}")
-            ys = np.exp(np.linspace(math.log(inner), math.log(outer_eff), _TABLE_NODES))
-            vals = np.array([dens(y) for y in ys])
-            cdf = np.concatenate([[0.0], np.cumsum(np.diff(ys) * (vals[1:] + vals[:-1]) / 2)])
-            cdf /= cdf[-1]
-            tables.append((sign, ys, cdf))
-            masses.append(mass)
-
-        drift = 0.0
-        if hi > 0:
-            drift += _quad(lambda y: y * float(self.density(y)), max(lo, 0.0),
-                           min(hi, self.cutoff))
-        if lo < 0:
-            drift += _quad(lambda y: y * float(self.density(y)), max(lo, -self.cutoff),
-                           min(hi, 0.0))
-
-        object.__setattr__(self, "_tables", tuple(tables))
-        object.__setattr__(self, "_side_masses", tuple(masses))
-        object.__setattr__(self, "restricted_mass", float(sum(masses)))
-        object.__setattr__(self, "compensator", float(drift))
-
-    @staticmethod
-    def _find_tail(dens, inner):
-        total = _quad(dens, inner, inner * 2) or 1.0
-        outer = max(2.0 * inner, 1.0)
-        while True:
-            # a rough probe at the customary relative tolerance 1.49e-8;
-            # whether it converges does not matter
-            tail = _adaptive_gk15(dens, outer, outer * 2, 1e-16, 1.49e-8, 200)[0]
-            if tail < _TAIL_FRACTION * total:
-                return outer
-            outer *= 2.0
-            if outer > 1e12:
-                raise ConfigError("tail of the jump density decays too slowly to tabulate")
-
-    def sample_sizes(self, gen, n):
-        """n jump sizes from the normalized restricted measure."""
-        if n == 0:
-            return np.empty(0)
-        u = gen.uniform(size=n)
-        if len(self._tables) == 1:
-            sign, ys, cdf = self._tables[0]
-            return sign * np.interp(u, cdf, ys)
-        p_pos = self._side_masses[0] / self.restricted_mass
-        pick = gen.uniform(size=n) < p_pos
-        out = np.empty(n)
-        for idx, (sign, ys, cdf) in enumerate(self._tables):
-            sel = pick if idx == 0 else ~pick
-            out[sel] = sign * np.interp(u[sel], cdf, ys)
-        return out
-
-    def finite_law(self):
-        return (self.restricted_mass, self.sample_sizes, 1,
-                np.array([self.compensator]))
-
-    def _exponent(self, u):
-        # the jumps above the cutoff plus the compensator drift
-        val = 0.0 + 0.0j
-        for sign, ys, _ in self._tables:
-            a, b = ys[0], ys[-1]
-            dens = (lambda y, s=sign: float(self.density(s * y)))
-            re = _quad(lambda y: (math.cos(u * sign * y) - 1.0) * dens(y), a, b)
-            im = _quad(lambda y: math.sin(u * sign * y) * dens(y), a, b)
-            val += complex(re, im)
-        return val + 1j * u * self.compensator
-
-
 def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
     """Gamma measure restricted to (cutoff, inf), with closed-form mass/drift.
 
     The inverse CDF is tabulated from exact values of the exponential
-    integral rather than re-integrated numerically.
+    integral rather than integrated numerically.
     """
     theta = spec.rate
     mass = spec.tail_mass(cutoff)
@@ -541,16 +412,8 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
     cdf = 1.0 - _exp1(theta * ys) / mass
     cdf[0] = 0.0
     cdf = cdf / cdf[-1]
-    obj = TruncatedMeasure.__new__(TruncatedMeasure)
-    object.__setattr__(obj, "density", spec.levy_density)
-    object.__setattr__(obj, "cutoff", float(cutoff))
-    object.__setattr__(obj, "exp_moment_order", spec.exp_moment_order)
-    object.__setattr__(obj, "support", (0.0, np.inf))
-    object.__setattr__(obj, "_tables", ((1.0, ys, cdf),))
-    object.__setattr__(obj, "_side_masses", (mass,))
-    object.__setattr__(obj, "restricted_mass", float(mass))
-    object.__setattr__(obj, "compensator", spec.mean_below(cutoff))
-    return obj
+    return TruncatedMeasure(float(cutoff), mass, spec.mean_below(cutoff),
+                            spec.levy_density, ys, cdf)
 
 
 # ---------------------------------------------------------------------------

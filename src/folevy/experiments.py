@@ -25,8 +25,9 @@ from .averaging import (_ZERO_FLOOR, AveragedField, AveragedSolution,
 from .drivers import GammaSubordinator, sample_jump_events, step_sums
 from .errors import ConfigError, _count, _real, _reals
 from .geometry import FoliatedChart, VectorFieldSet, dpi_k
-from .marcus import (IntegratorConfig, _grid_config, integrate_grid_ensemble,
-                     resolve_grid, step_events)
+from .marcus import (IntegratorConfig, _check_plan, _grid_config,
+                     _step_count, integrate_grid_ensemble, resolve_grid,
+                     step_events)
 # unused here, but perfbench/spans.py rebinds them on this module by name
 from .marcus import _drift_rk4, jump_flow  # noqa: F401
 from .rng import path_streams
@@ -125,6 +126,8 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
+    _check_plan(n_paths, [resolve_grid(cfg, eps, horizon / eps)[0]
+                          for eps in epsilons])
     x0 = np.asarray(x0, dtype=float)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), horizon, ode_step)
     if sol.boundary_time is not None and sol.boundary_time <= horizon:
@@ -249,6 +252,8 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
         zeros = np.zeros(n_eps)
         return ExitProbabilityResult(np.asarray(epsilons), zeros, zeros.copy(),
                                      gamma, 0.0, n_paths)
+    _check_plan(n_paths, [resolve_grid(cfg, eps, t_gamma / eps)[0]
+                          for eps in epsilons])
 
     probs = np.zeros(n_eps)
     ses = np.zeros(n_eps)
@@ -322,6 +327,8 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
+    _check_plan(n_paths, [resolve_grid(cfg, eps, horizon)[0]
+                          for eps in epsilons])
     x0 = np.asarray(x0, dtype=float)
     values = np.zeros(len(epsilons))
     ses = np.zeros(len(epsilons))
@@ -404,6 +411,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
+    _check_plan(n_paths, [_step_count(horizon, h) for _, h in levels])
     # closed-form small-jump means: a driver without them raises before any path
     means = [np.array([driver.mean_below(c)]) for c, _ in levels]
     base = driver.for_events(base_cutoff)

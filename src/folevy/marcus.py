@@ -45,6 +45,9 @@ SPLITTINGS = ("lie", "strang")
 _MAX_SUBSTEP_ANGLE = 0.1
 _CHUNK = 4096           # grid steps drawn per path at a time
 _MAX_STEPS = 10**8      # steps per path or solve: 1000x the longest calibration run
+_MAX_SUBSTEPS = 10**4   # jump_ode_substeps: 500x the default
+# paths x steps one ensemble call plans: 250x the largest calibration plan
+_MAX_PATH_STEPS = 10**10
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class IntegratorConfig:
             raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}")
         if self.step_h is not None:
             _real(self.step_h, "step_h", above=0)
-        _count(self.jump_ode_substeps, "jump_ode_substeps", 1)
+        _count(self.jump_ode_substeps, "jump_ode_substeps", 1, _MAX_SUBSTEPS)
         _real(self.jump_cutoff, "jump_cutoff", above=0)
 
     def resolve_step(self, eps):
@@ -255,6 +258,16 @@ def _step_count(span, step):
         raise ConfigError(f"step {step:g} over {span:g} asks for {steps:.3g} "
                           f"steps, more than the {_MAX_STEPS:.0e} allowed")
     return max(1, int(math.ceil(steps - 1e-12)))
+
+
+def _check_plan(n_paths, steps):
+    """ConfigError when n_paths paths, each running the step counts in
+    `steps` (one per eps or level), plan more than _MAX_PATH_STEPS."""
+    total = int(n_paths) * sum(steps)       # a numpy count could wrap
+    if total > _MAX_PATH_STEPS:
+        raise ConfigError(f"{n_paths} paths of {sum(steps)} steps plan "
+                          f"{total:.3g} path-steps, more than the "
+                          f"{_MAX_PATH_STEPS:.0e} allowed")
 
 
 def resolve_grid(cfg: IntegratorConfig, eps, horizon):

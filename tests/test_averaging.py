@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from folevy import (ConfigError, ConstantK, DomainError, RateEstimate,
                     averaged_field, estimate_eta, fit_loglog,
                     leaf_average_quadrature, lp_moment, make_cylinder_preset,
-                    rate_to_csv, solve_averaged_ode)
+                    projected_perturbation, rate_to_csv, solve_averaged_ode)
 
 SEED = 20260816
 
@@ -313,6 +313,32 @@ def test_lp_moment_known_values():
     assert se > 0
     zero, zero_se = lp_moment(np.zeros(5), 2)
     assert zero == 0.0 and zero_se == 0.0
+
+
+def test_lp_moment_large_p_neither_overflows_nor_vanishes():
+    # 20**400 overflows and (2e-3)**400 underflows; the moment of two
+    # samples a < b is b * ((1 + (a/b)**p) / 2)**(1/p)
+    for a, b in ((10.0, 20.0), (1e-3, 2e-3)):
+        value, se = lp_moment(np.array([a, b]), 400)
+        want = b * math.exp((math.log1p((a / b) ** 400) - math.log(2)) / 400)
+        assert abs(value - want) <= 1e-12 * want
+        assert 0.0 < se < math.inf
+    # p = 1e300: the moment is the largest |sample|, however small
+    for samples in ([0.3, -0.5, 0.2], [3.0, 0.5, 2.0], [1e-200, 2e-200]):
+        value, se = lp_moment(np.array(samples), 1e300)
+        assert value == max(abs(v) for v in samples)
+        assert 0.0 <= se < math.inf
+    assert lp_moment(np.zeros(3), 1e300) == (0.0, 0.0)
+
+
+def test_estimate_eta_large_p_is_finite_and_nonzero():
+    preset = make_cylinder_preset()
+    psi = projected_perturbation(preset.chart, preset.fields, 0)
+    est = estimate_eta(preset.fields, preset.chart, preset.driver, psi,
+                       np.array([1.0, 0.0, 0.0]), [5.0, 10.0, 20.0],
+                       p=1e300, n_paths=100, master_seed=SEED)
+    assert not est.identically_zero
+    assert np.all(np.isfinite(est.lp_errors)) and np.all(est.lp_errors > 0)
 
 
 def test_fit_loglog_recovers_power_law():

@@ -25,9 +25,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import folevy
-from folevy import (CompoundPoisson, ConfigError, ConstantK,
-                    GammaSubordinator, IntegratorConfig, LinearK, RngStream,
-                    TruncatedMeasure, averaged_field, averaging,
+from folevy import (ConfigError, ConstantK, GammaSubordinator,
+                    IntegratorConfig, LinearK, RngStream, averaged_field,
+                    averaging,
                     characteristic_function, circle_law_distance, cli,
                     deviation_scaling, estimate_eta, exit_probability,
                     experiments, integrate_unperturbed,
@@ -248,6 +248,20 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
          "n_nodes must be at least 8 and at most 10000000"),
         ("charfn", "experiment.n_samples=100000000000",
          "experiment.n_samples must be at least 1 and at most 10000000"),
+        ("check", "integrator.jump_ode_substeps=1000000000000",
+         "jump_ode_substeps must be at least 1 and at most 10000"),
+        ("average", "experiment.n_r=100000000000",
+         "experiment.n_r must be at least 1 and at most 100000"),
+        ("average", "experiment.n_z=100000000000",
+         "experiment.n_z must be at least 1 and at most 100000"),
+        # with the default n_z = 5: 500000 averaged-field evaluations
+        ("average", "experiment.n_r=100000",
+         "experiment.n_r x experiment.n_z must be at most 100000"),
+        # the paths x steps an ensemble call plans have a ceiling
+        ("compare", "experiment.n_paths=100000000000",
+         "path-steps, more than the 1e+10 allowed"),
+        ("eta", "experiment.n_paths=100000000000",
+         "path-steps, more than the 1e+10 allowed"),
     ]
     # an integer past the float range is not a finite number
     cases += [(command, f"experiment.horizon={10 ** 400}",
@@ -373,10 +387,6 @@ _X0 = np.array([1.0, 0.0, 0.0])
 _GAMMA = GammaSubordinator(1.0)
 
 
-def _unit_exp_sampler(gen, n):
-    return gen.exponential(1.0, size=n).reshape(n, 1)
-
-
 # site -> (the call with value v in place of one argument, its valid
 # value, its kind, values out of its range)
 _SITES = {
@@ -388,7 +398,7 @@ _SITES = {
     "transversal_comparison.p": (lambda v: transversal_comparison(
         *_ARGS, _AVG, _X0, [0.5], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
     "transversal_comparison.n_paths": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1, 0]),
+        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1, 0, 10 ** 11]),
     "transversal_comparison.horizons": (lambda v: transversal_comparison(
         *_ARGS, _AVG, _X0, [0.5], 0.3, horizons=v, n_paths=4), [0.3],
         "list", [[0.0], [0.1, 0.4]]),
@@ -406,7 +416,8 @@ _SITES = {
     "exit_probability.gamma": (lambda v: exit_probability(
         *_ARGS, _AVG, _X0, [0.5], v, n_paths=4), 0.1, "real", [0, -1.0]),
     "exit_probability.n_paths": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=v), 4, "count", [1]),
+        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=v), 4, "count",
+        [1, 10 ** 11]),
     "exit_probability.master_seed": (lambda v: exit_probability(
         *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, master_seed=v), 0,
         "count", []),
@@ -423,7 +434,7 @@ _SITES = {
     "deviation_scaling.p": (lambda v: deviation_scaling(
         *_ARGS, _X0, [0.5], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
     "deviation_scaling.n_paths": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1]),
+        *_ARGS, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1, 10 ** 11]),
     "deviation_scaling.stream_base": (lambda v: deviation_scaling(
         *_ARGS, _X0, [0.5], 0.3, n_paths=4, stream_base=v), 0, "count", []),
     "scheme_agreement.horizon": (lambda v: scheme_agreement(
@@ -438,7 +449,7 @@ _SITES = {
     "scheme_agreement.base_cutoff": (lambda v: scheme_agreement(
         *_ARGS, _X0, base_cutoff=v, n_paths=4), 0.002, "real", [0, -1.0]),
     "scheme_agreement.n_paths": (lambda v: scheme_agreement(
-        *_ARGS, _X0, n_paths=v), 4, "count", [1]),
+        *_ARGS, _X0, n_paths=v), 4, "count", [1, 10 ** 11]),
     "scheme_agreement.master_seed": (lambda v: scheme_agreement(
         *_ARGS, _X0, n_paths=4, master_seed=v), 0, "count", []),
     "estimate_eta.horizons": (lambda v: estimate_eta(
@@ -449,7 +460,7 @@ _SITES = {
         n_paths=100), 2, "real", [1.5]),
     "estimate_eta.n_paths": (lambda v: estimate_eta(
         *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=v),
-        100, "count", [99]),
+        100, "count", [99, 10 ** 11]),
     "estimate_eta.stream_base": (lambda v: estimate_eta(
         *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=100,
         stream_base=v), 0, "count", []),
@@ -459,7 +470,8 @@ _SITES = {
     "IntegratorConfig.step_h": (lambda v: IntegratorConfig(step_h=v), 0.01,
                                 "real", [0, -1e-3]),
     "IntegratorConfig.jump_ode_substeps": (
-        lambda v: IntegratorConfig(jump_ode_substeps=v), 20, "count", [0]),
+        lambda v: IntegratorConfig(jump_ode_substeps=v), 20, "count",
+        [0, 10 ** 4 + 1]),
     "IntegratorConfig.jump_cutoff": (lambda v: IntegratorConfig(
         jump_cutoff=v), 1e-3, "real", [0]),
     "solve_averaged_ode.horizon": (lambda v: solve_averaged_ode(
@@ -471,21 +483,6 @@ _SITES = {
     "GammaSubordinator.exp_moment_order": (
         lambda v: GammaSubordinator(1.0, exp_moment_order=v), 0.5, "real",
         [0, 1.0, 2.0]),
-    "CompoundPoisson.intensity": (lambda v: CompoundPoisson(
-        intensity=v, jump_sampler=_unit_exp_sampler, exp_moment_order=0.5),
-        1.0, "real", [0]),
-    "CompoundPoisson.dimension": (lambda v: CompoundPoisson(
-        intensity=1.0, jump_sampler=_unit_exp_sampler, dimension=v,
-        exp_moment_order=0.5), 1, "count", [0]),
-    "CompoundPoisson.exp_moment_order": (lambda v: CompoundPoisson(
-        intensity=1.0, jump_sampler=_unit_exp_sampler, exp_moment_order=v),
-        0.5, "real", [0]),
-    "TruncatedMeasure.cutoff": (lambda v: TruncatedMeasure(
-        density=_GAMMA.levy_density, cutoff=v, exp_moment_order=0.5), 0.01,
-        "real", [0]),
-    "TruncatedMeasure.exp_moment_order": (lambda v: TruncatedMeasure(
-        density=_GAMMA.levy_density, cutoff=0.01, exp_moment_order=v), 0.5,
-        "real", [0, -1.0]),
     "truncate_gamma.cutoff": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
                               "real", [0]),
     "characteristic_function.t": (lambda v: characteristic_function(

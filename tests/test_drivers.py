@@ -20,10 +20,9 @@ import pytest
 from scipy import integrate, special, stats
 
 import folevy
-from folevy import (CompoundPoisson, GammaSubordinator, RngStream,
-                    TruncatedMeasure, characteristic_function,
-                    circle_law_distance, marginal_samples, sample_jump_events,
-                    truncate_gamma)
+from folevy import (GammaSubordinator, RngStream, TruncatedMeasure,
+                    characteristic_function, circle_law_distance,
+                    marginal_samples, sample_jump_events, truncate_gamma)
 from folevy.drivers import (_TABLE_NODES, _TAIL_FRACTION, _exp1,
                             _exp_tail_term, _quad, make_step_sampler,
                             step_sums)
@@ -106,13 +105,6 @@ def test_truncated_exponent_approaches_the_gamma_closed_form():
         _assert_close(characteristic_function(trunc, u, t),
                       characteristic_function(GammaSubordinator(1.0), u, t),
                       t * u ** 2 * c ** 2 / 4, f"truncated cf u={u}")
-
-
-def test_characteristic_function_needs_a_jump_density():
-    spec = CompoundPoisson(intensity=1.0, jump_sampler=_unit_exp_sampler,
-                           exp_moment_order=0.5)
-    with pytest.raises(ConfigError, match="jump_density"):
-        characteristic_function(spec, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ def test_exp1_matches_scipy():
     _assert_rel_close(_exp1(seam), special.exp1(seam), 4e-15, "x = 1")
     # the inverse-CDF table nodes of the preset's driver at the base cutoff
     # of scheme_agreement
-    _, ys, _ = truncate_gamma(GammaSubordinator(1.0), 0.002)._tables[0]
+    ys = truncate_gamma(GammaSubordinator(1.0), 0.002).ys
     assert len(ys) == _TABLE_NODES
     _assert_rel_close(_exp1(ys), special.exp1(ys), 4e-15, "table nodes")
     assert _exp1(np.array([])).shape == (0,)
@@ -228,27 +220,12 @@ def test_truncate_gamma_outer_node_is_the_first_doubling_below_target():
                 hi *= 2.0
             ys = np.exp(np.linspace(math.log(cutoff), math.log(hi),
                                     _TABLE_NODES))
-            assert np.array_equal(truncate_gamma(spec, cutoff)._tables[0][1],
-                                  ys), (rate, cutoff)
+            assert np.array_equal(truncate_gamma(spec, cutoff).ys, ys), \
+                (rate, cutoff)
     # E1(1000) is 0, and 1e-14 * E1(710) underflows
     for cutoff in (1000.0, 710.0):
         with pytest.raises(ConfigError, match="tail mass"):
             truncate_gamma(GammaSubordinator(1.0), cutoff)
-
-
-def test_truncated_measure_quadratures_match_scipy():
-    measure = TruncatedMeasure(density=_two_sided_gamma_density, cutoff=0.05,
-                               exp_moment_order=0.5,
-                               support=(-np.inf, np.inf))
-    mass = sum(_scipy_quad(lambda y, s=sign: _two_sided_gamma_density(s * y),
-                           ys[0], ys[-1])
-               for sign, ys, _ in measure._tables)
-    _assert_close(measure.restricted_mass, mass, 1e-12 * mass, "mass")
-    drift = (_scipy_quad(lambda y: y * _two_sided_gamma_density(y), 0.0, 0.05)
-             + _scipy_quad(lambda y: y * _two_sided_gamma_density(y), -0.05,
-                           0.0))
-    _assert_close(measure.compensator, drift, 1e-12 * abs(drift),
-                  "compensator")
 
 
 def test_quad_rejects_a_divergent_integral():
@@ -268,8 +245,10 @@ def test_gamma_spec_validation():
         GammaSubordinator(1.0, exp_moment_order=1.5)
     # the moment integral exists, but its tail spans 1e138 and the
     # quadrature cannot confirm it: a ConfigError, not a QuadratureError
-    with pytest.raises(ConfigError, match="does not converge"):
+    with pytest.raises(ConfigError, match="does not converge") as info:
         GammaSubordinator(1e-138)
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value.__cause__, QuadratureError)
     spec = GammaSubordinator(1.0)
     assert spec.exp_moment_order == 0.5
 
@@ -340,22 +319,15 @@ def test_truncate_gamma_closed_forms():
     _assert_close(trunc.compensator, 1.0 - math.exp(-0.1), 1e-12)
     # value quoted to five digits: (1 - e^{-0.1}) / 1
     _assert_close(trunc.compensator, 0.09516, 1e-5)
+    # equality and hashing read the cutoff, mass, drift and density, not
+    # the tables built from them
+    assert isinstance(trunc, TruncatedMeasure)
+    assert trunc == truncate_gamma(spec, 0.1)
+    assert hash(trunc) == hash(truncate_gamma(spec, 0.1))
+    assert trunc != truncate_gamma(spec, 0.2)
+    assert trunc != truncate_gamma(GammaSubordinator(2.0), 0.1)
     with pytest.raises(ValueError):
         truncate_gamma(spec, 0.0)
-
-
-def test_truncated_measure_generic_matches_gamma_tables():
-    spec = GammaSubordinator(1.0)
-    exact = truncate_gamma(spec, 0.1)
-    generic = TruncatedMeasure(density=spec.levy_density, cutoff=0.1,
-                               exp_moment_order=0.5, support=(0.0, np.inf))
-    _assert_close(generic.restricted_mass, exact.restricted_mass, 1e-6)
-    _assert_close(generic.compensator, exact.compensator, 1e-8)
-    mean_exact = math.exp(-0.1) / exact.restricted_mass
-    sizes = generic.sample_sizes(RngStream(SEED, 5).generator(), 20_000)
-    se = sizes.std(ddof=1) / math.sqrt(len(sizes))
-    assert np.all(sizes >= 0.1 * (1 - 1e-9))
-    _assert_close(sizes.mean(), mean_exact, 4 * se, "generic restricted mean")
 
 
 def test_truncated_sampler_mean_and_support():
@@ -365,25 +337,6 @@ def test_truncated_sampler_mean_and_support():
     mean_exact = math.exp(-0.05) / trunc.restricted_mass
     se = sizes.std(ddof=1) / math.sqrt(len(sizes))
     _assert_close(sizes.mean(), mean_exact, 4 * se, "restricted mean")
-
-
-def test_truncated_measure_validation():
-    spec = GammaSubordinator(1.0)
-    with pytest.raises(ValueError):
-        TruncatedMeasure(density=spec.levy_density, cutoff=-0.1)
-    with pytest.raises(ValueError):
-        # support entirely below the cutoff carries no mass
-        TruncatedMeasure(density=lambda y: 1.0, cutoff=2.0, support=(0.0, 1.0))
-
-
-def test_truncated_measure_divergent_moment_is_a_config_error():
-    # e^(-y) has no exponential moment of order 1: the tail integrand is
-    # constant, so the quadrature's failure must surface as ConfigError
-    with pytest.raises(ConfigError) as info:
-        TruncatedMeasure(density=lambda y: math.exp(-y) if y > 0 else 0.0,
-                         cutoff=0.1, exp_moment_order=1.0)
-    assert isinstance(info.value, ValueError)
-    assert isinstance(info.value.__cause__, QuadratureError)
 
 
 def test_jump_events_exceed_cutoff():
@@ -463,45 +416,6 @@ def test_step_sampler_matches_increment_law():
 
 
 # ---------------------------------------------------------------------------
-# compound Poisson
-# ---------------------------------------------------------------------------
-
-def _unit_exp_sampler(gen, n):
-    return gen.exponential(1.0, size=n).reshape(n, 1)
-
-
-def test_compound_poisson_cf_matches_analytic():
-    spec = CompoundPoisson(intensity=3.0, jump_sampler=_unit_exp_sampler,
-                           jump_density=lambda y: math.exp(-y) if y > 0 else 0.0,
-                           exp_moment_order=0.5, support=(0.0, np.inf))
-    for u in (0.5, 1.0, 2.0):
-        psi = 3.0 * (1.0 / (1.0 - 1j * u) - 1.0)
-        _assert_close(characteristic_function(spec, u, 1.5),
-                      np.exp(1.5 * psi), 1e-8, f"cp cf u={u}")
-
-
-def test_compound_poisson_samples_match_cf():
-    spec = CompoundPoisson(intensity=3.0, jump_sampler=_unit_exp_sampler,
-                           jump_density=lambda y: math.exp(-y) if y > 0 else 0.0,
-                           exp_moment_order=0.5, support=(0.0, np.inf))
-    n = 30_000
-    samples = marginal_samples(spec, 1.0, n, RngStream(SEED, 15))
-    emp = np.exp(1j * 1.0 * samples).mean()
-    _assert_close(emp, characteristic_function(spec, 1.0, 1.0),
-                  3.0 / math.sqrt(n), "cp empirical cf")
-
-
-def test_compound_poisson_validation():
-    with pytest.raises(ValueError):
-        CompoundPoisson(intensity=0.0, jump_sampler=_unit_exp_sampler)
-    with pytest.raises(ValueError):
-        # order 2 exponential moment of a rate-1 exponential diverges
-        CompoundPoisson(intensity=1.0, jump_sampler=_unit_exp_sampler,
-                        jump_density=lambda y: math.exp(-y) if y > 0 else 0.0,
-                        exp_moment_order=2.0, support=(0.0, np.inf))
-
-
-# ---------------------------------------------------------------------------
 # equidistribution of the wrapped marginal
 # ---------------------------------------------------------------------------
 
@@ -538,10 +452,6 @@ _POSITIVE_FINITE_SITES = {
     "tail_mass cutoff": lambda v: GammaSubordinator(1.0).tail_mass(v),
     "truncate_gamma cutoff": lambda v: truncate_gamma(GammaSubordinator(1.0),
                                                       v),
-    "TruncatedMeasure cutoff": lambda v: TruncatedMeasure(
-        density=lambda y: math.exp(-y) / y, cutoff=v),
-    "CompoundPoisson intensity": lambda v: CompoundPoisson(
-        intensity=v, jump_sampler=_unit_exp_sampler, exp_moment_order=0.5),
 }
 
 
@@ -557,8 +467,6 @@ def test_positive_finite_arguments_raise_config_error(site, value):
 def test_large_integer_arguments_are_numbers():
     assert GammaSubordinator(2 ** 64).rate == 2 ** 64
     assert GammaSubordinator(1.0).tail_mass(2 ** 64) == 0.0
-    assert CompoundPoisson(intensity=2 ** 64, jump_sampler=_unit_exp_sampler,
-                           exp_moment_order=0.5).intensity == 2 ** 64
 
 
 class _NoDraws:

@@ -22,9 +22,8 @@ from folevy import (AveragedSolution, ComparisonResult, ConfigError,
                     estimate_eta, exit_probability, exit_to_csv,
                     integrate_perturbed, lp_moment, make_cylinder_preset,
                     projected_perturbation, scheme_agreement,
-                    transversal_comparison)
+                    transversal_comparison, truncate_gamma)
 from folevy import averaging, experiments
-from folevy.drivers import CompoundPoisson, TruncatedMeasure
 from folevy.experiments import _nonincreasing_in_eps
 from folevy.marcus import resolve_grid
 
@@ -301,6 +300,19 @@ def test_grid_experiments_reject_jump_decomposition_before_any_work(
             call()
 
 
+def test_deviation_large_p_is_not_a_false_zero():
+    # |dev|**1e300 underflows to 0 for every deviation below 1, which read
+    # as deviations vanishing identically
+    preset = make_cylinder_preset()
+    result = deviation_scaling(preset.fields, preset.chart, preset.driver, X0,
+                               [0.5, 0.25], 1.0, p=1e300, n_paths=4,
+                               master_seed=SEED)
+    assert not result.identically_zero
+    assert np.all(result.values > 0) and np.all(np.isfinite(result.values))
+    assert np.all(np.isfinite(result.std_errors))
+    assert math.isfinite(result.exponent)
+
+
 def test_deviation_validation():
     preset = make_cylinder_preset()
     args = (preset.fields, preset.chart, preset.driver, X0)
@@ -333,23 +345,14 @@ def test_scheme_agreement_gap_shrinks_per_level():
 
 def test_scheme_agreement_needs_gamma_driver(monkeypatch):
     preset = make_cylinder_preset()
-    others = [
-        CompoundPoisson(intensity=1.0,
-                        jump_sampler=lambda g, n: g.exponential(
-                            1.0, size=n).reshape(n, 1),
-                        exp_moment_order=0.5),
-        # order 0.5: the default order 1 diverges for a rate-1 Gamma density
-        TruncatedMeasure(density=preset.driver.levy_density, cutoff=0.01,
-                         exp_moment_order=0.5),
-    ]
-
     def no_path(*args):
         raise AssertionError("a path ran before the driver was rejected")
 
     monkeypatch.setattr(experiments, "sample_jump_events", no_path)
-    for other in others:
-        with pytest.raises(ConfigError):
-            scheme_agreement(preset.fields, preset.chart, other, X0, n_paths=4)
+    # a truncated driver has no closed-form small-jump mean per cutoff
+    with pytest.raises(ConfigError, match="needs the Gamma driver"):
+        scheme_agreement(preset.fields, preset.chart,
+                         truncate_gamma(preset.driver, 0.01), X0, n_paths=4)
     with pytest.raises(ValueError):
         scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
                          eps=0.0, n_paths=4)

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folevy import (BlowupError, CompoundPoisson, ConstantK, DomainError,
-                    IntegratorConfig, RngStream, VectorFieldSet,
-                    integrate_grid_ensemble, integrate_perturbed,
-                    integrate_unperturbed, jump_flow, make_cylinder_preset,
-                    sample_jump_events, trajectory_to_csv)
+from folevy import (BlowupError, ConstantK, DomainError, IntegratorConfig,
+                    RngStream, VectorFieldSet, integrate_grid_ensemble,
+                    integrate_perturbed, integrate_unperturbed, jump_flow,
+                    make_cylinder_preset, trajectory_to_csv)
 from folevy import marcus
 from folevy.marcus import (_drift_rk4, _kahan_add, _make_drift, _merge_events,
                            resolve_grid, step_events)
@@ -400,8 +399,8 @@ def test_merged_event_table_matches_the_per_row_merge():
 
 
 def test_step_events_with_a_planar_driver_matches_the_per_row_merge(monkeypatch):
-    # a 2-D compound Poisson driver through the generic jump solve (width
-    # 1): rotation by z0 and dilation by z1 of the first two coordinates
+    # a 2-D driver through the generic jump solve (width 1): rotation by z0
+    # and dilation by z1 of the first two coordinates
     def driving(x, z):
         out = np.zeros_like(x)
         out[..., 0] = -x[..., 1] * z[..., 0] + 0.1 * x[..., 0] * z[..., 1]
@@ -410,17 +409,18 @@ def test_step_events_with_a_planar_driver_matches_the_per_row_merge(monkeypatch)
 
     fields = VectorFieldSet(driver_dim=2, driving=driving,
                             perturbation=ConstantK(0.0, 0.0, 1.0))
-    spec = CompoundPoisson(
-        intensity=6.0, dimension=2, exp_moment_order=0.5,
-        jump_sampler=lambda g, n: g.uniform(-0.5, 0.5, size=(n, 2)))
     grid = np.linspace(0.0, 2.0, 21)
     cfg = IntegratorConfig(scheme="jump_decomposition")
     x0 = np.array([[1.0, 0.5, 0.0]])
-    for i in range(3):
-        ev = sample_jump_events(spec, 2.0, RngStream(SEED, 40 + i))
-        assert len(ev.times) > 0
-        times = np.concatenate([ev.times, ev.times[:1], [grid[4]]])
-        sizes = np.concatenate([ev.sizes, ev.sizes[-1:], [[0.2, -0.3]]])
+    rng = np.random.default_rng(SEED)
+    for _ in range(3):
+        # 1 + Poisson(12) jumps on [0, 2] with uniform planar sizes, then a
+        # tie with the first jump and a jump on a grid time
+        n = 1 + int(rng.poisson(12.0))
+        t = np.sort(rng.uniform(0.0, 2.0, n))
+        z = rng.uniform(-0.5, 0.5, size=(n, 2))
+        times = np.concatenate([t, t[:1], [grid[4]]])
+        sizes = np.concatenate([z, z[-1:], [[0.2, -0.3]]])
         events = [(times, sizes)]
         _assert_same_tables(grid, events, 2)
         with monkeypatch.context() as m:
