@@ -345,6 +345,17 @@ class TruncatedMeasure:
 
     dimension = 1
 
+    def __post_init__(self):
+        _real(self.cutoff, "cutoff", above=0)
+        _real(self.restricted_mass, "restricted mass", above=0)
+        _real(self.compensator, "compensator", least=0)
+        ys, cdf = np.asarray(self.ys), np.asarray(self.cdf)
+        if not (ys.ndim == 1 and ys.shape == cdf.shape and len(ys) >= 2
+                and np.all(np.diff(ys) > 0) and np.all(np.diff(cdf) >= 0)
+                and cdf[0] == 0.0 and cdf[-1] == 1.0):
+            raise ConfigError("ys and cdf must be an increasing table of "
+                              "sizes and its CDF from 0 to 1")
+
     def sample_sizes(self, gen, n):
         """n jump sizes from the normalized restricted measure."""
         return np.interp(gen.uniform(size=n), self.cdf, self.ys)

@@ -14,7 +14,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -385,6 +385,7 @@ _ARGS = (_PRESET.fields, _PRESET.chart, _PRESET.driver)
 _AVG = averaged_field(_PRESET.chart, _PRESET.fields)
 _X0 = np.array([1.0, 0.0, 0.0])
 _GAMMA = GammaSubordinator(1.0)
+_TRUNCATED = truncate_gamma(_GAMMA, 0.01)
 
 
 # site -> (the call with value v in place of one argument, its valid
@@ -483,6 +484,12 @@ _SITES = {
     "GammaSubordinator.exp_moment_order": (
         lambda v: GammaSubordinator(1.0, exp_moment_order=v), 0.5, "real",
         [0, 1.0, 2.0]),
+    "TruncatedMeasure.cutoff": (lambda v: replace(
+        _TRUNCATED, cutoff=v), 0.01, "real", [0]),
+    "TruncatedMeasure.restricted_mass": (lambda v: replace(
+        _TRUNCATED, restricted_mass=v), 1.0, "real", [0]),
+    "TruncatedMeasure.compensator": (lambda v: replace(
+        _TRUNCATED, compensator=v), 0.0, "real", [-1.0]),
     "truncate_gamma.cutoff": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
                               "real", [0]),
     "characteristic_function.t": (lambda v: characteristic_function(

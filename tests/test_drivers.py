@@ -2,9 +2,9 @@
 
 The closed-form characteristic function is checked against direct numerical
 integration of the marginal density before anything else relies on it; the
-samplers (exact increments, truncated jump events, compound Poisson) are
-then tested against that oracle, against closed-form masses and means, and
-against each other.
+samplers (exact increments and truncated jump events) are then tested
+against that oracle, against closed-form masses and means, and against each
+other.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,6 +331,61 @@ def test_truncate_gamma_closed_forms():
         truncate_gamma(spec, 0.0)
 
 
+def test_truncated_measure_quadratures_match_scipy():
+    # mass, compensator and the truncated cf's exponent against QUADPACK
+    # integrals of the jump density exp(-2y)/y
+    spec = GammaSubordinator(2.0)
+    measure = truncate_gamma(spec, 0.05)
+    mass = _scipy_quad(spec.levy_density, 0.05, np.inf)
+    _assert_close(measure.restricted_mass, mass, 1e-10 * mass, "mass")
+    drift = _scipy_quad(lambda y: y * spec.levy_density(y), 0.0, 0.05)
+    _assert_close(measure.compensator, drift, 1e-12 * drift, "compensator")
+    a, b = measure.ys[0], measure.ys[-1]
+    for u in (0.5, 3.0):
+        re = _scipy_quad(lambda y: (math.cos(u * y) - 1.0)
+                         * spec.levy_density(y), a, b)
+        im = _scipy_quad(lambda y: math.sin(u * y) * spec.levy_density(y),
+                         a, b)
+        expected = np.exp(1.5 * complex(re, im + u * drift))
+        _assert_close(characteristic_function(measure, u, 1.5), expected,
+                      1e-10, f"truncated cf u={u}")
+
+
+def test_truncated_measure_generic_matches_gamma_tables():
+    # the inverse-CDF table built from E1 values matches the CDF of the
+    # restricted density integrated by quadrature
+    spec = GammaSubordinator(1.0)
+    measure = truncate_gamma(spec, 0.1)
+    ys, cdf = measure.ys, measure.cdf
+    total = _scipy_quad(spec.levy_density, ys[0], ys[-1])
+    for k in (1, _TABLE_NODES // 4, _TABLE_NODES // 2, _TABLE_NODES - 2):
+        by_quad = _scipy_quad(spec.levy_density, ys[0], ys[k]) / total
+        _assert_close(cdf[k], by_quad, 1e-10, f"cdf node {k}")
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+
+
+def test_truncated_measure_validation():
+    measure = truncate_gamma(GammaSubordinator(1.0), 0.1)
+    with pytest.raises(ValueError):
+        truncate_gamma(GammaSubordinator(1.0), -0.1)
+    with pytest.raises(ValueError):
+        replace(measure, cutoff=-0.1)
+    with pytest.raises(ValueError):
+        # a measure with no mass above the cutoff has no jumps to draw
+        replace(measure, restricted_mass=0.0)
+    with pytest.raises(ValueError):
+        replace(measure, compensator=-1e-3)
+    # np.interp needs increasing sizes and a CDF from 0 to 1
+    for ys, cdf in ((measure.ys[::-1], measure.cdf),
+                    (measure.ys, 0.5 * measure.cdf),
+                    (measure.ys, measure.cdf[::-1]),
+                    (measure.ys[:-1], measure.cdf),
+                    (measure.ys[:1], measure.cdf[:1])):
+        with pytest.raises(ValueError, match="increasing table"):
+            replace(measure, ys=ys, cdf=cdf)
+    assert replace(measure) == measure
+
+
 def test_truncated_sampler_mean_and_support():
     trunc = truncate_gamma(GammaSubordinator(1.0), 0.05)
     sizes = trunc.sample_sizes(RngStream(SEED, 6).generator(), 20_000)
@@ -447,11 +503,27 @@ def test_circle_law_distance_is_the_kstest_statistic():
 # argument checks
 # ---------------------------------------------------------------------------
 
+_TRUNCATED = truncate_gamma(GammaSubordinator(1.0), 0.05)
+
 _POSITIVE_FINITE_SITES = {
     "GammaSubordinator rate": lambda v: GammaSubordinator(v),
     "tail_mass cutoff": lambda v: GammaSubordinator(1.0).tail_mass(v),
     "truncate_gamma cutoff": lambda v: truncate_gamma(GammaSubordinator(1.0),
                                                       v),
+    "TruncatedMeasure cutoff": lambda v: replace(_TRUNCATED, cutoff=v),
+    "TruncatedMeasure restricted_mass": lambda v: replace(
+        _TRUNCATED, restricted_mass=v),
+}
+
+_NONNEGATIVE_FINITE_SITES = {
+    "TruncatedMeasure compensator": lambda v: replace(_TRUNCATED,
+                                                      compensator=v),
+    "sample_jump_events horizon": lambda v: sample_jump_events(
+        _TRUNCATED, v, RngStream(SEED, 20)),
+    "characteristic_function t": lambda v: characteristic_function(
+        GammaSubordinator(1.0), 1.0, v),
+    "marginal_samples t": lambda v: marginal_samples(
+        GammaSubordinator(1.0), v, 10, RngStream(SEED, 21)),
 }
 
 
@@ -462,6 +534,14 @@ def test_positive_finite_arguments_raise_config_error(site, value):
     # an integer too large for a float is as unusable as inf
     with pytest.raises(ConfigError, match="must be positive and finite"):
         _POSITIVE_FINITE_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", sorted(_NONNEGATIVE_FINITE_SITES))
+@pytest.mark.parametrize("value", [10 ** 400, math.nan, math.inf, -math.inf,
+                                   -1, "abc", None])
+def test_nonnegative_finite_arguments_raise_config_error(site, value):
+    with pytest.raises(ConfigError, match="must be nonnegative and finite"):
+        _NONNEGATIVE_FINITE_SITES[site](value)
 
 
 def test_large_integer_arguments_are_numbers():
