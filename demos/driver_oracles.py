@@ -48,7 +48,7 @@ def show_circle_mixing():
     print("\nDistance of the driven angle from the uniform circle law:")
     for t in (0.5, 2.0, 10.0, 50.0):
         d = circle_law_distance(spec, t, 20_000, RngStream(SEED, 2))
-        print(f"  t={t:<5} sup-CF distance {d:.4f}")
+        print(f"  t={t:<5} KS distance {d:.4f}")
     print("  the leafwise rotation mixes at an exponential rate")
 
 

@@ -22,8 +22,7 @@ from .config import (ExperimentConfig, apply_overrides, config_from_dict,
 from .drivers import (GammaSubordinator, JumpEvents, TruncatedMeasure,
                       characteristic_function, circle_law_distance,
                       marginal_samples, sample_jump_events, truncate_gamma)
-from .errors import (BlowupError, ConfigError, DomainError, FolevyError,
-                     QuadratureError)
+from .errors import BlowupError, ConfigError, DomainError, FolevyError
 from .experiments import (OBSERVABLES, ComparisonResult, DeviationResult,
                           ExitProbabilityResult, SchemeAgreementResult,
                           comparison_to_csv, deviation_scaling,
@@ -43,7 +42,7 @@ __all__ = [
     "DeviationResult", "DomainError", "EnsembleResult",
     "ExitProbabilityResult", "ExperimentConfig", "FoliatedChart",
     "FolevyError", "GammaSubordinator", "IntegratorConfig", "JumpEvents",
-    "LinearK", "OBSERVABLES", "QuadratureError", "RateEstimate", "RngStream",
+    "LinearK", "OBSERVABLES", "RateEstimate", "RngStream",
     "SchemeAgreementResult", "TangencyReport", "Trajectory",
     "TruncatedMeasure", "VectorFieldSet", "apply_overrides", "averaged_field",
     "characteristic_function", "circle_law_distance", "comparison_to_csv",

@@ -232,6 +232,11 @@ def cmd_charfn(cfg, preset, icfg):
     samples = np.asarray(marginal_samples(driver, exp.t, exp.n_samples,
                                           RngStream(run.master_seed,
                                                     run.stream_base))).ravel()
+    top = float(samples.max(initial=0.0))
+    for uu in u:
+        if not math.isfinite(uu * top):     # e^(i*u*Z) would be NaN
+            raise ConfigError(f"experiment.u_values: u = {uu:g} times a draw "
+                              f"of Z_t ({top:g}) is past the float range")
     emp = [complex(np.mean(np.exp(1j * uu * samples))) for uu in u]
     gaps = [abs(a - b) for a, b in zip(exact, emp)]
     rows = [(uu, a.real, a.imag, b.real, b.imag, g)

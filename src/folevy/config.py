@@ -43,7 +43,6 @@ class PresetSection:
     theta: float = 1.0
     k_choice: Literal["linear", "constant"] = "linear"
     k_constant: tuple[float, float, float] = (0.0, 0.0, 1.0)  # for "constant"
-    kappa: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -262,5 +261,5 @@ def preset_from_config(cfg: ExperimentConfig):
         else ConstantK(*(float(v) for v in sec.k_constant))
     return make_cylinder_preset(
         r_min=sec.r_min, r_max=sec.r_max, z_min=sec.z_min, z_max=sec.z_max,
-        theta=sec.theta, k_choice=k, kappa=sec.kappa)
+        theta=sec.theta, k_choice=k)
 

@@ -4,7 +4,8 @@ The driver is the Gamma subordinator, pure-jump and of finite variation,
 in one of two forms:
 
 * `GammaSubordinator` -- jump measure dens(y) = exp(-rate*y)/y on
-  (0, inf).  Increments over a step of length dt have the exact marginal
+  (0, inf), which has exponential moments of every order below the rate.
+  Increments over a step of length dt have the exact marginal
   Gamma(shape=dt, rate=rate), which is what exact-mode sampling uses, and
   the characteristic function (1 - i*u/rate)**(-t) in closed form.
 * `TruncatedMeasure` -- that measure restricted to (cutoff, inf), as
@@ -15,145 +16,37 @@ in one of two forms:
 
 Each form answers for itself through one method set: `step_sampler(h)`,
 `finite_law()` (rate, size draw, dimension and compensator of the event
-set; the truncation only), `cf(u, t)`, `for_events(cutoff)` (the finite
-driver a jump-decomposition path samples) and `mean_below(cutoff)` (closed
-form; the untruncated driver only).
+set; the truncation only), `cf(u, t)` and `mean_below(cutoff)` (closed
+forms; the untruncated driver only) and `for_events(cutoff)` (the finite
+driver a jump-decomposition path samples).
 
 Increment semantics are uncompensated throughout: the simulated process is
 the plain sum of its jumps (plus the explicit compensator drift in
-truncated mode), so closed forms and quadrature below use the exponent
+truncated mode), so the closed forms use the exponent
 int (e^{iuy} - 1) dens(y) dy without a centering term.
 
-The exponential-moment check and the truncated characteristic-function
-exponent integrate with `_quad`, an adaptive Gauss-Kronrod rule in this
-module; the tail mass and the inverse-CDF table use `_exp1`, the
-exponential integral E1 from its power series and continued fraction;
+The tail mass and the inverse-CDF table use `_exp1`, the exponential
+integral E1 from its power series and continued fraction;
 `circle_law_distance` computes its Kolmogorov-Smirnov statistic directly.
-The module needs only numpy; the test suite checks all three against a
+The module needs only numpy; the test suite checks both against a
 reference library.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (_MAX_COUNT, ConfigError, QuadratureError, _count,
-                     _real)
+from .errors import _MAX_COUNT, ConfigError, _count, _real
 from .rng import RngStream
 
-QUAD_ABS_TOL = 1e-10
+# the least Gamma rate: jump sizes and increments scale as 1/rate <= 1e150,
+# so their squares, as in a sample variance, stay finite
+_MIN_RATE = 1e-150
 _TABLE_NODES = 4097
 _TAIL_FRACTION = 1e-14
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers
-# ---------------------------------------------------------------------------
-
-# Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK dqk15): the 15 Kronrod
-# nodes in increasing order, their weights, and the 7-point Gauss weights,
-# which sit on every second node and are zero on the others
-_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-       0.207784955007898467600689403773245, 0.0)
-_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.0, 0.129484966168869693270611432679082, 0.0,
-       0.279705391489276667901467771423780, 0.0,
-       0.381830050505118944950369775488975, 0.0,
-       0.417959183673469387755102040816327)
-_GK_X = np.array([-x for x in _XK] + list(_XK[-2::-1]))
-_GK_WK = np.array(_WK + _WK[-2::-1])
-_GK_WG = np.array(_WG + _WG[-2::-1])
-_EPS = np.finfo(float).eps
-
-
-def _gk15(f, a, b):
-    """(integral, error estimate) of f over the finite [a, b] by G7/K15."""
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fx = np.array([f(x) for x in (c + h * _GK_X).tolist()], dtype=float)
-    resk = _GK_WK @ fx
-    err = abs((resk - _GK_WG @ fx) * h)
-    resabs = abs(h) * (_GK_WK @ np.abs(fx))
-    resasc = abs(h) * (_GK_WK @ np.abs(fx - 0.5 * resk))
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk * h, max(err, 50.0 * _EPS * resabs)
-
-
-def _on_unit_interval(f, a, b):
-    """f over [a, b] with an infinite end, as an integrand over (0, 1]
-    under x = a + (1 - t)/t, x = b - (1 - t)/t, or both halves of the line."""
-    if math.isinf(a) and math.isinf(b):
-        return lambda t: (f((1.0 - t) / t) + f((t - 1.0) / t)) / (t * t)
-    if math.isinf(b):
-        return lambda t: f(a + (1.0 - t) / t) / (t * t)
-    return lambda t: f(b - (1.0 - t) / t) / (t * t)
-
-
-def _adaptive_gk15(f, a, b, epsabs, epsrel, limit):
-    """(value, error estimate, converged) of the integral of f over [a, b].
-
-    Globally adaptive: the subinterval with the largest error estimate is
-    bisected until the summed estimate is at most max(epsabs,
-    epsrel*|value|), `limit` subintervals exist, or a subinterval cannot be
-    split any further.  Infinite ends are mapped onto (0, 1] first, as
-    QUADPACK's QAGI does.
-    """
-    if a > b:
-        value, err, converged = _adaptive_gk15(f, b, a, epsabs, epsrel, limit)
-        return -value, err, converged
-    if a == b:
-        return 0.0, 0.0, True
-    if math.isinf(a) or math.isinf(b):
-        f, a, b = _on_unit_interval(f, a, b), 0.0, 1.0
-    value, err = _gk15(f, a, b)
-    heap = [(-err, a, b, value)]
-    area, errsum = value, err
-    while not errsum <= max(epsabs, epsrel * abs(area)):
-        if len(heap) >= limit or not math.isfinite(errsum):
-            break
-        neg_err, lo, hi, old = heap[0]
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        heapq.heapreplace(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        area += v1 + v2 - old
-        errsum += e1 + e2 + neg_err
-    value = math.fsum(item[3] for item in heap)
-    err = math.fsum(-item[0] for item in heap)
-    return value, err, err <= max(epsabs, epsrel * abs(value))
-
-
-def _quad(f, a, b, tol=QUAD_ABS_TOL):
-    """Integral of f over [a, b] (ends may be infinite), or QuadratureError.
-
-    `_adaptive_gk15` with absolute and relative tolerance 1e-10 by default
-    and at most 400 subintervals: the 7-point Gauss and 15-point Kronrod
-    pair (G7/K15) on each subinterval, global bisection of the one with the
-    largest error estimate, and no epsilon extrapolation.  That is QUADPACK's
-    QAG with key 1 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
-    QUADPACK, Springer 1983).  A result that misses its tolerance or is not
-    finite raises instead of being returned.
-    """
-    value, err, converged = _adaptive_gk15(f, a, b, tol, 1e-10, 400)
-    if not converged or not math.isfinite(value):
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] did not converge (value={value}, err={err})"
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -226,77 +119,19 @@ def _exp1_fraction(x):
     return out
 
 
-def _exp_tail_term(density, kappa, y):
-    # log-space evaluation: e^(kappa|y|) alone overflows long before the
-    # product with a decaying density does
-    d = float(density(y))
-    if d <= 0.0 or not math.isfinite(d):
-        return 0.0
-    expo = kappa * abs(y) + math.log(d)
-    return math.inf if expo > 709.0 else math.exp(expo)
-
-
-def _tail_grows(term):
-    # adaptive quadrature can converge to a huge finite number when the
-    # integrand grows exponentially; an integrable tail must decay, so a
-    # non-decreasing pair of far probes means the moment does not exist
-    a, b = term(128.0), term(512.0)
-    if math.isinf(a) or math.isinf(b):
-        return True
-    return b > 0.0 and b >= a
-
-
-def _exp_moment_integral(density, kappa):
-    """int_0^1 y^2 dens + int_1^inf e^(kappa y) dens for a density on (0, inf).
-
-    This is the usual reading of the wedge criterion e^{kappa|y|} ^ |y|^2:
-    the quadratic part controls the origin, the exponential part the tail.
-    Raises QuadratureError when the tail integral diverges.
-    """
-    tail = partial(_exp_tail_term, density, kappa)
-    if _tail_grows(tail):
-        raise QuadratureError(
-            f"exponential moment tail integral of order {kappa} diverges")
-    return (_quad(lambda y: y * y * density(y), 0.0, 1.0)
-            + _quad(tail, 1.0, np.inf))
-
-
-def _check_exp_moment(density, kappa):
-    """ConfigError unless `_exp_moment_integral` converges to a finite value."""
-    try:
-        value = _exp_moment_integral(density, kappa)
-    except QuadratureError as exc:      # e.g. a Gamma rate of 1e-138
-        raise ConfigError(f"exponential moment integral of order {kappa} "
-                          f"does not converge") from exc
-    if not np.isfinite(value):
-        raise ConfigError("exponential moment integral is not finite")
-
-
 # ---------------------------------------------------------------------------
 # the Gamma driver and its truncation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GammaSubordinator:
-    """Standard Gamma subordinator with jump density exp(-rate*y)/y, y > 0."""
+    """Standard Gamma subordinator with jump density exp(-rate*y)/y, y > 0,
+    for a rate of at least `_MIN_RATE`."""
 
     rate: float
-    exp_moment_order: Optional[float] = None  # kappa; defaults to rate/2
-
-    dimension = 1
 
     def __post_init__(self):
-        _real(self.rate, "rate", above=0)
-        kappa = self.rate / 2 if self.exp_moment_order is None else self.exp_moment_order
-        if not 0 < _real(kappa, "exponential moment order") < self.rate:
-            # the tail integral int_1^inf e^((kappa-rate)y)/y dy diverges
-            raise ConfigError(
-                f"exponential moment order must sit in (0, rate): kappa={kappa}, rate={self.rate}"
-            )
-        object.__setattr__(self, "exp_moment_order", float(kappa))
-        # the check is analytic above; run the quadrature too so a broken
-        # closed form cannot slip through unnoticed
-        _check_exp_moment(self.levy_density, kappa)
+        _real(self.rate, "rate", least=_MIN_RATE)
 
     def levy_density(self, y):
         y = np.asarray(y, dtype=float)
@@ -321,7 +156,18 @@ class GammaSubordinator:
                           "apply truncate_gamma(spec, cutoff) first")
 
     def cf(self, u, t):
-        return np.power(1.0 - 1j * u / self.rate, -t)
+        # where the power overflows on the way (u/rate past the float range,
+        # or a huge u/rate to a small whole power), the same value from the
+        # modulus log(hypot(rate, u)) - log(rate) and argument -atan2(u, rate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = 1.0 - 1j * u / self.rate
+            out = np.power(base, -t)
+        lost = ~(np.isfinite(base) & np.isfinite(out))
+        if not lost.any():
+            return out
+        log_mod = np.log(np.hypot(self.rate, u)) - math.log(self.rate)
+        return np.where(lost, np.exp(t * (1j * np.arctan2(u, self.rate)
+                                          - log_mod)), out)
 
     def for_events(self, cutoff):
         return truncate_gamma(self, cutoff)
@@ -332,18 +178,15 @@ class TruncatedMeasure:
     """The Gamma jump measure restricted to (cutoff, inf), from `truncate_gamma`.
 
     It holds the restricted mass, the compensator drift of the discarded
-    small jumps, the full jump density its `cf` integrates, and the
-    inverse-CDF table (`ys`, `cdf`) that size sampling interpolates.
+    small jumps, and the inverse-CDF table (`ys`, `cdf`) that size
+    sampling interpolates.
     """
 
     cutoff: float
     restricted_mass: float
     compensator: float
-    density: Callable[[float], float]
     ys: np.ndarray = field(compare=False, repr=False)
     cdf: np.ndarray = field(compare=False, repr=False)
-
-    dimension = 1
 
     def __post_init__(self):
         _real(self.cutoff, "cutoff", above=0)
@@ -374,16 +217,8 @@ class TruncatedMeasure:
                 np.array([self.compensator]))
 
     def cf(self, u, t):
-        return np.array([np.exp(t * self._exponent(uu))
-                         for uu in u.ravel().tolist()]).reshape(u.shape)
-
-    def _exponent(self, u):
-        # the jumps above the cutoff plus the compensator drift
-        a, b = self.ys[0], self.ys[-1]
-        re = _quad(lambda y: (math.cos(u * y) - 1.0) * float(self.density(y)),
-                   a, b)
-        im = _quad(lambda y: math.sin(u * y) * float(self.density(y)), a, b)
-        return complex(re, im) + 1j * u * self.compensator
+        raise ConfigError("the characteristic function needs the Gamma "
+                          "driver (closed form in u and t)")
 
     def for_events(self, cutoff):
         return self
@@ -423,8 +258,8 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
     cdf = 1.0 - _exp1(theta * ys) / mass
     cdf[0] = 0.0
     cdf = cdf / cdf[-1]
-    return TruncatedMeasure(float(cutoff), mass, spec.mean_below(cutoff),
-                            spec.levy_density, ys, cdf)
+    return TruncatedMeasure(float(cutoff), mass, spec.mean_below(cutoff), ys,
+                            cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +316,12 @@ def characteristic_function(spec, u, t):
     u_arr = np.asarray(u)
     if u_arr.dtype.kind not in "iuf":       # a bool array is not numeric
         raise ConfigError(f"u must be numeric, got {u!r}")
-    if spec.dimension != 1:
-        raise NotImplementedError("characteristic function only for scalar drivers")
     out = spec.cf(u_arr.astype(float), t)
     return complex(out) if np.isscalar(u) else out
 
 
 def marginal_samples(spec, t, n, rng: RngStream):
-    """n independent samples of Z_t (scalar drivers)."""
-    if getattr(spec, "dimension", 1) != 1:
-        raise NotImplementedError("marginal sampling only for scalar drivers")
+    """n independent samples of Z_t."""
     _real(t, "t", least=0)
     _count(n, "n", most=_MAX_COUNT)
     if t == 0:

@@ -20,10 +20,6 @@ class DomainError(FolevyError, ValueError):
     """A point was handed to an operation outside its chart domain."""
 
 
-class QuadratureError(FolevyError, RuntimeError):
-    """Adaptive quadrature failed to converge; never returned as silent NaN."""
-
-
 class BlowupError(FolevyError, RuntimeError):
     """Jump-ODE integration left the finite range.
 

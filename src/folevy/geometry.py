@@ -152,7 +152,7 @@ class CylinderPreset:
 
 
 def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
-                         theta=1.0, k_choice=None, kappa=None) -> CylinderPreset:
+                         theta=1.0, k_choice=None) -> CylinderPreset:
     """Annulus x interval domain, circle leaves, Gamma(theta) driver.
 
     Requires 0 < r_min < 1 < r_max so the canonical start radius 1 is
@@ -232,7 +232,7 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         driver_dim=1, driving=driving, drift=None, perturbation=k_choice,
         exact_jump_flow=exact_jump_flow,
     )
-    driver = GammaSubordinator(rate=theta, exp_moment_order=kappa)
+    driver = GammaSubordinator(rate=theta)
     return CylinderPreset(chart, fields, driver, r_min, r_max, z_min, z_max)
 
 

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -36,6 +37,7 @@ from folevy import (ConfigError, ConstantK, GammaSubordinator,
                     scheme_agreement, solve_averaged_ode, tangency_check,
                     transversal_comparison, truncate_gamma)
 from folevy.cli import main
+from folevy.drivers import _MIN_RATE
 from folevy.marcus import resolve_grid
 from folevy.config import (_FLOAT, ExperimentConfig, apply_overrides,
                            config_from_dict, config_to_dict, dump_config,
@@ -234,6 +236,13 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "run.stream_base=0.001", "stream_index must be"),
         ("simulate", "run.stream_base=-7", "stream_index must be"),
         ("simulate", "run.threads=1", "unknown config key run.threads"),
+        ("simulate", "preset.kappa=0.5", "unknown config key preset.kappa"),
+        # the Gamma rate has a floor of 1e-150; a subnormal one is below it
+        ("simulate", "preset.theta=9.99e-151", "rate must be at least 1e-150"),
+        ("charfn", "preset.theta=5e-324", "rate must be at least 1e-150"),
+        # e^(i*u*Z) of a product past the float range is NaN
+        ("charfn", "experiment.u_values=[1, 1e308]",
+         "u = 1e+308 times a draw of Z_t"),
         ("compare", "experiment.method=quadrature",
          "unknown config key experiment.method"),
         ("simulate", "preset.k_constant=[1, 2, .nan]", "preset.k_constant"),
@@ -480,10 +489,7 @@ _SITES = {
     "solve_averaged_ode.step": (lambda v: solve_averaged_ode(
         _AVG, np.array([1.0, 0.0]), 0.1, v), 1e-3, "real", [0]),
     "GammaSubordinator.rate": (lambda v: GammaSubordinator(v), 1.0, "real",
-                               [0, -1.0]),
-    "GammaSubordinator.exp_moment_order": (
-        lambda v: GammaSubordinator(1.0, exp_moment_order=v), 0.5, "real",
-        [0, 1.0, 2.0]),
+                               [0, -1.0, 1e-151, 5e-324]),
     "TruncatedMeasure.cutoff": (lambda v: replace(
         _TRUNCATED, cutoff=v), 0.01, "real", [0]),
     "TruncatedMeasure.restricted_mass": (lambda v: replace(
@@ -767,6 +773,28 @@ def test_simulate_unperturbed_trajectory(tmp_path):
     assert summary["epsilon"] == 0.0
     assert not summary["exited"]
     assert os.path.exists(os.path.join(run, "effective_config.yaml"))
+
+
+def test_least_rate_runs_with_finite_output(tmp_path):
+    # just above the floor, jump sizes of order 1/rate and the squares in
+    # the check battery's sample variance stay finite; an overflow would
+    # raise here, as RuntimeWarnings are errors in this suite
+    rate = math.nextafter(_MIN_RATE, 1.0)
+    assert GammaSubordinator(rate).rate == rate
+    for command in ("check", "simulate", "charfn"):
+        out = tmp_path / command
+        assert main([command, "--out", str(out),
+                     "--set", f"preset.theta={rate!r}"]) == 0
+        run = _run_dir(out)
+        for name in sorted(os.listdir(run)):
+            text = open(os.path.join(run, name)).read()
+            assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", text), name
+        if command == "check":
+            report = json.load(open(os.path.join(run, "check.json")))
+            assert report["all_passed"]
+        if command == "charfn":
+            summary = json.load(open(os.path.join(run, "summary.json")))
+            assert math.isfinite(summary["max_abs_gap"])
 
 
 def test_effective_config_records_overrides(tmp_path):

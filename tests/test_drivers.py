@@ -24,10 +24,9 @@ import folevy
 from folevy import (GammaSubordinator, RngStream, TruncatedMeasure,
                     characteristic_function, circle_law_distance,
                     marginal_samples, sample_jump_events, truncate_gamma)
-from folevy.drivers import (_TABLE_NODES, _TAIL_FRACTION, _exp1,
-                            _exp_tail_term, _quad, make_step_sampler,
-                            step_sums)
-from folevy.errors import ConfigError, QuadratureError
+from folevy.drivers import (_MIN_RATE, _TABLE_NODES, _TAIL_FRACTION, _exp1,
+                            make_step_sampler, step_sums)
+from folevy.errors import ConfigError
 
 SEED = 20260816
 
@@ -95,17 +94,36 @@ def test_characteristic_function_modulus_bounded():
         characteristic_function(spec, 1.0, -0.5)
 
 
-def test_truncated_exponent_approaches_the_gamma_closed_form():
-    # dropping the jumps below c for their mean c' = mean_below(c) leaves
-    # |psi - psi_trunc| <= u^2 * int_0^c y^2 dens / 2 <= u^2 c^2 / 4 at
-    # rate 1, so the two characteristic functions differ by at most t times
-    # that, both having modulus at most one
-    c, t = 1e-3, 1.5
-    trunc = truncate_gamma(GammaSubordinator(1.0), c)
-    for u in (0.5, 1.0, 2.0):
-        _assert_close(characteristic_function(trunc, u, t),
-                      characteristic_function(GammaSubordinator(1.0), u, t),
-                      t * u ** 2 * c ** 2 / 4, f"truncated cf u={u}")
+def test_characteristic_function_is_finite_past_the_float_range():
+    # u/rate overflows at u = 1e308, rate 0.5, and a huge u/rate to a small
+    # whole power overflows on the way; the modulus (1 + (u/rate)^2)^(-t/2)
+    # and argument t*atan(u/rate) still give the value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rate, u, t in ((0.5, 1e308, 1.0), (0.5, -1e308, 1.0),
+                           (0.5, 1.7e308, 0.5), (1.0, 1e155, 2.0),
+                           (1.0, -1e200, 3.0), (_MIN_RATE, 1e10, 1e-3)):
+            got = characteristic_function(GammaSubordinator(rate), u, t)
+            log_mod = math.log(math.hypot(rate, u)) - math.log(rate)
+            angle = t * math.atan2(u, rate)
+            expected = math.exp(-t * log_mod) * complex(math.cos(angle),
+                                                        math.sin(angle))
+            assert math.isfinite(got.real) and math.isfinite(got.imag)
+            _assert_close(got, expected, 1e-13 * max(abs(expected), 1e-300),
+                          f"cf({rate=}, {u=}, {t=})")
+        vals = characteristic_function(GammaSubordinator(0.5),
+                                       np.array([1.0, 1e308]), 1.0)
+        assert np.isfinite(vals).all()
+        assert vals[0] == characteristic_function(GammaSubordinator(0.5),
+                                                  1.0, 1.0)
+
+
+def test_truncated_characteristic_function_is_a_config_error():
+    # only the Gamma driver has a closed-form characteristic function
+    trunc = truncate_gamma(GammaSubordinator(1.0), 0.05)
+    for u in (1.0, np.array([0.5, 2.0])):
+        with pytest.raises(ConfigError, match="needs the Gamma driver"):
+            characteristic_function(trunc, u, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -133,50 +151,6 @@ def test_mean_below_matches_quadrature():
     _assert_close(spec.mean_below(0.1), 1.0 - math.exp(-0.1), 1e-15)
     spec2 = GammaSubordinator(2.0)
     _assert_close(spec2.mean_below(0.1), (1.0 - math.exp(-0.2)) / 2.0, 1e-15)
-
-
-# ---------------------------------------------------------------------------
-# the in-package quadrature against scipy's QUADPACK
-# ---------------------------------------------------------------------------
-
-def _scipy_quad(f, a, b):
-    return integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
-
-
-def _two_sided_gamma_density(y):
-    # jump density exp(-2y)/y to the right of 0 and exp(y)/(2|y|) to the left
-    if y > 0:
-        return math.exp(-2.0 * y) / y
-    return 0.5 * math.exp(y) / -y if y < 0 else 0.0
-
-
-def test_quad_matches_scipy_on_package_integrands():
-    gamma = GammaSubordinator(1.0)
-    kappa = gamma.exp_moment_order
-
-    def normal(y):
-        return math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-
-    cases = {
-        # the two parts of the Gamma exponential-moment check
-        "gamma y^2 part": (lambda y: y * y * float(gamma.levy_density(y)),
-                           0.0, 1.0),
-        "gamma exponential part": (
-            lambda y: _exp_tail_term(gamma.levy_density, kappa, y),
-            1.0, np.inf),
-        # two-sided and left-sided densities over infinite ranges
-        "normal on the line": (normal, -np.inf, np.inf),
-        "normal exponential tail": (
-            lambda y: _exp_tail_term(normal, 1.0, y), -np.inf, -1.0),
-        "left density": (lambda y: math.exp(y) * (1.0 + y * y), -np.inf, 0.0),
-        # one characteristic-function integrand, with a 1/y singularity
-        # just outside the range
-        "cf integrand": (lambda y: (math.cos(2.0 * y) - 1.0)
-                         * _two_sided_gamma_density(y), 0.01, 40.0),
-    }
-    for label, (f, a, b) in cases.items():
-        ref = _scipy_quad(f, a, b)
-        _assert_close(_quad(f, a, b), ref, 1e-12 * abs(ref), label)
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +203,18 @@ def test_truncate_gamma_outer_node_is_the_first_doubling_below_target():
             truncate_gamma(GammaSubordinator(1.0), cutoff)
 
 
-def test_quad_rejects_a_divergent_integral():
-    with pytest.raises(QuadratureError):
-        _quad(lambda y: 1.0 / y, 0.0, 1.0)
-
-
 def test_gamma_spec_validation():
     with pytest.raises(ValueError):
         GammaSubordinator(0.0)
     with pytest.raises(ValueError):
         GammaSubordinator(-1.0)
-    # exponential moments of order at or above the rate do not exist
-    with pytest.raises(ValueError):
-        GammaSubordinator(1.0, exp_moment_order=1.0)
-    with pytest.raises(ValueError):
-        GammaSubordinator(1.0, exp_moment_order=1.5)
-    # the moment integral exists, but its tail spans 1e138 and the
-    # quadrature cannot confirm it: a ConfigError, not a QuadratureError
-    with pytest.raises(ConfigError, match="does not converge") as info:
-        GammaSubordinator(1e-138)
-    assert isinstance(info.value, ValueError)
-    assert isinstance(info.value.__cause__, QuadratureError)
-    spec = GammaSubordinator(1.0)
-    assert spec.exp_moment_order == 0.5
+    # the least rate is accepted, and the rates below it, a subnormal one
+    # included, are ConfigErrors
+    assert GammaSubordinator(_MIN_RATE).rate == _MIN_RATE
+    for rate in (math.nextafter(_MIN_RATE, 0.0), 1e-200, 5e-324):
+        with pytest.raises(ConfigError,
+                           match=f"rate must be at least {_MIN_RATE}"):
+            GammaSubordinator(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +283,8 @@ def test_truncate_gamma_closed_forms():
     _assert_close(trunc.compensator, 1.0 - math.exp(-0.1), 1e-12)
     # value quoted to five digits: (1 - e^{-0.1}) / 1
     _assert_close(trunc.compensator, 0.09516, 1e-5)
-    # equality and hashing read the cutoff, mass, drift and density, not
-    # the tables built from them
+    # equality and hashing read the cutoff, mass and drift, not the tables
+    # built from them
     assert isinstance(trunc, TruncatedMeasure)
     assert trunc == truncate_gamma(spec, 0.1)
     assert hash(trunc) == hash(truncate_gamma(spec, 0.1))
@@ -331,24 +294,19 @@ def test_truncate_gamma_closed_forms():
         truncate_gamma(spec, 0.0)
 
 
+def _scipy_quad(f, a, b):
+    return integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
+
+
 def test_truncated_measure_quadratures_match_scipy():
-    # mass, compensator and the truncated cf's exponent against QUADPACK
-    # integrals of the jump density exp(-2y)/y
+    # mass and compensator against QUADPACK integrals of the jump density
+    # exp(-2y)/y
     spec = GammaSubordinator(2.0)
     measure = truncate_gamma(spec, 0.05)
     mass = _scipy_quad(spec.levy_density, 0.05, np.inf)
     _assert_close(measure.restricted_mass, mass, 1e-10 * mass, "mass")
     drift = _scipy_quad(lambda y: y * spec.levy_density(y), 0.0, 0.05)
     _assert_close(measure.compensator, drift, 1e-12 * drift, "compensator")
-    a, b = measure.ys[0], measure.ys[-1]
-    for u in (0.5, 3.0):
-        re = _scipy_quad(lambda y: (math.cos(u * y) - 1.0)
-                         * spec.levy_density(y), a, b)
-        im = _scipy_quad(lambda y: math.sin(u * y) * spec.levy_density(y),
-                         a, b)
-        expected = np.exp(1.5 * complex(re, im + u * drift))
-        _assert_close(characteristic_function(measure, u, 1.5), expected,
-                      1e-10, f"truncated cf u={u}")
 
 
 def test_truncated_measure_generic_matches_gamma_tables():
@@ -506,7 +464,6 @@ def test_circle_law_distance_is_the_kstest_statistic():
 _TRUNCATED = truncate_gamma(GammaSubordinator(1.0), 0.05)
 
 _POSITIVE_FINITE_SITES = {
-    "GammaSubordinator rate": lambda v: GammaSubordinator(v),
     "tail_mass cutoff": lambda v: GammaSubordinator(1.0).tail_mass(v),
     "truncate_gamma cutoff": lambda v: truncate_gamma(GammaSubordinator(1.0),
                                                       v),
@@ -534,6 +491,14 @@ def test_positive_finite_arguments_raise_config_error(site, value):
     # an integer too large for a float is as unusable as inf
     with pytest.raises(ConfigError, match="must be positive and finite"):
         _POSITIVE_FINITE_SITES[site](value)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, math.nan, math.inf, -math.inf,
+                                   0.0, -1, "abc", None])
+def test_gamma_rate_outside_its_range_raises_config_error(value):
+    with pytest.raises(ConfigError,
+                       match=f"rate must be at least {_MIN_RATE} and finite"):
+        GammaSubordinator(value)
 
 
 @pytest.mark.parametrize("site", sorted(_NONNEGATIVE_FINITE_SITES))
