@@ -15,10 +15,10 @@ in one of two forms:
   b = int_0^cutoff y dens(y) dy.
 
 Each form answers for itself through one method set: `step_sampler(h)`,
-`finite_law()` (rate, size draw, dimension and compensator of the event
-set; the truncation only), `cf(u, t)` and `mean_below(cutoff)` (closed
-forms; the untruncated driver only) and `for_events(cutoff)` (the finite
-driver a jump-decomposition path samples).
+`finite_law()` (rate, size draw and compensator of the event set, whose
+length is the driver dimension; the truncation only), `cf(u, t)` and
+`mean_below(cutoff)` (closed forms; the untruncated driver only) and
+`for_events(cutoff)` (the finite driver a jump-decomposition path samples).
 
 Increment semantics are uncompensated throughout: the simulated process is
 the plain sum of its jumps (plus the explicit compensator drift in
@@ -133,10 +133,6 @@ class GammaSubordinator:
     def __post_init__(self):
         _real(self.rate, "rate", least=_MIN_RATE)
 
-    def levy_density(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.where(y > 0, np.exp(-self.rate * y) / np.where(y > 0, y, 1.0), 0.0)
-
     def tail_mass(self, cutoff):
         """Measure of (cutoff, inf): the exponential integral E1(rate*cutoff)."""
         _real(cutoff, "cutoff", above=0)
@@ -213,8 +209,7 @@ class TruncatedMeasure:
         return draw
 
     def finite_law(self):
-        return (self.restricted_mass, self.sample_sizes, 1,
-                np.array([self.compensator]))
+        return self.restricted_mass, self.sample_sizes, np.array([self.compensator])
 
     def cf(self, u, t):
         raise ConfigError("the characteristic function needs the Gamma "
@@ -278,11 +273,11 @@ class JumpEvents:
 def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
     """Poisson jump times with iid sizes; Gamma drivers must be truncated first."""
     _real(horizon, "horizon", least=0)
-    rate, size_draw, dim, comp = spec.finite_law()
+    rate, size_draw, comp = spec.finite_law()
     gen = rng.generator()
     n = int(gen.poisson(rate * horizon))
     times = np.sort(gen.uniform(0.0, horizon, size=n))
-    sizes = np.asarray(size_draw(gen, n), dtype=float).reshape(n, dim)
+    sizes = np.asarray(size_draw(gen, n), dtype=float).reshape(n, len(comp))
     return JumpEvents(times, sizes, comp)
 
 

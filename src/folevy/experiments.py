@@ -399,7 +399,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
 
     A block's paths run in lockstep: the grid half through
     integrate_grid_ensemble with the per-step sums as its increments, the
-    event half through step_events (one path at a time for generic flows).
+    event half through step_events.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -440,11 +440,8 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
 
     def run_block(a, b):
         streams = path_streams(master_seed, stream_base + a, b - a)
-        events = [sample_jump_events(base, horizon, s) for s in streams]
-        # generic jump solves are per-path (see integrate_grid_ensemble)
-        width = len(events) if fields.exact_jump_flow is not None else 1
-        return np.concatenate([level_gaps(events[i:i + width])
-                               for i in range(0, len(events), width)], axis=1)
+        return level_gaps([sample_jump_events(base, horizon, s)
+                           for s in streams])
 
     gaps = np.concatenate(map_blocks(run_block, n_paths, threads), axis=1)
     l2 = np.zeros(len(levels))

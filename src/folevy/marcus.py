@@ -9,8 +9,8 @@ to rounding.  Three schemes:
   the path is evaluated directly from the running driver sum, the exact
   leaf solution; with drift the flow is interleaved by operator splitting.
 * ``grid_increment`` -- one exact driver increment per macro step applied
-  as a single Marcus jump, interleaved with the drift by Lie or Strang
-  splitting.
+  as a single Marcus jump between two half steps of the drift (Strang
+  splitting).
 * ``jump_decomposition`` -- jumps above ``jump_cutoff`` are applied at
   their exact times (Poisson thinning of the jump measure); the mean of
   the discarded small jumps is transported through the driving fields as a
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,6 @@ from .rng import RngStream
 from .tables import write_csv
 
 SCHEMES = ("exact_leaf", "grid_increment", "jump_decomposition")
-SPLITTINGS = ("lie", "strang")
 _MAX_SUBSTEP_ANGLE = 0.1
 _CHUNK = 4096           # grid steps drawn per path at a time
 _MAX_STEPS = 10**8      # steps per path or solve: 1000x the longest calibration run
@@ -55,23 +55,20 @@ class IntegratorConfig:
     """Numerical knobs shared by all integrators.
 
     ``jump_ode_substeps`` counts Runge-Kutta substeps per unit jump
-    magnitude for the generic jump solve; the actual substep count is
-    max(ceil(substeps * |z|), ceil(|z| / 0.1), 1) so large jumps always get
-    proportionally more substeps.  ``step_h`` of None resolves to 1e-2 for
+    magnitude for the generic jump solve: a jump z takes max(ceil(substeps
+    * |z|), ceil(|z| / 0.1)) substeps, none for z = 0, so large jumps always
+    get proportionally more.  ``step_h`` of None resolves to 1e-2 for
     unperturbed runs and min(1e-2, eps/10) for perturbed ones.
     """
 
     scheme: str = "grid_increment"
     step_h: Optional[float] = None
     jump_ode_substeps: int = 20
-    splitting: str = "strang"
     jump_cutoff: float = 1e-3
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.splitting not in SPLITTINGS:
-            raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}")
         if self.step_h is not None:
             _real(self.step_h, "step_h", above=0)
         _count(self.jump_ode_substeps, "jump_ode_substeps", 1, _MAX_SUBSTEPS)
@@ -198,33 +195,45 @@ def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
 
 
 def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    mag = float(np.linalg.norm(z))
-    if mag == 0.0:
-        return x.copy()
-    n = max(int(math.ceil(cfg.jump_ode_substeps * mag)),
-            int(math.ceil(mag / _MAX_SUBSTEP_ANGLE)), 1)
-    h = 1.0 / n
-    zb = np.broadcast_to(z, x.shape[:-1] + z.shape[-1:])
-    y = x.copy()
-    for i in range(n):
-        k1 = fields.driving(y, zb)
-        k2 = fields.driving(y + (0.5 * h) * k1, zb)
-        k3 = fields.driving(y + (0.5 * h) * k2, zb)
-        k4 = fields.driving(y + h * k3, zb)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(y)):
-            raise BlowupError(f"jump ODE left the finite range at s={(i + 1) * h:.6f}",
-                              sigma=(i + 1) * h)
-    return y
+    """Generic jump solve: each row takes the substeps of its own |z|, and
+    rows with equal counts are solved together, so a row gets the bits it
+    gets alone.  ConfigError first for a non-finite or too large jump."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
+    xs = np.broadcast_to(x, batch + x.shape[-1:])
+    zs = np.broadcast_to(z, batch + z.shape[-1:])
+    if not np.all(np.isfinite(zs)):
+        raise ConfigError("the generic jump solve needs finite jump sizes")
+    with np.errstate(over="ignore"):
+        mag = np.linalg.norm(zs, axis=-1)
+        counts = np.maximum(np.ceil(cfg.jump_ode_substeps * mag),
+                            np.ceil(mag / _MAX_SUBSTEP_ANGLE))
+    if not np.all(counts <= _MAX_STEPS):
+        raise ConfigError(f"a jump of size {mag.max():g} needs more than the "
+                          f"{_MAX_STEPS:.0e} Runge-Kutta substeps allowed")
+    out = xs.copy()
+    for n in np.unique(counts[counts > 0]).astype(int).tolist():
+        rows = counts == n
+        h = 1.0 / n
+        zb, y = zs[rows], xs[rows]
+        for i in range(1, n + 1):
+            k1 = fields.driving(y, zb)
+            k2 = fields.driving(y + (0.5 * h) * k1, zb)
+            k3 = fields.driving(y + (0.5 * h) * k2, zb)
+            k4 = fields.driving(y + h * k3, zb)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.all(np.isfinite(y)):
+                raise BlowupError(f"jump ODE left the finite range at s={i * h:.6f}", sigma=i * h)
+        out[rows] = y
+    return out
 
 
 def jump_flow(fields: VectorFieldSet, x, z, cfg: IntegratorConfig = None):
     """Marcus action of one jump z: time-one flow of dY/ds = F(Y) z.
 
-    Uses the closed-form flow when the field set carries one, otherwise the
-    generic fixed-step Runge-Kutta solve.  Non-finite output raises
+    x and z broadcast over their leading axes, one jump per row.  Uses the
+    closed-form flow when the field set carries one, otherwise the generic
+    fixed-step Runge-Kutta solve, row by row.  Non-finite output raises
     BlowupError with the ode time reached.
     """
     if cfg is None:
@@ -308,17 +317,18 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     (the pair row freezes with them).
     """
     cfg = _grid_config(cfg)
+    _real(eps, "eps", least=0, most=1)
+    if pair_eps is not None:
+        _real(pair_eps, "pair_eps", least=0, most=1)
     n_steps, h = resolve_grid(cfg, eps, horizon)
     m_paths = len(streams) if increments is None else len(increments)
     if increments is not None and \
             increments.shape[1:] != (n_steps, fields.driver_dim):
         raise ConfigError("increments must have shape (paths, n_steps, driver_dim)")
-    exact = fields.exact_jump_flow
-    if exact is None:
-        if cfg.scheme == "exact_leaf":
-            raise ConfigError("exact_leaf needs a closed-form jump flow")
-        if m_paths > 1:
-            raise ConfigError("generic jump solves are per-path; integrate paths separately")
+    flow = fields.exact_jump_flow
+    if flow is None and cfg.scheme == "exact_leaf":
+        raise ConfigError("exact_leaf needs a closed-form jump flow")
+    flow = flow or partial(_jump_rk4, fields, cfg=cfg)
 
     x0 = np.asarray(x0, dtype=float)
     states = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0.astype(float).copy()
@@ -335,12 +345,10 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     active = np.ones(m_paths, dtype=bool)
     exit_times = np.full(m_paths, np.nan)
     frozen = False
-    strang = cfg.splitting == "strang"
 
     # drift-free closed-form case: evaluate the leaf solution from the
     # running driver sum instead of composing thousands of rotations
-    cumulative = (cfg.scheme == "exact_leaf" and drift is None and not pair
-                  and rdim == 1 and exact is not None)
+    cumulative = cfg.scheme == "exact_leaf" and drift is None and not pair and rdim == 1
     if cumulative:
         x_init = states.copy()
         angle = np.zeros(m_paths)
@@ -354,13 +362,13 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
         return EnsembleResult(states, exit_times, 0, h)
 
     def split_step(y, c, f, z):
-        # drift half (Strang), jump resetting the compensation it moved, drift
-        if strang and f is not None:
+        # drift half, jump resetting the compensation it moved, drift half
+        if f is not None:
             _drift_rk4(f, y, c, 0.5 * h)
-        post = exact(y, z) if exact is not None else _jump_rk4(fields, y, z[0], cfg)
+        post = flow(y, z)
         c = np.where(post == y, c, 0.0)
         if f is not None:
-            _drift_rk4(f, post, c, 0.5 * h if strang else h)
+            _drift_rk4(f, post, c, 0.5 * h)
         return post, c
 
     if increments is None:
@@ -384,7 +392,7 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
                         if a is not None]
             if cumulative:
                 _kahan_add(angle, angle_comp, z[:, 0])
-                states = exact(x_init, angle[:, None])
+                states = flow(x_init, angle[:, None])
             else:
                 states, comp = split_step(states, comp, drift, z)
                 if pair:
@@ -456,12 +464,9 @@ def step_events(fields: VectorFieldSet, x0, grid, events, eps,
     place; only a column with some zero gap gathers its moving rows and
     scatters them back.  Both give each row the same bits, since every
     field acts row by row.  `on_event(k, t, states, jumped)` sees every
-    column and stops the stepping by returning true.  Generic jump solves
-    need a single row.  Returns the final states.
+    column and stops the stepping by returning true.  Returns the final states.
     """
     states = np.array(x0, dtype=float)
-    if fields.exact_jump_flow is None and len(states) > 1:
-        raise ConfigError("generic jump solves are per-path; step paths separately")
     times, jumps, sizes = _merge_events(grid, events, fields.driver_dim)
     drift = _make_drift(fields, eps, comp_rate)
     comp = np.zeros_like(states)

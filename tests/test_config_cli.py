@@ -236,6 +236,8 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "run.stream_base=0.001", "stream_index must be"),
         ("simulate", "run.stream_base=-7", "stream_index must be"),
         ("simulate", "run.threads=1", "unknown config key run.threads"),
+        ("simulate", "integrator.splitting=lie",
+         "unknown config key integrator.splitting"),
         ("simulate", "preset.kappa=0.5", "unknown config key preset.kappa"),
         # the Gamma rate has a floor of 1e-150; a subnormal one is below it
         ("simulate", "preset.theta=9.99e-151", "rate must be at least 1e-150"),

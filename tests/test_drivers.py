@@ -298,26 +298,31 @@ def _scipy_quad(f, a, b):
     return integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=400)[0]
 
 
+def _gamma_density(rate):
+    """The Gamma jump density exp(-rate*y)/y on y > 0."""
+    return lambda y: math.exp(-rate * y) / y
+
+
 def test_truncated_measure_quadratures_match_scipy():
     # mass and compensator against QUADPACK integrals of the jump density
     # exp(-2y)/y
-    spec = GammaSubordinator(2.0)
-    measure = truncate_gamma(spec, 0.05)
-    mass = _scipy_quad(spec.levy_density, 0.05, np.inf)
+    measure = truncate_gamma(GammaSubordinator(2.0), 0.05)
+    density = _gamma_density(2.0)
+    mass = _scipy_quad(density, 0.05, np.inf)
     _assert_close(measure.restricted_mass, mass, 1e-10 * mass, "mass")
-    drift = _scipy_quad(lambda y: y * spec.levy_density(y), 0.0, 0.05)
+    drift = _scipy_quad(lambda y: y * density(y), 0.0, 0.05)
     _assert_close(measure.compensator, drift, 1e-12 * drift, "compensator")
 
 
 def test_truncated_measure_generic_matches_gamma_tables():
     # the inverse-CDF table built from E1 values matches the CDF of the
     # restricted density integrated by quadrature
-    spec = GammaSubordinator(1.0)
-    measure = truncate_gamma(spec, 0.1)
+    measure = truncate_gamma(GammaSubordinator(1.0), 0.1)
+    density = _gamma_density(1.0)
     ys, cdf = measure.ys, measure.cdf
-    total = _scipy_quad(spec.levy_density, ys[0], ys[-1])
+    total = _scipy_quad(density, ys[0], ys[-1])
     for k in (1, _TABLE_NODES // 4, _TABLE_NODES // 2, _TABLE_NODES - 2):
-        by_quad = _scipy_quad(spec.levy_density, ys[0], ys[k]) / total
+        by_quad = _scipy_quad(density, ys[0], ys[k]) / total
         _assert_close(cdf[k], by_quad, 1e-10, f"cdf node {k}")
     assert cdf[0] == 0.0 and cdf[-1] == 1.0
 

@@ -365,8 +365,8 @@ def test_scheme_agreement_needs_gamma_driver(monkeypatch):
 
 
 def test_scheme_agreement_generic_flow_matches_closed_form():
-    # without a closed-form jump flow both halves step one path at a time
-    # through the Runge-Kutta jump solve
+    # without a closed-form jump flow both halves step their jumps through
+    # the Runge-Kutta jump solve
     preset = make_cylinder_preset()
     kwargs = dict(horizon=0.5, eps=0.5, n_paths=3, master_seed=SEED)
     exact = scheme_agreement(preset.fields, preset.chart, preset.driver, X0,

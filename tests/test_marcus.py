@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folevy import (BlowupError, ConstantK, DomainError, IntegratorConfig,
+from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
+                    IntegratorConfig,
                     RngStream, VectorFieldSet, integrate_grid_ensemble,
                     integrate_perturbed, integrate_unperturbed, jump_flow,
                     make_cylinder_preset, trajectory_to_csv)
@@ -40,8 +41,6 @@ def _radius(states):
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(scheme="euler")
-    with pytest.raises(ValueError):
-        IntegratorConfig(splitting="yoshida")
     with pytest.raises(ValueError):
         IntegratorConfig(step_h=0.0)
     with pytest.raises(ValueError):
@@ -152,6 +151,30 @@ def test_jump_flow_blowup_reports_ode_time():
     with np.errstate(all="ignore"), pytest.raises(BlowupError) as info:
         jump_flow(fields, np.array([1.0, 0.0, 0.0]), 6.0)
     assert 0.0 < info.value.sigma <= 1.0
+
+
+def test_jump_flow_batch_equals_each_row_alone():
+    # the generic solve takes each row's substep count from its own |z|,
+    # so (0.3, 3.0) are not both stepped by the count of their joint norm
+    preset = make_cylinder_preset()
+    x = np.array([[1.4, 0.6, -0.2], [0.5, -1.1, 0.3], [2.0, 0.1, 0.0],
+                  [1.0, 0.0, 0.5]])
+    z = np.array([[0.3], [3.0], [0.0], [-0.7]])
+    for fields in (preset.fields, preset.fields.without_exact_flow()):
+        batch = jump_flow(fields, x, z)
+        assert batch.shape == x.shape
+        for i in range(len(x)):
+            assert batch[i].tobytes() == jump_flow(fields, x[i], z[i]).tobytes()
+
+
+@pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf, 1e300, 1e7])
+def test_generic_jump_solve_rejects_unusable_jumps(size):
+    # non-finite jumps, and jumps needing more than _MAX_STEPS substeps,
+    # raise before any substep; the good row beside them does not help
+    generic = make_cylinder_preset().fields.without_exact_flow()
+    x = np.array([[1.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
+    with pytest.raises(ConfigError):
+        jump_flow(generic, x, np.array([[0.5], [size]]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +457,9 @@ def test_step_events_with_a_planar_driver_matches_the_per_row_merge(monkeypatch)
 # ensemble kernel
 # ---------------------------------------------------------------------------
 
-def test_lie_splitting_matches_the_closed_forms():
+def test_strang_splitting_matches_the_closed_forms():
     # constant vertical perturbation: rotations keep the radius, and the
-    # height moves at speed eps whatever the splitting
+    # height moves at speed eps through the drift half steps
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 1.0))
     eps, horizon = 0.2, 3.0
     radii = []
@@ -447,7 +470,7 @@ def test_lie_splitting_matches_the_closed_forms():
     streams = [RngStream(SEED, 30 + i) for i in range(4)]
     res = integrate_grid_ensemble(preset.fields, preset.driver,
                                   np.array([1.0, 0.0, 0.0]), horizon, eps,
-                                  IntegratorConfig(splitting="lie"), streams,
+                                  IntegratorConfig(), streams,
                                   on_step=observe)
     assert len(radii) == res.n_steps + 1
     assert np.max(np.abs(np.array(radii) - 1.0)) <= 1e-12
@@ -488,40 +511,39 @@ def test_pair_mode_matches_standalone_run():
     rows = np.array([[1.0, 0.0, 0.2], [1.5, 0.0, 0.1], [2.0, 0.0, 0.0],
                      [1.0, 0.0, -5.0]])
     streams = [RngStream(SEED, 60 + i) for i in range(len(rows))]
-    for splitting in ("strang", "lie"):
-        # pinned step: the pair shares the primary grid, so both runs must
-        # resolve to the same h for a pathwise comparison
-        cfg = IntegratorConfig(step_h=5e-3, splitting=splitting)
-        captured = {}
+    # pinned step: the pair shares the primary grid, so both runs must
+    # resolve to the same h for a pathwise comparison
+    cfg = IntegratorConfig(step_h=5e-3)
+    captured = {}
 
-        def on_pair(k, t, states, states_b, active):
-            captured["pair"] = states_b.copy()
+    def on_pair(k, t, states, states_b, active):
+        captured["pair"] = states_b.copy()
 
-        integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0, 0.2,
-                                cfg, [RngStream(SEED, 13)], pair_eps=0.05,
-                                on_step_pair=on_pair)
-        alone = integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0,
-                                        0.05, cfg, [RngStream(SEED, 13)])
-        assert np.array_equal(captured["pair"], alone.final_states)
+    integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0, 0.2,
+                            cfg, [RngStream(SEED, 13)], pair_eps=0.05,
+                            on_step_pair=on_pair)
+    alone = integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0,
+                                    0.05, cfg, [RngStream(SEED, 13)])
+    assert np.array_equal(captured["pair"], alone.final_states)
 
-        # each pair row follows its standalone run bit for bit up to its
-        # primary's exit step and holds that state after it
-        pair, path = [], []
-        res = integrate_grid_ensemble(
-            pushed.fields, pushed.driver, rows, 1.0, 0.5, cfg, streams,
-            contains=pushed.chart.contains, pair_eps=0.05,
-            on_step_pair=lambda k, t, states, states_b, active:
-            pair.append(states_b.copy()))
-        integrate_grid_ensemble(
-            pushed.fields, pushed.driver, rows, 1.0, 0.05, cfg, streams,
-            on_step=lambda k, t, states, active: path.append(states.copy()))
-        exits = np.rint(res.exit_times / res.h)
-        assert len(set(exits[:3])) == 3 and np.isnan(exits[3])
-        pair, path = np.array(pair), np.array(path)
-        for i, k in enumerate(exits):
-            k = res.n_steps if np.isnan(k) else int(k)
-            assert np.array_equal(pair[:k + 1, i], path[:k + 1, i])
-            assert np.all(pair[k:, i] == pair[k, i])
+    # each pair row follows its standalone run bit for bit up to its
+    # primary's exit step and holds that state after it
+    pair, path = [], []
+    res = integrate_grid_ensemble(
+        pushed.fields, pushed.driver, rows, 1.0, 0.5, cfg, streams,
+        contains=pushed.chart.contains, pair_eps=0.05,
+        on_step_pair=lambda k, t, states, states_b, active:
+        pair.append(states_b.copy()))
+    integrate_grid_ensemble(
+        pushed.fields, pushed.driver, rows, 1.0, 0.05, cfg, streams,
+        on_step=lambda k, t, states, active: path.append(states.copy()))
+    exits = np.rint(res.exit_times / res.h)
+    assert len(set(exits[:3])) == 3 and np.isnan(exits[3])
+    pair, path = np.array(pair), np.array(path)
+    for i, k in enumerate(exits):
+        k = res.n_steps if np.isnan(k) else int(k)
+        assert np.array_equal(pair[:k + 1, i], path[:k + 1, i])
+        assert np.all(pair[k:, i] == pair[k, i])
 
 
 def test_ensemble_freezes_exited_paths():
@@ -546,9 +568,16 @@ def test_ensemble_rejects_unsupported_setups():
     generic = preset.fields.without_exact_flow()
     x0 = np.array([1.0, 0.0, 0.0])
     streams = [RngStream(SEED, 15), RngStream(SEED, 16)]
-    with pytest.raises(ValueError):
-        integrate_grid_ensemble(generic, preset.driver, x0, 1.0, 0.1,
-                                IntegratorConfig(), streams)
+    # generic flows run at any width, each row as it runs alone
+    both = integrate_grid_ensemble(generic, preset.driver, x0, 1.0, 0.1,
+                                   IntegratorConfig(), streams)
+    for i, s in enumerate(streams):
+        solo = integrate_grid_ensemble(generic, preset.driver, x0, 1.0, 0.1,
+                                       IntegratorConfig(), [s])
+        assert both.final_states[i].tobytes() == solo.final_states[0].tobytes()
+    exact = integrate_grid_ensemble(preset.fields, preset.driver, x0, 1.0,
+                                    0.1, IntegratorConfig(), streams)
+    assert np.max(np.abs(both.final_states - exact.final_states)) <= 1e-6
     with pytest.raises(ValueError):
         integrate_grid_ensemble(generic, preset.driver, x0, 1.0, 0.1,
                                 IntegratorConfig(scheme="exact_leaf"),
@@ -557,6 +586,24 @@ def test_ensemble_rejects_unsupported_setups():
         integrate_grid_ensemble(preset.fields, preset.driver, x0, 1.0, 0.1,
                                 IntegratorConfig(scheme="jump_decomposition"),
                                 [streams[0]])
+
+
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("drew before checking eps")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 2.0, "a"])
+def test_ensemble_checks_eps_before_any_draw(bad):
+    preset = make_cylinder_preset()
+    x0 = np.array([1.0, 0.0, 0.0])
+    args = (preset.fields, preset.driver, x0, 1.0)
+    with pytest.raises(ConfigError, match="eps"):
+        integrate_grid_ensemble(*args, bad, IntegratorConfig(), [_NoDraws()],
+                                contains=preset.chart.contains)
+    with pytest.raises(ConfigError, match="pair_eps"):
+        integrate_grid_ensemble(*args, 0.1, IntegratorConfig(), [_NoDraws()],
+                                pair_eps=bad)
 
 
 # ---------------------------------------------------------------------------

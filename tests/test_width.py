@@ -3,8 +3,9 @@ are grouped into batches.
 
 Path i draws only from its own stream base + i, so forcing a small batch
 width (several blocks and a ragged last one) must reproduce the one-batch
-result bit for bit, for every ensemble experiment.  Starts sit near the
-outer boundary so that some paths exit and the frozen-row masking runs.
+result bit for bit, for every ensemble experiment, with the closed-form
+jump flow and with the generic jump solve.  Starts sit near the outer
+boundary so that some paths exit and the frozen-row masking runs.
 """
 
 from __future__ import annotations
@@ -23,26 +24,33 @@ SEED = 20260816
 X0 = np.array([1.7, 0.0, 0.0])
 PRESET = make_cylinder_preset(r_max=2.0)
 AVG = averaged_field(PRESET.chart, PRESET.fields)
-ARGS = (PRESET.fields, PRESET.chart, PRESET.driver)
 
 
-# name -> (smallest path count, run(n_paths) -> comparable outputs)
-EXPERIMENTS = {
-    "transversal_comparison": (2, lambda n: transversal_comparison(
-        *ARGS, AVG, X0, epsilons=[0.5, 0.25], horizon=0.2,
-        horizons=[0.1, 0.2], n_paths=n, master_seed=SEED).summary()),
-    "exit_probability": (2, lambda n: exit_probability(
-        *ARGS, AVG, X0, epsilons=[0.5], gamma=0.1, n_paths=n,
-        master_seed=SEED).summary()),
-    "deviation_scaling": (2, lambda n: deviation_scaling(
-        *ARGS, X0, epsilons=[0.5, 0.25], horizon=0.3, n_paths=n,
-        master_seed=SEED).summary()),
-    "estimate_eta": (100, lambda n: vars(estimate_eta(
-        *ARGS, lambda s: s[..., 0], X0, horizons=[0.1, 0.2, 0.3],
-        n_paths=n, master_seed=SEED))),
-    "scheme_agreement": (2, lambda n: scheme_agreement(
-        *ARGS, X0, horizon=0.2, n_paths=n, master_seed=SEED).summary()),
-}
+def _experiments(fields):
+    """name -> (smallest path count, run(n_paths) -> comparable outputs)."""
+    args = (fields, PRESET.chart, PRESET.driver)
+    return {
+        "transversal_comparison": (2, lambda n: transversal_comparison(
+            *args, AVG, X0, epsilons=[0.5, 0.25], horizon=0.2,
+            horizons=[0.1, 0.2], n_paths=n, master_seed=SEED).summary()),
+        "exit_probability": (2, lambda n: exit_probability(
+            *args, AVG, X0, epsilons=[0.5], gamma=0.1, n_paths=n,
+            master_seed=SEED).summary()),
+        "deviation_scaling": (2, lambda n: deviation_scaling(
+            *args, X0, epsilons=[0.5, 0.25], horizon=0.3, n_paths=n,
+            master_seed=SEED).summary()),
+        "estimate_eta": (100, lambda n: vars(estimate_eta(
+            *args, lambda s: s[..., 0], X0, horizons=[0.1, 0.2, 0.3],
+            n_paths=n, master_seed=SEED))),
+        "scheme_agreement": (2, lambda n: scheme_agreement(
+            *args, X0, horizon=0.2, n_paths=n, master_seed=SEED).summary()),
+    }
+
+
+# the closed-form rotation flow, and the generic Runge-Kutta jump solve
+EXPERIMENTS = _experiments(PRESET.fields)
+EXPERIMENTS.update({f"{name}_generic": entry for name, entry in
+                    _experiments(PRESET.fields.without_exact_flow()).items()})
 
 
 def _assert_identical(a, b):
