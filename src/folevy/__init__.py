@@ -30,8 +30,8 @@ from .experiments import (OBSERVABLES, ComparisonResult, DeviationResult,
                           projected_perturbation, scheme_agreement,
                           transversal_comparison)
 from .geometry import (ConstantK, CylinderPreset, FoliatedChart, LinearK,
-                       TangencyReport, VectorFieldSet, dpi_k,
-                       make_cylinder_preset, tangency_check)
+                       VectorFieldSet, dpi_k, make_cylinder_preset,
+                       tangency_check)
 from .marcus import (EnsembleResult, IntegratorConfig, Trajectory,
                      integrate_grid_ensemble, integrate_perturbed,
                      integrate_unperturbed, jump_flow, trajectory_to_csv)
@@ -43,7 +43,7 @@ __all__ = [
     "ExitProbabilityResult", "ExperimentConfig", "FoliatedChart",
     "FolevyError", "GammaSubordinator", "IntegratorConfig", "JumpEvents",
     "LinearK", "OBSERVABLES", "RateEstimate", "RngStream",
-    "SchemeAgreementResult", "TangencyReport", "Trajectory",
+    "SchemeAgreementResult", "Trajectory",
     "TruncatedMeasure", "VectorFieldSet", "apply_overrides", "averaged_field",
     "characteristic_function", "circle_law_distance", "comparison_to_csv",
     "config_from_dict", "config_to_dict", "deviation_scaling",

@@ -199,8 +199,12 @@ def lp_moment(samples, p):
 
     When the largest |x|**p leaves `_POWER_RANGE`, as it does for a large
     p, the moment is taken of |x| / max|x| and scaled back, so it neither
-    overflows nor vanishes while a sample does not."""
+    overflows nor vanishes while a sample does not.  ConfigError unless
+    the samples are nonempty and finite and p is finite and at least 1."""
+    _real(p, "p", least=1)
     samples = np.abs(np.asarray(samples, dtype=float))
+    if not samples.size or not np.isfinite(samples).all():
+        raise ConfigError("lp_moment needs a nonempty array of finite samples")
     with np.errstate(over="ignore"):
         powered = samples ** p
     scale = 1.0
@@ -220,13 +224,19 @@ def lp_moment(samples, p):
 def fit_loglog(x, y, floor: float = 1e-300):
     """Least squares slope and prefactor of y ~ C * x**slope.
 
-    Entries with y at or below the floor are dropped; fewer than two usable
-    points returns (None, None).
+    x must be finite and positive with at least two distinct values, and y
+    finite and of the same shape, else ConfigError.  Entries with y at or
+    below the floor are dropped; fewer than two distinct x left returns
+    (None, None).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or not np.isfinite(y).all() \
+            or not ((x > 0) & (x < math.inf)).all() or len(set(x)) < 2:
+        raise ConfigError("fit_loglog needs finite positive x with two "
+                          "distinct values and as many finite y")
     keep = y > floor
-    if keep.sum() < 2:
+    if len(set(x[keep])) < 2:
         return None, None
     slope, intercept = np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)
     return float(slope), float(np.exp(intercept))

@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import _MAX_COUNT, ConfigError, DomainError, _count, _real
-from .rng import RngStream
+from .errors import ConfigError, DomainError, _real
 
 FD_STEP = 1e-6
 _R_R_Z = np.array([0, 0, 1])   # picks (r, r, z) out of a cylinder's (r, z)
@@ -32,27 +31,23 @@ _R_R_Z = np.array([0, 0, 1])   # picks (r, r, z) out of a cylinder's (r, z)
 
 @dataclass(frozen=True)
 class FoliatedChart:
-    """Product chart U -> leaf coordinate x vertical coordinate.
+    """Product chart of U: the leaves, and the vertical coordinate across them.
 
-    `to_chart` returns (u, v) where u is the leaf coordinate (for circle
-    leaves the pair (cos angle, sin angle)) and v the vertical coordinate;
-    `from_chart(u, v)` inverts it.  `vertical_bounds` is the open box V the
-    vertical coordinate ranges over, and `sample_box` an ambient box
-    enclosing U used for Monte Carlo point sampling.  Optional hooks:
-    `pi_push(x, w)` is the pushforward dPi_x(w), shape (..., vertical_dim)
-    (without it, a central difference of `vertical_projection`), and
-    `leaf_nodes(angles)` returns v -> the points at those angles on the
-    leaf through v (circle charts only), so angles are fixed once.
+    `vertical_projection` is Pi, which maps a point of U to its vertical
+    coordinate v, and `vertical_bounds` the open box V that v ranges over,
+    one (low, high) pair per coordinate; `contains` tells the points of U.
+    Optional hooks: `pi_push(x, w)` is the pushforward dPi_x(w), shape
+    (..., vertical_dim) (without it, a central difference of
+    `vertical_projection`), and `leaf_nodes(angles)` returns v -> the
+    points at those angles on the leaves through v, v broadcast against
+    the angles (circle charts only), so angles are fixed once.
     """
 
     ambient_dim: int
     vertical_dim: int
-    to_chart: Callable
-    from_chart: Callable
     vertical_projection: Callable
     contains: Callable
     vertical_bounds: tuple
-    sample_box: tuple
     pi_push: Optional[Callable] = None
     leaf_nodes: Optional[Callable] = None
 
@@ -145,10 +140,6 @@ class CylinderPreset:
     chart: FoliatedChart
     fields: VectorFieldSet
     driver: object
-    r_min: float
-    r_max: float
-    z_min: float
-    z_max: float
 
 
 def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
@@ -166,18 +157,6 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         raise ConfigError(f"need z_min < z_max, got ({z_min}, {z_max})")
     if k_choice is None:
         k_choice = LinearK()
-
-    def to_chart(x):
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        u = np.stack([x[..., 0] / r, x[..., 1] / r], axis=-1)
-        v = np.stack([r, x[..., 2]], axis=-1)
-        return u, v
-
-    def from_chart(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return np.stack([v[..., 0] * u[..., 0], v[..., 0] * u[..., 1], v[..., 1]], axis=-1)
 
     def vertical_projection(x):
         x = np.asarray(x, dtype=float)
@@ -203,14 +182,12 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         unit = np.stack([np.cos(angles), np.sin(angles),
                          np.ones_like(angles)], axis=-1)
         # (cos, sin, 1) * (r, r, z): the bits of r cos, r sin and z, as 1 z = z
-        return lambda v: unit * np.asarray(v, dtype=float)[_R_R_Z]
+        return lambda v: unit * np.asarray(v, dtype=float)[..., _R_R_Z]
 
     chart = FoliatedChart(
         ambient_dim=3, vertical_dim=2,
-        to_chart=to_chart, from_chart=from_chart,
         vertical_projection=vertical_projection, contains=contains,
         vertical_bounds=((r_min, r_max), (z_min, z_max)),
-        sample_box=(np.array([-r_max, -r_max, z_min]), np.array([r_max, r_max, z_max])),
         pi_push=pi_push, leaf_nodes=leaf_nodes,
     )
 
@@ -233,7 +210,7 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         exact_jump_flow=exact_jump_flow,
     )
     driver = GammaSubordinator(rate=theta)
-    return CylinderPreset(chart, fields, driver, r_min, r_max, z_min, z_max)
+    return CylinderPreset(chart, fields, driver)
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +240,23 @@ def dpi_k(chart: FoliatedChart, fields: VectorFieldSet, x):
     return _pushforward(chart)(x, fields.perturbation(x))
 
 
-@dataclass(frozen=True)
-class TangencyReport:
-    max_violation: float
-    n_checked: int
-
-
 def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
-                   sample_count: int, rng: RngStream) -> TangencyReport:
-    """Max |dPi(F_j)| over sampled points of U, for each driving column.
+                   points) -> float:
+    """Max |dPi(F_j)| over the given points and each driving column j.
 
-    Points drawn uniformly from the ambient sample box; draws landing
-    outside U are skipped.  sample_count must be positive.
+    `points` must be a nonempty finite (n, ambient_dim) array (else
+    ConfigError) of points inside U (else DomainError).
     """
-    _count(sample_count, "sample_count", 1, _MAX_COUNT)
-    gen = rng.generator()
-    lo, hi = chart.sample_box
-    pts = gen.uniform(lo, hi, size=(sample_count, chart.ambient_dim))
-    keep = chart.contains(pts)
-    pts = pts[keep]
-    if len(pts) == 0:
-        return TangencyReport(0.0, 0)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        pts = np.empty(0)
+    if pts.ndim != 2 or pts.shape[1] != chart.ambient_dim \
+            or not len(pts) or not np.all(np.isfinite(pts)):
+        raise ConfigError(f"tangency_check needs a nonempty finite "
+                          f"(n, {chart.ambient_dim}) array of points")
+    if not np.all(chart.contains(pts)):
+        raise DomainError("tangency_check evaluated outside the chart domain")
     push = _pushforward(chart)
     worst = 0.0
     for j in range(fields.driver_dim):
@@ -291,4 +264,4 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
         e[:, j] = 1.0
         col = fields.driving(pts, e)
         worst = max(worst, float(np.abs(push(pts, col)).max()))
-    return TangencyReport(worst, int(len(pts)))
+    return worst

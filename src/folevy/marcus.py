@@ -197,13 +197,12 @@ def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
 def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
     """Generic jump solve: each row takes the substeps of its own |z|, and
     rows with equal counts are solved together, so a row gets the bits it
-    gets alone.  ConfigError first for a non-finite or too large jump."""
+    gets alone.  ConfigError first for a jump needing too many substeps,
+    which a non-finite one does."""
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
     batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
     xs = np.broadcast_to(x, batch + x.shape[-1:])
     zs = np.broadcast_to(z, batch + z.shape[-1:])
-    if not np.all(np.isfinite(zs)):
-        raise ConfigError("the generic jump solve needs finite jump sizes")
     with np.errstate(over="ignore"):
         mag = np.linalg.norm(zs, axis=-1)
         counts = np.maximum(np.ceil(cfg.jump_ode_substeps * mag),
@@ -233,13 +232,16 @@ def jump_flow(fields: VectorFieldSet, x, z, cfg: IntegratorConfig = None):
 
     x and z broadcast over their leading axes, one jump per row.  Uses the
     closed-form flow when the field set carries one, otherwise the generic
-    fixed-step Runge-Kutta solve, row by row.  Non-finite output raises
-    BlowupError with the ode time reached.
+    fixed-step Runge-Kutta solve, row by row.  A non-finite jump raises
+    ConfigError before either flow; non-finite output raises BlowupError
+    with the ode time reached.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     x = np.asarray(x, dtype=float)
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.isfinite(z).all():
+        raise ConfigError("jump_flow needs finite jump sizes")
     if fields.exact_jump_flow is not None:
         out = fields.exact_jump_flow(x, z)
         if not np.all(np.isfinite(out)):

@@ -347,6 +347,37 @@ def test_fit_loglog_recovers_power_law():
     assert abs(slope - 1.5) <= 1e-12
     assert abs(const - 2.0) <= 1e-12
     assert fit_loglog(x, np.zeros(4)) == (None, None)
+    # two points left above the floor, but at one x: no slope to fit
+    assert fit_loglog([1.0, 1.0, 2.0], [1.0, 2.0, 0.0]) == (None, None)
+
+
+@pytest.mark.parametrize("samples, p", [
+    ([], 2), (np.empty((0, 3)), 2), ([1.0, math.nan], 2),
+    ([1.0, math.inf], 2), ([1.0, -math.inf], 2), ([1.0, 2.0], math.nan),
+    ([1.0, 2.0], 0.5), ([1.0, 2.0], -1), ([1.0, 2.0], math.inf),
+    ([1.0, 2.0], 10 ** 400), ([1.0, 2.0], "2"),
+], ids=["empty", "empty_2d", "nan", "inf", "-inf", "p_nan", "p_half",
+        "p_negative", "p_inf", "p_past_float_range", "p_string"])
+def test_lp_moment_rejects_unusable_samples_and_p(samples, p):
+    with pytest.raises(ConfigError):
+        lp_moment(samples, p)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([-1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), ([0.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([2.0], [1.0]), ([], []),
+    ([math.nan, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ([math.inf, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0]], [[1.0, 2.0]]),
+], ids=["x_negative", "x_zero", "one_distinct_x", "one_point", "empty",
+        "x_nan", "x_inf", "y_nan", "y_inf", "lengths_differ", "2d"])
+def test_fit_loglog_rejects_unusable_points(x, y, capfd):
+    # rejected before LAPACK sees them: no DLASCL line on stderr
+    with pytest.raises(ConfigError):
+        fit_loglog(x, y)
+    assert capfd.readouterr().err == ""
 
 
 def test_rate_csv_columns(tmp_path):

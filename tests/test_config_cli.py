@@ -17,7 +17,6 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,9 +241,13 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         # the Gamma rate has a floor of 1e-150; a subnormal one is below it
         ("simulate", "preset.theta=9.99e-151", "rate must be at least 1e-150"),
         ("charfn", "preset.theta=5e-324", "rate must be at least 1e-150"),
-        # e^(i*u*Z) of a product past the float range is NaN
+        # u*Z from 2**52 on, past the float range too, keeps no phase
         ("charfn", "experiment.u_values=[1, 1e308]",
          "u = 1e+308 times a draw of Z_t"),
+        ("charfn", "experiment.u_values=[1, 1e20]",
+         "u = 1e+20 times a draw of Z_t"),
+        # Z_t near 1e300: no u of the defaults leaves u*Z a phase
+        ("charfn", "experiment.t=1e300", "is at least 2**52"),
         ("compare", "experiment.method=quadrature",
          "unknown config key experiment.method"),
         ("simulate", "preset.k_constant=[1, 2, .nan]", "preset.k_constant"),
@@ -337,8 +340,7 @@ def test_library_rejections_are_config_errors_and_value_errors():
         lambda: sample_jump_events(truncate_gamma(preset.driver, 0.01),
                                    10 ** 400, RngStream(1)),
         lambda: integrate_unperturbed(*args, x0, 10 ** 400),
-        lambda: tangency_check(preset.fields, preset.chart, 2.5,
-                               RngStream(1)),
+        lambda: tangency_check(preset.fields, preset.chart, np.empty((0, 3))),
         lambda: path_streams(0, 0, -1),
         lambda: GammaSubordinator(rate=True),
         lambda: RngStream(True),
@@ -706,13 +708,35 @@ def test_cli_check_passes_and_writes_report(tmp_path):
     assert main(["check", "--out", str(out), "--seed", "7"]) == 0
     report = json.load(open(os.path.join(_run_dir(out), "check.json")))
     assert report["all_passed"]
-    assert len(report["checks"]) == 8
+    assert len(report["checks"]) == 7
+
+
+@pytest.mark.parametrize("bounds", [
+    ["preset.r_min=0.99", "preset.r_max=1.01"],
+    ["preset.z_min=1", "preset.z_max=5"],
+], ids=["narrow_annulus", "positive_z_box"])
+def test_cli_check_points_lie_inside_any_domain(tmp_path, monkeypatch,
+                                                bounds):
+    # the check points come from the chart's own bounds, so they lie
+    # inside U however narrow or far from the origin U is
+    checked = []
+
+    def spy(fields, chart, points):
+        checked.append(bool(np.all(chart.contains(points))))
+        return tangency_check(fields, chart, points)
+
+    monkeypatch.setattr(cli, "tangency_check", spy)
+    out = tmp_path / "runs"
+    overrides = [arg for b in bounds for arg in ("--set", b)]
+    assert main(["check", "--out", str(out), *overrides]) == 0
+    assert checked == [True]
+    report = json.load(open(os.path.join(_run_dir(out), "check.json")))
+    assert report["all_passed"] and len(report["checks"]) == 7
 
 
 def test_cli_check_failure_exits_one_with_report(tmp_path, capsys,
                                                  monkeypatch):
-    monkeypatch.setattr(cli, "tangency_check", lambda *args: SimpleNamespace(
-        max_violation=1.0, n_checked=1))
+    monkeypatch.setattr(cli, "tangency_check", lambda *args: 1.0)
     out = tmp_path / "runs"
     assert main(["check", "--out", str(out), "--seed", "7"]) == 1
     run = _run_dir(out)
@@ -721,7 +745,7 @@ def test_cli_check_failure_exits_one_with_report(tmp_path, capsys,
     assert not report["all_passed"]
     assert [c["name"] for c in report["checks"] if not c["passed"]] == [
         "driving fields tangent to leaves"]
-    assert capsys.readouterr().out.splitlines()[-1] == "1 of 8 checks failed"
+    assert capsys.readouterr().out.splitlines()[-1] == "1 of 7 checks failed"
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +804,16 @@ def test_simulate_unperturbed_trajectory(tmp_path):
 def test_least_rate_runs_with_finite_output(tmp_path):
     # just above the floor, jump sizes of order 1/rate and the squares in
     # the check battery's sample variance stay finite; an overflow would
-    # raise here, as RuntimeWarnings are errors in this suite
+    # raise here, as RuntimeWarnings are errors in this suite.  charfn
+    # takes u of order rate, so that u*Z keeps its phase
     rate = math.nextafter(_MIN_RATE, 1.0)
     assert GammaSubordinator(rate).rate == rate
-    for command in ("check", "simulate", "charfn"):
+    u_values = f"experiment.u_values=[{rate!r}, {4 * rate!r}]"
+    for command, extra in (("check", []), ("simulate", []),
+                           ("charfn", ["--set", u_values])):
         out = tmp_path / command
         assert main([command, "--out", str(out),
-                     "--set", f"preset.theta={rate!r}"]) == 0
+                     "--set", f"preset.theta={rate!r}", *extra]) == 0
         run = _run_dir(out)
         for name in sorted(os.listdir(run)):
             text = open(os.path.join(run, name)).read()
@@ -797,6 +824,10 @@ def test_least_rate_runs_with_finite_output(tmp_path):
         if command == "charfn":
             summary = json.load(open(os.path.join(run, "summary.json")))
             assert math.isfinite(summary["max_abs_gap"])
+            assert summary["within_mc_bound"]
+    # at the default u = 1, 2, 4 the draws of Z_t near 1e151 leave no phase
+    assert main(["charfn", "--out", str(tmp_path / "no_phase"),
+                 "--set", f"preset.theta={rate!r}"]) == 2
 
 
 def test_effective_config_records_overrides(tmp_path):

@@ -1,5 +1,6 @@
 """The package imports no third-party module beyond its declared runtime
-dependencies: scipy and the other test tools stay out of `src/folevy`."""
+dependencies: scipy and the other test tools stay out of `src/folevy`.
+Nor does a module of it import a name it never uses."""
 
 from __future__ import annotations
 
@@ -38,3 +39,27 @@ def test_third_party_imports_are_the_runtime_dependencies():
     assert {dist.lower() for module in third_party
             for dist in distributions.get(module, [module])} == declared
     assert third_party == {"numpy", "yaml"}
+
+
+# imported but unused on purpose: perfbench/spans.py rebinds these names
+# on `experiments`
+_REBIND_TARGETS = {("experiments.py", "_drift_rk4"),
+                   ("experiments.py", "jump_flow")}
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {(path.name, name) for name in imported - used}
+
+
+def test_modules_have_no_unused_imports():
+    modules = sorted(set((ROOT / "src" / "folevy").glob("*.py"))
+                     - {ROOT / "src" / "folevy" / "__init__.py"})
+    unused = set().union(*(_unused_imports(path) for path in modules))
+    assert sorted(unused - _REBIND_TARGETS) == []

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from folevy import (ConstantK, DomainError, LinearK, RngStream,
+from folevy import (ConfigError, ConstantK, DomainError, LinearK,
                     VectorFieldSet, dpi_k, make_cylinder_preset,
                     tangency_check)
 from folevy.geometry import _pushforward, _rotate
@@ -48,9 +48,11 @@ def _fd_push(chart):
 
 
 def _points_inside(preset, n, seed=SEED):
+    # uniform draws from the box around U, kept where they fall in U
     gen = np.random.Generator(np.random.Philox(seed))
-    lo, hi = preset.chart.sample_box
-    pts = gen.uniform(lo, hi, size=(4 * n, 3))
+    (_, r_max), (z_min, z_max) = preset.chart.vertical_bounds
+    pts = gen.uniform([-r_max, -r_max, z_min], [r_max, r_max, z_max],
+                      size=(4 * n, 3))
     pts = pts[preset.chart.contains(pts)]
     assert len(pts) >= n
     return pts[:n]
@@ -59,15 +61,6 @@ def _points_inside(preset, n, seed=SEED):
 # ---------------------------------------------------------------------------
 # chart maps
 # ---------------------------------------------------------------------------
-
-def test_chart_round_trip():
-    preset = make_cylinder_preset()
-    for x in _points_inside(preset, 50):
-        u, v = preset.chart.to_chart(x)
-        back = preset.chart.from_chart(u, v)
-        assert np.max(np.abs(back - x)) <= 1e-10
-        assert abs(np.dot(u, u) - 1.0) <= 1e-12
-
 
 def test_vertical_projection_reads_radius_and_height():
     chart = _chart()
@@ -115,6 +108,21 @@ def test_leaf_point_is_bit_identical_to_stacked_form():
         got = chart.leaf_nodes(angles)(v)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_leaf_nodes_broadcast_v_against_the_angles():
+    # one v per angle: row i is the point at angle i on the leaf through
+    # v[i], the bits leaf_nodes gives for that angle and v alone
+    chart = _chart()
+    gen = np.random.default_rng(SEED + 11)
+    angles = gen.uniform(0, 7, 16)
+    v = np.stack([gen.uniform(0.3, 4.0, 16), gen.uniform(-9, 9, 16)], axis=-1)
+    got = chart.leaf_nodes(angles)(v)
+    assert got.shape == (16, 3)
+    for a, vi, row in zip(angles, v, got):
+        assert row.tobytes() == chart.leaf_nodes(a)(vi).tobytes()
+    assert np.array_equal(chart.vertical_projection(got)[:, 1], v[:, 1])
+    assert np.max(np.abs(chart.vertical_projection(got) - v)) <= 1e-14
 
 
 def test_linear_k_is_bit_identical_to_zeros_like_form():
@@ -317,10 +325,10 @@ def test_driving_field_is_infinitesimal_rotation():
 
 def test_preset_driving_is_leaf_tangent():
     preset = make_cylinder_preset()
-    report = tangency_check(preset.fields, preset.chart,
-                            sample_count=200, rng=RngStream(SEED + 3))
-    assert report.n_checked > 50
-    assert report.max_violation <= 1e-8
+    worst = tangency_check(preset.fields, preset.chart,
+                           _points_inside(preset, 200, seed=SEED + 3))
+    assert isinstance(worst, float)
+    assert worst <= 1e-8
 
 
 def test_tangency_flags_transversal_field():
@@ -333,16 +341,30 @@ def test_tangency_flags_transversal_field():
 
     bad = VectorFieldSet(driver_dim=1, driving=radial,
                          perturbation=preset.fields.perturbation)
-    report = tangency_check(bad, preset.chart, sample_count=200,
-                            rng=RngStream(SEED + 4))
-    assert report.max_violation > 1e-3
+    worst = tangency_check(bad, preset.chart,
+                           _points_inside(preset, 200, seed=SEED + 4))
+    assert worst > 1e-3
 
 
-def test_tangency_needs_samples():
+@pytest.mark.parametrize("points", [
+    np.empty((0, 3)), np.array([1.0, 0.0, 0.0]), np.ones((2, 2)),
+    np.ones((2, 3, 1)), [[1.0, 0.0, math.nan]], [[1.0, 0.0, math.inf]],
+    [[1.0, 0.0, -math.inf]], "abc", [[1.0, 0.0], [1.0, 0.0, 0.0]], None,
+], ids=["empty", "one_point_1d", "wrong_width", "3d", "nan", "inf", "-inf",
+        "string", "ragged", "none"])
+def test_tangency_rejects_points_that_are_no_point_array(points):
     preset = make_cylinder_preset()
-    with pytest.raises(ValueError):
-        tangency_check(preset.fields, preset.chart, sample_count=0,
-                       rng=RngStream(SEED + 5))
+    with pytest.raises(ConfigError):
+        tangency_check(preset.fields, preset.chart, points)
+
+
+def test_tangency_rejects_points_outside_the_domain():
+    preset = make_cylinder_preset(r_min=0.5, r_max=2.0)
+    inside = _points_inside(preset, 10)
+    for outside in ([3.0, 0.0, 0.0], [0.1, 0.0, 0.0], [1.0, 0.0, 10.0]):
+        with pytest.raises(DomainError):
+            tangency_check(preset.fields, preset.chart,
+                           np.vstack([inside, outside]))
 
 
 # ---------------------------------------------------------------------------

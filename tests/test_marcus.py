@@ -177,6 +177,21 @@ def test_generic_jump_solve_rejects_unusable_jumps(size):
         jump_flow(generic, x, np.array([[0.5], [size]]))
 
 
+@pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("exact", [True, False],
+                         ids=["closed_form", "generic"])
+def test_non_finite_jump_is_a_config_error_on_either_flow(exact, size):
+    # one error class whatever the field set, from the check before either
+    # flow (a RuntimeWarning from the closed form would be an error here)
+    fields = make_cylinder_preset().fields
+    if not exact:
+        fields = fields.without_exact_flow()
+    x = np.array([[1.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
+    for z in (size, np.array([[0.5], [size]])):
+        with pytest.raises(ConfigError, match="needs finite jump sizes"):
+            jump_flow(fields, x, z)
+
+
 # ---------------------------------------------------------------------------
 # grid schemes
 # ---------------------------------------------------------------------------
