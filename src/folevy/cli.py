@@ -292,13 +292,12 @@ def cmd_check(cfg, preset, icfg):
     checks.append(("generic jump solve matches the closed form", gap <= 1e-6,
                    f"gap {gap:.2e}"))
 
+    # from the first check point, so the paths start inside U
     streams = path_streams(run.master_seed, 910, 8)
-    res_a = integrate_grid_ensemble(fields, driver, np.array([1.0, 0.0, 0.0]),
-                                    2.0, 0.1, icfg, streams,
-                                    contains=chart.contains)
-    res_b = integrate_grid_ensemble(fields, driver, np.array([1.0, 0.0, 0.0]),
-                                    2.0, 0.1, icfg, streams,
-                                    contains=chart.contains)
+    res_a = integrate_grid_ensemble(fields, driver, pts[0], 2.0, 0.1, icfg,
+                                    streams, contains=chart.contains)
+    res_b = integrate_grid_ensemble(fields, driver, pts[0], 2.0, 0.1, icfg,
+                                    streams, contains=chart.contains)
     same = (np.array_equal(res_a.final_states, res_b.final_states)
             and np.array_equal(res_a.exit_times, res_b.exit_times,
                                equal_nan=True))

@@ -15,10 +15,17 @@ in one of two forms:
   b = int_0^cutoff y dens(y) dy.
 
 Each form answers for itself through one method set: `step_sampler(h)`,
-`finite_law()` (rate, size draw and compensator of the event set, whose
-length is the driver dimension; the truncation only), `cf(u, t)` and
-`mean_below(cutoff)` (closed forms; the untruncated driver only) and
+`finite_law()` (rate, size quantile u -> size and compensator of the event
+set, whose length is the driver dimension; the truncation only), `cf(u, t)`
+and `mean_below(cutoff)` (closed forms; the untruncated driver only) and
 `for_events(cutoff)` (the finite driver a jump-decomposition path samples).
+
+`sample_jump_events` samples a block of paths, one stream each, into one
+`JumpEvents` table: every row's jump times and sizes, row after row and
+each row in time order, with per-row counts and the compensator.  A row
+holds the draws its stream gives alone: a Poisson count, uniform times
+and uniform size quantiles, mapped to sizes through the truncation's
+inverse-CDF table.  `step_sums` reads the table into per-step increments.
 
 Increment semantics are uncompensated throughout: the simulated process is
 the plain sum of its jumps (plus the explicit compensator drift in
@@ -195,9 +202,14 @@ class TruncatedMeasure:
             raise ConfigError("ys and cdf must be an increasing table of "
                               "sizes and its CDF from 0 to 1")
 
+    def quantile(self, u):
+        """Jump sizes at the quantiles u of the normalized restricted
+        measure, from the inverse-CDF table."""
+        return np.interp(u, self.cdf, self.ys)
+
     def sample_sizes(self, gen, n):
         """n jump sizes from the normalized restricted measure."""
-        return np.interp(gen.uniform(size=n), self.cdf, self.ys)
+        return self.quantile(gen.uniform(size=n))
 
     def step_sampler(self, h):
         def draw(gen, n):
@@ -209,7 +221,7 @@ class TruncatedMeasure:
         return draw
 
     def finite_law(self):
-        return self.restricted_mass, self.sample_sizes, np.array([self.compensator])
+        return self.restricted_mass, self.quantile, np.array([self.compensator])
 
     def cf(self, u, t):
         raise ConfigError("the characteristic function needs the Gamma "
@@ -263,34 +275,74 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
 
 @dataclass(frozen=True)
 class JumpEvents:
-    """Above-cutoff jumps on [0, horizon] plus the small-jump mean drift."""
+    """Above-cutoff jumps of a block of rows on [0, horizon], as one table,
+    plus the small-jump mean drift.
+
+    `times` (n,) and `sizes` (n, dimension) hold every row's jumps, row
+    after row and each row in time order: row i's are the `counts[i]`
+    entries after those of the rows before it.
+    """
 
     times: np.ndarray
     sizes: np.ndarray           # (n, dimension)
+    counts: np.ndarray          # (rows,) jumps per row
     compensator: np.ndarray     # (dimension,) drift per unit time
 
+    def __post_init__(self):
+        times, sizes, counts = (np.asarray(a) for a in
+                                (self.times, self.sizes, self.counts))
+        n = len(times)
+        if not (times.ndim == 1 and counts.ndim == 1
+                and counts.dtype.kind in "iu" and np.all(counts >= 0)
+                and int(counts.sum()) == n
+                and sizes.shape == (n, np.size(self.compensator))):
+            raise ConfigError("a jump table needs times (n,), sizes (n, "
+                              "dimension) and per-row counts summing to n")
+        if not np.all((np.diff(times) >= 0) | (np.diff(self.rows()) > 0)):
+            raise ConfigError("a jump table needs each row in time order")
 
-def sample_jump_events(spec, horizon, rng: RngStream) -> JumpEvents:
-    """Poisson jump times with iid sizes; Gamma drivers must be truncated first."""
+    def rows(self):
+        """The row of each jump, shape (n,)."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+
+def sample_jump_events(spec, horizon, *streams: RngStream) -> JumpEvents:
+    """Poisson jump times with iid sizes, one table row per stream; Gamma
+    drivers must be truncated first.
+
+    Each row gets the bits its stream gives alone: per stream a generator,
+    a Poisson count, that many uniform times and as many uniform size
+    quantiles, in that order.  One stable lexsort puts each row's times in
+    order, and the sizes stay in draw order, the k-th size going to the
+    k-th time.
+    """
     _real(horizon, "horizon", least=0)
-    rate, size_draw, comp = spec.finite_law()
-    gen = rng.generator()
-    n = int(gen.poisson(rate * horizon))
-    times = np.sort(gen.uniform(0.0, horizon, size=n))
-    sizes = np.asarray(size_draw(gen, n), dtype=float).reshape(n, len(comp))
-    return JumpEvents(times, sizes, comp)
+    if not streams:
+        raise ConfigError("sample_jump_events needs at least one stream")
+    rate, quantile, comp = spec.finite_law()
+    mean = rate * horizon
+    times, quantiles = [], []
+    for stream in streams:
+        gen = stream.generator()
+        n = int(gen.poisson(mean))
+        times.append(gen.uniform(0.0, horizon, size=n))
+        quantiles.append(gen.uniform(size=n))
+    counts = np.array([len(t) for t in times], dtype=np.intp)
+    times = np.concatenate(times)
+    row = np.repeat(np.arange(len(streams)), counts)
+    times = times[np.lexsort((times, row))]
+    sizes = quantile(np.concatenate(quantiles)).reshape(len(times), len(comp))
+    return JumpEvents(times, sizes, counts, comp)
 
 
-def step_sums(grid, events):
-    """Per-interval sums of the jumps of each row's JumpEvents, shape
-    (rows, len(grid) - 1, dimension); a jump at t counts in the interval
-    [grid[k], grid[k+1]) holding t, and each sum runs in time order."""
-    inc = np.zeros((len(events), len(grid) - 1, events[0].sizes.shape[1]))
-    rows = np.repeat(np.arange(len(events)), [len(e.times) for e in events])
-    idx = np.searchsorted(grid, np.concatenate([e.times for e in events]),
-                          side="right") - 1
-    np.add.at(inc, (rows, np.clip(idx, 0, len(grid) - 2)),
-              np.concatenate([e.sizes for e in events]))
+def step_sums(grid, events: JumpEvents):
+    """Per-interval sums of each row's jumps, shape (rows, len(grid) - 1,
+    dimension); a jump at t counts in the interval [grid[k], grid[k+1])
+    holding t, and each sum runs in time order."""
+    inc = np.zeros((len(events.counts), len(grid) - 1, events.sizes.shape[1]))
+    idx = np.searchsorted(grid, events.times, side="right") - 1
+    np.add.at(inc, (events.rows(), np.clip(idx, 0, len(grid) - 2)),
+              events.sizes)
     return inc
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from ._parallel import map_blocks
 from .averaging import (_ZERO_FLOOR, AveragedField, AveragedSolution,
                         fit_loglog, lp_moment, solve_averaged_ode)
-from .drivers import GammaSubordinator, sample_jump_events, step_sums
+from .drivers import (GammaSubordinator, JumpEvents, sample_jump_events,
+                      step_sums)
 from .errors import ConfigError, _count, _real, _reals
 from .geometry import FoliatedChart, VectorFieldSet, dpi_k
 from .marcus import (IntegratorConfig, _check_plan, _grid_config,
@@ -314,7 +315,8 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
 
     Perturbed and unperturbed paths share every driver increment (one
     coupled run per path), the horizon is fixed path time, and the sup
-    stops at the perturbed path's exit.  A log-log fit across eps reports
+    stops at the perturbed path's exit.  A log-log fit across eps (at
+    least two distinct values, else ConfigError before any path) reports
     the scaling exponent; identically vanishing deviations (observable
     insensitive to the perturbation) report no exponent and set the
     identically_zero flag.
@@ -327,6 +329,9 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
+    if len(set(epsilons)) < 2:
+        raise ConfigError("deviation scaling fits across eps and needs two "
+                          "distinct eps values")
     _check_plan(n_paths, [resolve_grid(cfg, eps, horizon)[0]
                           for eps in epsilons])
     x0 = np.asarray(x0, dtype=float)
@@ -390,12 +395,13 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
                      threads: int = 1) -> SchemeAgreementResult:
     """Endpoint gap between the two discretizations on one shared jump set.
 
-    Per path, one jump set is sampled at the fine base cutoff.  At each
-    (cutoff, step) level the event scheme keeps only jumps above the level
-    cutoff (mean of the rest as transported drift) while the grid scheme
-    sums the full set per step and carries the base compensator; both see
-    the exact same randomness, so the L2 endpoint gap isolates the
-    discretization error and should shrink roughly in half per halving.
+    Per path, one jump set is sampled at the fine base cutoff, a block's
+    paths into one jump table.  At each (cutoff, step) level the event
+    scheme keeps only jumps above the level cutoff (mean of the rest as
+    transported drift) while the grid scheme sums the full set per step
+    and carries the base compensator; both see the exact same randomness,
+    so the L2 endpoint gap isolates the discretization error and should
+    shrink roughly in half per halving.
 
     A block's paths run in lockstep: the grid half through
     integrate_grid_ensemble with the per-step sums as its increments, the
@@ -415,12 +421,13 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     # closed-form small-jump means: a driver without them raises before any path
     means = [np.array([driver.mean_below(c)]) for c, _ in levels]
     base = driver.for_events(base_cutoff)
-    comp_base = np.array([base.compensator])
     x0 = np.asarray(x0, dtype=float)
 
     def level_gaps(events):
-        gaps = np.empty((len(levels), len(events)))
-        x_start = np.tile(x0, (len(events), 1))
+        m = len(events.counts)
+        row = events.rows()
+        gaps = np.empty((len(levels), m))
+        x_start = np.tile(x0, (m, 1))
         for il, (cutoff, h) in enumerate(levels):
             grid_cfg = replace(cfg, scheme="grid_increment", step_h=h)
             n, h_grid = resolve_grid(grid_cfg, eps, horizon)
@@ -429,19 +436,19 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
             x_grid = integrate_grid_ensemble(
                 fields, None, x_start, horizon, eps, grid_cfg, None,
                 increments=step_sums(grid, events),
-                comp_rate=comp_base).final_states
-            kept = [(e.times[e.sizes[:, 0] > cutoff],
-                     e.sizes[e.sizes[:, 0] > cutoff]) for e in events]
-            x_events = step_events(fields, x_start, grid, kept, eps, cfg,
-                                   means[il])
-            # the 1-D norm of each row: a batched norm rounds differently
-            gaps[il] = [np.linalg.norm(d) for d in x_events - x_grid]
+                comp_rate=events.compensator).final_states
+            keep = events.sizes[:, 0] > cutoff
+            kept = JumpEvents(events.times[keep], events.sizes[keep],
+                              np.bincount(row[keep], minlength=m), means[il])
+            x_events = step_events(fields, x_start, grid, kept, eps, cfg)
+            # each row's 1-D norm, sqrt(d . d) as np.linalg.norm computes
+            # it: a batched norm rounds differently
+            gaps[il] = [math.sqrt(d.dot(d)) for d in x_events - x_grid]
         return gaps
 
     def run_block(a, b):
         streams = path_streams(master_seed, stream_base + a, b - a)
-        return level_gaps([sample_jump_events(base, horizon, s)
-                           for s in streams])
+        return level_gaps(sample_jump_events(base, horizon, *streams))
 
     gaps = np.concatenate(map_blocks(run_block, n_paths, threads), axis=1)
     l2 = np.zeros(len(levels))

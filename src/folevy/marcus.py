@@ -17,8 +17,9 @@ to rounding.  Three schemes:
   continuous drift F(x) b.
 
 Two lockstep steppers carry every scheme: `integrate_grid_ensemble` on
-the macro grid, and `step_events` through each row's own merged table of
-grid and jump times (the jump decomposition and scheme agreement).
+the macro grid, and `step_events` through the grid merged with each row's
+jumps from one `JumpEvents` table (the jump decomposition and scheme
+agreement).
 
 State updates accumulate through compensated (Kahan) summation so that
 pure-drift coordinates stay exact to a few ulp over 1e5-step horizons.
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drivers import make_step_sampler, sample_jump_events
+from .drivers import JumpEvents, make_step_sampler, sample_jump_events
 from .errors import BlowupError, ConfigError, DomainError, _count, _real
 from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
@@ -44,8 +45,10 @@ from .tables import write_csv
 SCHEMES = ("exact_leaf", "grid_increment", "jump_decomposition")
 _MAX_SUBSTEP_ANGLE = 0.1
 _CHUNK = 4096           # grid steps drawn per path at a time
-_MAX_STEPS = 10**8      # steps per path or solve: 1000x the longest calibration run
-_MAX_SUBSTEPS = 10**4   # jump_ode_substeps: 500x the default
+_MAX_STEPS = 10**8      # steps per path: 1000x the longest calibration run
+# jump_ode_substeps (500x the default), and the substeps of one jump in the
+# generic solve, so a jump of norm up to 1 passes at any setting
+_MAX_SUBSTEPS = 10**4
 # paths x steps one ensemble call plans: 250x the largest calibration plan
 _MAX_PATH_STEPS = 10**10
 
@@ -197,8 +200,8 @@ def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
 def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
     """Generic jump solve: each row takes the substeps of its own |z|, and
     rows with equal counts are solved together, so a row gets the bits it
-    gets alone.  ConfigError first for a jump needing too many substeps,
-    which a non-finite one does."""
+    gets alone.  ConfigError first for a jump needing more than
+    _MAX_SUBSTEPS substeps, which a non-finite one does."""
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
     batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
     xs = np.broadcast_to(x, batch + x.shape[-1:])
@@ -207,9 +210,10 @@ def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
         mag = np.linalg.norm(zs, axis=-1)
         counts = np.maximum(np.ceil(cfg.jump_ode_substeps * mag),
                             np.ceil(mag / _MAX_SUBSTEP_ANGLE))
-    if not np.all(counts <= _MAX_STEPS):
+    if not np.all(counts <= _MAX_SUBSTEPS):
         raise ConfigError(f"a jump of size {mag.max():g} needs more than the "
-                          f"{_MAX_STEPS:.0e} Runge-Kutta substeps allowed")
+                          f"{_MAX_SUBSTEPS:.0e} Runge-Kutta substeps "
+                          f"allowed")
     out = xs.copy()
     for n in np.unique(counts[counts > 0]).astype(int).tolist():
         rows = counts == n
@@ -242,12 +246,22 @@ def jump_flow(fields: VectorFieldSet, x, z, cfg: IntegratorConfig = None):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.isfinite(z).all():
         raise ConfigError("jump_flow needs finite jump sizes")
-    if fields.exact_jump_flow is not None:
-        out = fields.exact_jump_flow(x, z)
+    return _checked_flow(fields, cfg)(x, z)
+
+
+def _checked_flow(fields: VectorFieldSet, cfg: IntegratorConfig):
+    """The jump flow (x, z) -> x' of the field set: its closed form,
+    raising BlowupError on non-finite output, or else the generic solve."""
+    exact = fields.exact_jump_flow
+    if exact is None:
+        return partial(_jump_rk4, fields, cfg=cfg)
+
+    def flow(x, z):
+        out = exact(x, z)
         if not np.all(np.isfinite(out)):
             raise BlowupError("closed-form jump flow produced non-finite output", sigma=1.0)
         return out
-    return _jump_rk4(fields, x, z, cfg)
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +419,9 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
             if contains is not None:
                 newly = active & ~np.asarray(contains(states), dtype=bool)
                 if newly.any():
+                    if not np.isfinite(states[newly]).all():
+                        raise BlowupError(f"a path left the finite range "
+                                          f"at t={t1:g}")
                     exit_times[newly] = t1
                     active &= ~newly
                     frozen = True
@@ -421,31 +438,27 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
 # batched event stepping
 # ---------------------------------------------------------------------------
 
-def _merge_events(grid, events, dim):
+def _merge_events(grid, events: JumpEvents, dim):
     """Each row's grid and jump times in time order, for the whole block.
 
     Returns (times, jumps, sizes) of shape (rows, columns): the merged
-    times, the jump flags and the jump sizes (zero off jumps).  One stable
-    lexsort over (row, time) puts each row's jumps in time order, tied
-    jumps keeping their order; a jump's column is then its rank in its
-    row plus the number of grid points at or before it, so a grid point
-    precedes a jump at the same time.  The grid fills the other columns,
-    and rows shorter than the longest repeat their last time.
+    times, the jump flags and the jump sizes (zero off jumps).  The table
+    holds each row's jumps in time order, so a jump's column is its rank
+    in its row plus the number of grid points at or before it, and a grid
+    point precedes a jump at the same time.  The grid fills the other
+    columns, and rows shorter than the longest repeat their last time.
     """
-    rows, n_grid = len(events), len(grid)
-    counts = np.array([len(t) for t, _ in events], dtype=int)
+    counts = np.asarray(events.counts)
+    rows, n_grid = len(counts), len(grid)
     lens = n_grid + counts
-    row = np.repeat(np.arange(rows), counts)     # sorted, so row[order] too
-    t_jump = np.concatenate([t for t, _ in events])
-    order = np.lexsort((t_jump, row))
-    t_jump = t_jump[order]
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    row, t_jump = events.rows(), events.times
+    rank = np.arange(len(t_jump)) - np.repeat(np.cumsum(counts) - counts, counts)
     col = np.searchsorted(grid, t_jump, side="right") + rank
-    shape = (rows, n_grid + int(counts.max()))
+    shape = (rows, n_grid + int(counts.max(initial=0)))
     jumps = np.zeros(shape, dtype=bool)
     jumps[row, col] = True
     sizes = np.zeros(shape + (dim,))
-    sizes[row, col] = np.concatenate([z for _, z in events])[order]
+    sizes[row, col] = events.sizes
     times = np.empty(shape)
     used = np.arange(shape[1]) < lens[:, None]
     times[used & ~jumps] = np.tile(grid, rows)
@@ -454,23 +467,29 @@ def _merge_events(grid, events, dim):
     return times, jumps, sizes
 
 
-def step_events(fields: VectorFieldSet, x0, grid, events, eps,
-                cfg: IntegratorConfig, comp_rate=None, on_event=None):
+def step_events(fields: VectorFieldSet, x0, grid, events: JumpEvents, eps,
+                cfg: IntegratorConfig, on_event=None):
     """Advance the rows of x0 in lockstep, each through the grid merged
-    with its own jumps (`events`: one (times, sizes) pair per row).
+    with its own row of the jump table `events`.
 
     Per column a row takes one RK4 step of the drift (with eps times the
-    perturbation and F(x) comp_rate) over the gap since its last time, then
-    its jump, if any; a zero gap (ties, padding to the longest row) skips
-    the drift.  A column where every row moves steps the whole state in
-    place; only a column with some zero gap gathers its moving rows and
-    scatters them back.  Both give each row the same bits, since every
-    field acts row by row.  `on_event(k, t, states, jumped)` sees every
-    column and stops the stepping by returning true.  Returns the final states.
+    perturbation and F(x) times the table's compensator) over the gap since
+    its last time, then its jump, if any; a zero gap (ties, padding to the
+    longest row) skips the drift.  A column where every row moves steps
+    the whole state in place; only a column with some zero gap gathers its
+    moving rows and scatters them back.  Both give each row the same bits,
+    since every field acts row by row.  The jump flow is chosen once, as in
+    the grid kernel: a non-finite jump size is a ConfigError before any
+    step, non-finite closed-form output a BlowupError.  `on_event(k, t,
+    states, jumped)` sees every column and stops the stepping by returning
+    true.  Returns the final states.
     """
+    if not np.isfinite(events.sizes).all():
+        raise ConfigError("step_events needs finite jump sizes")
+    flow = _checked_flow(fields, cfg)
     states = np.array(x0, dtype=float)
     times, jumps, sizes = _merge_events(grid, events, fields.driver_dim)
-    drift = _make_drift(fields, eps, comp_rate)
+    drift = _make_drift(fields, eps, events.compensator)
     comp = np.zeros_like(states)
     gaps = np.diff(times, axis=1, prepend=0.0)
     moves = gaps > 0
@@ -487,7 +506,7 @@ def step_events(fields: VectorFieldSet, x0, grid, events, eps,
         hit = jumps[:, k]
         if any_hit[k]:
             pre = states[hit]
-            post = jump_flow(fields, pre, sizes[hit, k], cfg)
+            post = flow(pre, sizes[hit, k])
             # reset the compensation only where the jump moved the state
             comp[hit] = np.where(post == pre, comp[hit], 0.0)
             states[hit] = post
@@ -539,10 +558,14 @@ def _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
 
     def record(k, t, states, jumped):
         rec.append((t[0], states[0].copy(), jumped[0]))
-        return not bool(chart.contains(states[0]))
+        if bool(chart.contains(states[0])):
+            return False
+        # a non-finite state fails the domain check but is no exit
+        if not np.isfinite(states[0]).all():
+            raise BlowupError(f"the path left the finite range at t={t[0]:g}")
+        return True
 
-    step_events(fields, x0[None, :], grid, [(events.times, events.sizes)],
-                eps, cfg, events.compensator, record)
+    step_events(fields, x0[None, :], grid, events, eps, cfg, record)
     times, states, flags = (np.array(col) for col in zip(*rec))
     exited = not bool(chart.contains(states[-1]))
     return Trajectory(times, states, flags, exited=exited,

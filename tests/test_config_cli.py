@@ -30,7 +30,8 @@ from folevy import (ConfigError, ConstantK, GammaSubordinator,
                     averaging,
                     characteristic_function, circle_law_distance, cli,
                     deviation_scaling, estimate_eta, exit_probability,
-                    experiments, integrate_unperturbed,
+                    experiments, integrate_grid_ensemble,
+                    integrate_unperturbed,
                     leaf_average_quadrature, make_cylinder_preset,
                     marginal_samples, path_streams, sample_jump_events,
                     scheme_agreement, solve_averaged_ode, tangency_check,
@@ -217,6 +218,8 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("charfn", "experiment.t=-1", "t must be nonnegative"),
         ("charfn", "experiment.n_samples=0", "experiment.n_samples"),
         ("deviation", "experiment.p=0.5", "experiment.p"),
+        ("deviation", "experiment.epsilons=[0.5]", "two distinct eps"),
+        ("deviation", "experiment.epsilons=[0.5, 0.5]", "two distinct eps"),
         ("eta", "experiment.p=1", "moment order p must be at least 2"),
         ("simulate", "integrator.step_h=abc", "integrator.step_h"),
         ("simulate", "integrator.jump_cutoff=abc", "integrator.jump_cutoff"),
@@ -442,15 +445,18 @@ _SITES = {
         *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, search_horizon=v), 50.0,
         "real", [0, -1.0]),
     "deviation_scaling.epsilons": (lambda v: deviation_scaling(
-        *_ARGS, _X0, v, 0.3, n_paths=4), [0.5], "list", [[0.0]]),
+        *_ARGS, _X0, v, 0.3, n_paths=4), [0.5, 0.25], "list",
+        [[0.0], [0.5], [0.5, 0.5]]),
     "deviation_scaling.horizon": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5], v, n_paths=4), 0.3, "real", [0]),
+        *_ARGS, _X0, [0.5, 0.25], v, n_paths=4), 0.3, "real", [0]),
     "deviation_scaling.p": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
+        *_ARGS, _X0, [0.5, 0.25], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
     "deviation_scaling.n_paths": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1, 10 ** 11]),
+        *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=v), 4, "count",
+        [1, 10 ** 11]),
     "deviation_scaling.stream_base": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5], 0.3, n_paths=4, stream_base=v), 0, "count", []),
+        *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=4, stream_base=v), 0,
+        "count", []),
     "scheme_agreement.horizon": (lambda v: scheme_agreement(
         *_ARGS, _X0, horizon=v, n_paths=4), 2.0, "real", [0]),
     "scheme_agreement.eps": (lambda v: scheme_agreement(
@@ -732,6 +738,46 @@ def test_cli_check_points_lie_inside_any_domain(tmp_path, monkeypatch,
     assert checked == [True]
     report = json.load(open(os.path.join(_run_dir(out), "check.json")))
     assert report["all_passed"] and len(report["checks"]) == 7
+
+
+def test_cli_check_repeat_runs_start_inside_u(tmp_path, monkeypatch):
+    # on a box that leaves out z = 0, a start at (1, 0, 0) lies outside U,
+    # and every path of the repeated-run check "exited" at its first step
+    runs = []
+
+    def spy(*args, **kwargs):
+        res = integrate_grid_ensemble(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(cli, "integrate_grid_ensemble", spy)
+    overrides = ["--set", "preset.z_min=1", "--set", "preset.z_max=5"]
+    assert main(["check", "--out", str(tmp_path / "runs"), *overrides]) == 0
+    assert len(runs) == 2
+    for res in runs:
+        assert not np.any(res.exit_times <= res.h)
+
+
+def test_cli_non_finite_paths_exit_two(tmp_path, capsys, monkeypatch):
+    # a perturbation that returns NaN: the paths leave the finite range,
+    # which exits 2 instead of an exit probability of 1
+    def nan_preset(cfg):
+        preset = preset_from_config(cfg)
+        nan = replace(preset.fields,
+                      perturbation=lambda x: np.full(x.shape, np.nan))
+        return replace(preset, fields=nan)
+
+    # the averaged field of the preset as configured, NaN-free
+    monkeypatch.setattr(cli, "_averaged", lambda cfg, preset: averaged_field(
+        preset.chart, preset_from_config(cfg).fields))
+    monkeypatch.setattr(cli, "preset_from_config", nan_preset)
+    out = tmp_path / "runs"
+    assert main(["exit-prob", "--out", str(out), "--set", "preset.r_max=2.0",
+                 "--set", "experiment.epsilons=[0.5]",
+                 "--set", "experiment.n_paths=4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite range" in err
+    assert not out.exists()
 
 
 def test_cli_check_failure_exits_one_with_report(tmp_path, capsys,

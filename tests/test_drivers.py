@@ -21,9 +21,10 @@ import pytest
 from scipy import integrate, special, stats
 
 import folevy
-from folevy import (GammaSubordinator, RngStream, TruncatedMeasure,
-                    characteristic_function, circle_law_distance,
-                    marginal_samples, sample_jump_events, truncate_gamma)
+from folevy import (GammaSubordinator, JumpEvents, RngStream,
+                    TruncatedMeasure, characteristic_function,
+                    circle_law_distance, marginal_samples, path_streams,
+                    sample_jump_events, truncate_gamma)
 from folevy.drivers import (_MIN_RATE, _TABLE_NODES, _TAIL_FRACTION, _exp1,
                             make_step_sampler, step_sums)
 from folevy.errors import ConfigError
@@ -249,7 +250,7 @@ def test_zero_length_horizon_gives_empty_series():
     trunc = truncate_gamma(GammaSubordinator(1.0), 0.05)
     events = sample_jump_events(trunc, 0.0, RngStream(SEED, 3))
     assert len(events.times) == 0
-    assert step_sums(np.array([0.0]), [events]).shape == (1, 0, 1)
+    assert step_sums(np.array([0.0]), events).shape == (1, 0, 1)
 
 
 def test_increments_bitwise_reproducible():
@@ -368,6 +369,61 @@ def test_jump_events_exceed_cutoff():
     assert abs(len(events.times) - lam) <= 5 * math.sqrt(lam)
 
 
+def _events_alone(trunc, horizon, stream):
+    # the per-stream sampler the jump table replaced, kept as its reference
+    gen = stream.generator()
+    n = int(gen.poisson(trunc.restricted_mass * horizon))
+    times = np.sort(gen.uniform(0.0, horizon, size=n))
+    return times, trunc.sample_sizes(gen, n)[:, None]
+
+
+def test_jump_table_rows_match_each_stream_alone():
+    # a mean of 0.56 jumps per row: rows without jumps first, in the middle
+    # and last, next to rows of several
+    trunc = truncate_gamma(GammaSubordinator(1.0), 0.5)
+    streams = path_streams(SEED, 16, 12)
+    table = sample_jump_events(trunc, 1.0, *streams)
+    counts = table.counts.tolist()
+    assert counts[0] == counts[-1] == 0 and 0 in counts[1:-1]
+    assert max(counts) >= 2 and len(table.times) == sum(counts)
+    assert table.compensator.tobytes() == np.array([trunc.compensator]).tobytes()
+    grid = np.linspace(0.0, 1.0, 5)
+    sums = step_sums(grid, table)
+    start = 0
+    for i, stream in enumerate(streams):
+        rows = slice(start, start + counts[i])
+        start += counts[i]
+        want_t, want_z = _events_alone(trunc, 1.0, stream)
+        alone = sample_jump_events(trunc, 1.0, stream)
+        for t, z in ((table.times[rows], table.sizes[rows]),
+                     (alone.times, alone.sizes)):
+            assert t.tobytes() == want_t.tobytes()
+            assert z.shape == want_z.shape and z.tobytes() == want_z.tobytes()
+        assert sums[i].tobytes() == step_sums(grid, alone)[0].tobytes()
+
+
+def test_jump_table_validation():
+    trunc = truncate_gamma(GammaSubordinator(1.0), 0.5)
+    with pytest.raises(ConfigError, match="at least one stream"):
+        sample_jump_events(trunc, 1.0)
+    comp = np.zeros(1)
+    for times, sizes, counts in (
+            (np.zeros(2), np.zeros((2, 1)), np.array([1])),
+            (np.zeros(2), np.zeros((2, 1)), np.array([3, -1])),
+            (np.zeros(2), np.zeros((2, 1)), np.array([1.0, 1.0])),
+            (np.zeros(2), np.zeros((2, 2)), np.array([2])),
+            (np.zeros(2), np.zeros(2), np.array([2])),
+            (np.zeros((2, 1)), np.zeros((2, 1)), np.array([2])),
+            (np.array([0.5, 0.2]), np.zeros((2, 1)), np.array([2])),
+            (np.array([0.5, 0.2, 0.1]), np.zeros((3, 1)), np.array([1, 2])),
+            (np.array([0.5, np.nan]), np.zeros((2, 1)), np.array([2]))):
+        with pytest.raises(ConfigError, match="jump table"):
+            JumpEvents(times, sizes, counts, comp)
+    # a later row may start before the row above it ends
+    JumpEvents(np.array([0.5, 0.2, 0.3]), np.zeros((3, 1)), np.array([1, 2]),
+               comp)
+
+
 def test_gamma_events_require_truncation():
     with pytest.raises(ValueError, match="truncate"):
         sample_jump_events(GammaSubordinator(1.0), 1.0, RngStream(SEED, 10))
@@ -379,7 +435,7 @@ def test_increments_aggregate_the_event_set():
     trunc = truncate_gamma(GammaSubordinator(1.0), 0.05)
     grid = np.linspace(0.0, 8.0, 33)
     events = sample_jump_events(trunc, 8.0, RngStream(SEED, 11))
-    sums = step_sums(grid, [events])[0]
+    sums = step_sums(grid, events)[0]
     assert sums.shape == (32, 1)
     assert len(events.times) > 0
     for k in range(32):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from folevy import (AveragedSolution, ComparisonResult, ConfigError,
-                    ConstantK, DeviationResult, ExitProbabilityResult,
+from folevy import (AveragedSolution, BlowupError, ComparisonResult,
+                    ConfigError, ConstantK, DeviationResult, ExitProbabilityResult,
                     IntegratorConfig, RngStream, averaged_field,
                     comparison_to_csv, deviation_scaling, deviation_to_csv,
                     estimate_eta, exit_probability, exit_to_csv,
@@ -206,6 +207,18 @@ def test_exit_probability_needs_a_near_exit():
         exit_probability(preset.fields, preset.chart, preset.driver, avg, X0,
                          epsilons=[0.1], gamma=0.1, n_paths=8,
                          search_horizon=5.0, master_seed=SEED)
+
+
+def test_exit_probability_raises_on_non_finite_paths():
+    # NaN paths are not exits: without the check every path "exited"
+    preset = make_cylinder_preset(r_max=2.0)
+    avg = averaged_field(preset.chart, preset.fields)
+    fields = replace(preset.fields,
+                     perturbation=lambda x: np.full(x.shape, np.nan))
+    with pytest.raises(BlowupError, match="finite range"):
+        exit_probability(fields, preset.chart, preset.driver, avg, X0,
+                         epsilons=[0.3], gamma=0.1, n_paths=8,
+                         master_seed=SEED)
 
 
 def test_exit_probability_validation():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
-                    IntegratorConfig,
+                    IntegratorConfig, JumpEvents,
                     RngStream, VectorFieldSet, integrate_grid_ensemble,
                     integrate_perturbed, integrate_unperturbed, jump_flow,
                     make_cylinder_preset, trajectory_to_csv)
@@ -167,14 +167,39 @@ def test_jump_flow_batch_equals_each_row_alone():
             assert batch[i].tobytes() == jump_flow(fields, x[i], z[i]).tobytes()
 
 
-@pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf, 1e300, 1e7])
+@pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf, 1e300, 1e7, 1e4])
 def test_generic_jump_solve_rejects_unusable_jumps(size):
-    # non-finite jumps, and jumps needing more than _MAX_STEPS substeps,
-    # raise before any substep; the good row beside them does not help
+    # non-finite jumps, and jumps needing more than _MAX_SUBSTEPS substeps
+    # (2e5 for z = 1e4), raise before any substep; the good row beside them
+    # does not help
     generic = make_cylinder_preset().fields.without_exact_flow()
     x = np.array([[1.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
     with pytest.raises(ConfigError):
         jump_flow(generic, x, np.array([[0.5], [size]]))
+
+
+def test_generic_jump_bound_does_not_depend_on_the_block_width():
+    # 1024 rows of jumps of 0.01 and 0.02 at 10**4 substeps per unit jump
+    # take 100 or 200 substeps each, about 1.4e5 over the block: the block
+    # runs as each row runs alone, and a jump past the bound fails the same
+    # way alone and in the block
+    generic = make_cylinder_preset().fields.without_exact_flow()
+    cfg = IntegratorConfig(step_h=0.5, jump_ode_substeps=10**4)
+    rng = np.random.default_rng(SEED)
+    x0 = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.1, 0.1, size=(1024, 3))
+    inc = rng.choice([-0.01, 0.01, 0.02], size=(1024, 2, 1))
+
+    def run(rows, inc):
+        return integrate_grid_ensemble(generic, None, x0[rows], 1.0, 0.0, cfg,
+                                       None, increments=inc[rows]).final_states
+
+    block = run(slice(None), inc)
+    for i in (0, 1, 2, 511, 1023):
+        assert block[i].tobytes() == run(slice(i, i + 1), inc)[0].tobytes()
+    inc[700, 1] = 1.5               # 15000 substeps
+    for rows in (slice(None), slice(700, 701)):
+        with pytest.raises(ConfigError, match="substeps"):
+            run(rows, inc)
 
 
 @pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf])
@@ -380,20 +405,58 @@ def test_step_events_rows_match_stepping_each_row_alone():
     ]
     x0 = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [-1.5, 0.5, -2.0]])
     cfg, c = IntegratorConfig(), np.array([0.25])
-    together = step_events(preset.fields, x0, grid, events, 0.3, cfg, c)
+    together = step_events(preset.fields, x0, grid, _table(events, c), 0.3,
+                           cfg)
     for i in range(len(events)):
-        alone = step_events(preset.fields, x0[i:i + 1], grid, [events[i]],
-                            0.3, cfg, c)
+        alone = step_events(preset.fields, x0[i:i + 1], grid,
+                            _table(events[i:i + 1], c), 0.3, cfg)
         assert together[i].tobytes() == alone[0].tobytes()
+
+
+def test_step_events_checks_sizes_first_and_closed_form_output():
+    preset = make_cylinder_preset()
+    grid = np.linspace(0.0, 1.0, 11)
+    x0 = np.array([[1.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
+    cfg = IntegratorConfig()
+
+    def no_step(x):
+        raise AssertionError("stepped before the sizes were checked")
+
+    for size in (np.nan, np.inf):
+        events = _table([(np.array([0.3]), np.array([[0.5]])),
+                         (np.array([0.5]), np.array([[size]]))])
+        with pytest.raises(ConfigError, match="finite jump sizes"):
+            step_events(replace(preset.fields, perturbation=no_step), x0,
+                        grid, events, 0.3, cfg)
+    events = _table([(np.array([0.3]), np.array([[0.5]])),
+                     (np.empty(0), np.empty((0, 1)))])
+    fields = replace(preset.fields,
+                     exact_jump_flow=lambda x, z: np.full(x.shape, np.inf))
+    with pytest.raises(BlowupError, match="closed-form jump flow"):
+        step_events(fields, x0, grid, events, 0.3, cfg)
+
+
+def _table(events, compensator=None):
+    # the jump table of per-row (times, sizes) pairs, rows in the given
+    # order, each row's jumps in time order, tied jumps in their given order
+    dim = events[0][1].shape[1]
+    order = [np.argsort(t, kind="stable") for t, _ in events]
+    return JumpEvents(np.concatenate([t[o] for (t, _), o in zip(events, order)]),
+                      np.concatenate([z[o] for (_, z), o in zip(events, order)]),
+                      np.array([len(t) for t, _ in events]),
+                      np.zeros(dim) if compensator is None else compensator)
 
 
 def _merge_per_row(grid, events, dim):
     # the per-row merge _merge_events replaced, kept as its reference
+    cuts = np.cumsum(events.counts)[:-1]
+    rows = list(zip(np.split(events.times, cuts),
+                    np.split(events.sizes, cuts)))
     n_grid = len(grid)
-    shape = (len(events), n_grid + max(len(t) for t, _ in events))
+    shape = (len(rows), n_grid + max(len(t) for t, _ in rows))
     times, jumps = np.empty(shape), np.zeros(shape, dtype=bool)
     sizes = np.zeros(shape + (dim,))
-    for i, (t, z) in enumerate(events):
+    for i, (t, z) in enumerate(rows):
         t_all = np.concatenate([grid, t])
         order = np.argsort(t_all, kind="stable")
         times[i] = t_all[order[-1]]
@@ -404,8 +467,9 @@ def _merge_per_row(grid, events, dim):
 
 
 def _assert_same_tables(grid, events, dim):
-    got = _merge_events(grid, events, dim)
-    want = _merge_per_row(grid, events, dim)
+    table = _table(events)
+    got = _merge_events(grid, table, dim)
+    want = _merge_per_row(grid, table, dim)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -413,8 +477,8 @@ def _assert_same_tables(grid, events, dim):
 
 def test_merged_event_table_matches_the_per_row_merge():
     grid = np.linspace(0.0, 1.0, 11)
-    # unsorted and tied jumps, jumps exactly at grid times (0, 0.3 and the
-    # horizon), rows without jumps first, in the middle and last
+    # tied jumps, jumps exactly at grid times (0, 0.3 and the horizon),
+    # rows without jumps first, in the middle and last
     events = [
         (np.empty(0), np.empty((0, 1))),
         (np.array([0.7, 0.25, 0.25, 0.25, 0.9]),
@@ -459,8 +523,8 @@ def test_step_events_with_a_planar_driver_matches_the_per_row_merge(monkeypatch)
         z = rng.uniform(-0.5, 0.5, size=(n, 2))
         times = np.concatenate([t, t[:1], [grid[4]]])
         sizes = np.concatenate([z, z[-1:], [[0.2, -0.3]]])
-        events = [(times, sizes)]
-        _assert_same_tables(grid, events, 2)
+        events = _table([(times, sizes)])
+        _assert_same_tables(grid, [(times, sizes)], 2)
         with monkeypatch.context() as m:
             m.setattr(marcus, "_merge_events", _merge_per_row)
             want = step_events(fields, x0, grid, events, 0.3, cfg)
@@ -576,6 +640,28 @@ def test_ensemble_freezes_exited_paths():
     assert abs(res.exit_times[0] - 0.3) <= 1e-9
     after = [z for t, z, alive in seen if t > res.exit_times[0] + 1e-12]
     assert after and all(z == after[0] for z in after)
+
+
+def _nan_field(x):
+    return np.full(x.shape, np.nan)
+
+
+def test_ensemble_raises_when_a_state_leaves_the_finite_range():
+    # a NaN row fails the domain check, but it has not left the domain:
+    # counted as an exit it would read as a probability of 1
+    preset = make_cylinder_preset()
+    fields = replace(preset.fields, perturbation=_nan_field)
+    streams = [RngStream(SEED, 30 + i) for i in range(3)]
+    x0 = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(BlowupError, match="left the finite range at t=0.01"):
+        integrate_grid_ensemble(fields, preset.driver, x0, 1.0, 0.1,
+                                IntegratorConfig(), streams,
+                                contains=preset.chart.contains)
+    # the jump decomposition's event path, the other stepper
+    cfg = IntegratorConfig(scheme="jump_decomposition")
+    with pytest.raises(BlowupError, match="left the finite range"):
+        integrate_perturbed(fields, preset.chart, preset.driver, x0, 1.0,
+                            0.1, cfg, streams[0])
 
 
 def test_ensemble_rejects_unsupported_setups():
