@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from folevy import (IntegratorConfig, RngStream, integrate_unperturbed,
+from folevy import (IntegratorConfig, RngStream, integrate_path,
                     make_cylinder_preset, scheme_agreement)
 
 X0 = np.array([1.0, 0.0, 0.0])
@@ -25,17 +25,17 @@ def radius_drift(path):
 def main():
     preset = make_cylinder_preset()
 
-    path = integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                                 X0, horizon=100.0,
-                                 cfg=IntegratorConfig(scheme="exact_leaf"),
-                                 rng=RngStream(SEED, 1))
+    path = integrate_path(preset.fields, preset.chart, preset.driver,
+                          X0, horizon=100.0,
+                          cfg=IntegratorConfig(scheme="exact_leaf"),
+                          rng=RngStream(SEED, 1))
     print(f"exact leaf flow, T=100:          max |r - 1| = {radius_drift(path):.2e}")
 
     generic = preset.fields.without_exact_flow()
     cfg = IntegratorConfig(scheme="jump_decomposition", jump_cutoff=1e-3,
                            step_h=1e-2)
-    path = integrate_unperturbed(generic, preset.chart, preset.driver, X0,
-                                 horizon=100.0, cfg=cfg, rng=RngStream(SEED, 2))
+    path = integrate_path(generic, preset.chart, preset.driver, X0,
+                          horizon=100.0, cfg=cfg, rng=RngStream(SEED, 2))
     n_jumps = int(path.jump_flags.sum())
     print(f"generic RK4 jump flow, T=100:    max |r - 1| = {radius_drift(path):.2e}"
           f"   ({n_jumps} resolved jumps)")

@@ -33,8 +33,8 @@ from .geometry import (ConstantK, CylinderPreset, FoliatedChart, LinearK,
                        VectorFieldSet, dpi_k, make_cylinder_preset,
                        tangency_check)
 from .marcus import (EnsembleResult, IntegratorConfig, Trajectory,
-                     integrate_grid_ensemble, integrate_perturbed,
-                     integrate_unperturbed, jump_flow, trajectory_to_csv)
+                     integrate_grid_ensemble, integrate_path, jump_flow,
+                     trajectory_to_csv)
 from .rng import RngStream, path_streams
 
 __all__ = [
@@ -49,8 +49,8 @@ __all__ = [
     "config_from_dict", "config_to_dict", "deviation_scaling",
     "deviation_to_csv", "dpi_k", "dump_config", "estimate_eta",
     "exit_probability", "exit_to_csv",
-    "fit_loglog", "integrate_grid_ensemble", "integrate_perturbed",
-    "integrate_unperturbed", "jump_flow", "leaf_average_quadrature",
+    "fit_loglog", "integrate_grid_ensemble", "integrate_path", "jump_flow",
+    "leaf_average_quadrature",
     "load_config", "loads_config", "lp_moment", "make_cylinder_preset",
     "marginal_samples", "path_streams", "preset_from_config",
     "projected_perturbation", "rate_to_csv", "sample_jump_events",

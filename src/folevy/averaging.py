@@ -19,9 +19,9 @@ from ._parallel import map_blocks
 from .errors import (_MAX_COUNT, ConfigError, DomainError, _count, _real,
                      _reals)
 from .geometry import FoliatedChart, VectorFieldSet, _pushforward
-from .marcus import (IntegratorConfig, _check_plan, _drift_rk4, _grid_config,
-                     _kahan_add, _step_count, integrate_grid_ensemble,
-                     resolve_grid)
+from .marcus import (IntegratorConfig, _check_plan, _check_start, _drift_rk4,
+                     _grid_config, _kahan_add, _step_count,
+                     integrate_grid_ensemble, resolve_grid)
 from .rng import path_streams
 from .tables import write_csv
 
@@ -80,9 +80,6 @@ class AveragedField:
 
     def evaluate(self, v):
         return np.asarray(self._evaluate(np.asarray(v, dtype=float)), dtype=float)
-
-    def __call__(self, v):
-        return self.evaluate(v)
 
 
 def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
@@ -266,8 +263,7 @@ def rate_to_csv(est: RateEstimate, path):
 def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                  x0, horizons: Sequence[float], p: float = 2,
                  n_paths: int = 200, master_seed: int = 0, stream_base: int = 0,
-                 cfg: IntegratorConfig = None, threads: int = 1,
-                 q_ref: Optional[float] = None) -> RateEstimate:
+                 cfg: IntegratorConfig = None) -> RateEstimate:
     """Decay rate of ergodic-average errors over unperturbed paths.
 
     For each horizon t the L^p error |A_t psi - Q| over n_paths independent
@@ -290,12 +286,10 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     snap_idx = np.rint(horizons / h).astype(int)
     if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
         raise ConfigError("horizons must sit on the integration grid")
-    if q_ref is None:
-        q_ref = leaf_average_quadrature(chart, psi,
-                                        chart.vertical_projection(np.asarray(x0, float)),
+    x0 = _check_start(chart, x0)
+    leaf_mean = leaf_average_quadrature(chart, psi,
+                                        chart.vertical_projection(x0),
                                         n_nodes=256)
-    else:
-        _real(q_ref, "q_ref")
     t_max = float(horizons[-1])
 
     def run_block(a, b):
@@ -319,14 +313,9 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                                 on_step=observe)
         return snaps
 
-    parts = map_blocks(run_block, n_paths, threads)
-    snaps = np.concatenate(parts, axis=1)
-    errors = np.abs(snaps / horizons[:, None] - q_ref)
-    with np.errstate(over="ignore"):
-        lp = np.mean(errors ** p, axis=1) ** (1.0 / p)
-    # rows whose plain powers overflow or underflow (a large p)
-    bad = ~(np.isfinite(lp) & ((lp > 0) | ~errors.any(axis=1)))
-    lp[bad] = [lp_moment(row, p)[0] for row in errors[bad]]
+    snaps = np.concatenate(map_blocks(run_block, n_paths), axis=1)
+    errors = snaps / horizons[:, None] - leaf_mean
+    lp = np.array([lp_moment(row, p)[0] for row in errors])
     if np.all(lp <= _ZERO_FLOOR):
         return RateEstimate(horizons, lp, 0.0, 0.0, p, n_paths, identically_zero=True)
     slope, const = fit_loglog(horizons, lp)

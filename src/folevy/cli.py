@@ -35,8 +35,8 @@ from .experiments import (comparison_to_csv, deviation_scaling,
                           deviation_to_csv, exit_probability, exit_to_csv,
                           projected_perturbation, transversal_comparison)
 from .geometry import tangency_check
-from .marcus import (integrate_grid_ensemble, integrate_perturbed,
-                     integrate_unperturbed, jump_flow, trajectory_to_csv)
+from .marcus import (integrate_grid_ensemble, integrate_path, jump_flow,
+                     trajectory_to_csv)
 from .rng import RngStream, path_streams
 from .tables import write_csv, write_json
 
@@ -101,14 +101,9 @@ def _averaged(cfg, preset):
 
 def cmd_simulate(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
-    rng = RngStream(run.master_seed, run.stream_base)
-    x0 = np.asarray(exp.x0, dtype=float)
-    if exp.epsilon == 0:
-        traj = integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                                     x0, exp.horizon, icfg, rng)
-    else:
-        traj = integrate_perturbed(preset.fields, preset.chart, preset.driver,
-                                   x0, exp.horizon, exp.epsilon, icfg, rng)
+    traj = integrate_path(preset.fields, preset.chart, preset.driver, exp.x0,
+                          exp.horizon, exp.epsilon, icfg,
+                          RngStream(run.master_seed, run.stream_base))
     summary = {
         "epsilon": exp.epsilon,
         "horizon": exp.horizon,
@@ -314,10 +309,11 @@ def cmd_check(cfg, preset, icfg):
 
     qavg = averaged_field(chart, fields, method="quadrature", n_nodes=96)
     sec = cfg.preset
+    (r_lo, r_hi), (z_lo, z_hi) = chart.vertical_bounds
     gaps = []
     for frac in (0.25, 0.5, 0.75):
-        rr = sec.r_min + frac * (sec.r_max - sec.r_min)
-        v = np.array([rr, 0.5 * (sec.z_min + sec.z_max)])
+        rr = r_lo + frac * (r_hi - r_lo)
+        v = np.array([rr, 0.5 * (z_lo + z_hi)])
         if sec.k_choice == "linear":
             expected = np.array([0.5 * rr, 0.0])
         else:

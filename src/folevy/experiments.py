@@ -26,9 +26,9 @@ from .drivers import (GammaSubordinator, JumpEvents, sample_jump_events,
                       step_sums)
 from .errors import ConfigError, _count, _real, _reals
 from .geometry import FoliatedChart, VectorFieldSet, dpi_k
-from .marcus import (IntegratorConfig, _check_plan, _grid_config,
-                     _step_count, integrate_grid_ensemble, resolve_grid,
-                     step_events)
+from .marcus import (IntegratorConfig, _check_plan, _check_start,
+                     _grid_config, _step_count, integrate_grid_ensemble,
+                     resolve_grid, step_events)
 # unused here, but perfbench/spans.py rebinds them on this module by name
 from .marcus import _drift_rk4, jump_flow  # noqa: F401
 from .rng import path_streams
@@ -116,7 +116,8 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     and vertical parts) stops accumulating at a path's exit time.  The
     horizon must end strictly before the averaged path reaches the
     transversal boundary; otherwise the comparison window is ill posed and
-    a ConfigError is raised.
+    a ConfigError is raised.  `threads` is accepted and has no effect; it
+    stays because perfbench/workloads.py passes it.
     """
     epsilons = _reals(epsilons, "eps values", above=0, most=1)
     _real(horizon, "horizon", above=0)
@@ -129,7 +130,7 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     cfg = _grid_config(cfg)
     _check_plan(n_paths, [resolve_grid(cfg, eps, horizon / eps)[0]
                           for eps in epsilons])
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_start(chart, x0)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), horizon, ode_step)
     if sol.boundary_time is not None and sol.boundary_time <= horizon:
         raise ConfigError(
@@ -180,7 +181,7 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
                                     on_step=observe)
             return snaps
 
-        snaps = np.concatenate(map_blocks(run_block, n_paths, threads), axis=2)
+        snaps = np.concatenate(map_blocks(run_block, n_paths), axis=2)
         for j in range(n_h):
             for c, name in enumerate(("sup_norm", "sup_radial", "sup_vertical")):
                 val, se = lp_moment(snaps[j, c], p)
@@ -223,7 +224,7 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
                      avg: AveragedField, x0, epsilons, gamma: float,
                      n_paths: int = 200, master_seed: int = 0,
                      stream_base: int = 0, cfg: IntegratorConfig = None,
-                     threads: int = 1, ode_step: float = 1e-3,
+                     ode_step: float = 1e-3,
                      search_horizon: float = 50.0) -> ExitProbabilityResult:
     """Fraction of paths leaving the domain before the averaged path comes
     within gamma of the boundary (path clock: t_gamma / eps).
@@ -240,7 +241,7 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_start(chart, x0)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), search_horizon,
                              ode_step)
     t_gamma = sol.time_to_margin(gamma)
@@ -267,7 +268,7 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
                                           cfg, streams, contains=chart.contains)
             return np.isfinite(res.exit_times)
 
-        exited = np.concatenate(map_blocks(run_block, n_paths, threads))
+        exited = np.concatenate(map_blocks(run_block, n_paths))
         pr = float(np.mean(exited))
         probs[i] = pr
         ses[i] = math.sqrt(pr * (1.0 - pr) / n_paths)
@@ -309,8 +310,8 @@ def deviation_to_csv(result: DeviationResult, path):
 def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
                       x0, epsilons, horizon: float, observable="radial",
                       p: float = 2, n_paths: int = 200, master_seed: int = 0,
-                      stream_base: int = 0, cfg: IntegratorConfig = None,
-                      threads: int = 1) -> DeviationResult:
+                      stream_base: int = 0,
+                      cfg: IntegratorConfig = None) -> DeviationResult:
     """Growth in eps of sup_{t<=T & exit} |psi(X^eps_t) - psi(X^0_t)|.
 
     Perturbed and unperturbed paths share every driver increment (one
@@ -334,7 +335,7 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
                           "distinct eps values")
     _check_plan(n_paths, [resolve_grid(cfg, eps, horizon)[0]
                           for eps in epsilons])
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_start(chart, x0)
     values = np.zeros(len(epsilons))
     ses = np.zeros(len(epsilons))
     for i, eps in enumerate(epsilons):
@@ -355,7 +356,7 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
                                     pair_eps=0.0, on_step_pair=observe)
             return sup
 
-        sups = np.concatenate(map_blocks(run_block, n_paths, threads))
+        sups = np.concatenate(map_blocks(run_block, n_paths))
         values[i], ses[i] = lp_moment(sups, p)
 
     if np.all(values <= _ZERO_FLOOR):
@@ -405,7 +406,8 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
 
     A block's paths run in lockstep: the grid half through
     integrate_grid_ensemble with the per-step sums as its increments, the
-    event half through step_events.
+    event half through step_events.  `threads` is accepted and has no
+    effect; it stays because perfbench/workloads.py passes it.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -421,7 +423,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     # closed-form small-jump means: a driver without them raises before any path
     means = [np.array([driver.mean_below(c)]) for c, _ in levels]
     base = driver.for_events(base_cutoff)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_start(chart, x0)
 
     def level_gaps(events):
         m = len(events.counts)
@@ -450,7 +452,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
         streams = path_streams(master_seed, stream_base + a, b - a)
         return level_gaps(sample_jump_events(base, horizon, *streams))
 
-    gaps = np.concatenate(map_blocks(run_block, n_paths, threads), axis=1)
+    gaps = np.concatenate(map_blocks(run_block, n_paths), axis=1)
     l2 = np.zeros(len(levels))
     ses = np.zeros(len(levels))
     for il in range(len(levels)):

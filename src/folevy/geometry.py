@@ -230,9 +230,15 @@ def dpi_k(chart: FoliatedChart, fields: VectorFieldSet, x):
     """Directional derivative of Pi along the perturbation, dPi(K)(x).
 
     Uses the chart's pushforward when it has one, otherwise a central
-    difference with step 1e-6.  Points outside U are rejected.
+    difference with step 1e-6.  x must be numbers of shape (...,
+    ambient_dim), else ConfigError; points outside U raise DomainError.
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        x = np.empty(0)
+    if x.ndim == 0 or x.shape[-1] != chart.ambient_dim:
+        raise ConfigError(f"dpi_k needs points of dimension {chart.ambient_dim}")
     if not np.all(chart.contains(x)):
         raise DomainError("dpi_k evaluated outside the chart domain")
     if fields.perturbation is None:

@@ -19,7 +19,9 @@ to rounding.  Three schemes:
 Two lockstep steppers carry every scheme: `integrate_grid_ensemble` on
 the macro grid, and `step_events` through the grid merged with each row's
 jumps from one `JumpEvents` table (the jump decomposition and scheme
-agreement).
+agreement).  `integrate_path` records one path of X^eps, eps = 0 being
+the unperturbed system, through either of them.  One RK4 step serves the
+drift and, without a closed-form flow, each substep of a jump solve.
 
 State updates accumulate through compensated (Kahan) summation so that
 pure-drift coordinates stay exact to a few ulp over 1e5-step horizons.
@@ -220,11 +222,9 @@ def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
         h = 1.0 / n
         zb, y = zs[rows], xs[rows]
         for i in range(1, n + 1):
-            k1 = fields.driving(y, zb)
-            k2 = fields.driving(y + (0.5 * h) * k1, zb)
-            k3 = fields.driving(y + (0.5 * h) * k2, zb)
-            k4 = fields.driving(y + h * k3, zb)
-            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            # a zero compensation makes the Kahan add the plain y + increment
+            _drift_rk4(lambda w: fields.driving(w, zb), y,
+                       np.zeros_like(y), h)
             if not np.all(np.isfinite(y)):
                 raise BlowupError(f"jump ODE left the finite range at s={i * h:.6f}", sigma=i * h)
         out[rows] = y
@@ -572,7 +572,13 @@ def _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
                       exit_time=float(times[-1]) if exited else None)
 
 
-def _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng):
+def integrate_path(fields: VectorFieldSet, chart: FoliatedChart, driver, x0,
+                   horizon, eps=0.0, cfg: IntegratorConfig = None,
+                   rng: RngStream = RngStream(0)) -> Trajectory:
+    """One path of X^eps: the leafwise dynamics (drift F0 when present,
+    plus the driven jumps) with the transversal perturbation eps * K
+    switched on; eps = 0 is the unperturbed system."""
+    _real(eps, "eps", least=0, most=1)
     if cfg is None:
         cfg = IntegratorConfig()
     _real(horizon, "horizon", least=0)
@@ -582,18 +588,3 @@ def _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng):
     if cfg.scheme == "jump_decomposition":
         return _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng)
     return _grid_path(fields, chart, driver, x0, horizon, eps, cfg, rng)
-
-
-def integrate_unperturbed(fields: VectorFieldSet, chart: FoliatedChart, driver,
-                          x0, horizon, cfg: IntegratorConfig = None,
-                          rng: RngStream = RngStream(0)) -> Trajectory:
-    """Leafwise dynamics only: drift F0 (when present) plus the driven jumps."""
-    return _integrate(fields, chart, driver, x0, horizon, 0.0, cfg, rng)
-
-
-def integrate_perturbed(fields: VectorFieldSet, chart: FoliatedChart, driver,
-                        x0, horizon, eps, cfg: IntegratorConfig = None,
-                        rng: RngStream = RngStream(0)) -> Trajectory:
-    """Dynamics with the transversal perturbation eps * K switched on."""
-    _real(eps, "eps", above=0, most=1)
-    return _integrate(fields, chart, driver, x0, horizon, eps, cfg, rng)

@@ -26,7 +26,7 @@ import pytest
 
 from folevy import (ConstantK, GammaSubordinator, IntegratorConfig,
                     RngStream, averaged_field, deviation_scaling,
-                    estimate_eta, exit_probability, integrate_unperturbed,
+                    estimate_eta, exit_probability, integrate_path,
                     leaf_average_quadrature, make_cylinder_preset,
                     marginal_samples, projected_perturbation,
                     scheme_agreement, solve_averaged_ode,
@@ -58,17 +58,17 @@ def _radius_drift(path):
 
 def test_leaf_invariance_at_long_horizon():
     preset = make_cylinder_preset()
-    exact = integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                                  X0, horizon=100.0,
-                                  cfg=IntegratorConfig(scheme="exact_leaf"),
-                                  rng=RngStream(SEED_LEAF))
-    generic = integrate_unperturbed(preset.fields.without_exact_flow(),
-                                    preset.chart, preset.driver, X0,
-                                    horizon=100.0,
-                                    cfg=IntegratorConfig(
-                                        scheme="jump_decomposition",
-                                        jump_cutoff=1e-3, step_h=1e-2),
-                                    rng=RngStream(SEED_LEAF + 1))
+    exact = integrate_path(preset.fields, preset.chart, preset.driver,
+                           X0, horizon=100.0,
+                           cfg=IntegratorConfig(scheme="exact_leaf"),
+                           rng=RngStream(SEED_LEAF))
+    generic = integrate_path(preset.fields.without_exact_flow(),
+                             preset.chart, preset.driver, X0,
+                             horizon=100.0,
+                             cfg=IntegratorConfig(
+                                 scheme="jump_decomposition",
+                                 jump_cutoff=1e-3, step_h=1e-2),
+                             rng=RngStream(SEED_LEAF + 1))
     d_exact, d_generic = _radius_drift(exact), _radius_drift(generic)
     _verdict("leaf invariance (T=100)",
              d_exact <= 1e-12 and d_generic <= 1e-6,

@@ -124,7 +124,7 @@ def test_averaged_field_backends_agree():
     closed = averaged_field(preset.chart, preset.fields, method="analytic",
                             func=lambda v: np.array([v[0] / 2.0, 0.0]))
     for v in (np.array([0.7, 0.0]), np.array([1.0, 2.0]), np.array([3.0, -4.0])):
-        assert np.max(np.abs(quad(v) - closed(v))) <= 1e-12
+        assert np.max(np.abs(quad.evaluate(v) - closed.evaluate(v))) <= 1e-12
 
 
 def test_averaged_field_validation():

@@ -25,13 +25,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import folevy
-from folevy import (ConfigError, ConstantK, GammaSubordinator,
+from folevy import (ConfigError, ConstantK, DomainError, GammaSubordinator,
                     IntegratorConfig, LinearK, RngStream, averaged_field,
                     averaging,
                     characteristic_function, circle_law_distance, cli,
                     deviation_scaling, estimate_eta, exit_probability,
-                    experiments, integrate_grid_ensemble,
-                    integrate_unperturbed,
+                    experiments, integrate_grid_ensemble, integrate_path,
                     leaf_average_quadrature, make_cylinder_preset,
                     marginal_samples, path_streams, sample_jump_events,
                     scheme_agreement, solve_averaged_ode, tangency_check,
@@ -210,6 +209,15 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("average", "experiment.x0=[6, 0, 0]",
          "v0 lies outside the transversal domain"),
         ("simulate", "experiment.x0=[6, 0, 0]", "outside the chart domain"),
+        # every ensemble experiment checks its start point first
+        ("compare", "experiment.x0=[10.0, 0.0, 0.0]",
+         "outside the chart domain"),
+        ("exit-prob", "experiment.x0=[10.0, 0.0, 0.0]",
+         "outside the chart domain"),
+        ("eta", "experiment.x0=[10.0, 0.0, 0.0]", "outside the chart domain"),
+        ("deviation", "experiment.x0=[10.0, 0.0, 0.0]",
+         "outside the chart domain"),
+        ("deviation", "experiment.x0=[0, 0, 0]", "outside the chart domain"),
         ("exit-prob", "experiment.search_horizon=0.5",
          "over the whole search horizon 0.5"),
         ("eta", "experiment.observable=bogus", "experiment.observable"),
@@ -336,13 +344,13 @@ def test_library_rejections_are_config_errors_and_value_errors():
         lambda: eta(n_paths=100.5),
         lambda: deviation_scaling(*args, x0, ["a"], 0.3, n_paths=4),
         lambda: IntegratorConfig(step_h="a"),
-        lambda: integrate_unperturbed(*args, x0, 1.0,
-                                      IntegratorConfig(step_h=10 ** 400)),
+        lambda: integrate_path(*args, x0, 1.0, 0.0,
+                               IntegratorConfig(step_h=10 ** 400)),
         lambda: IntegratorConfig(jump_cutoff=10 ** 400),
         lambda: solve_averaged_ode(avg, np.array([1.0, 0.0]), 10 ** 400),
         lambda: sample_jump_events(truncate_gamma(preset.driver, 0.01),
                                    10 ** 400, RngStream(1)),
-        lambda: integrate_unperturbed(*args, x0, 10 ** 400),
+        lambda: integrate_path(*args, x0, 10 ** 400),
         lambda: tangency_check(preset.fields, preset.chart, np.empty((0, 3))),
         lambda: path_streams(0, 0, -1),
         lambda: GammaSubordinator(rate=True),
@@ -484,9 +492,6 @@ _SITES = {
     "estimate_eta.stream_base": (lambda v: estimate_eta(
         *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=100,
         stream_base=v), 0, "count", []),
-    "estimate_eta.q_ref": (lambda v: estimate_eta(
-        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=100,
-        q_ref=v), 0.0, "real", []),
     "IntegratorConfig.step_h": (lambda v: IntegratorConfig(step_h=v), 0.01,
                                 "real", [0, -1e-3]),
     "IntegratorConfig.jump_ode_substeps": (
@@ -572,6 +577,36 @@ def test_argument_sites_accept_their_valid_value(site, monkeypatch):
         call(valid)
     except _Reached:
         pass
+
+
+_STARTS = {
+    "transversal_comparison": lambda x0: transversal_comparison(
+        *_ARGS, _AVG, x0, [0.5], 0.3, n_paths=4),
+    "exit_probability": lambda x0: exit_probability(
+        *_ARGS, _AVG, x0, [0.5], 0.1, n_paths=4),
+    "deviation_scaling": lambda x0: deviation_scaling(
+        *_ARGS, x0, [0.5, 0.25], 0.3, n_paths=4),
+    "scheme_agreement": lambda x0: scheme_agreement(*_ARGS, x0, n_paths=4),
+    "estimate_eta": lambda x0: estimate_eta(
+        *_ARGS, lambda s: s[..., 0], x0, [5.0, 10.0, 20.0], n_paths=100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STARTS))
+def test_ensemble_experiments_check_the_start_first(name, monkeypatch):
+    # a start outside U is a DomainError and one of the wrong dimension a
+    # ConfigError, both before the averaged solve, the leaf mean or a path
+    _no_work(monkeypatch)
+    monkeypatch.setattr(experiments, "solve_averaged_ode", _reached)
+    monkeypatch.setattr(averaging, "leaf_average_quadrature", _reached)
+    run = _STARTS[name]
+    for x0 in ([10.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(DomainError, match="outside the chart domain"):
+            run(np.array(x0))
+    with pytest.raises(ConfigError, match="dimension 3"):
+        run(np.array([1.0, 0.0]))
+    with pytest.raises(_Reached):
+        run(_X0)
 
 
 KEYS = [(sec.name, key.name, getattr(getattr(ExperimentConfig(), sec.name),

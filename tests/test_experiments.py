@@ -21,7 +21,7 @@ from folevy import (AveragedSolution, BlowupError, ComparisonResult,
                     IntegratorConfig, RngStream, averaged_field,
                     comparison_to_csv, deviation_scaling, deviation_to_csv,
                     estimate_eta, exit_probability, exit_to_csv,
-                    integrate_perturbed, lp_moment, make_cylinder_preset,
+                    integrate_path, lp_moment, make_cylinder_preset,
                     projected_perturbation, scheme_agreement,
                     transversal_comparison, truncate_gamma)
 from folevy import averaging, experiments
@@ -125,9 +125,9 @@ def test_comparison_running_sup_stops_at_each_exit():
         grid = np.arange(n_steps + 1) * h
         cut, kept = [], []
         for path in range(n_paths):
-            traj = integrate_perturbed(preset.fields, preset.chart,
-                                       preset.driver, X0, horizon / eps, eps,
-                                       rng=RngStream(seed, path))
+            traj = integrate_path(preset.fields, preset.chart,
+                                  preset.driver, X0, horizon / eps, eps,
+                                  rng=RngStream(seed, path))
             assert traj.exited
             cut.append(distance(traj.states, traj.times, eps).max())
             frozen = np.repeat(traj.states[-1:], n_steps + 1, axis=0)

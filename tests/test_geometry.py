@@ -247,6 +247,19 @@ def test_dpi_k_outside_domain_raises():
             assert dpi_k(chart, fields, batch[:2]).shape == (2, 2)
 
 
+@pytest.mark.parametrize("x", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], "a", 1.0,
+                               [[1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0]]],
+                         ids=["short", "long", "string", "scalar", "batch",
+                              "ragged"])
+def test_dpi_k_rejects_malformed_points(x):
+    # the shape alone is checked, before the domain
+    preset = make_cylinder_preset()
+    for fields in (preset.fields,
+                   dataclasses.replace(preset.fields, perturbation=None)):
+        with pytest.raises(ConfigError, match="dimension 3"):
+            dpi_k(preset.chart, fields, x)
+
+
 # ---------------------------------------------------------------------------
 # vertical field choices
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
                     IntegratorConfig, JumpEvents,
                     RngStream, VectorFieldSet, integrate_grid_ensemble,
-                    integrate_perturbed, integrate_unperturbed, jump_flow,
-                    make_cylinder_preset, trajectory_to_csv)
+                    integrate_path, jump_flow, make_cylinder_preset,
+                    trajectory_to_csv)
 from folevy import marcus
 from folevy.marcus import (_drift_rk4, _kahan_add, _make_drift, _merge_events,
                            resolve_grid, step_events)
@@ -167,6 +167,43 @@ def test_jump_flow_batch_equals_each_row_alone():
             assert batch[i].tobytes() == jump_flow(fields, x[i], z[i]).tobytes()
 
 
+def _textbook_jump_rk4(fields, x, z, n):
+    """Time-one flow of dY/ds = F(Y) z by n classical RK4 substeps."""
+    h = 1.0 / n
+    y = x
+    for _ in range(n):
+        k1 = fields.driving(y, z)
+        k2 = fields.driving(y + (0.5 * h) * k1, z)
+        k3 = fields.driving(y + (0.5 * h) * k2, z)
+        k4 = fields.driving(y + h * k3, z)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
+def test_generic_jump_solve_is_the_textbook_rk4_loop():
+    # the solve takes its substeps from the drift's RK4 step: bit for bit
+    # the textbook loop, for rows of a batch with different substep counts
+    # (none for a zero jump) and for a single row
+    generic = make_cylinder_preset().fields.without_exact_flow()
+    cfg = IntegratorConfig(jump_ode_substeps=37)
+    rng = np.random.default_rng(SEED)
+    x = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.5, 0.5, size=(200, 3))
+    z = rng.uniform(-3.0, 3.0, size=(200, 1))
+    z[5] = 0.0
+    got = marcus._jump_rk4(generic, x, z, cfg)
+    counts = set()
+    for i in range(len(x)):
+        size = float(np.linalg.norm(z[i]))
+        n = max(math.ceil(37 * size), math.ceil(size / 0.1))
+        counts.add(n)
+        want = _textbook_jump_rk4(generic, x[i], z[i], n) if n else x[i]
+        assert got[i].tobytes() == want.tobytes()
+    assert 0 in counts and len(counts) > 50
+    x1, z1 = np.array([1.1, 0.3, -0.2]), np.array([2.5])
+    assert marcus._jump_rk4(generic, x1, z1, IntegratorConfig()).tobytes() \
+        == _textbook_jump_rk4(generic, x1, z1, 50).tobytes()
+
+
 @pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf, 1e300, 1e7, 1e4])
 def test_generic_jump_solve_rejects_unusable_jumps(size):
     # non-finite jumps, and jumps needing more than _MAX_SUBSTEPS substeps
@@ -224,8 +261,8 @@ def test_non_finite_jump_is_a_config_error_on_either_flow(exact, size):
 def test_zero_horizon_returns_start():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
-    traj = integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                                 x0, 0.0, rng=RngStream(SEED, 1))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, 0.0, rng=RngStream(SEED, 1))
     assert traj.times.shape == (1,)
     assert np.array_equal(traj.states[0], x0)
     assert not traj.exited
@@ -235,8 +272,8 @@ def test_unperturbed_leaf_invariants():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.25])
     cfg = IntegratorConfig(scheme="exact_leaf")
-    traj = integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                                 x0, 20.0, cfg, RngStream(SEED, 2))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, 20.0, 0.0, cfg, RngStream(SEED, 2))
     assert np.max(np.abs(_radius(traj.states) - 1.0)) <= 1e-12
     assert np.all(traj.states[:, 2] == 0.25)
     assert not traj.exited
@@ -246,12 +283,12 @@ def test_unperturbed_leaf_invariants():
 def test_grid_increment_matches_exact_leaf_unperturbed():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
-    a = integrate_unperturbed(preset.fields, preset.chart, preset.driver, x0,
-                              5.0, IntegratorConfig(scheme="exact_leaf"),
-                              RngStream(SEED, 3))
-    b = integrate_unperturbed(preset.fields, preset.chart, preset.driver, x0,
-                              5.0, IntegratorConfig(scheme="grid_increment"),
-                              RngStream(SEED, 3))
+    a = integrate_path(preset.fields, preset.chart, preset.driver, x0,
+                       5.0, 0.0, IntegratorConfig(scheme="exact_leaf"),
+                       RngStream(SEED, 3))
+    b = integrate_path(preset.fields, preset.chart, preset.driver, x0,
+                       5.0, 0.0, IntegratorConfig(scheme="grid_increment"),
+                       RngStream(SEED, 3))
     # same increments, composed rotations against one cumulative rotation
     assert np.max(np.abs(a.states - b.states)) <= 1e-11
 
@@ -259,26 +296,26 @@ def test_grid_increment_matches_exact_leaf_unperturbed():
 def test_start_point_must_lie_in_domain():
     preset = make_cylinder_preset(r_min=0.5, r_max=2.0)
     with pytest.raises(DomainError):
-        integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                              np.array([3.0, 0.0, 0.0]), 1.0,
-                              rng=RngStream(SEED, 4))
+        integrate_path(preset.fields, preset.chart, preset.driver,
+                       np.array([3.0, 0.0, 0.0]), 1.0,
+                       rng=RngStream(SEED, 4))
 
 
-def test_perturbed_rejects_bad_eps():
+def test_path_rejects_bad_eps():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
-    for eps in (0.0, -0.1, 1.5):
+    for eps in (-0.1, 1.5, math.nan, "a"):
         with pytest.raises(ValueError):
-            integrate_perturbed(preset.fields, preset.chart, preset.driver,
-                                x0, 1.0, eps, rng=RngStream(SEED, 5))
+            integrate_path(preset.fields, preset.chart, preset.driver,
+                           x0, 1.0, eps, rng=RngStream(SEED, 5))
 
 
 def test_constant_vertical_drift_is_exact():
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 2.0))
     x0 = np.array([1.0, 0.0, -1.0])
     eps, horizon = 0.25, 3.0
-    traj = integrate_perturbed(preset.fields, preset.chart, preset.driver,
-                               x0, horizon, eps, rng=RngStream(SEED, 6))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, horizon, eps, rng=RngStream(SEED, 6))
     assert abs(traj.states[-1, 2] - (-1.0 + eps * 2.0 * horizon)) <= 1e-13
     assert np.max(np.abs(_radius(traj.states) - 1.0)) <= 1e-13
     assert not traj.exited
@@ -288,8 +325,8 @@ def test_exit_truncates_trajectory():
     preset = make_cylinder_preset(z_min=-10.0, z_max=0.495,
                                   k_choice=ConstantK(0.0, 0.0, 1.0))
     x0 = np.array([1.0, 0.0, 0.0])
-    traj = integrate_perturbed(preset.fields, preset.chart, preset.driver,
-                               x0, 4.0, 1.0, rng=RngStream(SEED, 7))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, 4.0, 1.0, rng=RngStream(SEED, 7))
     assert traj.exited
     assert abs(traj.exit_time - 0.5) <= 1e-9
     assert abs(traj.times[-1] - traj.exit_time) <= 1e-12
@@ -301,9 +338,9 @@ def test_paths_are_bitwise_reproducible():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
     args = (preset.fields, preset.chart, preset.driver, x0, 2.0, 0.1)
-    a = integrate_perturbed(*args, rng=RngStream(SEED, 8))
-    b = integrate_perturbed(*args, rng=RngStream(SEED, 8))
-    c = integrate_perturbed(*args, rng=RngStream(SEED, 9))
+    a = integrate_path(*args, rng=RngStream(SEED, 8))
+    b = integrate_path(*args, rng=RngStream(SEED, 8))
+    c = integrate_path(*args, rng=RngStream(SEED, 9))
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
 
@@ -573,8 +610,8 @@ def test_ensemble_matches_single_path():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
     cfg = IntegratorConfig()
-    traj = integrate_perturbed(preset.fields, preset.chart, preset.driver,
-                               x0, 2.0, 0.1, cfg, RngStream(SEED, 12))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, 2.0, 0.1, cfg, RngStream(SEED, 12))
     res = integrate_grid_ensemble(preset.fields, preset.driver, x0, 2.0, 0.1,
                                   cfg, [RngStream(SEED, 12)],
                                   contains=preset.chart.contains)
@@ -660,8 +697,8 @@ def test_ensemble_raises_when_a_state_leaves_the_finite_range():
     # the jump decomposition's event path, the other stepper
     cfg = IntegratorConfig(scheme="jump_decomposition")
     with pytest.raises(BlowupError, match="left the finite range"):
-        integrate_perturbed(fields, preset.chart, preset.driver, x0, 1.0,
-                            0.1, cfg, streams[0])
+        integrate_path(fields, preset.chart, preset.driver, x0, 1.0,
+                       0.1, cfg, streams[0])
 
 
 def test_ensemble_rejects_unsupported_setups():
@@ -715,8 +752,8 @@ def test_decomposition_preserves_invariants():
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 1.0))
     x0 = np.array([1.0, 0.0, 0.0])
     cfg = IntegratorConfig(scheme="jump_decomposition", jump_cutoff=1e-3)
-    traj = integrate_perturbed(preset.fields, preset.chart, preset.driver,
-                               x0, 3.0, 0.2, cfg, RngStream(SEED, 17))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, 3.0, 0.2, cfg, RngStream(SEED, 17))
     assert np.max(np.abs(_radius(traj.states) - 1.0)) <= 1e-12
     assert abs(traj.states[-1, 2] - 0.2 * 3.0) <= 1e-12
     assert traj.jump_flags.any()
@@ -732,8 +769,8 @@ def test_decomposition_tracks_grid_increment_law():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
     cfg = IntegratorConfig(scheme="jump_decomposition", jump_cutoff=1e-4)
-    traj = integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                                 x0, 10.0, cfg, RngStream(SEED, 18))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, 10.0, 0.0, cfg, RngStream(SEED, 18))
     angles = np.arctan2(traj.states[:, 1], traj.states[:, 0])
     assert np.max(np.abs(_radius(traj.states) - 1.0)) <= 1e-12
     assert np.isfinite(angles).all()
@@ -746,8 +783,8 @@ def test_decomposition_tracks_grid_increment_law():
 def test_trajectory_csv_round_trip(tmp_path):
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.1])
-    traj = integrate_unperturbed(preset.fields, preset.chart, preset.driver,
-                                 x0, 1.0, rng=RngStream(SEED, 19))
+    traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                          x0, 1.0, rng=RngStream(SEED, 19))
     path = trajectory_to_csv(traj, tmp_path / "traj.csv")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

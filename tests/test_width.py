@@ -66,11 +66,11 @@ def _run_recording_blocks(run, n_paths):
     """run(n_paths), returning its outputs and the width of every block."""
     widths = []
 
-    def map_blocks(worker, n_items, threads=1):
+    def map_blocks(worker, n_items):
         def recorded(a, b):
             widths.append(b - a)
             return worker(a, b)
-        return _parallel.map_blocks(recorded, n_items, threads)
+        return _parallel.map_blocks(recorded, n_items)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "map_blocks", map_blocks)
@@ -83,7 +83,7 @@ def test_map_blocks_covers_items_in_order():
     assert ranges == [(0, 500)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_parallel, "MAX_WIDTH", 7)
-        ranges = _parallel.map_blocks(lambda a, b: (a, b), 23, threads=4)
+        ranges = _parallel.map_blocks(lambda a, b: (a, b), 23)
     assert ranges == [(0, 7), (7, 14), (14, 21), (21, 23)]
     assert _parallel.map_blocks(lambda a, b: (a, b), 0) == []
 
