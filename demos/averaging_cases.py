@@ -50,7 +50,7 @@ def main():
     const = make_cylinder_preset(k_choice=ConstantK(1.0, 0.5, 1.0))
     run_case("constant perturbation K = (1, 0.5, 1), averaged drift (0, 1)",
              const,
-             averaged_field(const.chart, const.fields, method="analytic",
+             averaged_field(const.chart, const.fields,
                             func=lambda v: np.array([0.0, 1.0])),
              lambda s: np.stack([np.ones_like(s), s], axis=-1))
 

@@ -75,31 +75,26 @@ class AveragedField:
     """Handle for the averaged transversal field v -> Q(v)."""
 
     chart: FoliatedChart
-    method: str
+    method: str             # "analytic" (closed form) or "quadrature"
     _evaluate: Callable
 
     def evaluate(self, v):
         return np.asarray(self._evaluate(np.asarray(v, dtype=float)), dtype=float)
 
 
-def averaged_field(chart: FoliatedChart, fields: VectorFieldSet,
-                   method: str = "quadrature", func=None,
+def averaged_field(chart: FoliatedChart, fields: VectorFieldSet, func=None,
                    n_nodes: int = 64) -> AveragedField:
-    """Build the averaged field Q by one of two backends.
-
-    ``analytic`` wraps a user-supplied closed form, ``quadrature`` averages
-    the projected perturbation over the leaf.
-    """
-    if method == "analytic":
-        if func is None:
-            raise ConfigError("analytic method needs func")
-        # a new array per call, as _drift_rk4 requires of its field
-        return AveragedField(chart, method,
-                             lambda v: np.array(func(v), dtype=float))
-    if method == "quadrature":
-        return AveragedField(chart, method,
+    """The averaged field Q: the closed form `func` when one is passed,
+    else the projected perturbation averaged over the leaf on n_nodes
+    nodes.  A `func` that is not callable is a ConfigError."""
+    if func is None:
+        return AveragedField(chart, "quadrature",
                              _leaf_mean_dpik(chart, fields, n_nodes))
-    raise ConfigError(f"unknown averaging method {method!r}")
+    if not callable(func):
+        raise ConfigError(f"func must be callable, got {func!r}")
+    # a new array per call, as _drift_rk4 requires of its field
+    return AveragedField(chart, "analytic",
+                         lambda v: np.array(func(v), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +213,12 @@ def lp_moment(samples, p):
     return value, se_mean * value / (p * mean_pow)
 
 
-def fit_loglog(x, y, floor: float = 1e-300):
+def fit_loglog(x, y):
     """Least squares slope and prefactor of y ~ C * x**slope.
 
     x must be finite and positive with at least two distinct values, and y
     finite and of the same shape, else ConfigError.  Entries with y at or
-    below the floor are dropped; fewer than two distinct x left returns
+    below 1e-300 are dropped; fewer than two distinct x left returns
     (None, None).
     """
     x = np.asarray(x, dtype=float)
@@ -232,7 +227,7 @@ def fit_loglog(x, y, floor: float = 1e-300):
             or not ((x > 0) & (x < math.inf)).all() or len(set(x)) < 2:
         raise ConfigError("fit_loglog needs finite positive x with two "
                           "distinct values and as many finite y")
-    keep = y > floor
+    keep = y > 1e-300       # a zero y has no log
     if len(set(x[keep])) < 2:
         return None, None
     slope, intercept = np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)

@@ -180,10 +180,10 @@ def cmd_compare(cfg, preset, icfg):
                                  _averaged(cfg, preset),
                                  np.asarray(exp.x0, dtype=float),
                                  exp.epsilons, exp.horizon, exp.p, exp.n_paths,
-                                 None, run.master_seed, run.stream_base, icfg,
+                                 run.master_seed, run.stream_base, icfg,
                                  ode_step=exp.ode_step)
-    lines = [f"eps={eps:g}: sup L{res.p:g} distance {res.sup_norm[i, -1]:.6g} "
-             f"(se {res.sup_norm_se[i, -1]:.2g})"
+    lines = [f"eps={eps:g}: sup L{res.p:g} distance {res.sup_norm[i, 0]:.6g} "
+             f"(se {res.sup_norm_se[i, 0]:.2g})"
              for i, eps in enumerate(res.epsilons)]
     return ({"comparison.csv": partial(comparison_to_csv, res)}, res.summary(),
             lines, 0)
@@ -307,7 +307,7 @@ def cmd_check(cfg, preset, icfg):
     checks.append(("characteristic function bounded by one", cf_ok,
                    f"max modulus {float(np.max(np.abs(cf))):.6f}"))
 
-    qavg = averaged_field(chart, fields, method="quadrature", n_nodes=96)
+    qavg = averaged_field(chart, fields, n_nodes=96)
     sec = cfg.preset
     (r_lo, r_hi), (z_lo, z_hi) = chart.vertical_bounds
     gaps = []

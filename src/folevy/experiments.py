@@ -34,6 +34,7 @@ from .marcus import _drift_rk4, jump_flow  # noqa: F401
 from .rng import path_streams
 from .tables import write_csv
 
+_BASE_CUTOFF = 0.002    # scheme agreement samples each path's jumps above it
 OBSERVABLES = {
     "radial": lambda x: np.hypot(x[..., 0], x[..., 1]),
     "vertical": lambda x: x[..., 2],
@@ -52,12 +53,10 @@ def projected_perturbation(chart: FoliatedChart, fields: VectorFieldSet,
 
 
 def _resolve_observable(observable):
-    if callable(observable):
-        return getattr(observable, "__name__", "custom"), observable
-    if observable in OBSERVABLES:
-        return observable, OBSERVABLES[observable]
+    if isinstance(observable, str) and observable in OBSERVABLES:
+        return OBSERVABLES[observable]
     raise ConfigError(f"unknown observable {observable!r}; choose from "
-                      f"{sorted(OBSERVABLES)} or pass a callable")
+                      f"{sorted(OBSERVABLES)}")
 
 
 def _nonincreasing_in_eps(epsilons, values, slack):
@@ -74,11 +73,13 @@ def _nonincreasing_in_eps(epsilons, values, slack):
 
 @dataclass(frozen=True)
 class ComparisonResult:
+    """The sup distances read at the horizon, one row per eps."""
+
     epsilons: np.ndarray
-    horizons: np.ndarray        # comparison times on the averaged clock
+    horizons: np.ndarray        # [horizon], on the averaged clock
     p: float
     n_paths: int
-    sup_norm: np.ndarray        # (n_eps, n_horizons)
+    sup_norm: np.ndarray        # (n_eps, 1)
     sup_norm_se: np.ndarray
     sup_radial: np.ndarray
     sup_radial_se: np.ndarray
@@ -94,35 +95,32 @@ class ComparisonResult:
 
 
 def comparison_to_csv(result: ComparisonResult, path):
-    rows = []
-    for i, eps in enumerate(result.epsilons):
-        for j, s in enumerate(result.horizons):
-            rows.append((eps, s, result.p, result.sup_norm[i, j],
-                         result.sup_norm_se[i, j], result.n_paths))
+    rows = [(eps, result.horizons[0], result.p, val[0], se[0], result.n_paths)
+            for eps, val, se in zip(result.epsilons, result.sup_norm,
+                                    result.sup_norm_se)]
     return write_csv(path, ["epsilon", "t", "p", "sup_lp", "std_error", "n_paths"],
                      rows)
 
 
 def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
                            avg: AveragedField, x0, epsilons, horizon: float,
-                           p: float = 2, n_paths: int = 200, horizons=None,
+                           p: float = 2, n_paths: int = 200,
                            master_seed: int = 0, stream_base: int = 0,
                            cfg: IntegratorConfig = None, threads: int = 1,
                            ode_step: float = 1e-3) -> ComparisonResult:
-    """L^p size of sup_{s<=t} |Pi(X^eps_{s/eps}) - w(s)| per eps and t.
+    """L^p size of sup_{s<=horizon} |Pi(X^eps_{s/eps}) - w(s)| per eps.
 
     Paths run to horizon/eps on their own clock; the averaged solution is
     read at the rescaled grid times.  The running sup (euclidean, radial
-    and vertical parts) stops accumulating at a path's exit time.  The
-    horizon must end strictly before the averaged path reaches the
-    transversal boundary; otherwise the comparison window is ill posed and
-    a ConfigError is raised.  `threads` is accepted and has no effect; it
-    stays because perfbench/workloads.py passes it.
+    and vertical parts) stops accumulating at a path's exit time and is
+    read at the horizon.  The horizon must end strictly before the
+    averaged path reaches the transversal boundary; otherwise the
+    comparison window is ill posed and a ConfigError is raised.  `threads`
+    is accepted and has no effect; it stays because perfbench/workloads.py
+    passes it.
     """
     epsilons = _reals(epsilons, "eps values", above=0, most=1)
     _real(horizon, "horizon", above=0)
-    horizons = sorted(_reals([horizon] if horizons is None else horizons,
-                             "comparison times", above=0, most=horizon))
     _real(p, "p", least=1)
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
@@ -136,9 +134,7 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
         raise ConfigError(
             f"averaged path reaches the transversal boundary at "
             f"s={sol.boundary_time:.6g}; pick a horizon below that")
-    n_h = len(horizons)
-    shape = (len(epsilons), n_h)
-    out = {name: np.zeros(shape) for name in
+    out = {name: np.zeros((len(epsilons), 1)) for name in
            ("sup_norm", "sup_norm_se", "sup_radial", "sup_radial_se",
             "sup_vertical", "sup_vertical_se")}
 
@@ -148,11 +144,6 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
         tgrid = np.arange(n_steps + 1) * h
         w = sol.interp(np.minimum(eps * tgrid, horizon))
         wr, wz = w[:, 0], w[:, 1]
-        snap_idx = np.clip(np.rint(np.asarray(horizons) / (eps * h)).astype(int),
-                           0, n_steps)
-        snaps_at = {}               # step -> comparison indices due there
-        for j, k in enumerate(snap_idx.tolist()):
-            snaps_at.setdefault(k, []).append(j)
 
         def run_block(a, b):
             m = b - a
@@ -160,7 +151,6 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
             sup = np.zeros((3, m))
             d = np.empty((3, m))    # euclidean, radial, vertical distance
             prev_active = np.ones(m, dtype=bool)
-            snaps = np.empty((n_h, 3, m))
 
             def observe(k, t, states, active):
                 np.hypot(states[:, 0], states[:, 1], out=d[1])
@@ -173,23 +163,18 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
                 # maximum with 0 there
                 np.maximum(sup, d, out=sup, where=prev_active)
                 prev_active[:] = active
-                for j in snaps_at.get(k, ()):
-                    snaps[j] = sup
 
             integrate_grid_ensemble(fields, driver, x0, path_horizon, eps, cfg,
                                     streams, contains=chart.contains,
                                     on_step=observe)
-            return snaps
+            return sup
 
-        snaps = np.concatenate(map_blocks(run_block, n_paths), axis=2)
-        for j in range(n_h):
-            for c, name in enumerate(("sup_norm", "sup_radial", "sup_vertical")):
-                val, se = lp_moment(snaps[j, c], p)
-                out[name][i, j] = val
-                out[name + "_se"][i, j] = se
+        sups = np.concatenate(map_blocks(run_block, n_paths), axis=1)
+        for c, name in enumerate(("sup_norm", "sup_radial", "sup_vertical")):
+            out[name][i, 0], out[name + "_se"][i, 0] = lp_moment(sups[c], p)
 
-    return ComparisonResult(np.asarray(epsilons), np.asarray(horizons), p,
-                            n_paths, out["sup_norm"], out["sup_norm_se"],
+    return ComparisonResult(np.asarray(epsilons), np.array([float(horizon)]),
+                            p, n_paths, out["sup_norm"], out["sup_norm_se"],
                             out["sup_radial"], out["sup_radial_se"],
                             out["sup_vertical"], out["sup_vertical_se"], sol)
 
@@ -314,6 +299,8 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
                       cfg: IntegratorConfig = None) -> DeviationResult:
     """Growth in eps of sup_{t<=T & exit} |psi(X^eps_t) - psi(X^0_t)|.
 
+    psi is the observable named "radial" (the leaf radius) or "vertical"
+    (the height); any other value is a ConfigError before any path.
     Perturbed and unperturbed paths share every driver increment (one
     coupled run per path), the horizon is fixed path time, and the sup
     stops at the perturbed path's exit.  A log-log fit across eps (at
@@ -322,7 +309,7 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
     insensitive to the perturbation) report no exponent and set the
     identically_zero flag.
     """
-    name, func = _resolve_observable(observable)
+    func = _resolve_observable(observable)
     epsilons = _reals(epsilons, "eps values", above=0, most=1)
     _real(horizon, "horizon", above=0)
     _real(p, "p", least=1)
@@ -361,10 +348,11 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
 
     if np.all(values <= _ZERO_FLOOR):
         return DeviationResult(np.asarray(epsilons), values, ses, None, None,
-                               name, horizon, p, n_paths, identically_zero=True)
+                               observable, horizon, p, n_paths,
+                               identically_zero=True)
     exponent, constant = fit_loglog(epsilons, values)
     return DeviationResult(np.asarray(epsilons), values, ses, exponent,
-                           constant, name, horizon, p, n_paths)
+                           constant, observable, horizon, p, n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +378,20 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
                      driver: GammaSubordinator, x0, horizon: float = 2.0,
                      eps: float = 0.5,
                      levels=((0.08, 0.04), (0.04, 0.02), (0.02, 0.01)),
-                     base_cutoff: float = 0.002, n_paths: int = 128,
-                     master_seed: int = 0, stream_base: int = 0,
-                     cfg: IntegratorConfig = None,
+                     n_paths: int = 128, master_seed: int = 0,
+                     stream_base: int = 0, cfg: IntegratorConfig = None,
                      threads: int = 1) -> SchemeAgreementResult:
     """Endpoint gap between the two discretizations on one shared jump set.
 
-    Per path, one jump set is sampled at the fine base cutoff, a block's
-    paths into one jump table.  At each (cutoff, step) level the event
-    scheme keeps only jumps above the level cutoff (mean of the rest as
-    transported drift) while the grid scheme sums the full set per step
-    and carries the base compensator; both see the exact same randomness,
-    so the L2 endpoint gap isolates the discretization error and should
-    shrink roughly in half per halving.
+    Per path, one jump set is sampled above the base cutoff 0.002, a
+    block's paths into one jump table.  `levels` is a nonempty sequence of
+    (cutoff, step) pairs, each cutoff above the base one, else ConfigError
+    before any draw.  At each level the event scheme keeps only jumps
+    above the level cutoff (mean of the rest as transported drift) while
+    the grid scheme sums the full set per step and carries the base
+    compensator; both see the exact same randomness, so the L2 endpoint
+    gap isolates the discretization error and should shrink roughly in
+    half per halving.
 
     A block's paths run in lockstep: the grid half through
     integrate_grid_ensemble with the per-step sums as its increments, the
@@ -413,8 +402,14 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
         cfg = IntegratorConfig()
     _real(eps, "eps", above=0, most=1)
     _real(horizon, "horizon", above=0)
-    _real(base_cutoff, "base_cutoff", above=0)
-    levels = [(float(_real(c, "level cutoffs", above=base_cutoff)),
+    try:
+        levels = [(c, h) for c, h in levels]
+    except (TypeError, ValueError):     # not pairs: unpacking fails
+        levels = []
+    if not levels:
+        raise ConfigError("levels must be a nonempty list of (cutoff, step) "
+                          "pairs")
+    levels = [(float(_real(c, "level cutoffs", above=_BASE_CUTOFF)),
                float(_real(h, "level steps", above=0))) for c, h in levels]
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
@@ -422,7 +417,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     _check_plan(n_paths, [_step_count(horizon, h) for _, h in levels])
     # closed-form small-jump means: a driver without them raises before any path
     means = [np.array([driver.mean_below(c)]) for c, _ in levels]
-    base = driver.for_events(base_cutoff)
+    base = driver.for_events(_BASE_CUTOFF)
     x0 = _check_start(chart, x0)
 
     def level_gaps(events):

@@ -147,7 +147,8 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
     """Annulus x interval domain, circle leaves, Gamma(theta) driver.
 
     Requires 0 < r_min < 1 < r_max so the canonical start radius 1 is
-    interior.  k_choice is a ConstantK or LinearK instance (default LinearK).
+    interior.  k_choice is the perturbation field, a callable such as a
+    ConstantK or LinearK instance (default LinearK), else ConfigError.
     """
     from .drivers import GammaSubordinator
 
@@ -157,6 +158,8 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
         raise ConfigError(f"need z_min < z_max, got ({z_min}, {z_max})")
     if k_choice is None:
         k_choice = LinearK()
+    elif not callable(k_choice):
+        raise ConfigError(f"k_choice must be a field, got {k_choice!r}")
 
     def vertical_projection(x):
         x = np.asarray(x, dtype=float)

@@ -129,7 +129,7 @@ def test_leaf_average_closed_forms():
 
 def test_averaged_ode_matches_closed_forms():
     const = make_cylinder_preset(k_choice=ConstantK(1.0, 0.5, 1.0))
-    avg_a = averaged_field(const.chart, const.fields, method="analytic",
+    avg_a = averaged_field(const.chart, const.fields,
                            func=lambda v: np.array([0.0, 1.0]))
     s = np.linspace(0.0, 1.0, 101)
     w_a = solve_averaged_ode(avg_a, np.array([1.0, 0.0]), 1.0).interp(s)
@@ -167,7 +167,7 @@ def test_ergodic_rate_exponent():
 def test_comparison_constant_field_vertical_exact_radial_shrinks():
     base = _baseline("comparison_case_a")
     preset = make_cylinder_preset(k_choice=ConstantK(*base["k_constant"]))
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+    avg = averaged_field(preset.chart, preset.fields,
                          func=lambda v: np.array([0.0, 1.0]))
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                  avg, X0, epsilons=base["epsilons"],

@@ -121,8 +121,10 @@ def test_quadrature_field_is_bit_identical_to_einsum_mean(r, z, n_nodes,
 def test_averaged_field_backends_agree():
     preset = make_cylinder_preset()
     quad = averaged_field(preset.chart, preset.fields)
-    closed = averaged_field(preset.chart, preset.fields, method="analytic",
+    closed = averaged_field(preset.chart, preset.fields,
                             func=lambda v: np.array([v[0] / 2.0, 0.0]))
+    # passing func selects the closed form
+    assert (quad.method, closed.method) == ("quadrature", "analytic")
     for v in (np.array([0.7, 0.0]), np.array([1.0, 2.0]), np.array([3.0, -4.0])):
         assert np.max(np.abs(quad.evaluate(v) - closed.evaluate(v))) <= 1e-12
 
@@ -130,11 +132,12 @@ def test_averaged_field_backends_agree():
 def test_averaged_field_validation():
     preset = make_cylinder_preset()
     with pytest.raises(ValueError):
-        averaged_field(preset.chart, preset.fields, method="analytic")
-    with pytest.raises(ValueError):
         averaged_field(preset.chart, preset.fields, n_nodes=4)
-    with pytest.raises(ValueError):
-        averaged_field(preset.chart, preset.fields, method="sobolev")
+    # a func that is not callable fails when the field is built, not
+    # inside the ODE solve
+    for func in ("analytic", np.array([0.0, 1.0])):
+        with pytest.raises(ConfigError, match="func must be callable"):
+            averaged_field(preset.chart, preset.fields, func=func)
 
 
 def test_chart_without_leaf_nodes_fails_when_the_field_is_built():
@@ -148,8 +151,7 @@ def test_chart_without_leaf_nodes_fails_when_the_field_is_built():
             averaged_field(bare, fields)
     with pytest.raises(ConfigError, match="no leaf parametrization"):
         leaf_average_quadrature(bare, _radial_psi, np.array([1.0, 0.0]))
-    closed = averaged_field(bare, preset.fields, method="analytic",
-                            func=_half_radius)
+    closed = averaged_field(bare, preset.fields, func=_half_radius)
     assert closed.evaluate(np.array([1.0, 0.0])) == 0.5
 
 
@@ -169,7 +171,7 @@ def test_quadrature_field_without_pushforward_uses_central_differences():
 
 def test_averaged_ode_constant_vertical_flow():
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 1.0))
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+    avg = averaged_field(preset.chart, preset.fields,
                          func=lambda v: np.array([0.0, 1.0]))
     sol = solve_averaged_ode(avg, np.array([1.0, -0.5]), 2.0)
     s = np.array([0.0, 0.5, 1.0, 2.0])
@@ -193,8 +195,7 @@ def test_averaged_ode_with_field_returning_its_argument():
     # the RK4 step reuses one work buffer, so an analytic field that hands
     # back its own argument must still integrate dw/ds = w
     preset = make_cylinder_preset()
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
-                         func=lambda v: v)
+    avg = averaged_field(preset.chart, preset.fields, func=lambda v: v)
     v0 = np.array([1.0, 0.1])
     sol = solve_averaged_ode(avg, v0, 0.5)
     assert sol.times[-1] == 0.5
@@ -240,7 +241,7 @@ def test_margins_match_rowwise_boundary_distance():
 
 def test_margin_time_none_when_flow_is_stuck():
     preset = make_cylinder_preset()
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+    avg = averaged_field(preset.chart, preset.fields,
                          func=lambda v: np.zeros(2))
     sol = solve_averaged_ode(avg, np.array([1.0, 0.0]), 3.0)
     assert sol.boundary_time is None

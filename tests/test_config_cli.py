@@ -424,9 +424,6 @@ _SITES = {
         *_ARGS, _AVG, _X0, [0.5], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
     "transversal_comparison.n_paths": (lambda v: transversal_comparison(
         *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1, 0, 10 ** 11]),
-    "transversal_comparison.horizons": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, horizons=v, n_paths=4), [0.3],
-        "list", [[0.0], [0.1, 0.4]]),
     "transversal_comparison.master_seed": (lambda v: transversal_comparison(
         *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, master_seed=v), 0,
         "count", []),
@@ -474,8 +471,6 @@ _SITES = {
         [0.002, 0.001]),
     "scheme_agreement.level_step": (lambda v: scheme_agreement(
         *_ARGS, _X0, levels=((0.08, v),), n_paths=4), 0.04, "real", [0]),
-    "scheme_agreement.base_cutoff": (lambda v: scheme_agreement(
-        *_ARGS, _X0, base_cutoff=v, n_paths=4), 0.002, "real", [0, -1.0]),
     "scheme_agreement.n_paths": (lambda v: scheme_agreement(
         *_ARGS, _X0, n_paths=v), 4, "count", [1, 10 ** 11]),
     "scheme_agreement.master_seed": (lambda v: scheme_agreement(

@@ -35,7 +35,7 @@ X0 = np.array([1.0, 0.0, 0.0])
 def _constant_vertical_setup(k3=1.0, **preset_kwargs):
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, k3),
                                   **preset_kwargs)
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+    avg = averaged_field(preset.chart, preset.fields,
                          func=lambda v: np.array([0.0, k3]))
     return preset, avg
 
@@ -79,17 +79,6 @@ def test_comparison_exact_for_constant_vertical_field():
     assert "monotone_in_eps" in result.summary()
 
 
-def test_comparison_running_sup_is_monotone_in_time():
-    preset = make_cylinder_preset()
-    avg = averaged_field(preset.chart, preset.fields)
-    result = transversal_comparison(preset.fields, preset.chart, preset.driver,
-                                    avg, X0, epsilons=[0.2], horizon=0.6,
-                                    horizons=[0.2, 0.4, 0.6], n_paths=32,
-                                    master_seed=SEED)
-    assert np.all(np.diff(result.sup_norm, axis=1) >= -1e-15)
-    assert result.sup_norm.shape == (1, 3)
-
-
 def test_comparison_error_shrinks_with_eps():
     preset = make_cylinder_preset()
     avg = averaged_field(preset.chart, preset.fields)
@@ -105,7 +94,8 @@ def test_comparison_running_sup_stops_at_each_exit():
     # on a thin annulus every path exits, and the kernel freezes it there;
     # the averaged path w keeps moving, so a sup that kept accumulating
     # would measure the frozen exit point against later w.  The reference
-    # takes each single path, cut at its exit, against w on its own clock.
+    # takes each single path, cut at its exit, against w on its own clock,
+    # for the euclidean, radial and vertical sups alike.
     preset = make_cylinder_preset(r_min=0.9, r_max=1.1,
                                   k_choice=ConstantK(1.0, 0.0, 1.0))
     avg = averaged_field(preset.chart, preset.fields)
@@ -115,11 +105,15 @@ def test_comparison_running_sup_stops_at_each_exit():
                                     horizon=horizon, n_paths=n_paths,
                                     master_seed=seed)
 
-    def distance(states, times, eps):
+    def distances(states, times, eps):
+        """(euclidean, radial, vertical) sup distance to w."""
         w = result.solution.interp(np.minimum(eps * times, horizon))
         radial = np.abs(np.hypot(states[:, 0], states[:, 1]) - w[:, 0])
-        return np.hypot(radial, np.abs(states[:, 2] - w[:, 1]))
+        vertical = np.abs(states[:, 2] - w[:, 1])
+        return [np.hypot(radial, vertical).max(), radial.max(),
+                vertical.max()]
 
+    assert result.horizons.tolist() == [horizon]
     for i, eps in enumerate(epsilons):
         n_steps, h = resolve_grid(IntegratorConfig(), eps, horizon / eps)
         grid = np.arange(n_steps + 1) * h
@@ -129,11 +123,15 @@ def test_comparison_running_sup_stops_at_each_exit():
                                   preset.driver, X0, horizon / eps, eps,
                                   rng=RngStream(seed, path))
             assert traj.exited
-            cut.append(distance(traj.states, traj.times, eps).max())
+            cut.append(distances(traj.states, traj.times, eps))
             frozen = np.repeat(traj.states[-1:], n_steps + 1, axis=0)
-            kept.append(distance(frozen, grid, eps).max())
-        assert result.sup_norm[i, -1] == lp_moment(np.array(cut), 2)[0]
-        assert lp_moment(np.array(kept), 2)[0] > 5 * result.sup_norm[i, -1]
+            kept.append(distances(frozen, grid, eps)[0])
+        cut = np.array(cut)
+        for c, sup in enumerate((result.sup_norm, result.sup_radial,
+                                 result.sup_vertical)):
+            assert sup.shape == (len(epsilons), 1)
+            assert sup[i, 0] == lp_moment(cut[:, c], 2)[0]
+        assert lp_moment(np.array(kept), 2)[0] > 5 * result.sup_norm[i, 0]
 
 
 def test_comparison_rejects_horizon_past_boundary():
@@ -158,14 +156,11 @@ def test_comparison_validation():
         transversal_comparison(*args, epsilons=[0.1], horizon=1.0, p=0.5)
     with pytest.raises(ValueError):
         transversal_comparison(*args, epsilons=[0.1], horizon=1.0, n_paths=1)
-    with pytest.raises(ValueError):
-        transversal_comparison(*args, epsilons=[0.1], horizon=1.0,
-                               horizons=[2.0])
 
 
 def test_comparison_zero_perturbation_is_exact():
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 0.0))
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+    avg = averaged_field(preset.chart, preset.fields,
                          func=lambda v: np.zeros(2))
     result = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                     avg, X0, epsilons=[0.5], horizon=1.0,
@@ -201,7 +196,7 @@ def test_exit_probability_zero_when_start_is_close():
 
 def test_exit_probability_needs_a_near_exit():
     preset, _ = _constant_vertical_setup(k3=0.0)
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+    avg = averaged_field(preset.chart, preset.fields,
                          func=lambda v: np.zeros(2))
     with pytest.raises(ConfigError):
         exit_probability(preset.fields, preset.chart, preset.driver, avg, X0,
@@ -271,19 +266,20 @@ def test_deviation_radial_scaling_is_first_order():
     assert np.all(np.diff(result.values) < 0)
 
 
-def test_deviation_accepts_callable_observable():
-    preset, _ = _constant_vertical_setup()
+@pytest.mark.parametrize("observable", [
+    lambda x: x[..., 2] ** 2, ["radial"], {"radial": 1}])
+def test_deviation_takes_only_an_observable_name(monkeypatch, observable):
+    # a list or a dict is not hashable: the OBSERVABLES lookup gave a bare
+    # TypeError for them
+    def no_path(*args, **kwargs):
+        raise AssertionError("a path ran before the observable was rejected")
 
-    def height_squared(x):
-        return x[..., 2] ** 2
-
-    result = deviation_scaling(preset.fields, preset.chart, preset.driver,
-                               np.array([1.0, 0.0, 1.0]),
-                               epsilons=[0.5, 0.25], horizon=1.0,
-                               observable=height_squared, n_paths=4,
-                               master_seed=SEED)
-    assert result.observable == "height_squared"
-    assert result.values[0] > 0
+    monkeypatch.setattr(experiments, "integrate_grid_ensemble", no_path)
+    preset = make_cylinder_preset()
+    with pytest.raises(ConfigError, match="unknown observable"):
+        deviation_scaling(preset.fields, preset.chart, preset.driver, X0,
+                          epsilons=[0.5, 0.25], horizon=1.0,
+                          observable=observable, n_paths=4)
 
 
 def test_grid_experiments_reject_jump_decomposition_before_any_work(
@@ -372,6 +368,11 @@ def test_scheme_agreement_needs_gamma_driver(monkeypatch):
     with pytest.raises(ValueError):
         scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
                          levels=((0.001, 0.01),), n_paths=4)
+    # not a nonempty sequence of (cutoff, step) pairs
+    for levels in ([], [(0.08,)], [(0.08, 0.04, 1)], 5, [0.08, 0.04]):
+        with pytest.raises(ConfigError, match="levels must be"):
+            scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
+                             levels=levels, n_paths=4)
     with pytest.raises(ValueError):
         scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
                          horizon=0.0, n_paths=4)

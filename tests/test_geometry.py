@@ -395,6 +395,15 @@ def test_preset_rejects_bad_geometry():
         make_cylinder_preset(z_min=1.0, z_max=-1.0)
 
 
+@pytest.mark.parametrize("k_choice", ["linear", 3.0,
+                                      [ConstantK(0.0, 0.0, 1.0)]])
+def test_preset_rejects_a_k_choice_that_is_not_a_field(k_choice):
+    # a name or a number failed only at the first field evaluation, with
+    # "'str' object is not callable"
+    with pytest.raises(ConfigError, match="k_choice must be a field"):
+        make_cylinder_preset(k_choice=k_choice)
+
+
 def test_preset_wires_driver_rate():
     preset = make_cylinder_preset(theta=2.5)
     assert preset.driver.rate == 2.5

@@ -2,15 +2,19 @@
 
 perfbench/spans.py rebinds names that folevy's modules import from each
 other and passes keywords to the grid kernel, and perfbench/workloads.py
-calls the experiments with keywords of its own.  perfbench/test_smoke.py
-runs the benchmark in full but lies outside the tier-1 suite, so here each
-workload runs once with 2 paths inside both of spans.py's contexts: a name
-or keyword that the package drops fails here first.
+calls the experiments with keywords of its own, as perfbench/layers.py
+calls the kernel, the drivers and the averaging layer.
+perfbench/test_smoke.py runs the benchmark in full but lies outside the
+tier-1 suite, so here each workload runs once with 2 paths inside both of
+spans.py's contexts, and the layer probes run one short round: a name or
+keyword that the package drops fails here first.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +23,8 @@ import pytest
 
 import folevy
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -32,6 +37,7 @@ def _load(name):
 
 spans = _load("spans")
 W = _load("workloads")
+layers = _load("layers")
 
 
 @pytest.mark.parametrize("name", sorted(W.WORKLOADS))
@@ -62,3 +68,16 @@ def test_workload_runs_traced_and_marked(name):
 
     assert traced.tobytes() == plain.tobytes()
     assert marked.tobytes() == plain.tobytes()
+
+
+def test_layer_probes_run_and_name_declared_metrics():
+    # run.py's traced() looks up each metric's unit in BENCHMARK.json's
+    # per_layer list, so a metric missing there fails the traced run
+    with open(ROOT / "BENCHMARK.json") as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    metrics = layers.layer_metrics(folevy, folevy.make_cylinder_preset(),
+                                   scale=0.02, rounds=1)
+    assert metrics
+    for name, value in metrics.items():
+        assert name in declared, name
+        assert math.isfinite(value), (name, value)

@@ -31,8 +31,8 @@ def _experiments(fields):
     args = (fields, PRESET.chart, PRESET.driver)
     return {
         "transversal_comparison": (2, lambda n: transversal_comparison(
-            *args, AVG, X0, epsilons=[0.5, 0.25], horizon=0.2,
-            horizons=[0.1, 0.2], n_paths=n, master_seed=SEED).summary()),
+            *args, AVG, X0, epsilons=[0.5, 0.25], horizon=0.2, n_paths=n,
+            master_seed=SEED).summary()),
         "exit_probability": (2, lambda n: exit_probability(
             *args, AVG, X0, epsilons=[0.5], gamma=0.1, n_paths=n,
             master_seed=SEED).summary()),

@@ -66,7 +66,7 @@ def comparison_case_b():
 
 def comparison_case_a():
     preset = make_cylinder_preset(k_choice=ConstantK(1.0, 0.5, 1.0))
-    avg = averaged_field(preset.chart, preset.fields, method="analytic",
+    avg = averaged_field(preset.chart, preset.fields,
                          func=lambda v: np.array([0.0, 1.0]))
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                  avg, X0, epsilons=[0.1, 0.01], horizon=1.0,
