@@ -10,15 +10,15 @@ unperturbed paths converge to leaf averages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._parallel import map_blocks
-from .errors import (_MAX_COUNT, ConfigError, DomainError, _count, _real,
-                     _reals)
-from .geometry import FoliatedChart, VectorFieldSet, _pushforward
+from .errors import (_MAX_COUNT, BlowupError, ConfigError, DomainError,
+                     _count, _real, _reals)
+from .geometry import FoliatedChart, VectorFieldSet
 from .marcus import (IntegratorConfig, _check_plan, _check_start, _drift_rk4,
                      _grid_config, _kahan_add, _step_count,
                      integrate_grid_ensemble, resolve_grid)
@@ -35,8 +35,6 @@ def _leaf_nodes(chart, n_nodes):
     """The chart's v -> points at n_nodes uniform leaf angles, from 0.  The
     count must be whole: np.arange(8.5) gives 9 nodes, not 8.5."""
     _count(n_nodes, "n_nodes", 8, _MAX_COUNT)
-    if chart.leaf_nodes is None:
-        raise ConfigError("chart carries no leaf parametrization")
     return chart.leaf_nodes(np.arange(n_nodes) * (2.0 * np.pi / n_nodes))
 
 
@@ -59,7 +57,7 @@ def _leaf_mean_dpik(chart, fields, n_nodes):
     nodes = _leaf_nodes(chart, n_nodes)
     if fields.perturbation is None:
         return lambda v: np.zeros(chart.vertical_dim)
-    pert, push = fields.perturbation, _pushforward(chart)
+    pert, push = fields.perturbation, chart.pi_push
 
     def mean(v):
         pts = nodes(v)
@@ -146,7 +144,8 @@ class AveragedSolution:
 def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
                        step: float = 1e-3) -> AveragedSolution:
     """Integrate dw/ds = Q(w) with classical Runge-Kutta and compensated
-    accumulation, stopping one step past the transversal boundary."""
+    accumulation, stopping one step past the transversal boundary.  A
+    non-finite state is a BlowupError with the time reached, not an exit."""
     _real(horizon, "horizon", above=0)
     _real(step, "step", above=0)
     chart = avg.chart
@@ -162,24 +161,21 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
     times[0] = 0.0
     values[0] = y
     bounds = chart.vertical_bounds
-
-    def inside(v):
-        # chart.vertical_contains on plain floats: the same comparisons
-        return all(lo < c < hi for c, (lo, hi) in zip(v.tolist(), bounds))
-
-    stop = n
-    for k in range(n):
+    for k in range(1, n + 1):
         _drift_rk4(avg.evaluate, y, comp, h)
-        times[k + 1] = (k + 1) * h
-        values[k + 1] = y
-        if not inside(y):
-            stop = k + 1
+        s = times[k] = k * h
+        values[k] = y
+        # chart.vertical_contains on plain floats: the same comparisons,
+        # which a nan or inf fails too
+        if not all(lo < c < hi for c, (lo, hi) in zip(y.tolist(), bounds)):
+            if not np.isfinite(y).all():
+                raise BlowupError(f"the averaged ODE left the finite range "
+                                  f"at s={s:g}", sigma=s)
             break
-    sol = AveragedSolution(chart, times[: stop + 1], values[: stop + 1])
-    if stop < n or not inside(values[stop]):
-        crossing = sol.time_to_margin(0.0)
-        sol = AveragedSolution(chart, sol.times, sol.values, boundary_time=crossing)
-    return sol
+    else:
+        return AveragedSolution(chart, times, values)
+    sol = AveragedSolution(chart, times[: k + 1], values[: k + 1])
+    return replace(sol, boundary_time=sol.time_to_margin(0.0))
 
 
 # ---------------------------------------------------------------------------

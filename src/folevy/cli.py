@@ -3,14 +3,14 @@
 Every subcommand reads an optional YAML config, applies `--set` overrides
 and computes its result; a `cmd_*` function only computes, and returns
 the files to write, the summary, the report lines and the exit code.
-Only then does `_run` make a fresh time-stamped directory under the
-output root (--out, then run.out_dir, then $FOLEVY_OUT_DIR, then ./runs)
-and write into it, in this order: `effective_config.yaml`, from which
-the run can be reproduced, then the command's files (its CSVs, or
-`check.json` for `check`), then `summary.json` (all but `check`).  It
-prints the report lines and one `wrote <path>` line per CSV.  Any
-FolevyError raised on the way, a rejected input included, exits with
-code 2 and leaves no directory behind.
+The output root (--out, then run.out_dir, then $FOLEVY_OUT_DIR, then
+./runs) is checked first; only after the compute does `_run` make a fresh
+time-stamped directory under it and write into it, in this order:
+`effective_config.yaml`, from which the run can be reproduced, then the
+command's files (its CSVs, or `check.json` for `check`), then
+`summary.json` (all but `check`).  It prints the report lines and one
+`wrote <path>` line per CSV.  Any FolevyError raised on the way, a
+rejected input included, exits with code 2 and leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -60,12 +60,19 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _run(args) -> int:
-    """Compute the subcommand's result, then make its run directory and
-    write effective_config.yaml, the command's files and summary.json."""
+    """Check the output root, compute the subcommand's result, then make
+    its run directory and write its files into it."""
     cfg = _resolve_config(args)
+    root = cfg.run.out_dir or os.environ.get("FOLEVY_OUT_DIR") or "runs"
+    # the root, or the nearest path above it that exists, must be a directory
+    above = os.path.abspath(root)
+    while not os.path.lexists(above):
+        above = os.path.dirname(above)
+    if not os.path.isdir(above):
+        raise ConfigError(f"run.out_dir {root!r} cannot hold runs: {above} "
+                          f"is not a directory")
     files, summary, lines, code = args.compute(cfg, preset_from_config(cfg),
                                                cfg.integrator)
-    root = cfg.run.out_dir or os.environ.get("FOLEVY_OUT_DIR") or "runs"
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     base = os.path.join(root, f"{args.command}-{stamp}")
     out, k = base, 1

@@ -179,10 +179,36 @@ def config_from_dict(data) -> ExperimentConfig:
 _FLOAT = r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"
 
 
+def _unique_keys(node, path, seen):
+    """ConfigError naming the path of the first key repeated in a mapping
+    of the composed YAML tree; a node that aliases share is walked once."""
+    import yaml
+    if id(node) in seen or isinstance(node, yaml.ScalarNode):
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for item in node.value:
+            _unique_keys(item, path, seen)
+        return
+    keys = set()
+    for key, value in node.value:
+        name = path + [str(key.value)]
+        if (key.tag, name[-1]) in keys:
+            raise ConfigError(f"config key {'.'.join(name)} is repeated")
+        keys.add((key.tag, name[-1]))
+        _unique_keys(value, name, seen)
+
+
 @cache
 def _yaml12(base):
-    """A subclass of PyYAML's SafeLoader or SafeDumper with YAML 1.2 floats."""
-    cls = type(base.__name__, (base,), {})
+    """A subclass of PyYAML's SafeLoader or SafeDumper with YAML 1.2 floats;
+    the loader also rejects a key repeated in any mapping."""
+    def construct_document(self, node):
+        _unique_keys(node, [], set())
+        return base.construct_document(self, node)
+    loads = hasattr(base, "construct_document")
+    cls = type(base.__name__, (base,),
+               {"construct_document": construct_document} if loads else {})
     # appended after the YAML 1.1 int resolver, so 3 stays an int
     cls.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_FLOAT),
                               list("-+.0123456789"))

@@ -21,10 +21,9 @@ class DomainError(FolevyError, ValueError):
 
 
 class BlowupError(FolevyError, RuntimeError):
-    """Jump-ODE integration left the finite range.
-
-    Carries the ode time reached so the failing jump can be located.
-    """
+    """An integration (a jump ODE, a path, the averaged ODE) left the
+    finite range.  `sigma` is the ode time reached, where one is known:
+    the jump ODE's time, or the averaged ODE's."""
 
     def __init__(self, message, sigma=None):
         super().__init__(message)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, _real
 
-FD_STEP = 1e-6
 _R_R_Z = np.array([0, 0, 1])   # picks (r, r, z) out of a cylinder's (r, z)
 
 
@@ -36,11 +35,9 @@ class FoliatedChart:
     `vertical_projection` is Pi, which maps a point of U to its vertical
     coordinate v, and `vertical_bounds` the open box V that v ranges over,
     one (low, high) pair per coordinate; `contains` tells the points of U.
-    Optional hooks: `pi_push(x, w)` is the pushforward dPi_x(w), shape
-    (..., vertical_dim) (without it, a central difference of
-    `vertical_projection`), and `leaf_nodes(angles)` returns v -> the
-    points at those angles on the leaves through v, v broadcast against
-    the angles (circle charts only), so angles are fixed once.
+    `pi_push(x, w)` is the pushforward dPi_x(w), shape (..., vertical_dim),
+    and `leaf_nodes(angles)` fixes the angles once and returns v -> the
+    points at them on the circle leaves through v, broadcast against them.
     """
 
     ambient_dim: int
@@ -48,8 +45,8 @@ class FoliatedChart:
     vertical_projection: Callable
     contains: Callable
     vertical_bounds: tuple
-    pi_push: Optional[Callable] = None
-    leaf_nodes: Optional[Callable] = None
+    pi_push: Callable
+    leaf_nodes: Callable
 
     def vertical_contains(self, v):
         v = np.asarray(v, dtype=float)
@@ -220,20 +217,9 @@ def make_cylinder_preset(r_min=0.2, r_max=5.0, z_min=-10.0, z_max=10.0,
 # derivative helpers and checks
 # ---------------------------------------------------------------------------
 
-def _pushforward(chart: FoliatedChart) -> Callable:
-    """(x, w) -> dPi_x(w): the chart's pi_push, else a central difference
-    of the projection along w, which takes two projections."""
-    if chart.pi_push is not None:
-        return chart.pi_push
-    proj, h = chart.vertical_projection, FD_STEP
-    return lambda x, w: (proj(x + h * w) - proj(x - h * w)) / (2 * h)
-
-
 def dpi_k(chart: FoliatedChart, fields: VectorFieldSet, x):
-    """Directional derivative of Pi along the perturbation, dPi(K)(x).
-
-    Uses the chart's pushforward when it has one, otherwise a central
-    difference with step 1e-6.  x must be numbers of shape (...,
+    """Directional derivative of Pi along the perturbation, dPi(K)(x),
+    through the chart's pushforward.  x must be numbers of shape (...,
     ambient_dim), else ConfigError; points outside U raise DomainError.
     """
     try:
@@ -246,7 +232,7 @@ def dpi_k(chart: FoliatedChart, fields: VectorFieldSet, x):
         raise DomainError("dpi_k evaluated outside the chart domain")
     if fields.perturbation is None:
         return np.zeros(x.shape[:-1] + (chart.vertical_dim,))
-    return _pushforward(chart)(x, fields.perturbation(x))
+    return chart.pi_push(x, fields.perturbation(x))
 
 
 def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
@@ -266,11 +252,10 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
                           f"(n, {chart.ambient_dim}) array of points")
     if not np.all(chart.contains(pts)):
         raise DomainError("tangency_check evaluated outside the chart domain")
-    push = _pushforward(chart)
     worst = 0.0
     for j in range(fields.driver_dim):
         e = np.zeros((len(pts), fields.driver_dim))
         e[:, j] = 1.0
         col = fields.driving(pts, e)
-        worst = max(worst, float(np.abs(push(pts, col)).max()))
+        worst = max(worst, float(np.abs(chart.pi_push(pts, col)).max()))
     return worst

@@ -3,11 +3,8 @@
 Each driver jump z acts through the time-one flow of dY/ds = F(Y) z, so
 first integrals of the driving fields are preserved jump by jump; with the
 closed-form rotation flow of the cylinder preset the leaf radius survives
-to rounding.  Three schemes:
+to rounding.  Two schemes:
 
-* ``exact_leaf`` -- requires the closed-form jump flow.  Without any drift
-  the path is evaluated directly from the running driver sum, the exact
-  leaf solution; with drift the flow is interleaved by operator splitting.
 * ``grid_increment`` -- one exact driver increment per macro step applied
   as a single Marcus jump between two half steps of the drift (Strang
   splitting).
@@ -44,7 +41,7 @@ from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
 from .tables import write_csv
 
-SCHEMES = ("exact_leaf", "grid_increment", "jump_decomposition")
+SCHEMES = ("grid_increment", "jump_decomposition")
 _MAX_SUBSTEP_ANGLE = 0.1
 _CHUNK = 4096           # grid steps drawn per path at a time
 _MAX_STEPS = 10**8      # steps per path: 1000x the longest calibration run
@@ -320,7 +317,8 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
                             cfg: IntegratorConfig, streams, contains=None,
                             on_step=None, pair_eps=None, on_step_pair=None,
                             increments=None, comp_rate=None) -> EnsembleResult:
-    """Advance len(streams) paths in lockstep on the macro grid.
+    """Advance len(streams) paths in lockstep on the macro grid, all from
+    the one point x0 or each from its own row of x0 (else ConfigError).
 
     Path i draws its increments from streams[i] only, so results are
     independent of any partitioning of the path set; supplied `increments`
@@ -341,15 +339,13 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     if increments is not None and \
             increments.shape[1:] != (n_steps, fields.driver_dim):
         raise ConfigError("increments must have shape (paths, n_steps, driver_dim)")
-    flow = fields.exact_jump_flow
-    if flow is None and cfg.scheme == "exact_leaf":
-        raise ConfigError("exact_leaf needs a closed-form jump flow")
-    flow = flow or partial(_jump_rk4, fields, cfg=cfg)
-
     x0 = np.asarray(x0, dtype=float)
-    states = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0.astype(float).copy()
-    rdim = fields.driver_dim
+    if x0.ndim != 1 and x0.shape[:-1] != (m_paths,):
+        raise ConfigError(f"x0 must be one point or one row for each of the "
+                          f"{m_paths} paths, got shape {x0.shape}")
+    flow = fields.exact_jump_flow or partial(_jump_rk4, fields, cfg=cfg)
 
+    states = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0.copy()
     drift = _make_drift(fields, eps, comp_rate)
     pair = pair_eps is not None
     states_b = comp_b = None
@@ -361,14 +357,6 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     active = np.ones(m_paths, dtype=bool)
     exit_times = np.full(m_paths, np.nan)
     frozen = False
-
-    # drift-free closed-form case: evaluate the leaf solution from the
-    # running driver sum instead of composing thousands of rotations
-    cumulative = cfg.scheme == "exact_leaf" and drift is None and not pair and rdim == 1
-    if cumulative:
-        x_init = states.copy()
-        angle = np.zeros(m_paths)
-        angle_comp = np.zeros(m_paths)
 
     if on_step is not None:
         on_step(0, 0.0, states, active)
@@ -394,7 +382,7 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     while done < n_steps:
         m_chunk = min(_CHUNK, n_steps - done)
         if increments is None:
-            draws = np.empty((m_paths, m_chunk, rdim))
+            draws = np.empty((m_paths, m_chunk, fields.driver_dim))
             for i, g in enumerate(gens):
                 draws[i] = sampler(g, m_chunk)
         else:
@@ -406,13 +394,9 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
                 idle = ~active
                 keep = [a[idle].copy() for a in (states, comp, states_b, comp_b)
                         if a is not None]
-            if cumulative:
-                _kahan_add(angle, angle_comp, z[:, 0])
-                states = flow(x_init, angle[:, None])
-            else:
-                states, comp = split_step(states, comp, drift, z)
-                if pair:
-                    states_b, comp_b = split_step(states_b, comp_b, drift_b, z)
+            states, comp = split_step(states, comp, drift, z)
+            if pair:
+                states_b, comp_b = split_step(states_b, comp_b, drift_b, z)
             if frozen:
                 for a, kept in zip((states, comp, states_b, comp_b), keep):
                     a[idle] = kept

@@ -60,7 +60,7 @@ def test_leaf_invariance_at_long_horizon():
     preset = make_cylinder_preset()
     exact = integrate_path(preset.fields, preset.chart, preset.driver,
                            X0, horizon=100.0,
-                           cfg=IntegratorConfig(scheme="exact_leaf"),
+                           cfg=IntegratorConfig(scheme="grid_increment"),
                            rng=RngStream(SEED_LEAF))
     generic = integrate_path(preset.fields.without_exact_flow(),
                              preset.chart, preset.driver, X0,

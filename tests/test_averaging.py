@@ -8,7 +8,6 @@ time 2*log(r_target/r0), and a constant vertical field averages to itself.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folevy import (ConfigError, ConstantK, DomainError, RateEstimate,
-                    averaged_field, estimate_eta, fit_loglog,
+from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
+                    RateEstimate, averaged_field, estimate_eta, fit_loglog,
                     leaf_average_quadrature, lp_moment, make_cylinder_preset,
                     projected_perturbation, rate_to_csv, solve_averaged_ode)
 
@@ -28,11 +27,6 @@ def _radial_psi(states):
     # component of the projected linear field along the radius: x^2 / r
     r = np.hypot(states[..., 0], states[..., 1])
     return states[..., 0] ** 2 / r
-
-
-def _half_radius(v):
-    v = np.asarray(v, dtype=float)
-    return v[..., 0] / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -140,31 +134,6 @@ def test_averaged_field_validation():
             averaged_field(preset.chart, preset.fields, func=func)
 
 
-def test_chart_without_leaf_nodes_fails_when_the_field_is_built():
-    # the quadrature nodes need leaf_nodes; a chart without them is refused
-    # before any evaluation or ODE step
-    preset = make_cylinder_preset()
-    bare = dataclasses.replace(preset.chart, leaf_nodes=None)
-    no_k = dataclasses.replace(preset.fields, perturbation=None)
-    for fields in (preset.fields, no_k):
-        with pytest.raises(ConfigError, match="no leaf parametrization"):
-            averaged_field(bare, fields)
-    with pytest.raises(ConfigError, match="no leaf parametrization"):
-        leaf_average_quadrature(bare, _radial_psi, np.array([1.0, 0.0]))
-    closed = averaged_field(bare, preset.fields, func=_half_radius)
-    assert closed.evaluate(np.array([1.0, 0.0])) == 0.5
-
-
-def test_quadrature_field_without_pushforward_uses_central_differences():
-    preset = make_cylinder_preset()
-    fd_chart = dataclasses.replace(preset.chart, pi_push=None)
-    avg = averaged_field(fd_chart, preset.fields)
-    for r in (0.5, 1.0, 2.0):
-        q = avg.evaluate(np.array([r, 0.3]))
-        assert abs(q[0] - r / 2.0) <= 1e-8
-        assert abs(q[1]) <= 1e-8
-
-
 # ---------------------------------------------------------------------------
 # the averaged ODE
 # ---------------------------------------------------------------------------
@@ -212,6 +181,26 @@ def test_averaged_ode_validation():
         solve_averaged_ode(avg, np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
         solve_averaged_ode(avg, np.array([1.0, 0.0]), 1.0, step=-1e-3)
+
+
+def test_averaged_ode_non_finite_state_is_a_blowup():
+    # a field that is nan past r = 1.2 used to end the solution there with
+    # boundary_time None, as if it stayed inside
+    preset = make_cylinder_preset()
+    avg = averaged_field(preset.chart, preset.fields, func=lambda v: [
+        math.nan if v[0] > 1.2 else v[0] / 2, 0.0])
+    with pytest.raises(BlowupError, match="left the finite range") as err:
+        solve_averaged_ode(avg, np.array([1.0, 0.0]), 1.0)
+    assert abs(err.value.sigma - 2.0 * math.log(1.2)) <= 2e-3
+
+
+def test_exit_at_the_last_step_has_a_boundary_time():
+    # r = exp(s/2) reaches r_max = 2 at 2 log 2, inside the last step
+    preset = make_cylinder_preset(r_max=2.0)
+    avg = averaged_field(preset.chart, preset.fields)
+    sol = solve_averaged_ode(avg, np.array([1.0, 0.0]), 1.3865)
+    assert sol.times[-2] < 2.0 * math.log(2.0) < sol.times[-1] == 1.3865
+    assert abs(sol.boundary_time - 2.0 * math.log(2.0)) <= 1e-5
 
 
 def test_boundary_and_margin_times_match_logarithms():

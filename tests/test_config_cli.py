@@ -38,7 +38,8 @@ from folevy import (ConfigError, ConstantK, DomainError, GammaSubordinator,
 from folevy.cli import main
 from folevy.drivers import _MIN_RATE
 from folevy.marcus import resolve_grid
-from folevy.config import (_FLOAT, ExperimentConfig, apply_overrides,
+from folevy.config import (_FLOAT, ExperimentConfig, _parse_yaml,
+                           apply_overrides,
                            config_from_dict, config_to_dict, dump_config,
                            load_config, loads_config, preset_from_config)
 
@@ -141,8 +142,9 @@ def test_integrator_section_validates_scheme():
     cfg = loads_config("integrator:\n  scheme: jump_decomposition\n")
     assert isinstance(cfg.integrator, IntegratorConfig)
     assert cfg.integrator.scheme == "jump_decomposition"
-    with pytest.raises(ConfigError):
-        loads_config("integrator:\n  scheme: euler\n")
+    for gone in ("euler", "exact_leaf"):
+        with pytest.raises(ConfigError, match="scheme must be one of"):
+            loads_config(f"integrator:\n  scheme: {gone}\n")
 
 
 def test_config_to_dict_uses_plain_types():
@@ -176,6 +178,44 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
                      "--config", str(constant)]) == 2
         assert "preset.k_constant" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_output_root_that_is_no_directory_fails_before_the_compute(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_COMMANDS",
+                        [("simulate", "", lambda *a: calls.append(a))])
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for root in (afile, afile / "sub" / "runs"):
+        assert main(["simulate", "--out", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.out_dir") and err.count("\n") == 1
+        assert f"{afile} is not a directory" in err
+    monkeypatch.setenv("FOLEVY_OUT_DIR", str(afile))
+    assert main(["simulate"]) == 2
+    assert "run.out_dir" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("experiment:\n  epsilon: 0.1\n  epsilon: 0.5\n", "experiment.epsilon"),
+    ("experiment:\n  epsilon: 0.1\nexperiment:\n  horizon: 1.0\n",
+     "experiment"),
+    ("experiment:\n  x0: [1, 0, {a: 1, a: 2}]\n", "experiment.x0.a"),
+], ids=["key", "section", "nested"])
+def test_repeated_config_key_fails_before_run_dir(tmp_path, capsys, text, key):
+    # PyYAML keeps the last of two equal keys without a word
+    config = tmp_path / "repeated.yaml"
+    config.write_text(text)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--out", str(out), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: config key {key} is repeated\n"
+    assert not out.exists()
+    # one name in two mappings, or twice through an alias, is no repeat
+    assert _parse_yaml("a: &n {a: 1}\nb: {a: 2}\nc: [*n, *n]\n") == \
+        {"a": {"a": 1}, "b": {"a": 2}, "c": [{"a": 1}, {"a": 1}]}
 
 
 def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
@@ -229,6 +269,7 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("deviation", "experiment.epsilons=[0.5]", "two distinct eps"),
         ("deviation", "experiment.epsilons=[0.5, 0.5]", "two distinct eps"),
         ("eta", "experiment.p=1", "moment order p must be at least 2"),
+        ("simulate", "integrator.scheme=exact_leaf", "scheme must be one of"),
         ("simulate", "integrator.step_h=abc", "integrator.step_h"),
         ("simulate", "integrator.jump_cutoff=abc", "integrator.jump_cutoff"),
         ("simulate", "preset.r_min=abc", "preset.r_min"),

@@ -24,6 +24,7 @@ from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
                     integrate_path, jump_flow, make_cylinder_preset,
                     trajectory_to_csv)
 from folevy import marcus
+from folevy.drivers import make_step_sampler
 from folevy.marcus import (_drift_rk4, _kahan_add, _make_drift, _merge_events,
                            resolve_grid, step_events)
 
@@ -271,26 +272,34 @@ def test_zero_horizon_returns_start():
 def test_unperturbed_leaf_invariants():
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.25])
-    cfg = IntegratorConfig(scheme="exact_leaf")
     traj = integrate_path(preset.fields, preset.chart, preset.driver,
-                          x0, 20.0, 0.0, cfg, RngStream(SEED, 2))
+                          x0, 20.0, 0.0, IntegratorConfig(), RngStream(SEED, 2))
     assert np.max(np.abs(_radius(traj.states) - 1.0)) <= 1e-12
     assert np.all(traj.states[:, 2] == 0.25)
     assert not traj.exited
     assert abs(traj.times[-1] - 20.0) <= 1e-12
 
 
-def test_grid_increment_matches_exact_leaf_unperturbed():
+def test_grid_increment_matches_the_cumulative_leaf_solution():
+    # the exact leaf solution: x0 rotated by the running driver sum, with
+    # the same stream's increments, Kahan-summed
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
-    a = integrate_path(preset.fields, preset.chart, preset.driver, x0,
-                       5.0, 0.0, IntegratorConfig(scheme="exact_leaf"),
-                       RngStream(SEED, 3))
+    cfg = IntegratorConfig(scheme="grid_increment")
+    n_steps, h = resolve_grid(cfg, 0.0, 5.0)
+    draws = make_step_sampler(preset.driver, h)(
+        RngStream(SEED, 3).generator(), n_steps)[:, 0]
+    angles, angle, comp = np.zeros(n_steps + 1), np.zeros(1), np.zeros(1)
+    for k, z in enumerate(draws, start=1):
+        _kahan_add(angle, comp, z)
+        angles[k] = angle[0]
+    exact = preset.fields.exact_jump_flow(np.tile(x0, (n_steps + 1, 1)),
+                                          angles[:, None])
     b = integrate_path(preset.fields, preset.chart, preset.driver, x0,
-                       5.0, 0.0, IntegratorConfig(scheme="grid_increment"),
-                       RngStream(SEED, 3))
-    # same increments, composed rotations against one cumulative rotation
-    assert np.max(np.abs(a.states - b.states)) <= 1e-11
+                       5.0, 0.0, cfg, RngStream(SEED, 3))
+    # composed rotations against one cumulative rotation
+    assert b.states.shape == exact.shape
+    assert np.max(np.abs(exact - b.states)) <= 1e-11
 
 
 def test_start_point_must_lie_in_domain():
@@ -717,10 +726,6 @@ def test_ensemble_rejects_unsupported_setups():
                                     0.1, IntegratorConfig(), streams)
     assert np.max(np.abs(both.final_states - exact.final_states)) <= 1e-6
     with pytest.raises(ValueError):
-        integrate_grid_ensemble(generic, preset.driver, x0, 1.0, 0.1,
-                                IntegratorConfig(scheme="exact_leaf"),
-                                [streams[0]])
-    with pytest.raises(ValueError):
         integrate_grid_ensemble(preset.fields, preset.driver, x0, 1.0, 0.1,
                                 IntegratorConfig(scheme="jump_decomposition"),
                                 [streams[0]])
@@ -728,7 +733,7 @@ def test_ensemble_rejects_unsupported_setups():
 
 class _NoDraws:
     def generator(self):
-        raise AssertionError("drew before checking eps")
+        raise AssertionError("drew before checking the arguments")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 2.0, "a"])
@@ -742,6 +747,29 @@ def test_ensemble_checks_eps_before_any_draw(bad):
     with pytest.raises(ConfigError, match="pair_eps"):
         integrate_grid_ensemble(*args, 0.1, IntegratorConfig(), [_NoDraws()],
                                 pair_eps=bad)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 3), (4, 3), (3, 1, 3), ()])
+def test_ensemble_checks_the_start_block_before_any_draw(shape):
+    # 3 paths start from one point or from one row each, checked before
+    # any stream draws
+    preset = make_cylinder_preset()
+    with pytest.raises(ConfigError, match="one row for each of the 3 paths"):
+        integrate_grid_ensemble(preset.fields, preset.driver, np.ones(shape),
+                                1.0, 0.1, IntegratorConfig(), [_NoDraws()] * 3,
+                                contains=preset.chart.contains)
+
+
+def test_ensemble_starts_each_path_from_its_row():
+    preset = make_cylinder_preset()
+    x0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.5, 0.2], [-2.0, 0.5, -1.0]])
+    streams = [RngStream(SEED, 30 + i) for i in range(3)]
+    block = integrate_grid_ensemble(preset.fields, preset.driver, x0, 1.0,
+                                    0.1, IntegratorConfig(), streams)
+    for row, s, got in zip(x0, streams, block.final_states):
+        solo = integrate_grid_ensemble(preset.fields, preset.driver, row, 1.0,
+                                       0.1, IntegratorConfig(), [s])
+        assert got.tobytes() == solo.final_states[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
