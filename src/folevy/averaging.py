@@ -161,19 +161,23 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
     times[0] = 0.0
     values[0] = y
     bounds = chart.vertical_bounds
-    for k in range(1, n + 1):
-        _drift_rk4(avg.evaluate, y, comp, h)
-        s = times[k] = k * h
-        values[k] = y
-        # chart.vertical_contains on plain floats: the same comparisons,
-        # which a nan or inf fails too
-        if not all(lo < c < hi for c, (lo, hi) in zip(y.tolist(), bounds)):
-            if not np.isfinite(y).all():
-                raise BlowupError(f"the averaged ODE left the finite range "
-                                  f"at s={s:g}", sigma=s)
-            break
-    else:
-        return AveragedSolution(chart, times, values)
+    # an infinite field makes the Kahan step take inf - inf; the state's
+    # own check below reports that as a BlowupError, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, n + 1):
+            _drift_rk4(avg.evaluate, y, comp, h)
+            s = times[k] = k * h
+            values[k] = y
+            # chart.vertical_contains on plain floats: the same
+            # comparisons, which a nan or inf fails too
+            if not all(lo < c < hi
+                       for c, (lo, hi) in zip(y.tolist(), bounds)):
+                if not np.isfinite(y).all():
+                    raise BlowupError(f"the averaged ODE left the finite "
+                                      f"range at s={s:g}", sigma=s)
+                break
+        else:
+            return AveragedSolution(chart, times, values)
     sol = AveragedSolution(chart, times[: k + 1], values[: k + 1])
     return replace(sol, boundary_time=sol.time_to_margin(0.0))
 

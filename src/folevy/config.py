@@ -202,9 +202,10 @@ def _unique_keys(node, path, seen):
 @cache
 def _yaml12(base):
     """A subclass of PyYAML's SafeLoader or SafeDumper with YAML 1.2 floats;
-    the loader also rejects a key repeated in any mapping."""
+    the loader also rejects a key repeated in any mapping, naming it by its
+    path below the `key_path` that _parse_yaml sets."""
     def construct_document(self, node):
-        _unique_keys(node, [], set())
+        _unique_keys(node, list(self.key_path), set())
         return base.construct_document(self, node)
     loads = hasattr(base, "construct_document")
     cls = type(base.__name__, (base,),
@@ -215,11 +216,19 @@ def _yaml12(base):
     return cls
 
 
-def _parse_yaml(text):
-    """The one YAML reader: safe loading, with YAML 1.2 floats."""
+def _parse_yaml(text, key_path=()):
+    """The one YAML reader: safe loading, with YAML 1.2 floats.  The
+    document sits at `key_path` of the config, so a repeated key inside an
+    override value is named by its full path."""
     import yaml
     try:
-        return yaml.load(text, Loader=_yaml12(yaml.SafeLoader))
+        # yaml.load, with the key path set on the loader
+        loader = _yaml12(yaml.SafeLoader)(text)
+        loader.key_path = key_path
+        try:
+            return loader.get_single_data()
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid yaml: {exc}") from exc
 
@@ -272,7 +281,7 @@ def apply_overrides(data, assignments):
         slot = out[section]
         if not isinstance(slot, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        slot[name] = _parse_yaml(raw) if raw.strip() else None
+        slot[name] = _parse_yaml(raw, parts) if raw.strip() else None
     return out
 
 

@@ -328,7 +328,9 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     advanced from the same increments and reported through
     `on_step_pair(k, t, states, states_pair, active)`.  Exit checking
     applies to the primary system; exited rows freeze at their exit value
-    (the pair row freezes with them).
+    (the pair row freezes with them).  A non-finite primary state is a
+    BlowupError: at the step it exits with a domain check, else at the end
+    of its draw chunk.
     """
     cfg = _grid_config(cfg)
     _real(eps, "eps", least=0, most=1)
@@ -414,6 +416,9 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
                 on_step(k, t1, states, active)
             if pair and on_step_pair is not None:
                 on_step_pair(k, t1, states, states_b, active)
+        # without a domain check nothing above sees a nan or inf state
+        if contains is None and not np.isfinite(states).all():
+            raise BlowupError(f"a path left the finite range by t={t1:g}")
         done += m_chunk
     return EnsembleResult(states, exit_times, n_steps, h)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,13 +186,37 @@ def test_averaged_ode_validation():
 
 def test_averaged_ode_non_finite_state_is_a_blowup():
     # a field that is nan past r = 1.2 used to end the solution there with
-    # boundary_time None, as if it stayed inside
+    # boundary_time None, as if it stayed inside; an inf one, or a finite
+    # one whose RK4 sum overflows, raised numpy's warning under the suite's
+    # error::RuntimeWarning filter before the state's finiteness check
     preset = make_cylinder_preset()
-    avg = averaged_field(preset.chart, preset.fields, func=lambda v: [
-        math.nan if v[0] > 1.2 else v[0] / 2, 0.0])
+    for value in (math.nan, math.inf):
+        avg = averaged_field(preset.chart, preset.fields, func=lambda v: [
+            value if v[0] > 1.2 else v[0] / 2, 0.0])
+        with pytest.raises(BlowupError, match="left the finite range") as err:
+            solve_averaged_ode(avg, np.array([1.0, 0.0]), 1.0)
+        assert abs(err.value.sigma - 2.0 * math.log(1.2)) <= 2e-3
+    avg = averaged_field(preset.chart, preset.fields,
+                         func=lambda v: [1e308, 0.0])
     with pytest.raises(BlowupError, match="left the finite range") as err:
         solve_averaged_ode(avg, np.array([1.0, 0.0]), 1.0)
-    assert abs(err.value.sigma - 2.0 * math.log(1.2)) <= 2e-3
+    assert err.value.sigma == 1e-3
+
+
+def test_eta_on_a_field_that_turns_nan_is_a_blowup():
+    # the grid kernel runs without a domain check here, so the nan states
+    # used to reach lp_moment and end in its ConfigError
+    preset = make_cylinder_preset()
+
+    def drift(x):
+        r = np.hypot(x[..., 0], x[..., 1])[..., None]
+        return np.where(r > 1.5, np.nan, x * np.array([0.5, 0.5, 0.0]))
+
+    fields = replace(preset.fields, drift=drift)
+    with pytest.raises(BlowupError, match="left the finite range"):
+        estimate_eta(fields, preset.chart, preset.driver,
+                     lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
+                     horizons=[1.0, 2.0, 3.0], n_paths=100, master_seed=SEED)
 
 
 def test_exit_at_the_last_step_has_a_boundary_time():

@@ -218,6 +218,16 @@ def test_repeated_config_key_fails_before_run_dir(tmp_path, capsys, text, key):
         {"a": {"a": 1}, "b": {"a": 2}, "c": [{"a": 1}, {"a": 1}]}
 
 
+def test_repeated_key_in_override_is_named_by_config_path(tmp_path, capsys):
+    # the key path starts at the override's section.key, not at the value
+    out = tmp_path / "runs"
+    assert main(["simulate", "--out", str(out),
+                 "--set", "experiment.x0={a: 1, a: 2}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config key experiment.x0.a is repeated\n"
+    assert not out.exists()
+
+
 def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
     out = tmp_path / "runs"
     cases = [("compare", f"experiment.n_paths={bad}", "experiment.n_paths")

@@ -708,6 +708,15 @@ def test_ensemble_raises_when_a_state_leaves_the_finite_range():
     with pytest.raises(BlowupError, match="left the finite range"):
         integrate_path(fields, preset.chart, preset.driver, x0, 1.0,
                        0.1, cfg, streams[0])
+    # without a domain check nothing else looks at the states, which came
+    # back all nan without an error; a drift that turns nan past r = 1.5
+    # (dr/dt = r/2 before) raises at the end of the draw chunk
+    fields = replace(preset.fields, drift=lambda x: np.where(
+        np.hypot(x[..., 0], x[..., 1])[..., None] > 1.5, np.nan,
+        x * np.array([0.5, 0.5, 0.0])))
+    with pytest.raises(BlowupError, match="left the finite range by t=2"):
+        integrate_grid_ensemble(fields, preset.driver, x0, 2.0, 0.0,
+                                IntegratorConfig(), streams)
 
 
 def test_ensemble_rejects_unsupported_setups():
