@@ -31,41 +31,19 @@ _ZERO_FLOOR = 1e-14
 _POWER_RANGE = (np.finfo(float).tiny, 1e150)
 
 
-def _leaf_nodes(chart, n_nodes):
-    """The chart's v -> points at n_nodes uniform leaf angles, from 0.  The
-    count must be whole: np.arange(8.5) gives 9 nodes, not 8.5."""
+def _leaf_mean(chart, func, n_nodes):
+    """v -> the mean of func over the leaf through v at n_nodes uniform
+    angles from 0 (a whole count: np.arange(8.5) gives 9): the trapezoid
+    rule, spectral on a periodic integrand.  The axis-0 reduce is np.mean's
+    pairwise sum on 1-D values and adds (n, k) rows in node order."""
     _count(n_nodes, "n_nodes", 8, _MAX_COUNT)
-    return chart.leaf_nodes(np.arange(n_nodes) * (2.0 * np.pi / n_nodes))
+    nodes = chart.leaf_nodes(np.arange(n_nodes) * (2.0 * np.pi / n_nodes))
+    return lambda v: np.add.reduce(func(nodes(v)), axis=0) / n_nodes
 
 
 def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> float:
-    """Average of psi over the closed leaf through transversal point v.
-
-    Uniform-angle nodes; on a periodic integrand the trapezoid rule and the
-    plain node mean coincide, and convergence is spectral in n_nodes.
-    """
-    nodes = _leaf_nodes(chart, n_nodes)
-    return float(np.mean(psi(nodes(np.asarray(v, dtype=float)))))
-
-
-def _leaf_mean_dpik(chart, fields, n_nodes):
-    """v -> leaf mean of dPi(K) over n_nodes uniform angles fixed here: one
-    node product, one perturbation call and one pushforward per call."""
-    # domain checks are deliberately skipped: the averaged field must stay
-    # evaluable slightly past the open transversal box so that boundary
-    # crossings of the averaged flow can be bracketed
-    nodes = _leaf_nodes(chart, n_nodes)
-    if fields.perturbation is None:
-        return lambda v: np.zeros(chart.vertical_dim)
-    pert, push = fields.perturbation, chart.pi_push
-
-    def mean(v):
-        pts = nodes(v)
-        # the bits of .mean(axis=0) without its overhead: the axis-0 reduce
-        # adds the (n, 2) rows in node order, unlike a pairwise 1-D sum
-        return np.add.reduce(push(pts, pert(pts)), axis=0) / n_nodes
-
-    return mean
+    """Average of psi over the closed leaf through transversal point v."""
+    return float(_leaf_mean(chart, psi, n_nodes)(np.asarray(v, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +55,7 @@ class AveragedField:
     _evaluate: Callable
 
     def evaluate(self, v):
-        return np.asarray(self._evaluate(np.asarray(v, dtype=float)), dtype=float)
+        return self._evaluate(np.asarray(v, dtype=float))
 
 
 def averaged_field(chart: FoliatedChart, fields: VectorFieldSet, func=None,
@@ -86,8 +64,14 @@ def averaged_field(chart: FoliatedChart, fields: VectorFieldSet, func=None,
     else the projected perturbation averaged over the leaf on n_nodes
     nodes.  A `func` that is not callable is a ConfigError."""
     if func is None:
+        # domain checks are deliberately skipped: the averaged field must
+        # stay evaluable slightly past the open transversal box so that
+        # boundary crossings of the averaged flow can be bracketed
+        pert, dim = fields.perturbation, chart.vertical_dim
+        dpik = ((lambda x: np.zeros((len(x), dim))) if pert is None
+                else (lambda x: chart.pi_push(x, pert(x))))
         return AveragedField(chart, "quadrature",
-                             _leaf_mean_dpik(chart, fields, n_nodes))
+                             _leaf_mean(chart, dpik, n_nodes))
     if not callable(func):
         raise ConfigError(f"func must be callable, got {func!r}")
     # a new array per call, as _drift_rk4 requires of its field
@@ -282,9 +266,9 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     if np.any(np.abs(snap_idx * h - horizons) > 1e-9):
         raise ConfigError("horizons must sit on the integration grid")
     x0 = _check_start(chart, x0)
-    leaf_mean = leaf_average_quadrature(chart, psi,
-                                        chart.vertical_projection(x0),
-                                        n_nodes=256)
+    v0 = chart.vertical_projection(x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        leaf_mean = leaf_average_quadrature(chart, psi, v0, n_nodes=256)
     t_max = float(horizons[-1])
 
     def run_block(a, b):
@@ -309,6 +293,8 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
         return snaps
 
     snaps = np.concatenate(map_blocks(run_block, n_paths), axis=1)
+    if not (math.isfinite(leaf_mean) and np.isfinite(snaps).all()):
+        raise BlowupError("psi's time or leaf averages left the finite range")
     errors = snaps / horizons[:, None] - leaf_mean
     lp = np.array([lp_moment(row, p)[0] for row in errors])
     if np.all(lp <= _ZERO_FLOOR):

@@ -115,9 +115,9 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     and vertical parts) stops accumulating at a path's exit time and is
     read at the horizon.  The horizon must end strictly before the
     averaged path reaches the transversal boundary; otherwise the
-    comparison window is ill posed and a ConfigError is raised.  `threads`
-    is accepted and has no effect; it stays because perfbench/workloads.py
-    passes it.
+    comparison window is ill posed and a ConfigError is raised.  `threads`,
+    a count of at least 1, has no effect; it stays because
+    perfbench/workloads.py passes it.
     """
     epsilons = _reals(epsilons, "eps values", above=0, most=1)
     _real(horizon, "horizon", above=0)
@@ -125,6 +125,7 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
+    _count(threads, "threads", 1)
     cfg = _grid_config(cfg)
     _check_plan(n_paths, [resolve_grid(cfg, eps, horizon / eps)[0]
                           for eps in epsilons])
@@ -395,8 +396,8 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
 
     A block's paths run in lockstep: the grid half through
     integrate_grid_ensemble with the per-step sums as its increments, the
-    event half through step_events.  `threads` is accepted and has no
-    effect; it stays because perfbench/workloads.py passes it.
+    event half through step_events.  `threads`, a count of at least 1, has
+    no effect; it stays because perfbench/workloads.py passes it.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -414,6 +415,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
+    _count(threads, "threads", 1)
     _check_plan(n_paths, [_step_count(horizon, h) for _, h in levels])
     # closed-form small-jump means: a driver without them raises before any path
     means = [np.array([driver.mean_below(c)]) for c, _ in levels]

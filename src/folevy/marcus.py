@@ -381,45 +381,48 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
         sampler = make_step_sampler(driver, h)
         gens = [s.generator() for s in streams]
     done = 0
-    while done < n_steps:
-        m_chunk = min(_CHUNK, n_steps - done)
-        if increments is None:
-            draws = np.empty((m_paths, m_chunk, fields.driver_dim))
-            for i, g in enumerate(gens):
-                draws[i] = sampler(g, m_chunk)
-        else:
-            draws = increments[:, done:done + m_chunk]
-        for j in range(m_chunk):
-            t1 = (done + j + 1) * h
-            z = draws[:, j, :]
-            if frozen:
-                idle = ~active
-                keep = [a[idle].copy() for a in (states, comp, states_b, comp_b)
-                        if a is not None]
-            states, comp = split_step(states, comp, drift, z)
-            if pair:
-                states_b, comp_b = split_step(states_b, comp_b, drift_b, z)
-            if frozen:
-                for a, kept in zip((states, comp, states_b, comp_b), keep):
-                    a[idle] = kept
-            if contains is not None:
-                newly = active & ~np.asarray(contains(states), dtype=bool)
-                if newly.any():
-                    if not np.isfinite(states[newly]).all():
-                        raise BlowupError(f"a path left the finite range "
-                                          f"at t={t1:g}")
-                    exit_times[newly] = t1
-                    active &= ~newly
-                    frozen = True
-            k = done + j + 1
-            if on_step is not None:
-                on_step(k, t1, states, active)
-            if pair and on_step_pair is not None:
-                on_step_pair(k, t1, states, states_b, active)
-        # without a domain check nothing above sees a nan or inf state
-        if contains is None and not np.isfinite(states).all():
-            raise BlowupError(f"a path left the finite range by t={t1:g}")
-        done += m_chunk
+    # an overflow leaves an inf or nan state, a BlowupError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_steps:
+            m_chunk = min(_CHUNK, n_steps - done)
+            if increments is None:
+                draws = np.empty((m_paths, m_chunk, fields.driver_dim))
+                for i, g in enumerate(gens):
+                    draws[i] = sampler(g, m_chunk)
+            else:
+                draws = increments[:, done:done + m_chunk]
+            for j in range(m_chunk):
+                t1 = (done + j + 1) * h
+                z = draws[:, j, :]
+                if frozen:
+                    idle = ~active
+                    keep = [a[idle].copy()
+                            for a in (states, comp, states_b, comp_b)
+                            if a is not None]
+                states, comp = split_step(states, comp, drift, z)
+                if pair:
+                    states_b, comp_b = split_step(states_b, comp_b, drift_b, z)
+                if frozen:
+                    for a, kept in zip((states, comp, states_b, comp_b), keep):
+                        a[idle] = kept
+                if contains is not None:
+                    newly = active & ~np.asarray(contains(states), dtype=bool)
+                    if newly.any():
+                        if not np.isfinite(states[newly]).all():
+                            raise BlowupError(f"a path left the finite range "
+                                              f"at t={t1:g}")
+                        exit_times[newly] = t1
+                        active &= ~newly
+                        frozen = True
+                k = done + j + 1
+                if on_step is not None:
+                    on_step(k, t1, states, active)
+                if pair and on_step_pair is not None:
+                    on_step_pair(k, t1, states, states_b, active)
+            # without a domain check nothing above sees a nan or inf state
+            if contains is None and not np.isfinite(states).all():
+                raise BlowupError(f"a path left the finite range by t={t1:g}")
+            done += m_chunk
     return EnsembleResult(states, exit_times, n_steps, h)
 
 
@@ -469,9 +472,10 @@ def step_events(fields: VectorFieldSet, x0, grid, events: JumpEvents, eps,
     moving rows and scatters them back.  Both give each row the same bits,
     since every field acts row by row.  The jump flow is chosen once, as in
     the grid kernel: a non-finite jump size is a ConfigError before any
-    step, non-finite closed-form output a BlowupError.  `on_event(k, t,
-    states, jumped)` sees every column and stops the stepping by returning
-    true.  Returns the final states.
+    step, non-finite closed-form output a BlowupError, and so is a
+    non-finite state where the stepping ends.  `on_event(k, t, states,
+    jumped)` sees every column and stops the stepping by returning true.
+    Returns the final states.
     """
     if not np.isfinite(events.sizes).all():
         raise ConfigError("step_events needs finite jump sizes")
@@ -484,23 +488,28 @@ def step_events(fields: VectorFieldSet, x0, grid, events: JumpEvents, eps,
     moves = gaps > 0
     whole, some = moves.all(axis=0).tolist(), moves.any(axis=0).tolist()
     any_hit = jumps.any(axis=0).tolist()
-    for k in range(times.shape[1]):
-        if drift is not None and whole[k]:
-            _drift_rk4(drift, states, comp, gaps[:, k, None])
-        elif drift is not None and some[k]:
-            moving = moves[:, k]
-            y, c = states[moving], comp[moving]
-            _drift_rk4(drift, y, c, gaps[moving, k, None])
-            states[moving], comp[moving] = y, c
-        hit = jumps[:, k]
-        if any_hit[k]:
-            pre = states[hit]
-            post = flow(pre, sizes[hit, k])
-            # reset the compensation only where the jump moved the state
-            comp[hit] = np.where(post == pre, comp[hit], 0.0)
-            states[hit] = post
-        if on_event is not None and on_event(k, times[:, k], states, hit):
-            break
+    # as in the grid kernel, an overflow is a BlowupError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(times.shape[1]):
+            if drift is not None and whole[k]:
+                _drift_rk4(drift, states, comp, gaps[:, k, None])
+            elif drift is not None and some[k]:
+                moving = moves[:, k]
+                y, c = states[moving], comp[moving]
+                _drift_rk4(drift, y, c, gaps[moving, k, None])
+                states[moving], comp[moving] = y, c
+            hit = jumps[:, k]
+            if any_hit[k]:
+                pre = states[hit]
+                post = flow(pre, sizes[hit, k])
+                # reset the compensation only where the jump moved the state
+                comp[hit] = np.where(post == pre, comp[hit], 0.0)
+                states[hit] = post
+            if on_event is not None and on_event(k, times[:, k], states, hit):
+                break
+    if not np.isfinite(states).all():
+        raise BlowupError(f"a path left the finite range by "
+                          f"t={times[:, k].max():g}")
     return states
 
 
@@ -547,12 +556,8 @@ def _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
 
     def record(k, t, states, jumped):
         rec.append((t[0], states[0].copy(), jumped[0]))
-        if bool(chart.contains(states[0])):
-            return False
-        # a non-finite state fails the domain check but is no exit
-        if not np.isfinite(states[0]).all():
-            raise BlowupError(f"the path left the finite range at t={t[0]:g}")
-        return True
+        # a non-finite state stops here too, and step_events raises on it
+        return not bool(chart.contains(states[0]))
 
     step_events(fields, x0[None, :], grid, events, eps, cfg, record)
     times, states, flags = (np.array(col) for col in zip(*rec))

@@ -217,6 +217,14 @@ def test_eta_on_a_field_that_turns_nan_is_a_blowup():
         estimate_eta(fields, preset.chart, preset.driver,
                      lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
                      horizons=[1.0, 2.0, 3.0], n_paths=100, master_seed=SEED)
+    # an observable of size 1e308 overflowed in its leaf average and its
+    # time integral: numpy's warnings, else lp_moment's ConfigError
+    huge = make_cylinder_preset(k_choice=ConstantK(1e308, 1e308, 1e308))
+    with pytest.raises(BlowupError, match="left the finite range"):
+        estimate_eta(huge.fields, huge.chart, huge.driver,
+                     projected_perturbation(huge.chart, huge.fields, 0),
+                     np.array([1.0, 0.0, 0.0]), horizons=[1.0, 2.0, 3.0],
+                     n_paths=100, master_seed=SEED)
 
 
 def test_exit_at_the_last_step_has_a_boundary_time():

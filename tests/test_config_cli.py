@@ -31,7 +31,7 @@ from folevy import (ConfigError, ConstantK, DomainError, GammaSubordinator,
                     characteristic_function, circle_law_distance, cli,
                     deviation_scaling, estimate_eta, exit_probability,
                     experiments, integrate_grid_ensemble, integrate_path,
-                    leaf_average_quadrature, make_cylinder_preset,
+                    jump_flow, leaf_average_quadrature, make_cylinder_preset,
                     marginal_samples, path_streams, sample_jump_events,
                     scheme_agreement, solve_averaged_ode, tangency_check,
                     transversal_comparison, truncate_gamma)
@@ -484,6 +484,9 @@ _SITES = {
     "transversal_comparison.ode_step": (lambda v: transversal_comparison(
         *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, ode_step=v), 1e-3,
         "real", [0, -1e-3]),
+    "transversal_comparison.threads": (lambda v: transversal_comparison(
+        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, threads=v), 1, "count",
+        [0]),
     "exit_probability.epsilons": (lambda v: exit_probability(
         *_ARGS, _AVG, _X0, v, 0.1, n_paths=4), [0.5], "list", [[1.5]]),
     "exit_probability.gamma": (lambda v: exit_probability(
@@ -526,6 +529,8 @@ _SITES = {
         *_ARGS, _X0, n_paths=v), 4, "count", [1, 10 ** 11]),
     "scheme_agreement.master_seed": (lambda v: scheme_agreement(
         *_ARGS, _X0, n_paths=4, master_seed=v), 0, "count", []),
+    "scheme_agreement.threads": (lambda v: scheme_agreement(
+        *_ARGS, _X0, n_paths=4, threads=v), 1, "count", [0]),
     "estimate_eta.horizons": (lambda v: estimate_eta(
         *_ARGS, lambda s: s[..., 0], _X0, v, n_paths=100),
         [5.0, 10.0, 20.0], "list", [[5.0, -10.0, 20.0]]),
@@ -801,7 +806,11 @@ def test_cli_check_passes_and_writes_report(tmp_path):
 @pytest.mark.parametrize("bounds", [
     ["preset.r_min=0.99", "preset.r_max=1.01"],
     ["preset.z_min=1", "preset.z_max=5"],
-], ids=["narrow_annulus", "positive_z_box"])
+    # gaps that are rounding relative to the radius, and a cutoff that
+    # scales with the rate
+    ["preset.r_max=1e6"],
+    ["preset.theta=1e20"],
+], ids=["narrow_annulus", "positive_z_box", "large_radius", "large_rate"])
 def test_cli_check_points_lie_inside_any_domain(tmp_path, monkeypatch,
                                                 bounds):
     # the check points come from the chart's own bounds, so they lie
@@ -819,6 +828,20 @@ def test_cli_check_points_lie_inside_any_domain(tmp_path, monkeypatch,
     assert checked == [True]
     report = json.load(open(os.path.join(_run_dir(out), "check.json")))
     assert report["all_passed"] and len(report["checks"]) == 7
+
+
+def test_cli_check_fails_a_radius_drift_beyond_rounding(tmp_path, monkeypatch):
+    def drifting(fields, x, z, cfg):
+        moved = jump_flow(fields, x, z, cfg)
+        moved[..., :2] *= 1 + 1e-9
+        return moved
+
+    monkeypatch.setattr(cli, "jump_flow", drifting)
+    out = tmp_path / "runs"
+    assert main(["check", "--out", str(out)]) == 1
+    report = json.load(open(os.path.join(_run_dir(out), "check.json")))
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "jump flow preserves the leaf radius"]
 
 
 def test_cli_check_repeat_runs_start_inside_u(tmp_path, monkeypatch):
@@ -858,6 +881,25 @@ def test_cli_non_finite_paths_exit_two(tmp_path, capsys, monkeypatch):
                  "--set", "experiment.n_paths=4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["eta", "--set", "experiment.n_paths=100",
+     "--set", "experiment.horizons=[1,2,3]"],
+    ["average"],
+], ids=["eta", "average"])
+def test_cli_overflowing_field_exits_two(tmp_path, capsys, command):
+    # the leaf averages and time integrals of a field of size 1e308
+    # overflow: that used to print numpy's warnings, then end in
+    # lp_moment's ConfigError or the averaged ODE's BlowupError
+    out = tmp_path / "runs"
+    assert main([*command, "--out", str(out),
+                 "--set", "preset.k_choice=constant",
+                 "--set", "preset.k_constant=[1e308,1e308,1e308]"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "finite range" in err[0]
     assert not out.exists()
 
 

@@ -717,6 +717,22 @@ def test_ensemble_raises_when_a_state_leaves_the_finite_range():
     with pytest.raises(BlowupError, match="left the finite range by t=2"):
         integrate_grid_ensemble(fields, preset.driver, x0, 2.0, 0.0,
                                 IntegratorConfig(), streams)
+    # a field whose RK4 sum overflows raised numpy's overflow warning, an
+    # error under this suite's filter, with or without a domain check and
+    # in the event stepper alike
+    huge = make_cylinder_preset(k_choice=ConstantK(1e308, 1e308, 1e308))
+    with pytest.raises(BlowupError, match="left the finite range at t=0.01"):
+        integrate_grid_ensemble(huge.fields, huge.driver, x0, 1.0, 1.0,
+                                IntegratorConfig(), streams,
+                                contains=huge.chart.contains)
+    with pytest.raises(BlowupError, match="left the finite range by t=1"):
+        integrate_grid_ensemble(huge.fields, huge.driver, x0, 1.0, 1.0,
+                                IntegratorConfig(), streams)
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(BlowupError, match="left the finite range by t=1"):
+        step_events(huge.fields, x0[None, :], grid,
+                    _table([(np.empty(0), np.empty((0, 1)))]), 1.0,
+                    IntegratorConfig())
 
 
 def test_ensemble_rejects_unsupported_setups():
