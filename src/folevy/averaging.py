@@ -17,7 +17,7 @@ import numpy as np
 
 from ._parallel import map_blocks
 from .errors import (_MAX_COUNT, BlowupError, ConfigError, DomainError,
-                     _count, _real, _reals)
+                     _count, _floats, _real, _reals)
 from .geometry import FoliatedChart, VectorFieldSet
 from .marcus import (IntegratorConfig, _check_plan, _check_start, _drift_rk4,
                      _grid_config, _kahan_add, _step_count,
@@ -43,7 +43,9 @@ def _leaf_mean(chart, func, n_nodes):
 
 def leaf_average_quadrature(chart: FoliatedChart, psi, v, n_nodes: int = 64) -> float:
     """Average of psi over the closed leaf through transversal point v."""
-    return float(_leaf_mean(chart, psi, n_nodes)(np.asarray(v, dtype=float)))
+    v = _floats(v, (chart.vertical_dim,),
+                f"v must be a transversal point of dimension {chart.vertical_dim}")
+    return float(_leaf_mean(chart, psi, n_nodes)(v))
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,9 @@ class AveragedSolution:
     boundary_time: Optional[float] = None
 
     def interp(self, s):
-        s = np.asarray(s, dtype=float)
-        if np.any(s < -1e-12) or np.any(s > self.times[-1] * (1 + 1e-12) + 1e-12):
+        s = _floats(s, (...,), "interp needs times that are numbers")
+        # a nan fails both comparisons, and is outside the range too
+        if not np.all((s >= -1e-12) & (s <= self.times[-1] * (1 + 1e-12) + 1e-12)):
             raise ConfigError("requested time lies outside the solved range")
         cols = [np.interp(s, self.times, self.values[:, i])
                 for i in range(self.values.shape[1])]
@@ -133,7 +136,8 @@ def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
     _real(horizon, "horizon", above=0)
     _real(step, "step", above=0)
     chart = avg.chart
-    v0 = np.asarray(v0, dtype=float)
+    v0 = _floats(v0, (chart.vertical_dim,), f"v0 must be a transversal "
+                 f"point of dimension {chart.vertical_dim}")
     if not bool(chart.vertical_contains(v0)):
         raise DomainError("v0 lies outside the transversal domain")
     n = _step_count(horizon, step)
@@ -259,6 +263,8 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     _count(n_paths, "n_paths", 100)
     _count(master_seed, "master_seed")
     _count(stream_base, "stream_base")
+    if not callable(psi):
+        raise ConfigError(f"psi must be callable, got {psi!r}")
     cfg = _grid_config(cfg)
     n, h = resolve_grid(cfg, 0.0, float(horizons[-1]))
     _check_plan(n_paths, [n])

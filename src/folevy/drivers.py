@@ -361,8 +361,8 @@ def characteristic_function(spec, u, t):
     """E[exp(i * u * Z_t)] for scalar or array u, from the driver's `cf`."""
     _real(t, "t", least=0)
     u_arr = np.asarray(u)
-    if u_arr.dtype.kind not in "iuf":       # a bool array is not numeric
-        raise ConfigError(f"u must be numeric, got {u!r}")
+    if u_arr.dtype.kind not in "iuf" or not np.isfinite(u_arr).all():
+        raise ConfigError(f"u must be finite numbers, got {u!r}")
     out = spec.cf(u_arr.astype(float), t)
     return complex(out) if np.isscalar(u) else out
 

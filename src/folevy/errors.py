@@ -5,6 +5,8 @@ its value or raises `ConfigError`."""
 import math
 import operator
 
+import numpy as np
+
 _MAX_COUNT = 10**7      # of nodes or samples: 100x any calibration or demo
 
 
@@ -87,3 +89,18 @@ def _reals(values, name, **bounds):
     if not values:
         raise ConfigError(f"{name} must be a nonempty list of numbers")
     return [float(_real(v, name, **bounds)) for v in values]
+
+
+def _floats(value, shape, message):
+    """`value` as a float array if it is numbers of `shape`, else
+    ConfigError(message); a leading ``...`` in `shape` takes any leading
+    axes, so (..., 3) is one point of dimension 3 or a batch of them."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(message) from None
+    if shape[:1] == (...,):
+        shape = arr.shape[:arr.ndim - len(shape) + 1] + shape[1:]
+    if arr.shape != shape:
+        raise ConfigError(message)
+    return arr

@@ -235,16 +235,11 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
         raise ConfigError(
             f"averaged path keeps a boundary gap above gamma={gamma:g} over "
             f"the whole search horizon {search_horizon:g}; no near-exit time")
-    n_eps = len(epsilons)
-    if t_gamma == 0.0:
-        zeros = np.zeros(n_eps)
-        return ExitProbabilityResult(np.asarray(epsilons), zeros, zeros.copy(),
-                                     gamma, 0.0, n_paths)
     _check_plan(n_paths, [resolve_grid(cfg, eps, t_gamma / eps)[0]
                           for eps in epsilons])
 
-    probs = np.zeros(n_eps)
-    ses = np.zeros(n_eps)
+    probs = np.zeros(len(epsilons))
+    ses = np.zeros(len(epsilons))
     for i, eps in enumerate(epsilons):
         path_horizon = t_gamma / eps
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _real
+from .errors import ConfigError, DomainError, _floats, _real
 
 _R_R_Z = np.array([0, 0, 1])   # picks (r, r, z) out of a cylinder's (r, z)
 
@@ -222,12 +222,8 @@ def dpi_k(chart: FoliatedChart, fields: VectorFieldSet, x):
     through the chart's pushforward.  x must be numbers of shape (...,
     ambient_dim), else ConfigError; points outside U raise DomainError.
     """
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        x = np.empty(0)
-    if x.ndim == 0 or x.shape[-1] != chart.ambient_dim:
-        raise ConfigError(f"dpi_k needs points of dimension {chart.ambient_dim}")
+    x = _floats(x, (..., chart.ambient_dim),
+                f"dpi_k needs points of dimension {chart.ambient_dim}")
     if not np.all(chart.contains(x)):
         raise DomainError("dpi_k evaluated outside the chart domain")
     if fields.perturbation is None:
@@ -242,14 +238,11 @@ def tangency_check(fields: VectorFieldSet, chart: FoliatedChart,
     `points` must be a nonempty finite (n, ambient_dim) array (else
     ConfigError) of points inside U (else DomainError).
     """
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
-        pts = np.empty(0)
-    if pts.ndim != 2 or pts.shape[1] != chart.ambient_dim \
-            or not len(pts) or not np.all(np.isfinite(pts)):
-        raise ConfigError(f"tangency_check needs a nonempty finite "
-                          f"(n, {chart.ambient_dim}) array of points")
+    want = (f"tangency_check needs a nonempty finite (n, "
+            f"{chart.ambient_dim}) array of points")
+    pts = _floats(points, (..., chart.ambient_dim), want)
+    if pts.ndim != 2 or not len(pts) or not np.all(np.isfinite(pts)):
+        raise ConfigError(want)
     if not np.all(chart.contains(pts)):
         raise DomainError("tangency_check evaluated outside the chart domain")
     worst = 0.0

@@ -36,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .drivers import JumpEvents, make_step_sampler, sample_jump_events
-from .errors import BlowupError, ConfigError, DomainError, _count, _real
+from .errors import (BlowupError, ConfigError, DomainError, _count, _floats,
+                     _real)
 from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
 from .tables import write_csv
@@ -110,10 +111,12 @@ def trajectory_to_csv(traj: Trajectory, path):
 # ---------------------------------------------------------------------------
 
 def _kahan_add(y, comp, incr):
-    # in place: y += incr with running compensation in comp
-    t = incr - comp
-    s = y + t
-    comp[...] = (s - y) - t
+    # in place: y += incr with running compensation in comp; incr, an
+    # array of the caller's own, is overwritten
+    incr -= comp
+    s = y + incr
+    np.subtract(s, y, out=comp)
+    comp -= incr
     y[...] = s
 
 
@@ -144,27 +147,20 @@ def _drift_rk4(f, y, comp, dt):
     w += k1
     w += k4
     w *= dt / 6.0
-    # _kahan_add(y, comp, w) with the increment's buffer reused
-    w -= comp
-    s = y + w
-    np.subtract(s, y, out=comp)
-    comp -= w
-    y[...] = s
+    _kahan_add(y, comp, w)
 
 
 def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
     """Compose drift + eps*perturbation + driving(.)*comp_rate; None if zero.
 
-    The terms are evaluated in that order and summed as
-    ``(drift + eps*K) + F(x) comp_rate``, the rounding of a left-to-right
-    sum.  The sum adds into the new array ``eps * K(x)`` returns and never
-    writes into an array a user's field returned: without the eps*K term
-    the drift's array is added to, not into.  The comp_rate operand is one
-    read-only broadcast view per row count, built on first use.
+    The sum rounds as the left-to-right sum of the present terms in that
+    order does (d + p == p + d in IEEE arithmetic), and it never writes
+    into an array a user's field returned: it adds into the new array
+    ``eps * K(x)`` gives, or else into a new sum.  The comp_rate operand
+    is one read-only broadcast view per row count, built on first use.
     """
     drift = fields.drift
     pert = fields.perturbation if eps != 0.0 else None
-    scaled = None if pert is None else (lambda x: eps * pert(x))
     compensator = None
     if comp_rate is not None:
         c = np.asarray(comp_rate, dtype=float)
@@ -177,21 +173,16 @@ def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
                 if cb is None:
                     cb = views[rows] = np.broadcast_to(c, rows + c.shape)
                 return driving(x, cb)
-    terms = [t for t in (drift, scaled, compensator) if t is not None]
-    if len(terms) <= 1:
-        return terms[0] if terms else None
+    rest = [t for t in (drift, compensator) if t is not None]
+    if pert is None:
+        if len(rest) <= 1:
+            return rest[0] if rest else None
+        return lambda x: drift(x) + compensator(x)
 
     def total(x):
-        if scaled is None:
-            return drift(x) + compensator(x)
-        if drift is None:
-            out = eps * pert(x)
-        else:
-            d = drift(x)
-            out = eps * pert(x)
-            out += d            # d + p == p + d in IEEE arithmetic
-        if compensator is not None:
-            out += compensator(x)
+        out = eps * pert(x)
+        for term in rest:
+            out += term(x)
         return out
     return total
 
@@ -341,10 +332,10 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     if increments is not None and \
             increments.shape[1:] != (n_steps, fields.driver_dim):
         raise ConfigError("increments must have shape (paths, n_steps, driver_dim)")
-    x0 = np.asarray(x0, dtype=float)
+    want = f"x0 must be one point or one row for each of the {m_paths} paths"
+    x0 = _floats(x0, (...,), want)
     if x0.ndim != 1 and x0.shape[:-1] != (m_paths,):
-        raise ConfigError(f"x0 must be one point or one row for each of the "
-                          f"{m_paths} paths, got shape {x0.shape}")
+        raise ConfigError(f"{want}, got shape {x0.shape}")
     flow = fields.exact_jump_flow or partial(_jump_rk4, fields, cfg=cfg)
 
     states = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0.copy()
@@ -518,9 +509,8 @@ def step_events(fields: VectorFieldSet, x0, grid, events: JumpEvents, eps,
 # ---------------------------------------------------------------------------
 
 def _check_start(chart: FoliatedChart, x0):
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (chart.ambient_dim,):
-        raise ConfigError(f"x0 must be a point of dimension {chart.ambient_dim}")
+    x0 = _floats(x0, (chart.ambient_dim,),
+                 f"x0 must be a point of dimension {chart.ambient_dim}")
     if not bool(chart.contains(x0)):
         raise DomainError(f"start point {x0.tolist()} lies outside the chart domain")
     return x0
@@ -577,8 +567,6 @@ def integrate_path(fields: VectorFieldSet, chart: FoliatedChart, driver, x0,
         cfg = IntegratorConfig()
     _real(horizon, "horizon", least=0)
     x0 = _check_start(chart, x0)
-    if horizon == 0:
-        return Trajectory(np.zeros(1), x0[None, :].copy(), np.zeros(1, dtype=bool))
     if cfg.scheme == "jump_decomposition":
         return _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng)
     return _grid_path(fields, chart, driver, x0, horizon, eps, cfg, rng)

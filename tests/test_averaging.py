@@ -50,11 +50,24 @@ def test_leaf_average_of_constant_is_exact():
     assert got == 3.25
 
 
+# transversal points of the wrong shape, or not numbers
+_NOT_TRANSVERSAL_POINTS = ([1.0], None, [1.0, 0.0, 0.0], "a",
+                           [[1, 0], [1, 0]], ["a", 0.0], [[1.0, 0.0], [1.0]])
+
+
+def _never_called(v):
+    raise AssertionError("evaluated a malformed point")
+
+
 def test_leaf_average_validation():
     preset = make_cylinder_preset()
     with pytest.raises(ValueError):
         leaf_average_quadrature(preset.chart, _radial_psi,
                                 np.array([1.0, 0.0]), n_nodes=4)
+    # a v that is not one transversal point used to end in an IndexError
+    for v in _NOT_TRANSVERSAL_POINTS:
+        with pytest.raises(ConfigError, match="dimension 2"):
+            leaf_average_quadrature(preset.chart, _radial_psi, v)
 
 
 def test_node_count_must_be_a_whole_number():
@@ -178,6 +191,12 @@ def test_averaged_ode_validation():
     avg = averaged_field(preset.chart, preset.fields)
     with pytest.raises(DomainError):
         solve_averaged_ode(avg, np.array([9.0, 0.0]), 1.0)
+    # numpy's IndexError, broadcast, conversion or truth-value errors
+    # before; no evaluation of the field now
+    fails = averaged_field(preset.chart, preset.fields, func=_never_called)
+    for v0 in _NOT_TRANSVERSAL_POINTS:
+        with pytest.raises(ConfigError, match="dimension 2"):
+            solve_averaged_ode(fails, v0, 1.0)
     with pytest.raises(ValueError):
         solve_averaged_ode(avg, np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
@@ -279,6 +298,12 @@ def test_interp_rejects_times_outside_range():
         sol.interp(-0.5)
     with pytest.raises(ValueError):
         sol.interp(1.5)
+    # a nan fails every comparison, so it used to pass and interpolate nan
+    for s in (math.nan, [0.5, math.nan], math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="outside the solved range"):
+            sol.interp(s)
+    with pytest.raises(ConfigError, match="numbers"):
+        sol.interp("a")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +353,10 @@ def test_estimate_eta_validation():
     with pytest.raises(ValueError):
         # off the integration grid
         estimate_eta(*args, horizons=[5.0055, 10.0, 20.0])
+    # a psi that is not callable used to end in the leaf mean's TypeError
+    for bad in ("radial", 1.0, None):
+        with pytest.raises(ConfigError, match="psi must be callable"):
+            estimate_eta(*args[:3], bad, x0, horizons=[5.0, 10.0, 20.0])
 
 
 def test_lp_moment_known_values():

@@ -566,6 +566,8 @@ _SITES = {
                               "real", [0]),
     "characteristic_function.t": (lambda v: characteristic_function(
         _GAMMA, 1.0, v), 1.0, "real", [-1.0]),
+    "characteristic_function.u": (lambda v: characteristic_function(
+        _GAMMA, v, 1.0), 1.0, "real", [[1.0, math.nan], [math.inf]]),
     "marginal_samples.t": (lambda v: marginal_samples(
         _GAMMA, v, 10, RngStream(1)), 1.0, "real", [-1.0]),
     "marginal_samples.n": (lambda v: marginal_samples(
@@ -654,8 +656,9 @@ def test_ensemble_experiments_check_the_start_first(name, monkeypatch):
     for x0 in ([10.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
         with pytest.raises(DomainError, match="outside the chart domain"):
             run(np.array(x0))
-    with pytest.raises(ConfigError, match="dimension 3"):
-        run(np.array([1.0, 0.0]))
+    for x0 in (np.array([1.0, 0.0]), "abc", ["a", 0.0, 0.0]):
+        with pytest.raises(ConfigError, match="dimension 3"):
+            run(x0)
     with pytest.raises(_Reached):
         run(_X0)
 

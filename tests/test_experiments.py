@@ -192,6 +192,7 @@ def test_exit_probability_zero_when_start_is_close():
                               gamma=0.1, n_paths=8, master_seed=SEED)
     assert result.t_gamma == 0.0
     assert np.all(result.probabilities == 0.0)
+    assert np.all(result.std_errors == 0.0)
 
 
 def test_exit_probability_needs_a_near_exit():

@@ -25,8 +25,8 @@ from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
                     trajectory_to_csv)
 from folevy import marcus
 from folevy.drivers import make_step_sampler
-from folevy.marcus import (_drift_rk4, _kahan_add, _make_drift, _merge_events,
-                           resolve_grid, step_events)
+from folevy.marcus import (SCHEMES, _drift_rk4, _kahan_add, _make_drift,
+                           _merge_events, resolve_grid, step_events)
 
 SEED = 20260816
 
@@ -260,13 +260,17 @@ def test_non_finite_jump_is_a_config_error_on_either_flow(exact, size):
 # ---------------------------------------------------------------------------
 
 def test_zero_horizon_returns_start():
+    # both schemes record the start alone through their general path
     preset = make_cylinder_preset()
     x0 = np.array([1.0, 0.0, 0.0])
-    traj = integrate_path(preset.fields, preset.chart, preset.driver,
-                          x0, 0.0, rng=RngStream(SEED, 1))
-    assert traj.times.shape == (1,)
-    assert np.array_equal(traj.states[0], x0)
-    assert not traj.exited
+    for scheme in SCHEMES:
+        traj = integrate_path(preset.fields, preset.chart, preset.driver,
+                              x0, 0.0, 0.1, IntegratorConfig(scheme=scheme),
+                              RngStream(SEED, 1))
+        assert traj.times.tolist() == [0.0]
+        assert traj.states.tolist() == [x0.tolist()]
+        assert traj.jump_flags.tolist() == [False]
+        assert not traj.exited and traj.exit_time is None
 
 
 def test_unperturbed_leaf_invariants():
@@ -355,14 +359,16 @@ def test_paths_are_bitwise_reproducible():
 
 
 def _textbook_rk4(f, y, comp, dt):
-    # the formula _drift_rk4 must reproduce rounding for rounding
-    y, comp = y.copy(), comp.copy()
+    # the formula _drift_rk4 must reproduce rounding for rounding, with
+    # its own Kahan add: _drift_rk4 ends in marcus._kahan_add
+    y = y.copy()
     k1 = f(y)
     k2 = f(y + (0.5 * dt) * k1)
     k3 = f(y + (0.5 * dt) * k2)
     k4 = f(y + dt * k3)
-    _kahan_add(y, comp, (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-    return y, comp
+    t = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4) - comp
+    s = y + t
+    return s, (s - y) - t
 
 
 @pytest.mark.parametrize("per_row", [False, True])
@@ -783,6 +789,16 @@ def test_ensemble_checks_the_start_block_before_any_draw(shape):
         integrate_grid_ensemble(preset.fields, preset.driver, np.ones(shape),
                                 1.0, 0.1, IntegratorConfig(), [_NoDraws()] * 3,
                                 contains=preset.chart.contains)
+
+
+@pytest.mark.parametrize("start", ["abc", ["a", 0.0, 0.0],
+                                   [["a", 0.0, 0.0]] * 3])
+def test_ensemble_rejects_a_start_that_is_not_numbers(start):
+    # a failed conversion was numpy's bare ValueError
+    preset = make_cylinder_preset()
+    with pytest.raises(ConfigError, match="one row for each of the 3 paths"):
+        integrate_grid_ensemble(preset.fields, preset.driver, start, 1.0, 0.1,
+                                IntegratorConfig(), [_NoDraws()] * 3)
 
 
 def test_ensemble_starts_each_path_from_its_row():
