@@ -23,7 +23,10 @@ drift and, without a closed-form flow, each substep of a jump solve.
 State updates accumulate through compensated (Kahan) summation so that
 pure-drift coordinates stay exact to a few ulp over 1e5-step horizons.
 Paths stop at their first grid or jump time outside the chart domain; the
-state is frozen at its exit value.
+state is frozen at its exit value.  Non-finite supplied jump sizes (grid
+increments or a jump table) are a ConfigError before any step.  A
+non-finite state, from a jump flow or the drift, is a BlowupError raised
+by the stepper that holds it; `jump_flow` checks a single jump's output.
 """
 
 from __future__ import annotations
@@ -156,8 +159,9 @@ def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
     The sum rounds as the left-to-right sum of the present terms in that
     order does (d + p == p + d in IEEE arithmetic), and it never writes
     into an array a user's field returned: it adds into the new array
-    ``eps * K(x)`` gives, or else into a new sum.  The comp_rate operand
-    is one read-only broadcast view per row count, built on first use.
+    ``eps * K(x)`` gives, or else into a new sum, and that array must have
+    the states' shape (else ConfigError).  The comp_rate operand is one
+    read-only broadcast view per row count, built on first use.
     """
     drift = fields.drift
     pert = fields.perturbation if eps != 0.0 else None
@@ -181,6 +185,9 @@ def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
 
     def total(x):
         out = eps * pert(x)
+        if getattr(out, "shape", None) != x.shape:
+            raise ConfigError(f"the perturbation must return one vector per state, "
+                              f"shape {x.shape}, got shape {np.shape(out)}")
         for term in rest:
             out += term(x)
         return out
@@ -226,7 +233,7 @@ def jump_flow(fields: VectorFieldSet, x, z, cfg: IntegratorConfig = None):
     closed-form flow when the field set carries one, otherwise the generic
     fixed-step Runge-Kutta solve, row by row.  A non-finite jump raises
     ConfigError before either flow; non-finite output raises BlowupError
-    with the ode time reached.
+    with the ode time reached (1 for the closed form).
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -234,22 +241,16 @@ def jump_flow(fields: VectorFieldSet, x, z, cfg: IntegratorConfig = None):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.isfinite(z).all():
         raise ConfigError("jump_flow needs finite jump sizes")
-    return _checked_flow(fields, cfg)(x, z)
+    out = _flow(fields, cfg)(x, z)
+    if not np.all(np.isfinite(out)):
+        raise BlowupError("the jump flow produced non-finite output", sigma=1.0)
+    return out
 
 
-def _checked_flow(fields: VectorFieldSet, cfg: IntegratorConfig):
-    """The jump flow (x, z) -> x' of the field set: its closed form,
-    raising BlowupError on non-finite output, or else the generic solve."""
-    exact = fields.exact_jump_flow
-    if exact is None:
-        return partial(_jump_rk4, fields, cfg=cfg)
-
-    def flow(x, z):
-        out = exact(x, z)
-        if not np.all(np.isfinite(out)):
-            raise BlowupError("closed-form jump flow produced non-finite output", sigma=1.0)
-        return out
-    return flow
+def _flow(fields: VectorFieldSet, cfg: IntegratorConfig):
+    """The jump flow (x, z) -> x' of the field set: its closed form, or
+    else the generic solve."""
+    return fields.exact_jump_flow or partial(_jump_rk4, fields, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -312,62 +313,51 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     the one point x0 or each from its own row of x0 (else ConfigError).
 
     Path i draws its increments from streams[i] only, so results are
-    independent of any partitioning of the path set; supplied `increments`
-    (paths, n_steps, driver_dim) replace the draws, and `comp_rate` adds
-    the drift F(x) comp_rate.  `on_step(k, t, states, active)` is called
-    after every step (and once at k=0); with `pair_eps` a second system is
-    advanced from the same increments and reported through
-    `on_step_pair(k, t, states, states_pair, active)`.  Exit checking
-    applies to the primary system; exited rows freeze at their exit value
-    (the pair row freezes with them).  A non-finite primary state is a
-    BlowupError: at the step it exits with a domain check, else at the end
-    of its draw chunk.
+    independent of any partitioning of the path set; supplied `increments`,
+    finite numbers of shape (paths, n_steps, driver_dim) or a ConfigError
+    before any step, replace the draws, and `comp_rate` adds the drift
+    F(x) comp_rate.  With `pair_eps` a second system is advanced by the
+    same Strang split from the same increments.  After every step (and
+    once at k=0) `on_step(k, t, states, active)` and `on_step_pair(k, t,
+    states, states_pair, active)` see the states.  Exit checking applies
+    to the primary system; exited rows freeze at their exit value (the
+    pair row freezes with them).  A non-finite primary state, whether a
+    jump flow or the drift made it, is a BlowupError: at the step it exits
+    with a domain check, else at the end of its draw chunk.
     """
     cfg = _grid_config(cfg)
     _real(eps, "eps", least=0, most=1)
     if pair_eps is not None:
         _real(pair_eps, "pair_eps", least=0, most=1)
     n_steps, h = resolve_grid(cfg, eps, horizon)
+    if increments is not None:
+        want = "increments must be finite numbers of shape (paths, n_steps, driver_dim)"
+        increments = _floats(increments, (..., n_steps, fields.driver_dim), want)
+        if increments.ndim != 3 or not np.isfinite(increments).all():
+            raise ConfigError(want)
     m_paths = len(streams) if increments is None else len(increments)
-    if increments is not None and \
-            increments.shape[1:] != (n_steps, fields.driver_dim):
-        raise ConfigError("increments must have shape (paths, n_steps, driver_dim)")
     want = f"x0 must be one point or one row for each of the {m_paths} paths"
     x0 = _floats(x0, (...,), want)
     if x0.ndim != 1 and x0.shape[:-1] != (m_paths,):
         raise ConfigError(f"{want}, got shape {x0.shape}")
-    flow = fields.exact_jump_flow or partial(_jump_rk4, fields, cfg=cfg)
+    flow = _flow(fields, cfg)
 
-    states = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0.copy()
-    drift = _make_drift(fields, eps, comp_rate)
-    pair = pair_eps is not None
-    states_b = comp_b = None
-    if pair:
-        states_b = states.copy()
-        comp_b = np.zeros_like(states)
-        drift_b = _make_drift(fields, pair_eps, comp_rate)
-    comp = np.zeros_like(states)
+    start = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0
+    # states, compensation and drift of the primary and any pair system
+    systems = [[start.copy(), np.zeros_like(start), _make_drift(fields, e, comp_rate)]
+               for e in (eps, pair_eps) if e is not None]
+    states = systems[0][0]
     active = np.ones(m_paths, dtype=bool)
     exit_times = np.full(m_paths, np.nan)
-    frozen = False
+    idle = None             # the exited rows, once some row has exited
 
-    if on_step is not None:
-        on_step(0, 0.0, states, active)
-    if pair and on_step_pair is not None:
-        on_step_pair(0, 0.0, states, states_b, active)
-    if n_steps == 0:
-        return EnsembleResult(states, exit_times, 0, h)
+    def report(k, t):
+        if on_step is not None:
+            on_step(k, t, states, active)
+        if on_step_pair is not None and len(systems) > 1:
+            on_step_pair(k, t, states, systems[1][0], active)
 
-    def split_step(y, c, f, z):
-        # drift half, jump resetting the compensation it moved, drift half
-        if f is not None:
-            _drift_rk4(f, y, c, 0.5 * h)
-        post = flow(y, z)
-        c = np.where(post == y, c, 0.0)
-        if f is not None:
-            _drift_rk4(f, post, c, 0.5 * h)
-        return post, c
-
+    report(0, 0.0)
     if increments is None:
         sampler = make_step_sampler(driver, h)
         gens = [s.generator() for s in streams]
@@ -385,17 +375,21 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
             for j in range(m_chunk):
                 t1 = (done + j + 1) * h
                 z = draws[:, j, :]
-                if frozen:
-                    idle = ~active
-                    keep = [a[idle].copy()
-                            for a in (states, comp, states_b, comp_b)
-                            if a is not None]
-                states, comp = split_step(states, comp, drift, z)
-                if pair:
-                    states_b, comp_b = split_step(states_b, comp_b, drift_b, z)
-                if frozen:
-                    for a, kept in zip((states, comp, states_b, comp_b), keep):
-                        a[idle] = kept
+                for system in systems:
+                    y, c, f = system
+                    if idle is not None:
+                        kept = y[idle], c[idle]
+                    # drift half, jump (resetting the compensation it moved), drift half
+                    if f is not None:
+                        _drift_rk4(f, y, c, 0.5 * h)
+                    post = flow(y, z)
+                    c = np.where(post == y, c, 0.0)
+                    if f is not None:
+                        _drift_rk4(f, post, c, 0.5 * h)
+                    if idle is not None:
+                        post[idle], c[idle] = kept
+                    system[:2] = post, c
+                states = systems[0][0]
                 if contains is not None:
                     newly = active & ~np.asarray(contains(states), dtype=bool)
                     if newly.any():
@@ -404,12 +398,8 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
                                               f"at t={t1:g}")
                         exit_times[newly] = t1
                         active &= ~newly
-                        frozen = True
-                k = done + j + 1
-                if on_step is not None:
-                    on_step(k, t1, states, active)
-                if pair and on_step_pair is not None:
-                    on_step_pair(k, t1, states, states_b, active)
+                        idle = ~active
+                report(done + j + 1, t1)
             # without a domain check nothing above sees a nan or inf state
             if contains is None and not np.isfinite(states).all():
                 raise BlowupError(f"a path left the finite range by t={t1:g}")
@@ -461,16 +451,16 @@ def step_events(fields: VectorFieldSet, x0, grid, events: JumpEvents, eps,
     longest row) skips the drift.  A column where every row moves steps
     the whole state in place; only a column with some zero gap gathers its
     moving rows and scatters them back.  Both give each row the same bits,
-    since every field acts row by row.  The jump flow is chosen once, as in
-    the grid kernel: a non-finite jump size is a ConfigError before any
-    step, non-finite closed-form output a BlowupError, and so is a
-    non-finite state where the stepping ends.  `on_event(k, t, states,
-    jumped)` sees every column and stops the stepping by returning true.
-    Returns the final states.
+    since every field acts row by row.  The jump flow is the grid
+    kernel's: a non-finite jump size is a ConfigError before any step, and
+    a non-finite state where the stepping ends, whether a jump flow or the
+    drift made it, a BlowupError.  `on_event(k, t, states, jumped)` sees
+    every column and stops the stepping by returning true.  Returns the
+    final states.
     """
     if not np.isfinite(events.sizes).all():
         raise ConfigError("step_events needs finite jump sizes")
-    flow = _checked_flow(fields, cfg)
+    flow = _flow(fields, cfg)
     states = np.array(x0, dtype=float)
     times, jumps, sizes = _merge_events(grid, events, fields.driver_dim)
     drift = _make_drift(fields, eps, events.compensator)

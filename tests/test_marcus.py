@@ -154,6 +154,16 @@ def test_jump_flow_blowup_reports_ode_time():
     assert 0.0 < info.value.sigma <= 1.0
 
 
+def test_jump_flow_checks_the_closed_form_output():
+    # the steppers find a non-finite state themselves; jump_flow, the one
+    # single-jump entry point, checks what the closed form returns
+    fields = replace(make_cylinder_preset().fields,
+                     exact_jump_flow=lambda x, z: np.full(x.shape, np.inf))
+    with pytest.raises(BlowupError, match="non-finite output") as info:
+        jump_flow(fields, np.array([1.0, 0.0, 0.0]), 0.5)
+    assert info.value.sigma == 1.0
+
+
 def test_jump_flow_batch_equals_each_row_alone():
     # the generic solve takes each row's substep count from its own |z|,
     # so (0.3, 3.0) are not both stepped by the count of their joint norm
@@ -271,6 +281,16 @@ def test_zero_horizon_returns_start():
         assert traj.states.tolist() == [x0.tolist()]
         assert traj.jump_flags.tolist() == [False]
         assert not traj.exited and traj.exit_time is None
+    # the kernel's pair mode reports the start once to each observer
+    calls = []
+    res = integrate_grid_ensemble(
+        preset.fields, preset.driver, x0, 0.0, 0.1, IntegratorConfig(),
+        [RngStream(SEED, 1)], pair_eps=0.0,
+        on_step=lambda k, t, states, active: calls.append(("primary", k, t)),
+        on_step_pair=lambda k, t, states, states_b, active:
+        calls.append(("pair", k, t, states_b.tolist())))
+    assert calls == [("primary", 0, 0.0), ("pair", 0, 0.0, [x0.tolist()])]
+    assert res.n_steps == 0 and res.final_states.tolist() == [x0.tolist()]
 
 
 def test_unperturbed_leaf_invariants():
@@ -443,6 +463,26 @@ def test_composed_drift_leaves_a_shared_drift_array_unmodified(eps):
     assert shared.tolist() == [0.1, -0.2, 0.3]
 
 
+@pytest.mark.parametrize("drift", [None, lambda x: 0.1 * x],
+                         ids=["alone", "with_drift"])
+@pytest.mark.parametrize("value", [np.array([0.1, 0.0, 0.2]), 0.5],
+                         ids=["vector", "scalar"])
+def test_composed_drift_rejects_a_perturbation_of_the_wrong_shape(drift,
+                                                                  value):
+    # one value for a batch of states broadcast through the RK4 stages
+    # alone, and ended in numpy's in-place sum beside a drift
+    preset = make_cylinder_preset()
+    fields = replace(preset.fields, drift=drift, perturbation=lambda x: value)
+    y = np.tile([1.0, 0.0, 0.0], (4, 1))
+    with pytest.raises(ConfigError, match="perturbation must return one "
+                                          "vector per state"):
+        _drift_rk4(_make_drift(fields, 0.3), y, np.zeros_like(y), 0.01)
+    with pytest.raises(ConfigError, match="perturbation"):
+        integrate_grid_ensemble(fields, preset.driver, y, 1.0, 0.3,
+                                IntegratorConfig(),
+                                [RngStream(SEED, i) for i in range(4)])
+
+
 def test_step_events_rows_match_stepping_each_row_alone():
     # rows with 0, 3 and 5 jumps, one of them at a grid time: columns where
     # every row moves step the whole state, the padding and the tie leave
@@ -484,7 +524,7 @@ def test_step_events_checks_sizes_first_and_closed_form_output():
                      (np.empty(0), np.empty((0, 1)))])
     fields = replace(preset.fields,
                      exact_jump_flow=lambda x, z: np.full(x.shape, np.inf))
-    with pytest.raises(BlowupError, match="closed-form jump flow"):
+    with pytest.raises(BlowupError, match="left the finite range by t=1"):
         step_events(fields, x0, grid, events, 0.3, cfg)
 
 
@@ -799,6 +839,38 @@ def test_ensemble_rejects_a_start_that_is_not_numbers(start):
     with pytest.raises(ConfigError, match="one row for each of the 3 paths"):
         integrate_grid_ensemble(preset.fields, preset.driver, start, 1.0, 0.1,
                                 IntegratorConfig(), [_NoDraws()] * 3)
+
+
+@pytest.mark.parametrize("exact", [True, False],
+                         ids=["closed_form", "generic"])
+def test_ensemble_checks_supplied_increments_before_any_step(exact):
+    # a nested list failed on .shape, strings in numpy's conversion, and a
+    # nan as a blowup on the closed form or a substep count on the generic
+    # solve
+    fields = make_cylinder_preset().fields
+    if not exact:
+        fields = fields.without_exact_flow()
+
+    def no_step(x):
+        raise AssertionError("stepped before the increments were checked")
+
+    x0 = np.array([1.0, 0.0, 0.0])
+    cfg = IntegratorConfig(step_h=0.5)
+    good = [[[0.1], [0.2]], [[0.3], [-0.4]]]
+    bads = [np.full((2, 2, 1), "a"), np.array(good)[0], [good], [[[0.1]]]]
+    for size in (np.nan, np.inf, -np.inf):
+        bads.append(np.array(good))
+        bads[-1][1, 1, 0] = size
+    for bad in bads:
+        with pytest.raises(ConfigError, match="increments must be finite"):
+            integrate_grid_ensemble(replace(fields, perturbation=no_step),
+                                    None, x0, 1.0, 0.1, cfg, None,
+                                    increments=bad)
+    listed, arrayed = (
+        integrate_grid_ensemble(fields, None, x0, 1.0, 0.1, cfg, None,
+                                increments=inc).final_states
+        for inc in (good, np.array(good)))
+    assert listed.tobytes() == arrayed.tobytes()
 
 
 def test_ensemble_starts_each_path_from_its_row():
