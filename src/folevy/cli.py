@@ -4,23 +4,29 @@ Every subcommand reads an optional YAML config, applies `--set` overrides
 and computes its result; a `cmd_*` function only computes, and returns
 the files to write, the summary, the report lines and the exit code.
 The output root (--out, then run.out_dir, then $FOLEVY_OUT_DIR, then
-./runs) is checked first; only after the compute does `_run` make a fresh
-time-stamped directory under it and write into it, in this order:
-`effective_config.yaml`, from which the run can be reproduced, then the
-command's files (its CSVs, or `check.json` for `check`), then
-`summary.json` (all but `check`).  It prints the report lines and one
-`wrote <path>` line per CSV.  Any FolevyError raised on the way, a
-rejected input included, exits with code 2 and leaves no directory behind.
+./runs) is checked first; only after the compute does `_run` write, in
+this order, `effective_config.yaml`, from which the run can be
+reproduced, then the command's files (its CSVs, or `check.json` for
+`check`), then `summary.json` (all but `check`).  It writes them into a
+hidden `.<command>-<stamp>.partial` directory under the root and renames
+that to `<command>-<stamp>` after the last file, so a run directory is
+whole or absent.  It prints the report lines and one `wrote <path>` line
+per CSV.  Any FolevyError raised on the way, a rejected input or a failed
+write included, exits with code 2 and leaves no run directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import itertools
 import math
 import os
+import shutil
 import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -59,9 +65,20 @@ def _resolve_config(args) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _renamed(part, out) -> bool:
+    """Rename `part` to `out`; False if a non-empty path holds `out`."""
+    try:
+        os.rename(part, out)
+    except OSError as exc:
+        if exc.errno in (errno.EEXIST, errno.ENOTEMPTY, errno.ENOTDIR):
+            return False
+        raise
+    return True
+
+
 def _run(args) -> int:
-    """Check the output root, compute the subcommand's result, then make
-    its run directory and write its files into it."""
+    """Check the output root, compute the subcommand's result, then write
+    its files into a partial directory and rename that into place."""
     cfg = _resolve_config(args)
     root = cfg.run.out_dir or os.environ.get("FOLEVY_OUT_DIR") or "runs"
     # the root, or the nearest path above it that exists, must be a directory
@@ -75,25 +92,39 @@ def _run(args) -> int:
                                                cfg.integrator)
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     base = os.path.join(root, f"{args.command}-{stamp}")
-    out, k = base, 1
-    while True:
-        try:
-            os.makedirs(out)
-            break
-        except FileExistsError:
-            k += 1
-            out = f"{base}-{k}"
-    with open(os.path.join(out, "effective_config.yaml"), "w",
-              encoding="utf-8") as fh:
-        fh.write(dump_config(cfg))
-    written = [write(os.path.join(out, name)) for name, write in files.items()]
-    if summary is not None:
-        write_json(os.path.join(out, "summary.json"), summary)
+    names = (f"{base}-{k}" if k > 1 else base for k in itertools.count(1))
+    out = next(names)
+    try:
+        # a run owns the free name whose partial directory it made; a
+        # rename would replace an empty directory there, so none may exist
+        while True:
+            part = os.path.join(root, f".{os.path.basename(out)}.partial")
+            if not os.path.lexists(out):
+                try:
+                    os.makedirs(part)
+                    break
+                except FileExistsError:
+                    pass
+            out = next(names)
+        with open(os.path.join(part, "effective_config.yaml"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(dump_config(cfg))
+        written = [write(os.path.join(part, name))
+                   for name, write in files.items()]
+        if summary is not None:
+            write_json(os.path.join(part, "summary.json"), summary)
+        # a path made at the name since then moves the run to the next one
+        while os.path.lexists(out) or not _renamed(part, out):
+            out = next(names)
+    except OSError as exc:
+        shutil.rmtree(part, ignore_errors=True)
+        raise FolevyError(f"cannot write the run directory {out}: {exc}") \
+            from None
     for line in lines:
         print(line)
     for path in written:
         if path.suffix == ".csv":
-            print(f"wrote {path}")
+            print(f"wrote {Path(out, path.name)}")
     return code
 
 

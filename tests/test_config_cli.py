@@ -17,6 +17,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,12 +32,12 @@ from folevy import (ConfigError, ConstantK, DomainError, GammaSubordinator,
                     characteristic_function, circle_law_distance, cli,
                     deviation_scaling, estimate_eta, exit_probability,
                     experiments, integrate_grid_ensemble, integrate_path,
-                    jump_flow, leaf_average_quadrature, make_cylinder_preset,
-                    marginal_samples, path_streams, sample_jump_events,
-                    scheme_agreement, solve_averaged_ode, tangency_check,
-                    transversal_comparison, truncate_gamma)
+                    jump_flow, leaf_average_quadrature, lp_moment,
+                    make_cylinder_preset, marginal_samples, path_streams,
+                    sample_jump_events, scheme_agreement, solve_averaged_ode,
+                    tangency_check, transversal_comparison, truncate_gamma)
 from folevy.cli import main
-from folevy.drivers import _MIN_RATE
+from folevy.drivers import _MIN_RATE, make_step_sampler
 from folevy.marcus import resolve_grid
 from folevy.config import (_FLOAT, ExperimentConfig, _parse_yaml,
                            apply_overrides,
@@ -199,6 +200,64 @@ def test_output_root_that_is_no_directory_fails_before_the_compute(
     assert sorted(os.listdir(tmp_path)) == ["afile"]
 
 
+def test_write_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch):
+    # a full disk used to end in an OSError traceback and leave a run
+    # directory with the files written before it
+    def full(path, payload):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_json", full)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write the run directory {out}/")
+    assert err.endswith("No space left on device\n") and err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
+def test_a_run_takes_a_name_no_directory_holds(tmp_path, monkeypatch):
+    # an empty directory, which a rename would replace, and another run's
+    # partial directory both keep their names
+    monkeypatch.setattr(cli, "time", SimpleNamespace(
+        gmtime=lambda: None, strftime=lambda *args: "STAMP"))
+    out = tmp_path / "runs"
+    (out / "simulate-STAMP").mkdir(parents=True)
+    (out / ".simulate-STAMP-2.partial").mkdir()
+    for _ in range(2):
+        assert main(["simulate", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        ".simulate-STAMP-2.partial", "simulate-STAMP", "simulate-STAMP-3",
+        "simulate-STAMP-4"]
+    assert os.listdir(out / "simulate-STAMP") == []
+
+
+@pytest.mark.parametrize("hook, held", [("write_json", []),
+                                        ("rename", ["other"])])
+def test_a_name_taken_after_the_claim_moves_the_run_on(tmp_path, monkeypatch,
+                                                       hook, held):
+    # a path made at the claimed name while the files are written, or just
+    # before the rename, is neither replaced nor fails the run
+    monkeypatch.setattr(cli, "time", SimpleNamespace(
+        gmtime=lambda: None, strftime=lambda *args: "STAMP"))
+    out = tmp_path / "runs"
+    taken = out / "simulate-STAMP"
+    module = cli if hook == "write_json" else os
+    original = getattr(module, hook)
+
+    def take(*args):
+        if not taken.exists():
+            taken.mkdir()
+            for name in held:
+                (taken / name).write_text("")
+        return original(*args)
+
+    monkeypatch.setattr(module, hook, take)
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["simulate-STAMP", "simulate-STAMP-2"]
+    assert os.listdir(taken) == held
+    assert "summary.json" in os.listdir(out / "simulate-STAMP-2")
+
+
 @pytest.mark.parametrize("text, key", [
     ("experiment:\n  epsilon: 0.1\n  epsilon: 0.5\n", "experiment.epsilon"),
     ("experiment:\n  epsilon: 0.1\nexperiment:\n  horizon: 1.0\n",
@@ -355,104 +414,18 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_library_rejections_are_config_errors_and_value_errors():
-    preset = make_cylinder_preset()
-    args = (preset.fields, preset.chart, preset.driver)
-    avg = averaged_field(preset.chart, preset.fields)
-    x0 = np.array([1.0, 0.0, 0.0])
-    eta = partial(estimate_eta, *args, lambda s: s[..., 0], x0,
-                  [5.0, 10.0, 20.0])
-    rejections = [
-        lambda: GammaSubordinator(rate=-1),
-        lambda: IntegratorConfig(scheme="euler"),
-        lambda: estimate_eta(preset.fields, preset.chart, preset.driver,
-                             lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
-                             [5.0, 10.0, 20.0], n_paths=50),
-        lambda: resolve_grid(IntegratorConfig(), 0.1, -1),
-        lambda: resolve_grid(IntegratorConfig(step_h=1e-9), 0.1, 1.0),
-        lambda: characteristic_function(preset.driver, "abc", 1.0),
-        lambda: characteristic_function(preset.driver, 1.0, math.nan),
-        lambda: marginal_samples(preset.driver, math.inf, 10, RngStream(1)),
-        lambda: estimate_eta(preset.fields, preset.chart, preset.driver,
-                             lambda s: s[..., 0], np.array([1.0, 0.0, 0.0]),
-                             ["abc", 20, 30], n_paths=100),
-        # a count that is not an integer, a string, an integer past the
-        # float range, a bool, a count past its ceiling
-        lambda: transversal_comparison(*args, avg, x0, [0.5], 0.3,
-                                       n_paths=2.5),
-        lambda: transversal_comparison(*args, avg, x0, [0.5], 0.3,
-                                       n_paths=np.float64(3.0)),
-        lambda: scheme_agreement(*args, x0, n_paths=3.5),
-        lambda: exit_probability(*args, avg, x0, [0.5], 0.1, n_paths="3"),
-        lambda: transversal_comparison(*args, avg, x0, [0.5], 0.3,
-                                       p=10 ** 400, n_paths=4),
-        lambda: deviation_scaling(*args, x0, [0.5], 0.3, p=10 ** 400,
-                                  n_paths=4),
-        lambda: transversal_comparison(*args, avg, x0, [0.5], 10 ** 400,
-                                       n_paths=4),
-        lambda: deviation_scaling(*args, x0, [0.5], 10 ** 400, n_paths=4),
-        lambda: eta(p=10 ** 400, n_paths=100),
-        lambda: eta(n_paths=100.5),
-        lambda: deviation_scaling(*args, x0, ["a"], 0.3, n_paths=4),
-        lambda: IntegratorConfig(step_h="a"),
-        lambda: integrate_path(*args, x0, 1.0, 0.0,
-                               IntegratorConfig(step_h=10 ** 400)),
-        lambda: IntegratorConfig(jump_cutoff=10 ** 400),
-        lambda: solve_averaged_ode(avg, np.array([1.0, 0.0]), 10 ** 400),
-        lambda: sample_jump_events(truncate_gamma(preset.driver, 0.01),
-                                   10 ** 400, RngStream(1)),
-        lambda: integrate_path(*args, x0, 10 ** 400),
-        lambda: tangency_check(preset.fields, preset.chart, np.empty((0, 3))),
-        lambda: path_streams(0, 0, -1),
-        lambda: GammaSubordinator(rate=True),
-        lambda: RngStream(True),
-        lambda: circle_law_distance(preset.driver, 1.0, 10 ** 12,
-                                    RngStream(1)),
-        lambda: leaf_average_quadrature(preset.chart, lambda s: s[..., 0],
-                                        np.array([1.0, 0.0]),
-                                        n_nodes=10 ** 11),
-    ]
-    for reject in rejections:
-        with pytest.raises(ConfigError) as info:
-            reject()
-        assert isinstance(info.value, ValueError)
-
-
-def _non_finite_call(name, value):
-    preset = make_cylinder_preset()
-    args = (preset.fields, preset.chart, preset.driver)
-    x0 = np.array([1.0, 0.0, 0.0])
-    if name == "estimate_eta.p":
-        return estimate_eta(*args, lambda s: s[..., 0], x0, [5.0, 10.0, 20.0],
-                            p=value, n_paths=100)
-    if name == "deviation_scaling.p":
-        return deviation_scaling(*args, x0, [0.5, 0.25], 0.3, p=value,
-                                 n_paths=4)
-    if name == "transversal_comparison.p":
-        return transversal_comparison(
-            *args, averaged_field(preset.chart, preset.fields), x0, [0.5],
-            0.3, p=value, n_paths=4)
-    return IntegratorConfig(**{name.split(".")[1]: value})
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["estimate_eta.p", "deviation_scaling.p",
-                                  "transversal_comparison.p",
-                                  "IntegratorConfig.step_h",
-                                  "IntegratorConfig.jump_cutoff"])
-def test_non_finite_numbers_are_rejected_before_any_path(name, value):
-    # unchecked, p=nan fits an eta exponent of 0.0, p=inf reads deviation
-    # values of [1.0, 1.0], and step_h=inf takes one step over the horizon
-    with pytest.raises(ConfigError):
-        _non_finite_call(name, value)
-
-
 class _Reached(Exception):
-    """Raised by the stand-ins for the path kernel and the stream maker."""
+    """Raised by the stand-ins for the path kernel, the stream maker and a
+    stream's generator."""
 
 
 def _reached(*args, **kwargs):
     raise _Reached
+
+
+class _Unread:
+    """A stream that ends the call at its first draw."""
+    generator = _reached
 
 
 _PRESET = make_cylinder_preset()
@@ -461,10 +434,17 @@ _AVG = averaged_field(_PRESET.chart, _PRESET.fields)
 _X0 = np.array([1.0, 0.0, 0.0])
 _GAMMA = GammaSubordinator(1.0)
 _TRUNCATED = truncate_gamma(_GAMMA, 0.01)
+_SOL = solve_averaged_ode(_AVG, np.array([1.0, 0.0]), 0.1)
+_PSI = lambda s: s[..., 0]
+_ETA = partial(estimate_eta, *_ARGS, _PSI, _X0)
 
 
-# site -> (the call with value v in place of one argument, its valid
-# value, its kind, values out of its range)
+# The one table of argument checks: site -> (the call with value v in
+# place of one argument, its valid value, its kind, values out of its
+# range).  The row of a _real, _reals or _count call is keyed by the
+# function that makes it (a __post_init__ by its class) and the value it
+# checks, `self.` dropped; any other row by the function it calls and
+# the argument that it varies.
 _SITES = {
     "transversal_comparison.epsilons": (lambda v: transversal_comparison(
         *_ARGS, _AVG, _X0, v, 0.3, n_paths=4), [0.5], "list",
@@ -488,14 +468,17 @@ _SITES = {
         *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, threads=v), 1, "count",
         [0]),
     "exit_probability.epsilons": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, v, 0.1, n_paths=4), [0.5], "list", [[1.5]]),
+        *_ARGS, _AVG, _X0, v, 0.1, n_paths=4), [0.5], "list", [[1.5], [2.0]]),
     "exit_probability.gamma": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], v, n_paths=4), 0.1, "real", [0, -1.0]),
+        *_ARGS, _AVG, _X0, [0.5], v, n_paths=4), 0.1, "real", [0, 0.0, -1.0]),
     "exit_probability.n_paths": (lambda v: exit_probability(
         *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=v), 4, "count",
         [1, 10 ** 11]),
     "exit_probability.master_seed": (lambda v: exit_probability(
         *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, master_seed=v), 0,
+        "count", []),
+    "exit_probability.stream_base": (lambda v: exit_probability(
+        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, stream_base=v), 0,
         "count", []),
     "exit_probability.ode_step": (lambda v: exit_probability(
         *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, ode_step=v), 1e-3,
@@ -505,14 +488,20 @@ _SITES = {
         "real", [0, -1.0]),
     "deviation_scaling.epsilons": (lambda v: deviation_scaling(
         *_ARGS, _X0, v, 0.3, n_paths=4), [0.5, 0.25], "list",
-        [[0.0], [0.5], [0.5, 0.5]]),
+        [[0.0], [0.5], [0.5, 0.5], [-0.1], ["a"]]),
     "deviation_scaling.horizon": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5, 0.25], v, n_paths=4), 0.3, "real", [0]),
+        *_ARGS, _X0, [0.5, 0.25], v, n_paths=4), 0.3, "real", [0, 0.0]),
+    "deviation_scaling.observable": (lambda v: deviation_scaling(
+        *_ARGS, _X0, [0.5, 0.25], 0.3, v, n_paths=4), "radial", None,
+        ["angular"]),
     "deviation_scaling.p": (lambda v: deviation_scaling(
         *_ARGS, _X0, [0.5, 0.25], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
     "deviation_scaling.n_paths": (lambda v: deviation_scaling(
         *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=v), 4, "count",
         [1, 10 ** 11]),
+    "deviation_scaling.master_seed": (lambda v: deviation_scaling(
+        *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=4, master_seed=v), 0,
+        "count", []),
     "deviation_scaling.stream_base": (lambda v: deviation_scaling(
         *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=4, stream_base=v), 0,
         "count", []),
@@ -526,63 +515,110 @@ _SITES = {
     "scheme_agreement.level_step": (lambda v: scheme_agreement(
         *_ARGS, _X0, levels=((0.08, v),), n_paths=4), 0.04, "real", [0]),
     "scheme_agreement.n_paths": (lambda v: scheme_agreement(
-        *_ARGS, _X0, n_paths=v), 4, "count", [1, 10 ** 11]),
+        *_ARGS, _X0, n_paths=v), 4, "count", [1, 3.5, 10 ** 11]),
     "scheme_agreement.master_seed": (lambda v: scheme_agreement(
         *_ARGS, _X0, n_paths=4, master_seed=v), 0, "count", []),
+    "scheme_agreement.stream_base": (lambda v: scheme_agreement(
+        *_ARGS, _X0, n_paths=4, stream_base=v), 0, "count", []),
     "scheme_agreement.threads": (lambda v: scheme_agreement(
         *_ARGS, _X0, n_paths=4, threads=v), 1, "count", [0]),
-    "estimate_eta.horizons": (lambda v: estimate_eta(
-        *_ARGS, lambda s: s[..., 0], _X0, v, n_paths=100),
-        [5.0, 10.0, 20.0], "list", [[5.0, -10.0, 20.0]]),
-    "estimate_eta.p": (lambda v: estimate_eta(
-        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], p=v,
-        n_paths=100), 2, "real", [1.5]),
-    "estimate_eta.n_paths": (lambda v: estimate_eta(
-        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=v),
-        100, "count", [99, 10 ** 11]),
-    "estimate_eta.stream_base": (lambda v: estimate_eta(
-        *_ARGS, lambda s: s[..., 0], _X0, [5.0, 10.0, 20.0], n_paths=100,
-        stream_base=v), 0, "count", []),
-    "IntegratorConfig.step_h": (lambda v: IntegratorConfig(step_h=v), 0.01,
-                                "real", [0, -1e-3]),
-    "IntegratorConfig.jump_ode_substeps": (
-        lambda v: IntegratorConfig(jump_ode_substeps=v), 20, "count",
-        [0, 10 ** 4 + 1]),
-    "IntegratorConfig.jump_cutoff": (lambda v: IntegratorConfig(
-        jump_cutoff=v), 1e-3, "real", [0]),
+    "estimate_eta.horizons": (lambda v: _ETA(v, n_paths=100),
+                              [5.0, 10.0, 20.0], "list",
+                              [[5.0, -10.0, 20.0], [-1.0, 5.0, 10.0],
+                               ["abc", 20, 30], [5.0, 10.0], [5.0, 5.0, 10.0],
+                               [5.0055, 10.0, 20.0]]),
+    "estimate_eta.psi": (lambda v: estimate_eta(
+        *_ARGS, v, _X0, [5.0, 10.0, 20.0], n_paths=100), _PSI, None,
+        ["radial", 1.0, None]),
+    "estimate_eta.p": (lambda v: _ETA([5.0, 10.0, 20.0], p=v, n_paths=100),
+                       2, "real", [1, 1.5]),
+    "estimate_eta.n_paths": (lambda v: _ETA([5.0, 10.0, 20.0], n_paths=v),
+                             100, "count", [50, 99, 100.5, 10 ** 11]),
+    "estimate_eta.master_seed": (lambda v: _ETA(
+        [5.0, 10.0, 20.0], n_paths=100, master_seed=v), 0, "count", []),
+    "estimate_eta.stream_base": (lambda v: _ETA(
+        [5.0, 10.0, 20.0], n_paths=100, stream_base=v), 0, "count", []),
+    "lp_moment.p": (lambda v: lp_moment([1.0, 2.0], v), 2, "real",
+                    [0.5, -1, "2"]),
+    "time_to_margin.gamma": (lambda v: _SOL.time_to_margin(v), 0.1, "real",
+                             [-0.1]),
     "solve_averaged_ode.horizon": (lambda v: solve_averaged_ode(
         _AVG, np.array([1.0, 0.0]), v), 0.1, "real", [0, -1.0]),
     "solve_averaged_ode.step": (lambda v: solve_averaged_ode(
         _AVG, np.array([1.0, 0.0]), 0.1, v), 1e-3, "real", [0]),
-    "GammaSubordinator.rate": (lambda v: GammaSubordinator(v), 1.0, "real",
-                               [0, -1.0, 1e-151, 5e-324]),
+    "_leaf_mean.n_nodes": (lambda v: leaf_average_quadrature(
+        _PRESET.chart, _PSI, np.array([1.0, 0.0]), n_nodes=v), 64, "count",
+        [7, 10 ** 8, 10 ** 11, 10 ** 400]),
+    "make_cylinder_preset.r_min": (lambda v: make_cylinder_preset(
+        r_min=v, r_max=2.0), 0.5, "real", [1.5, 0.0]),
+    "make_cylinder_preset.r_max": (lambda v: make_cylinder_preset(
+        r_min=0.5, r_max=v), 2.0, "real", [0.9]),
+    "make_cylinder_preset.z_min": (lambda v: make_cylinder_preset(
+        z_min=v, z_max=-1.0), -2.0, "real", [1.0]),
+    "make_cylinder_preset.z_max": (lambda v: make_cylinder_preset(
+        z_min=1.0, z_max=v), 2.0, "real", [-1.0]),
+    "IntegratorConfig.scheme": (lambda v: IntegratorConfig(scheme=v),
+                                "grid_increment", None,
+                                ["euler", "exact_leaf"]),
+    "IntegratorConfig.step_h": (lambda v: IntegratorConfig(step_h=v), 0.01,
+                                "real", [0, 0.0, -1e-3]),
+    "IntegratorConfig.jump_ode_substeps": (
+        lambda v: IntegratorConfig(jump_ode_substeps=v), 20, "count",
+        [0, 10 ** 4 + 1]),
+    "IntegratorConfig.jump_cutoff": (lambda v: IntegratorConfig(
+        jump_cutoff=v), 1e-3, "real", [0, -1e-3]),
+    "resolve_grid.horizon": (lambda v: resolve_grid(
+        IntegratorConfig(), 0.1, v), 1.0, "real", [-1, -1.0]),
+    # a step so fine that the horizon takes more than 1e8 of them
+    "resolve_grid.step_h": (lambda v: resolve_grid(
+        IntegratorConfig(step_h=v), 0.1, 1.0), 0.01, None, [1e-9]),
+    "integrate_grid_ensemble.eps": (lambda v: integrate_grid_ensemble(
+        _ARGS[0], _ARGS[2], _X0, 1.0, v, IntegratorConfig(), [_Unread()],
+        contains=_PRESET.chart.contains), 0.1, "real", [-1.0, 2.0]),
+    "integrate_grid_ensemble.pair_eps": (lambda v: integrate_grid_ensemble(
+        _ARGS[0], _ARGS[2], _X0, 1.0, 0.1, IntegratorConfig(), [_Unread()],
+        pair_eps=v), 0.1, "real", [-1.0, 2.0]),
+    "integrate_path.eps": (lambda v: integrate_path(
+        *_ARGS, _X0, 1.0, v, rng=_Unread()), 0.1, "real", [-0.1, 1.5]),
+    "integrate_path.horizon": (lambda v: integrate_path(
+        *_ARGS, _X0, v, rng=_Unread()), 1.0, "real", [-1.0]),
+    # the drivers take None and an int -1 as well
+    "GammaSubordinator.rate": (lambda v: GammaSubordinator(v), _MIN_RATE,
+                               "real", [0, 0.0, -1.0, -1, None, 1e-151,
+                                        math.nextafter(_MIN_RATE, 0.0),
+                                        1e-200, 5e-324]),
+    "tail_mass.cutoff": (lambda v: _GAMMA.tail_mass(v), 0.05, "real",
+                         [0.0, -1, None]),
     "TruncatedMeasure.cutoff": (lambda v: replace(
-        _TRUNCATED, cutoff=v), 0.01, "real", [0]),
+        _TRUNCATED, cutoff=v), 0.01, "real", [0, 0.0, -1, -0.1, None]),
     "TruncatedMeasure.restricted_mass": (lambda v: replace(
-        _TRUNCATED, restricted_mass=v), 1.0, "real", [0]),
+        _TRUNCATED, restricted_mass=v), 1.0, "real", [0, 0.0, -1, None]),
     "TruncatedMeasure.compensator": (lambda v: replace(
-        _TRUNCATED, compensator=v), 0.0, "real", [-1.0]),
+        _TRUNCATED, compensator=v), 0.0, "real", [-1.0, -1, -1e-3, None]),
     "truncate_gamma.cutoff": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
-                              "real", [0]),
+                              "real", [0, 0.0, -1, -0.1, None]),
+    "make_step_sampler.h": (lambda v: make_step_sampler(_GAMMA, v), 0.1,
+                            "real", [0.0, -0.1, -1, None]),
     "characteristic_function.t": (lambda v: characteristic_function(
-        _GAMMA, 1.0, v), 1.0, "real", [-1.0]),
+        _GAMMA, 1.0, v), 1.0, "real", [-1.0, -1, None]),
     "characteristic_function.u": (lambda v: characteristic_function(
         _GAMMA, v, 1.0), 1.0, "real", [[1.0, math.nan], [math.inf]]),
     "marginal_samples.t": (lambda v: marginal_samples(
-        _GAMMA, v, 10, RngStream(1)), 1.0, "real", [-1.0]),
+        _GAMMA, v, 10, _Unread()), 1.0, "real", [-1.0, -1, None]),
     "marginal_samples.n": (lambda v: marginal_samples(
-        _GAMMA, 1.0, v, RngStream(1)), 10, "count", [10 ** 8, 10 ** 400]),
+        _GAMMA, 1.0, v, _Unread()), 10, "count",
+        [-3, 2.0, 10 ** 8, 10 ** 400]),
+    # the count is checked before the t == 0 return
+    "marginal_samples.n_at_t0": (lambda v: marginal_samples(
+        _GAMMA, 0.0, v, _Unread()), 10, "count", [-3, 2.0]),
     "circle_law_distance.t": (lambda v: circle_law_distance(
-        _GAMMA, v, 200, RngStream(1)), 1.0, "real", [-1.0]),
+        _GAMMA, v, 200, _Unread()), 1.0, "real", [-1.0]),
     "circle_law_distance.n_paths": (lambda v: circle_law_distance(
-        _GAMMA, 1.0, v, RngStream(1)), 200, "count",
-        [99, 10 ** 8, 10 ** 400]),
+        _GAMMA, 1.0, v, _Unread()), 200, "count",
+        [99, 150.5, 1e6, "200", 10 ** 8, 10 ** 12, 10 ** 400]),
     "sample_jump_events.horizon": (lambda v: sample_jump_events(
-        truncate_gamma(_GAMMA, 0.05), v, RngStream(1)), 1.0, "real",
-        [-1.0]),
-    "leaf_average_quadrature.n_nodes": (lambda v: leaf_average_quadrature(
-        _PRESET.chart, lambda s: s[..., 0], np.array([1.0, 0.0]),
-        n_nodes=v), 64, "count", [7, 10 ** 8, 10 ** 400]),
+        truncate_gamma(_GAMMA, 0.05), v, _Unread()), 1.0, "real",
+        [-1.0, -1, None]),
     "RngStream.master_seed": (lambda v: RngStream(v), 1, "count", []),
     "RngStream.stream_index": (lambda v: RngStream(1, v), 1, "count", []),
     "path_streams.master_seed": (lambda v: path_streams(v, 0, 2), 1,
@@ -590,6 +626,27 @@ _SITES = {
     "path_streams.base": (lambda v: path_streams(1, v, 2), 0, "count", []),
     "path_streams.n_paths": (lambda v: path_streams(1, 0, v), 2, "count",
                              []),
+}
+
+# site -> a fragment of the message its every rejection holds
+_POSITIVE = "must be positive and finite"
+_MESSAGES = {
+    "GammaSubordinator.rate": f"rate must be at least {_MIN_RATE} and finite",
+    "tail_mass.cutoff": f"cutoff {_POSITIVE}",
+    "TruncatedMeasure.cutoff": f"cutoff {_POSITIVE}",
+    "TruncatedMeasure.restricted_mass": f"restricted mass {_POSITIVE}",
+    "truncate_gamma.cutoff": f"cutoff {_POSITIVE}",
+    "make_step_sampler.h": f"step {_POSITIVE}",
+    "TruncatedMeasure.compensator": "compensator must be nonnegative and finite",
+    "sample_jump_events.horizon": "horizon must be nonnegative and finite",
+    "characteristic_function.t": "t must be nonnegative and finite",
+    "marginal_samples.t": "t must be nonnegative and finite",
+    "marginal_samples.n": "must be a nonnegative integer",
+    "marginal_samples.n_at_t0": "must be a nonnegative integer",
+    "circle_law_distance.n_paths": "must be a nonnegative integer",
+    "integrate_grid_ensemble.eps": "eps must be nonnegative and at most 1",
+    "integrate_grid_ensemble.pair_eps": "pair_eps must be nonnegative",
+    "estimate_eta.psi": "psi must be callable",
 }
 
 # invalid for any argument of the kind: an integer past the float range,
@@ -601,6 +658,8 @@ _INVALID = {
               False],
 }
 _INVALID["list"] = [[0.5, v] for v in _INVALID["real"]] + ["abc", [], 0.5]
+_CASES = [(site, v) for site, (_, _, kind, out) in sorted(_SITES.items())
+          for v in _INVALID.get(kind, []) + out]
 
 
 def _no_work(monkeypatch):
@@ -610,15 +669,15 @@ def _no_work(monkeypatch):
         monkeypatch.setattr(module, "integrate_grid_ensemble", _reached)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), site=st.sampled_from(sorted(_SITES)))
-def test_invalid_numbers_are_config_errors_before_any_path(data, site):
-    call, _, kind, out_of_range = _SITES[site]
-    value = data.draw(st.sampled_from(_INVALID[kind] + out_of_range))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _no_work(monkeypatch)
-        with pytest.raises(ConfigError):
-            call(value)
+@pytest.mark.parametrize("site, value", _CASES,
+                         ids=[f"{s}-{v!r:.24}" for s, v in _CASES])
+def test_invalid_numbers_are_config_errors_before_any_path(site, value,
+                                                           monkeypatch):
+    assert issubclass(ConfigError, ValueError)
+    _no_work(monkeypatch)
+    with pytest.raises(ConfigError) as info:
+        _SITES[site][0](value)
+    assert _MESSAGES.get(site, "") in str(info.value)
 
 
 @pytest.mark.parametrize("site", sorted(_SITES))
@@ -768,14 +827,17 @@ def test_import_leaves_yaml_unloaded():
     assert out == ["[]", "0", "2.5"]
 
 
-def test_package_raises_no_bare_value_error():
+def _package_trees():
     src = os.path.dirname(folevy.__file__)
-    found = []
     for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_package_raises_no_bare_value_error():
+    found = []
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
@@ -783,6 +845,37 @@ def test_package_raises_no_bare_value_error():
             if isinstance(exc, ast.Name) and exc.id == "ValueError":
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+# scheme_agreement checks each of its levels as a pair (c, h)
+_LEVELS = {"scheme_agreement.c": "scheme_agreement.level_cutoff",
+           "scheme_agreement.h": "scheme_agreement.level_step"}
+
+
+def test_every_argument_check_has_a_row_in_the_table():
+    # each _real, _reals or _count call outside the config has a row of
+    # _SITES with an argument kind under the key the table's comment gives
+    keys = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, ast.ClassDef) or (
+                    isinstance(child, ast.FunctionDef)
+                    and child.name != "__post_init__"):
+                name = child.name
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", None) in ("_real", "_reals", "_count"):
+                value = ast.unparse(child.args[0]).removeprefix("self.")
+                key = f"{name}.{value}"
+                keys.append(_LEVELS.get(key, key))
+            walk(child, name)
+
+    for name, tree in _package_trees():
+        if name not in ("config.py", "errors.py"):
+            walk(tree, None)
+    assert len(keys) > 60
+    assert [k for k in keys if _SITES.get(k, (0, 0, None))[2] is None] == []
 
 
 def test_compare_solves_the_averaged_ode_once(tmp_path, monkeypatch):
@@ -947,6 +1040,7 @@ def test_subcommand_run_directory_and_wrote_lines(tmp_path, capsys, command,
                                                   args, csvs):
     out = tmp_path / "runs"
     assert main([command, "--out", str(out), "--seed", "5", *args]) == 0
+    # one entry: no partial directory is left beside the run directory
     (name,) = os.listdir(out)
     assert name.startswith(f"{command}-")
     run = out / name

@@ -143,21 +143,6 @@ def test_comparison_rejects_horizon_past_boundary():
                                n_paths=4, master_seed=SEED)
 
 
-def test_comparison_validation():
-    preset, avg = _constant_vertical_setup()
-    args = (preset.fields, preset.chart, preset.driver, avg, X0)
-    with pytest.raises(ValueError):
-        transversal_comparison(*args, epsilons=[], horizon=1.0)
-    with pytest.raises(ValueError):
-        transversal_comparison(*args, epsilons=[1.5], horizon=1.0)
-    with pytest.raises(ValueError):
-        transversal_comparison(*args, epsilons=[0.1], horizon=-1.0)
-    with pytest.raises(ValueError):
-        transversal_comparison(*args, epsilons=[0.1], horizon=1.0, p=0.5)
-    with pytest.raises(ValueError):
-        transversal_comparison(*args, epsilons=[0.1], horizon=1.0, n_paths=1)
-
-
 def test_comparison_zero_perturbation_is_exact():
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 0.0))
     avg = averaged_field(preset.chart, preset.fields,
@@ -215,18 +200,6 @@ def test_exit_probability_raises_on_non_finite_paths():
         exit_probability(fields, preset.chart, preset.driver, avg, X0,
                          epsilons=[0.3], gamma=0.1, n_paths=8,
                          master_seed=SEED)
-
-
-def test_exit_probability_validation():
-    preset = make_cylinder_preset(r_max=2.0)
-    avg = averaged_field(preset.chart, preset.fields)
-    args = (preset.fields, preset.chart, preset.driver, avg, X0)
-    with pytest.raises(ValueError):
-        exit_probability(*args, epsilons=[0.1], gamma=0.0)
-    with pytest.raises(ValueError):
-        exit_probability(*args, epsilons=[0.1], gamma=0.1, n_paths=1)
-    with pytest.raises(ValueError):
-        exit_probability(*args, epsilons=[2.0], gamma=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,22 +294,6 @@ def test_deviation_large_p_is_not_a_false_zero():
     assert np.all(result.values > 0) and np.all(np.isfinite(result.values))
     assert np.all(np.isfinite(result.std_errors))
     assert math.isfinite(result.exponent)
-
-
-def test_deviation_validation():
-    preset = make_cylinder_preset()
-    args = (preset.fields, preset.chart, preset.driver, X0)
-    with pytest.raises(ConfigError):
-        deviation_scaling(*args, epsilons=[0.1], horizon=1.0,
-                          observable="angular")
-    with pytest.raises(ValueError):
-        deviation_scaling(*args, epsilons=[0.1], horizon=0.0)
-    with pytest.raises(ValueError):
-        deviation_scaling(*args, epsilons=[0.1], horizon=1.0, n_paths=1)
-    with pytest.raises(ValueError):
-        deviation_scaling(*args, epsilons=[-0.1], horizon=1.0)
-    with pytest.raises(ValueError):
-        deviation_scaling(*args, epsilons=[0.1], horizon=1.0, p=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -387,17 +387,6 @@ def test_tangency_rejects_points_outside_the_domain():
 # preset validation
 # ---------------------------------------------------------------------------
 
-def test_preset_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        make_cylinder_preset(r_min=1.5, r_max=2.0)  # leaf r=1 outside
-    with pytest.raises(ValueError):
-        make_cylinder_preset(r_min=0.0, r_max=2.0)
-    with pytest.raises(ValueError):
-        make_cylinder_preset(r_min=0.5, r_max=0.9)
-    with pytest.raises(ValueError):
-        make_cylinder_preset(z_min=1.0, z_max=-1.0)
-
-
 @pytest.mark.parametrize("k_choice", ["linear", 3.0,
                                       [ConstantK(0.0, 0.0, 1.0)]])
 def test_preset_rejects_a_k_choice_that_is_not_a_field(k_choice):
