@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .averaging import (AveragedField, AveragedSolution, RateEstimate,
                         averaged_field, estimate_eta, fit_loglog,
-                        leaf_average_quadrature, lp_moment, rate_to_csv,
+                        leaf_average_quadrature, lp_moment,
                         solve_averaged_ode)
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      config_to_dict, dump_config, load_config, loads_config,
@@ -25,35 +25,31 @@ from .drivers import (GammaSubordinator, JumpEvents, TruncatedMeasure,
 from .errors import BlowupError, ConfigError, DomainError, FolevyError
 from .experiments import (OBSERVABLES, ComparisonResult, DeviationResult,
                           ExitProbabilityResult, SchemeAgreementResult,
-                          comparison_to_csv, deviation_scaling,
-                          deviation_to_csv, exit_probability, exit_to_csv,
+                          deviation_scaling, exit_probability,
                           projected_perturbation, scheme_agreement,
                           transversal_comparison)
 from .geometry import (ConstantK, CylinderPreset, FoliatedChart, LinearK,
                        VectorFieldSet, dpi_k, make_cylinder_preset,
                        tangency_check)
 from .marcus import (EnsembleResult, IntegratorConfig, Trajectory,
-                     integrate_grid_ensemble, integrate_path, jump_flow,
-                     trajectory_to_csv)
+                     integrate_grid_ensemble, integrate_path, jump_flow)
 from .rng import RngStream, path_streams
 
 __all__ = [
-    "AveragedField", "AveragedSolution", "BlowupError", "ComparisonResult", "ConfigError", "ConstantK", "CylinderPreset",
-    "DeviationResult", "DomainError", "EnsembleResult",
-    "ExitProbabilityResult", "ExperimentConfig", "FoliatedChart",
-    "FolevyError", "GammaSubordinator", "IntegratorConfig", "JumpEvents",
-    "LinearK", "OBSERVABLES", "RateEstimate", "RngStream",
-    "SchemeAgreementResult", "Trajectory",
-    "TruncatedMeasure", "VectorFieldSet", "apply_overrides", "averaged_field",
-    "characteristic_function", "circle_law_distance", "comparison_to_csv",
-    "config_from_dict", "config_to_dict", "deviation_scaling",
-    "deviation_to_csv", "dpi_k", "dump_config", "estimate_eta",
-    "exit_probability", "exit_to_csv",
-    "fit_loglog", "integrate_grid_ensemble", "integrate_path", "jump_flow",
-    "leaf_average_quadrature",
-    "load_config", "loads_config", "lp_moment", "make_cylinder_preset",
-    "marginal_samples", "path_streams", "preset_from_config",
-    "projected_perturbation", "rate_to_csv", "sample_jump_events",
+    "AveragedField", "AveragedSolution", "BlowupError", "ComparisonResult",
+    "ConfigError", "ConstantK", "CylinderPreset", "DeviationResult",
+    "DomainError", "EnsembleResult", "ExitProbabilityResult",
+    "ExperimentConfig", "FoliatedChart", "FolevyError",
+    "GammaSubordinator", "IntegratorConfig", "JumpEvents", "LinearK",
+    "OBSERVABLES", "RateEstimate", "RngStream", "SchemeAgreementResult",
+    "Trajectory", "TruncatedMeasure", "VectorFieldSet", "apply_overrides",
+    "averaged_field", "characteristic_function", "circle_law_distance",
+    "config_from_dict", "config_to_dict", "deviation_scaling", "dpi_k",
+    "dump_config", "estimate_eta", "exit_probability", "fit_loglog",
+    "integrate_grid_ensemble", "integrate_path", "jump_flow",
+    "leaf_average_quadrature", "load_config", "loads_config", "lp_moment",
+    "make_cylinder_preset", "marginal_samples", "path_streams",
+    "preset_from_config", "projected_perturbation", "sample_jump_events",
     "scheme_agreement", "solve_averaged_ode", "tangency_check",
-    "trajectory_to_csv", "transversal_comparison", "truncate_gamma",
+    "transversal_comparison", "truncate_gamma",
 ]

@@ -23,7 +23,6 @@ from .marcus import (IntegratorConfig, _check_plan, _check_start, _drift_rk4,
                      _grid_config, _kahan_add, _step_count,
                      integrate_grid_ensemble, resolve_grid)
 from .rng import path_streams
-from .tables import write_csv
 
 _ZERO_FLOOR = 1e-14
 # where the largest |x|**p must lie for lp_moment to take the powers as
@@ -234,13 +233,6 @@ class RateEstimate:
 
     def summary(self):
         return dict(vars(self))
-
-
-def rate_to_csv(est: RateEstimate, path):
-    rows = [(t, e, est.p, est.exponent, est.constant)
-            for t, e in zip(est.horizons, est.lp_errors)]
-    return write_csv(path, ["t", "lp_error", "p", "fitted_exponent",
-                            "fitted_constant"], rows)
 
 
 def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,

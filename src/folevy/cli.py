@@ -1,50 +1,90 @@
-"""Command line front end.
+"""Command line front end, and the one module that writes a run directory.
 
 Every subcommand reads an optional YAML config, applies `--set` overrides
-and computes its result; a `cmd_*` function only computes, and returns
-the files to write, the summary, the report lines and the exit code.
-The output root (--out, then run.out_dir, then $FOLEVY_OUT_DIR, then
-./runs) is checked first; only after the compute does `_run` write, in
-this order, `effective_config.yaml`, from which the run can be
-reproduced, then the command's files (its CSVs, or `check.json` for
-`check`), then `summary.json` (all but `check`).  It writes them into a
-hidden `.<command>-<stamp>.partial` directory under the root and renames
-that to `<command>-<stamp>` after the last file, so a run directory is
-whole or absent.  It prints the report lines and one `wrote <path>` line
-per CSV.  Any FolevyError raised on the way, a rejected input or a failed
-write included, exits with code 2 and leaves no run directory behind.
-"""
+and computes its result.  A `cmd_*` function only computes: it returns
+the files to write, in write order (its CSVs, each a `(header, rows)`
+table, then `summary.json`, or `check.json` for `check`, each a JSON
+payload), the report lines and the exit code.  Numbers are written with
+shortest round-trip formatting (Python's float repr), so identical
+results serialize to identical bytes and parse back to identical doubles.
 
+The output root (--out, then run.out_dir, then $FOLEVY_OUT_DIR, then
+./runs) is checked first; only after the compute does `_run` write
+`effective_config.yaml`, from which the run can be reproduced, then the
+command's files.  It writes them into a hidden `.<command>-<stamp>.partial`
+directory under the root and renames that to `<command>-<stamp>` after the
+last file, so a run directory is whole or absent.  It prints the report
+lines and one `wrote <path>` line per CSV.  Any FolevyError raised on the
+way, a rejected input or a failed write included, exits with code 2 and
+leaves no run directory behind.
+"""
 from __future__ import annotations
 
 import argparse
 import errno
 import itertools
+import json
 import math
 import os
 import shutil
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .averaging import (averaged_field, estimate_eta, rate_to_csv,
-                        solve_averaged_ode)
+from .averaging import averaged_field, estimate_eta, solve_averaged_ode
 from .config import (_MAX_FIELD_POINTS, ExperimentConfig, config_from_dict,
                      config_to_dict, dump_config, load_config,
                      preset_from_config)
 from .drivers import characteristic_function, marginal_samples, truncate_gamma
 from .errors import BlowupError, ConfigError, FolevyError
-from .experiments import (comparison_to_csv, deviation_scaling,
-                          deviation_to_csv, exit_probability, exit_to_csv,
+from .experiments import (deviation_scaling, exit_probability,
                           projected_perturbation, transversal_comparison)
 from .geometry import tangency_check
-from .marcus import (integrate_grid_ensemble, integrate_path, jump_flow,
-                     trajectory_to_csv)
+from .marcus import integrate_grid_ensemble, integrate_path, jump_flow
 from .rng import RngStream, path_streams
-from .tables import write_csv, write_json
+
+
+def fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _jsonify(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, float) and obj != obj:  # NaN has no JSON spelling
+        return None
+    return obj
+
+
+def write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_jsonify(payload), indent=2, sort_keys=True)
+                 + "\n")
 
 
 def _add_common(parser):
@@ -88,8 +128,8 @@ def _run(args) -> int:
     if not os.path.isdir(above):
         raise ConfigError(f"run.out_dir {root!r} cannot hold runs: {above} "
                           f"is not a directory")
-    files, summary, lines, code = args.compute(cfg, preset_from_config(cfg),
-                                               cfg.integrator)
+    files, lines, code = args.compute(cfg, preset_from_config(cfg),
+                                      cfg.integrator)
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     base = os.path.join(root, f"{args.command}-{stamp}")
     names = (f"{base}-{k}" if k > 1 else base for k in itertools.count(1))
@@ -109,10 +149,11 @@ def _run(args) -> int:
         with open(os.path.join(part, "effective_config.yaml"), "w",
                   encoding="utf-8") as fh:
             fh.write(dump_config(cfg))
-        written = [write(os.path.join(part, name))
-                   for name, write in files.items()]
-        if summary is not None:
-            write_json(os.path.join(part, "summary.json"), summary)
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                write_csv(os.path.join(part, name), *content)
+            else:
+                write_json(os.path.join(part, name), content)
         # a path made at the name since then moves the run to the next one
         while os.path.lexists(out) or not _renamed(part, out):
             out = next(names)
@@ -122,9 +163,9 @@ def _run(args) -> int:
             from None
     for line in lines:
         print(line)
-    for path in written:
-        if path.suffix == ".csv":
-            print(f"wrote {Path(out, path.name)}")
+    for name in files:
+        if name.endswith(".csv"):
+            print(f"wrote {Path(out, name)}")
     return code
 
 
@@ -137,11 +178,22 @@ def _averaged(cfg, preset):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _sup_table(res, t, values, std_errors):
+    """comparison.csv and deviation.csv: one sup Lp distance per eps."""
+    return (["epsilon", "t", "p", "sup_lp", "std_error", "n_paths"],
+            [(eps, t, res.p, val, se, res.n_paths)
+             for eps, val, se in zip(res.epsilons, values, std_errors)])
+
+
 def cmd_simulate(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     traj = integrate_path(preset.fields, preset.chart, preset.driver, exp.x0,
                           exp.horizon, exp.epsilon, icfg,
                           RngStream(run.master_seed, run.stream_base))
+    x, y, z = traj.states.T
+    end = traj.exit_time if traj.exited else math.inf
+    rows = zip(traj.times, x, y, z, np.hypot(x, y), np.arctan2(y, x),
+               traj.jump_flags, traj.times >= end)
     summary = {
         "epsilon": exp.epsilon,
         "horizon": exp.horizon,
@@ -152,7 +204,9 @@ def cmd_simulate(cfg, preset, icfg):
         "final_state": traj.states[-1],
     }
     tail = f", exited at t={traj.exit_time:g}" if traj.exited else ""
-    return ({"trajectory.csv": partial(trajectory_to_csv, traj)}, summary,
+    return ({"trajectory.csv": (["t", "x", "y", "z", "r", "theta", "is_jump",
+                                 "exited"], rows),
+             "summary.json": summary},
             [f"simulated one path over {len(traj.times) - 1} recorded steps"
              f"{tail}"], 0)
 
@@ -171,16 +225,8 @@ def cmd_average(cfg, preset, icfg):
         rows = [(r, z, *avg.evaluate((r, z))) for r in rvals for z in zvals]
     if not np.isfinite(rows).all():
         raise BlowupError("the averaged field left the finite range")
-    x0 = np.asarray(exp.x0, dtype=float)
-    sol = solve_averaged_ode(avg, chart.vertical_projection(x0), exp.horizon,
-                             exp.ode_step)
-    files = {
-        "averaged_field.csv": lambda path: write_csv(
-            path, ["r", "z", "q_r", "q_z"], rows),
-        "averaged_path.csv": lambda path: write_csv(
-            path, ["s", "w_r", "w_z"],
-            zip(sol.times, sol.values[:, 0], sol.values[:, 1])),
-    }
+    sol = solve_averaged_ode(avg, chart.vertical_projection(exp.x0),
+                             exp.horizon, exp.ode_step)
     summary = {
         "method": avg.method,
         "boundary_time": sol.boundary_time,
@@ -191,8 +237,11 @@ def cmd_average(cfg, preset, icfg):
     }
     note = "stays inside" if sol.boundary_time is None \
         else f"reaches the boundary at s={sol.boundary_time:.6g}"
-    return files, summary, [f"averaged path solved to s={sol.times[-1]:g} "
-                            f"({note})"], 0
+    return ({"averaged_field.csv": (["r", "z", "q_r", "q_z"], rows),
+             "averaged_path.csv": (["s", "w_r", "w_z"],
+                                   zip(sol.times, *sol.values.T)),
+             "summary.json": summary},
+            [f"averaged path solved to s={sol.times[-1]:g} ({note})"], 0)
 
 
 def cmd_eta(cfg, preset, icfg):
@@ -200,37 +249,41 @@ def cmd_eta(cfg, preset, icfg):
     comp = ("radial", "vertical").index(exp.observable)
     psi = projected_perturbation(preset.chart, preset.fields, comp)
     est = estimate_eta(preset.fields, preset.chart, preset.driver, psi,
-                       np.asarray(exp.x0, dtype=float), exp.horizons, exp.p,
-                       exp.n_paths, run.master_seed, run.stream_base, icfg)
+                       exp.x0, exp.horizons, exp.p, exp.n_paths,
+                       run.master_seed, run.stream_base, icfg)
     if est.identically_zero:
         line = "time averages match the leaf average exactly; decay exponent 0"
     else:
         line = (f"fitted decay exponent {est.exponent:.4f} "
                 f"(prefactor {est.constant:.4g})")
-    return ({"eta.csv": partial(rate_to_csv, est)},
-            {"observable": exp.observable, **est.summary()}, [line], 0)
+    rows = [(t, e, est.p, est.exponent, est.constant)
+            for t, e in zip(est.horizons, est.lp_errors)]
+    return ({"eta.csv": (["t", "lp_error", "p", "fitted_exponent",
+                          "fitted_constant"], rows),
+             "summary.json": {"observable": exp.observable, **est.summary()}},
+            [line], 0)
 
 
 def cmd_compare(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
-                                 _averaged(cfg, preset),
-                                 np.asarray(exp.x0, dtype=float),
+                                 _averaged(cfg, preset), exp.x0,
                                  exp.epsilons, exp.horizon, exp.p, exp.n_paths,
                                  run.master_seed, run.stream_base, icfg,
                                  ode_step=exp.ode_step)
     lines = [f"eps={eps:g}: sup L{res.p:g} distance {res.sup_norm[i, 0]:.6g} "
              f"(se {res.sup_norm_se[i, 0]:.2g})"
              for i, eps in enumerate(res.epsilons)]
-    return ({"comparison.csv": partial(comparison_to_csv, res)}, res.summary(),
-            lines, 0)
+    return ({"comparison.csv": _sup_table(res, res.horizons[0],
+                                          res.sup_norm[:, 0],
+                                          res.sup_norm_se[:, 0]),
+             "summary.json": res.summary()}, lines, 0)
 
 
 def cmd_exit_prob(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = exit_probability(preset.fields, preset.chart, preset.driver,
-                           _averaged(cfg, preset),
-                           np.asarray(exp.x0, dtype=float), exp.epsilons,
+                           _averaged(cfg, preset), exp.x0, exp.epsilons,
                            exp.gamma, exp.n_paths, run.master_seed,
                            run.stream_base, icfg, ode_step=exp.ode_step,
                            search_horizon=exp.search_horizon)
@@ -239,21 +292,26 @@ def cmd_exit_prob(cfg, preset, icfg):
     lines += [f"eps={eps:g}: exit probability {pr:.4f} (se {se:.4f})"
               for eps, pr, se in zip(res.epsilons, res.probabilities,
                                      res.std_errors)]
-    return ({"exit_prob.csv": partial(exit_to_csv, res)}, res.summary(),
-            lines, 0)
+    rows = [(eps, res.t_gamma, res.gamma, pr, se, res.n_paths)
+            for eps, pr, se in zip(res.epsilons, res.probabilities,
+                                   res.std_errors)]
+    return ({"exit_prob.csv": (["epsilon", "t_gamma", "gamma", "probability",
+                                "std_error", "n_paths"], rows),
+             "summary.json": res.summary()}, lines, 0)
 
 
 def cmd_deviation(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = deviation_scaling(preset.fields, preset.chart, preset.driver,
-                            np.asarray(exp.x0, dtype=float), exp.epsilons,
-                            exp.horizon, exp.observable, exp.p, exp.n_paths,
-                            run.master_seed, run.stream_base, icfg)
+                            exp.x0, exp.epsilons, exp.horizon, exp.observable,
+                            exp.p, exp.n_paths, run.master_seed,
+                            run.stream_base, icfg)
     line = ("deviations vanish identically for this observable"
             if res.identically_zero
             else f"fitted scaling exponent {res.exponent:.4f} across eps")
-    return ({"deviation.csv": partial(deviation_to_csv, res)}, res.summary(),
-            [line], 0)
+    return ({"deviation.csv": _sup_table(res, res.horizon, res.values,
+                                         res.std_errors),
+             "summary.json": res.summary()}, [line], 0)
 
 
 def cmd_charfn(cfg, preset, icfg):
@@ -286,9 +344,9 @@ def cmd_charfn(cfg, preset, icfg):
     }
     lines = [f"u={uu:g}: exact {a.real:+.6f}{a.imag:+.6f}i, mc gap {g:.2e}"
              for uu, a, g in zip(u, exact, gaps)]
-    return ({"charfn.csv": lambda path: write_csv(
-        path, ["u", "re_exact", "im_exact", "re_mc", "im_mc", "abs_gap"],
-        rows)}, summary, lines, 0)
+    return ({"charfn.csv": (["u", "re_exact", "im_exact", "re_mc", "im_mc",
+                             "abs_gap"], rows),
+             "summary.json": summary}, lines, 0)
 
 
 def cmd_check(cfg, preset, icfg):
@@ -383,8 +441,7 @@ def cmd_check(cfg, preset, icfg):
     report = {"checks": [{"name": n, "passed": bool(ok), "detail": d}
                          for n, ok, d in checks],
               "all_passed": not failed}
-    return ({"check.json": lambda path: write_json(path, report)}, None, lines,
-            1 if failed else 0)
+    return {"check.json": report}, lines, 1 if failed else 0
 
 
 _COMMANDS = [

@@ -32,7 +32,6 @@ from .marcus import (IntegratorConfig, _check_plan, _check_start,
 # unused here, but perfbench/spans.py rebinds them on this module by name
 from .marcus import _drift_rk4, jump_flow  # noqa: F401
 from .rng import path_streams
-from .tables import write_csv
 
 _BASE_CUTOFF = 0.002    # scheme agreement samples each path's jumps above it
 OBSERVABLES = {
@@ -92,14 +91,6 @@ class ComparisonResult:
         return {**out, "boundary_time": self.solution.boundary_time,
                 "monotone_in_eps": _nonincreasing_in_eps(
                     self.epsilons, self.sup_norm[:, -1], self.sup_norm_se[:, -1])}
-
-
-def comparison_to_csv(result: ComparisonResult, path):
-    rows = [(eps, result.horizons[0], result.p, val[0], se[0], result.n_paths)
-            for eps, val, se in zip(result.epsilons, result.sup_norm,
-                                    result.sup_norm_se)]
-    return write_csv(path, ["epsilon", "t", "p", "sup_lp", "std_error", "n_paths"],
-                     rows)
 
 
 def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
@@ -198,14 +189,6 @@ class ExitProbabilityResult:
             self.epsilons, self.probabilities, self.std_errors)}
 
 
-def exit_to_csv(result: ExitProbabilityResult, path):
-    rows = [(eps, result.t_gamma, result.gamma, pr, se, result.n_paths)
-            for eps, pr, se in zip(result.epsilons, result.probabilities,
-                                   result.std_errors)]
-    return write_csv(path, ["epsilon", "t_gamma", "gamma", "probability",
-                            "std_error", "n_paths"], rows)
-
-
 def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
                      avg: AveragedField, x0, epsilons, gamma: float,
                      n_paths: int = 200, master_seed: int = 0,
@@ -278,14 +261,6 @@ class DeviationResult:
         return {**vars(self), "linear_in_eps": (
             None if self.exponent is None
             else bool(abs(self.exponent - 1.0) <= 0.15))}
-
-
-def deviation_to_csv(result: DeviationResult, path):
-    rows = [(eps, result.horizon, result.p, val, se, result.n_paths)
-            for eps, val, se in zip(result.epsilons, result.values,
-                                    result.std_errors)]
-    return write_csv(path, ["epsilon", "t", "p", "sup_lp", "std_error",
-                            "n_paths"], rows)
 
 
 def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,

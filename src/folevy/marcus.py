@@ -43,7 +43,6 @@ from .errors import (BlowupError, ConfigError, DomainError, _count, _floats,
                      _real)
 from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
-from .tables import write_csv
 
 SCHEMES = ("grid_increment", "jump_decomposition")
 _MAX_SUBSTEP_ANGLE = 0.1
@@ -96,17 +95,6 @@ class Trajectory:
     jump_flags: np.ndarray
     exited: bool = False
     exit_time: Optional[float] = None
-
-
-def trajectory_to_csv(traj: Trajectory, path):
-    r = np.hypot(traj.states[:, 0], traj.states[:, 1])
-    theta = np.arctan2(traj.states[:, 1], traj.states[:, 0])
-    exited_flags = np.zeros(len(traj.times), dtype=bool)
-    if traj.exited:
-        exited_flags[traj.times >= traj.exit_time] = True
-    rows = zip(traj.times, traj.states[:, 0], traj.states[:, 1], traj.states[:, 2],
-               r, theta, traj.jump_flags, exited_flags)
-    return write_csv(path, ["t", "x", "y", "z", "r", "theta", "is_jump", "exited"], rows)
 
 
 # ---------------------------------------------------------------------------

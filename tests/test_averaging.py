@@ -7,7 +7,6 @@ time 2*log(r_target/r0), and a constant vertical field averages to itself.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import replace
 
@@ -17,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
-                    RateEstimate, averaged_field, estimate_eta, fit_loglog,
+                    averaged_field, estimate_eta, fit_loglog,
                     leaf_average_quadrature, lp_moment, make_cylinder_preset,
-                    projected_perturbation, rate_to_csv, solve_averaged_ode)
+                    projected_perturbation, solve_averaged_ode)
 
 SEED = 20260816
 
@@ -400,15 +399,3 @@ def test_fit_loglog_rejects_unusable_points(x, y, capfd):
     with pytest.raises(ConfigError):
         fit_loglog(x, y)
     assert capfd.readouterr().err == ""
-
-
-def test_rate_csv_columns(tmp_path):
-    est = RateEstimate(np.array([1.0, 2.0]), np.array([0.5, 0.35]),
-                       -0.5, 0.5, 2.0, 100)
-    path = rate_to_csv(est, tmp_path / "rate.csv")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "lp_error", "p", "fitted_exponent",
-                       "fitted_constant"]
-    assert len(rows) == 3
-    assert float(rows[1][1]) == 0.5

@@ -891,14 +891,6 @@ def test_compare_solves_the_averaged_ode_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_check_passes_and_writes_report(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["check", "--out", str(out), "--seed", "7"]) == 0
-    report = json.load(open(os.path.join(_run_dir(out), "check.json")))
-    assert report["all_passed"]
-    assert len(report["checks"]) == 7
-
-
 @pytest.mark.parametrize("bounds", [
     ["preset.r_min=0.99", "preset.r_max=1.01"],
     ["preset.z_min=1", "preset.z_max=5"],
@@ -1017,54 +1009,110 @@ def test_cli_check_failure_exits_one_with_report(tmp_path, capsys,
 # artifacts per subcommand
 # ---------------------------------------------------------------------------
 
-# command, tiny-size arguments, the CSVs it writes in write order
+# command, tiny-size arguments, each file it writes in write order (a CSV
+# as its header and row count, summary.json or check.json as its keys),
+# and the conditions that show the files hold the run's result: col(csv,
+# name) reads a column as floats (false as 0), doc is the JSON file
 SUBCOMMANDS = [
-    ("simulate", [], ["trajectory.csv"]),
+    ("simulate", ["--set", "experiment.epsilon=0.0"],
+     {"trajectory.csv": ("t x y z r theta is_jump exited", 101),
+      "summary.json": "epsilon exit_time exited final_state horizon "
+                      "n_points scheme"},
+     # unperturbed, the path keeps to the unit circle
+     lambda col, doc: [
+         np.abs(col("trajectory.csv", "r") - 1.0).max() <= 1e-12,
+         col("trajectory.csv", "t")[0] == 0.0,
+         [col("trajectory.csv", c)[-1] for c in "xyz"] == doc["final_state"],
+         not col("trajectory.csv", "exited").any(),
+         doc["epsilon"] == 0.0 and doc["exited"] is False]),
     ("average", ["--set", "experiment.n_nodes=16"],
-     ["averaged_field.csv", "averaged_path.csv"]),
+     {"averaged_field.csv": ("r z q_r q_z", 25),
+      "averaged_path.csv": ("s w_r w_z", 1001),
+      "summary.json": "boundary_time final_value gamma method solved_until "
+                      "t_gamma"},
+     # the linear field averages to q = (r/2, 0) at every tabulated point
+     lambda col, doc: [
+         np.abs(col("averaged_field.csv", "q_r")
+                - col("averaged_field.csv", "r") / 2).max() <= 1e-10,
+         np.abs(col("averaged_field.csv", "q_z")).max() <= 1e-12,
+         doc["boundary_time"] is None]),
     ("eta", ["--set", "experiment.horizons=[1.0, 2.0, 4.0]",
-             "--set", "experiment.n_paths=100"], ["eta.csv"]),
-    ("compare", SMALL, ["comparison.csv"]),
+             "--set", "experiment.n_paths=100"],
+     {"eta.csv": ("t lp_error p fitted_exponent fitted_constant", 3),
+      "summary.json": "constant exponent horizons identically_zero "
+                      "lp_errors n_paths observable p"},
+     lambda col, doc: [
+         list(col("eta.csv", "lp_error")) == doc["lp_errors"],
+         set(col("eta.csv", "fitted_exponent")) == {doc["exponent"]},
+         doc["exponent"] < 0 and doc["identically_zero"] is False]),
+    ("compare", SMALL,
+     {"comparison.csv": ("epsilon t p sup_lp std_error n_paths", 2),
+      "summary.json": "boundary_time epsilons horizons monotone_in_eps "
+                      "n_paths p sup_norm sup_norm_se sup_radial "
+                      "sup_radial_se sup_vertical sup_vertical_se"},
+     lambda col, doc: [
+         [[v] for v in col("comparison.csv", "sup_lp")] == doc["sup_norm"],
+         set(col("comparison.csv", "t")) == {0.3}]),
     ("exit-prob", ["--set", "preset.r_max=2.0",
                    "--set", "experiment.epsilons=[0.5]",
-                   "--set", "experiment.n_paths=4"], ["exit_prob.csv"]),
-    ("deviation", SMALL, ["deviation.csv"]),
-    ("charfn", ["--set", "experiment.n_samples=200"], ["charfn.csv"]),
-    ("check", [], []),
+                   "--set", "experiment.n_paths=4"],
+     {"exit_prob.csv": ("epsilon t_gamma gamma probability std_error "
+                        "n_paths", 1),
+      "summary.json": "epsilons gamma n_paths nonincreasing_in_eps "
+                      "probabilities std_errors t_gamma"},
+     lambda col, doc: [abs(doc["t_gamma"] - 1.2837) <= 1e-3]),
+    ("deviation", SMALL,
+     {"deviation.csv": ("epsilon t p sup_lp std_error n_paths", 2),
+      "summary.json": "constant epsilons exponent horizon identically_zero "
+                      "linear_in_eps n_paths observable p std_errors values"},
+     lambda col, doc: [
+         list(col("deviation.csv", "sup_lp")) == doc["values"],
+         doc["observable"] == "radial"]),
+    ("charfn", ["--set", "experiment.n_samples=200"],
+     {"charfn.csv": ("u re_exact im_exact re_mc im_mc abs_gap", 3),
+      "summary.json": "max_abs_gap mc_bound n_samples t u_values "
+                      "within_mc_bound"},
+     # the closed form at t = 1 is 1 / (1 - i u)
+     lambda col, doc: [
+         np.abs(col("charfn.csv", "re_exact")[:2] - [0.5, 0.2]).max() <= 1e-12,
+         np.abs(col("charfn.csv", "im_exact")[:2] - [0.5, 0.4]).max() <= 1e-12,
+         doc["within_mc_bound"] and doc["max_abs_gap"] <= doc["mc_bound"]]),
+    ("check", [], {"check.json": "all_passed checks"},
+     lambda col, doc: [doc["all_passed"], len(doc["checks"]) == 7]),
 ]
 
 
-@pytest.mark.parametrize("command, args, csvs", SUBCOMMANDS,
-                         ids=[c for c, _, _ in SUBCOMMANDS])
+@pytest.mark.parametrize("command, args, files, holds", SUBCOMMANDS,
+                         ids=[row[0] for row in SUBCOMMANDS])
 def test_subcommand_run_directory_and_wrote_lines(tmp_path, capsys, command,
-                                                  args, csvs):
+                                                  args, files, holds):
     out = tmp_path / "runs"
     assert main([command, "--out", str(out), "--seed", "5", *args]) == 0
     # one entry: no partial directory is left beside the run directory
     (name,) = os.listdir(out)
     assert name.startswith(f"{command}-")
     run = out / name
-    report = "check.json" if command == "check" else "summary.json"
-    assert set(os.listdir(run)) == {"effective_config.yaml", report, *csvs}
+    assert set(os.listdir(run)) == {"effective_config.yaml", *files}
+    tables = {}
+    for fname, spec in files.items():
+        if fname.endswith(".csv"):
+            header, *rows = _read_rows(run / fname)
+            assert (header, len(rows)) == (spec[0].split(), spec[1]), fname
+            tables[fname] = dict(zip(header, zip(*rows)))
+        else:
+            doc = json.load(open(run / fname))
+            assert sorted(doc) == spec.split()
+    # a column named after a number of the summary holds that number
+    for fname, table in tables.items():
+        for key, cells in table.items():
+            if type(doc.get(key)) in (int, float):
+                assert {float(c) for c in cells} == {doc[key]}, (fname, key)
+    conditions = holds(lambda f, c: np.array([json.loads(v) for v in
+                                              tables[f][c]], dtype=float), doc)
+    assert all(conditions), conditions
     wrote = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("wrote ")]
-    assert wrote == [f"wrote {run / csv_name}" for csv_name in csvs]
-
-
-def test_simulate_unperturbed_trajectory(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["simulate", "--out", str(out), "--seed", "11",
-                 "--set", "experiment.epsilon=0.0"]) == 0
-    run = _run_dir(out)
-    rows = _read_rows(os.path.join(run, "trajectory.csv"))
-    assert rows[0] == ["t", "x", "y", "z", "r", "theta", "is_jump", "exited"]
-    assert len(rows) == 102
-    radii = np.array([float(r[4]) for r in rows[1:]])
-    assert np.max(np.abs(radii - 1.0)) <= 1e-12
-    summary = json.load(open(os.path.join(run, "summary.json")))
-    assert summary["epsilon"] == 0.0
-    assert not summary["exited"]
-    assert os.path.exists(os.path.join(run, "effective_config.yaml"))
+    assert wrote == [f"wrote {run / n}" for n in files if n.endswith(".csv")]
 
 
 def test_least_rate_runs_with_finite_output(tmp_path):
@@ -1114,82 +1162,6 @@ def test_out_dir_env_var_is_honored(tmp_path, monkeypatch):
     assert main(["simulate", "--seed", "3"]) == 0
     assert os.path.isdir(tmp_path / "envruns")
     assert not os.path.exists(tmp_path / "runs")
-
-
-def test_average_writes_field_and_path(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["average", "--out", str(out)]) == 0
-    run = _run_dir(out)
-    field_rows = _read_rows(os.path.join(run, "averaged_field.csv"))
-    assert field_rows[0] == ["r", "z", "q_r", "q_z"]
-    assert len(field_rows) == 26
-    for row in field_rows[1:]:
-        # linear field: q = (r/2, 0) at every tabulated point
-        assert abs(float(row[2]) - float(row[0]) / 2.0) <= 1e-10
-        assert abs(float(row[3])) <= 1e-12
-    path_rows = _read_rows(os.path.join(run, "averaged_path.csv"))
-    assert path_rows[0] == ["s", "w_r", "w_z"]
-    summary = json.load(open(os.path.join(run, "summary.json")))
-    assert summary["boundary_time"] is None
-
-
-def test_eta_csv_and_summary(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["eta", "--out", str(out),
-                 "--set", "experiment.horizons=[5.0, 10.0, 20.0]",
-                 "--set", "experiment.n_paths=100"]) == 0
-    run = _run_dir(out)
-    rows = _read_rows(os.path.join(run, "eta.csv"))
-    assert rows[0] == ["t", "lp_error", "p", "fitted_exponent",
-                       "fitted_constant"]
-    assert len(rows) == 4
-    summary = json.load(open(os.path.join(run, "summary.json")))
-    assert summary["exponent"] < 0
-    assert not summary["identically_zero"]
-
-
-def test_charfn_frozen_values(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["charfn", "--out", str(out), "--seed", "21"]) == 0
-    run = _run_dir(out)
-    rows = _read_rows(os.path.join(run, "charfn.csv"))
-    assert rows[0] == ["u", "re_exact", "im_exact", "re_mc", "im_mc",
-                       "abs_gap"]
-    by_u = {float(r[0]): r for r in rows[1:]}
-    assert abs(float(by_u[1.0][1]) - 0.5) <= 1e-12
-    assert abs(float(by_u[1.0][2]) - 0.5) <= 1e-12
-    assert abs(float(by_u[2.0][1]) - 0.2) <= 1e-12
-    assert abs(float(by_u[2.0][2]) - 0.4) <= 1e-12
-    summary = json.load(open(os.path.join(run, "summary.json")))
-    assert summary["within_mc_bound"]
-    assert summary["max_abs_gap"] <= summary["mc_bound"]
-
-
-def test_exit_prob_subcommand(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["exit-prob", "--out", str(out),
-                 "--set", "preset.r_max=2.0",
-                 "--set", "experiment.epsilons=[0.3]",
-                 "--set", "experiment.n_paths=8"]) == 0
-    run = _run_dir(out)
-    rows = _read_rows(os.path.join(run, "exit_prob.csv"))
-    assert rows[0] == ["epsilon", "t_gamma", "gamma", "probability",
-                       "std_error", "n_paths"]
-    summary = json.load(open(os.path.join(run, "summary.json")))
-    assert abs(summary["t_gamma"] - 1.2837) <= 1e-3
-
-
-def test_deviation_subcommand(tmp_path):
-    out = tmp_path / "runs"
-    assert main(["deviation", "--out", str(out),
-                 "--set", "experiment.n_paths=4",
-                 "--set", "experiment.epsilons=[0.5, 0.25]",
-                 "--set", "experiment.horizon=0.5"]) == 0
-    run = _run_dir(out)
-    rows = _read_rows(os.path.join(run, "deviation.csv"))
-    assert rows[0] == ["epsilon", "t", "p", "sup_lp", "std_error", "n_paths"]
-    summary = json.load(open(os.path.join(run, "summary.json")))
-    assert summary["observable"] == "radial"
 
 
 def test_simulate_is_reproducible_across_runs(tmp_path):

@@ -1,6 +1,7 @@
 """The package imports no third-party module beyond its declared runtime
 dependencies: scipy and the other test tools stay out of `src/folevy`.
-Nor does a module of it import a name it never uses."""
+Nor does a module of it import a name it never uses, and only its command
+line imports the modules that write files."""
 
 from __future__ import annotations
 
@@ -39,6 +40,14 @@ def test_third_party_imports_are_the_runtime_dependencies():
     assert {dist.lower() for module in third_party
             for dist in distributions.get(module, [module])} == declared
     assert third_party == {"numpy", "yaml"}
+
+
+def test_only_the_command_line_writes_files():
+    # the library returns results; cli.py alone lays out a run directory
+    modules = sorted((ROOT / "src" / "folevy").glob("*.py"))
+    writers = [path.name for path in modules
+               if _imported_top_levels(path) & {"json", "pathlib"}]
+    assert writers == ["cli.py"]
 
 
 # imported but unused on purpose: perfbench/spans.py rebinds these names

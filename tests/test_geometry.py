@@ -92,15 +92,7 @@ def test_vertical_bounds_and_distance():
     assert chart.boundary_distance(np.array([3.0, 0.0])) <= 0.0
 
 
-def test_leaf_point_places_on_circle():
-    chart = _chart()
-    x = chart.leaf_nodes(np.array([np.pi / 3]))(np.array([2.0, -0.4]))[0]
-    assert abs(x[0] - 2.0 * math.cos(np.pi / 3)) <= 1e-12
-    assert abs(x[1] - 2.0 * math.sin(np.pi / 3)) <= 1e-12
-    assert abs(x[2] + 0.4) <= 1e-12
-
-
-def test_leaf_point_is_bit_identical_to_stacked_form():
+def test_leaf_nodes_is_bit_identical_to_stacked_form():
     chart = _chart()
     gen = np.random.default_rng(SEED)
     v = (1.7, -2.3)
@@ -144,7 +136,7 @@ def test_linear_k_is_bit_identical_to_zeros_like_form():
 # projection Jacobian, applied through pi_push
 # ---------------------------------------------------------------------------
 
-def test_pi_jacobian_matches_finite_differences():
+def test_pi_push_matches_finite_differences():
     preset = make_cylinder_preset()
     chart, fd = preset.chart, _fd_push(preset.chart)
     gen = np.random.default_rng(SEED)
@@ -158,7 +150,7 @@ def test_pi_jacobian_matches_finite_differences():
         assert np.max(np.abs(chart.pi_push(x, w) - fd(x, w))) <= 1e-6
 
 
-def test_pi_jacobian_closed_form_row():
+def test_pi_push_closed_form_row():
     chart = _chart()
     x = np.array([2.0 * math.cos(0.3), 2.0 * math.sin(0.3), 1.0])
     jac = np.stack([chart.pi_push(x, e) for e in np.eye(3)], axis=-1)
@@ -222,19 +214,6 @@ def test_dpi_k_is_bit_identical_to_jacobian_contraction():
             assert got[:, 1].tobytes() == want[:, 1].tobytes()
         else:
             assert got.tobytes() == want.tobytes()
-
-
-def test_dpi_k_finite_difference_backend():
-    preset = make_cylinder_preset()
-    fd_chart = dataclasses.replace(preset.chart,
-                                   pi_push=_fd_push(preset.chart))
-    x = preset.chart.leaf_nodes(np.array([0.7]))(np.array([1.2, 0.1]))[0]
-    a = dpi_k(preset.chart, preset.fields, x)
-    b = dpi_k(fd_chart, preset.fields, x)
-    assert np.max(np.abs(a - b)) <= 1e-6
-    xs = _points_inside(preset, 50, seed=SEED + 9)
-    assert np.max(np.abs(dpi_k(preset.chart, preset.fields, xs)
-                         - dpi_k(fd_chart, preset.fields, xs))) <= 1e-6
 
 
 def test_dpi_k_outside_domain_raises():

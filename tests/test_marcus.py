@@ -9,7 +9,6 @@ rotation to its advertised accuracy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import replace
 
@@ -21,8 +20,7 @@ from hypothesis import strategies as st
 from folevy import (BlowupError, ConfigError, ConstantK, DomainError,
                     IntegratorConfig, JumpEvents,
                     RngStream, VectorFieldSet, integrate_grid_ensemble,
-                    integrate_path, jump_flow, make_cylinder_preset,
-                    trajectory_to_csv)
+                    integrate_path, jump_flow, make_cylinder_preset)
 from folevy import marcus
 from folevy.drivers import make_step_sampler
 from folevy.marcus import (SCHEMES, _drift_rk4, _kahan_add, _make_drift,
@@ -880,25 +878,3 @@ def test_decomposition_tracks_grid_increment_law():
     angles = np.arctan2(traj.states[:, 1], traj.states[:, 0])
     assert np.max(np.abs(_radius(traj.states) - 1.0)) <= 1e-12
     assert np.isfinite(angles).all()
-
-
-# ---------------------------------------------------------------------------
-# trajectory serialization
-# ---------------------------------------------------------------------------
-
-def test_trajectory_csv_round_trip(tmp_path):
-    preset = make_cylinder_preset()
-    x0 = np.array([1.0, 0.0, 0.1])
-    traj = integrate_path(preset.fields, preset.chart, preset.driver,
-                          x0, 1.0, rng=RngStream(SEED, 19))
-    path = trajectory_to_csv(traj, tmp_path / "traj.csv")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "x", "y", "z", "r", "theta", "is_jump", "exited"]
-    assert len(rows) == len(traj.times) + 1
-    first, last = rows[1], rows[-1]
-    assert float(first[0]) == 0.0
-    assert abs(float(last[4]) - _radius(traj.states[-1])) <= 1e-12
-    assert set(row[7] for row in rows[1:]) == {"false"}
-    back = np.array([[float(c) for c in row[1:4]] for row in rows[1:]])
-    assert np.max(np.abs(back - traj.states)) <= 1e-12
