@@ -891,6 +891,13 @@ def test_compare_solves_the_averaged_ode_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cli_check_passes_and_writes_report(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["check", "--out", str(out), "--seed", "7"]) == 0
+    report = json.load(open(os.path.join(_run_dir(out), "check.json")))
+    assert report["all_passed"] and len(report["checks"]) == 7
+
+
 @pytest.mark.parametrize("bounds", [
     ["preset.r_min=0.99", "preset.r_max=1.01"],
     ["preset.z_min=1", "preset.z_max=5"],
@@ -1079,11 +1086,21 @@ SUBCOMMANDS = [
          doc["within_mc_bound"] and doc["max_abs_gap"] <= doc["mc_bound"]]),
     ("check", [], {"check.json": "all_passed checks"},
      lambda col, doc: [doc["all_passed"], len(doc["checks"]) == 7]),
+    # a path that leaves U: only its last row, at the exit time, is exited
+    ("simulate", ["--set", "preset.r_max=1.05"],
+     {"trajectory.csv": ("t x y z r theta is_jump exited", 50),
+      "summary.json": "epsilon exit_time exited final_state horizon "
+                      "n_points scheme"},
+     lambda col, doc: [
+         list(col("trajectory.csv", "exited")) == [0.0] * 49 + [1.0],
+         col("trajectory.csv", "t")[-1] == doc["exit_time"],
+         col("trajectory.csv", "r")[-1] > 1.05 and doc["exited"] is True]),
 ]
 
 
 @pytest.mark.parametrize("command, args, files, holds", SUBCOMMANDS,
-                         ids=[row[0] for row in SUBCOMMANDS])
+                         ids=[row[0] for row in SUBCOMMANDS[:-1]]
+                         + ["simulate-exits"])
 def test_subcommand_run_directory_and_wrote_lines(tmp_path, capsys, command,
                                                   args, files, holds):
     out = tmp_path / "runs"
@@ -1113,6 +1130,33 @@ def test_subcommand_run_directory_and_wrote_lines(tmp_path, capsys, command,
     wrote = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("wrote ")]
     assert wrote == [f"wrote {run / n}" for n in files if n.endswith(".csv")]
+
+
+# a run's files spell each value one way: bools as JSON does, floats as
+# their shortest round-trip repr, numpy scalars as the Python ones
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (np.bool_(False), "false"), (0.1, "0.1"), ("z", "z"),
+    (np.float32(0.5), "0.5"), (2.5e-17, "2.5e-17"), (np.int64(7), "7")])
+def test_csv_cells_spell_each_value_one_way(value, text):
+    assert cli.fmt(value) == text
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("nan"), "null"), (np.array([[1, 2]]), "[[1, 2]]"),
+    (np.array([0.5, 1.0]), "[0.5, 1.0]"),
+    ((np.bool_(True), np.int64(3)), "[true, 3]"),
+    ({"a": np.float64(0.25)}, '{"a": 0.25}')])
+def test_json_values_are_plain_python(value, text):
+    assert json.dumps(cli._jsonify(value)) == text
+
+
+@settings(max_examples=50, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+def test_csv_cells_parse_back_to_the_written_doubles(tmp_path_factory, xs):
+    path = tmp_path_factory.mktemp("csv") / "row.csv"
+    cli.write_csv(path, [f"c{i}" for i in range(len(xs))], [xs, np.array(xs)])
+    _, *rows = _read_rows(path)
+    assert [[float(c) for c in row] for row in rows] == [xs, xs]
 
 
 def test_least_rate_runs_with_finite_output(tmp_path):
