@@ -72,19 +72,18 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # NaN and the infinities have no JSON spelling
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, float) and obj != obj:  # NaN has no JSON spelling
-        return None
     return obj
 
 
 def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonify(payload), indent=2, sort_keys=True)
-                 + "\n")
+        fh.write(json.dumps(_jsonify(payload), indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 def _add_common(parser):

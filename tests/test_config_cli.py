@@ -1,14 +1,18 @@
-"""Config round trips, override parsing, and the command line surface.
+"""Config round trips, override parsing, the command line surface, and
+the library's rejections.
 
 CLI tests run main() in process against temporary output directories and
 small --set overrides, checking artifact layout, frozen oracle values in
-the emitted CSVs, and bitwise equality of repeated runs.
+the emitted CSVs, and bitwise equality of repeated runs.  `_SITES` is the
+one table of every argument check and every ConfigError or DomainError
+the library raises.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
+import errno
 import json
 import math
 import os
@@ -27,18 +31,18 @@ from hypothesis import strategies as st
 
 import folevy
 from folevy import (ConfigError, ConstantK, DomainError, GammaSubordinator,
-                    IntegratorConfig, LinearK, RngStream, averaged_field,
-                    averaging,
-                    characteristic_function, circle_law_distance, cli,
-                    deviation_scaling, estimate_eta, exit_probability,
-                    experiments, integrate_grid_ensemble, integrate_path,
-                    jump_flow, leaf_average_quadrature, lp_moment,
-                    make_cylinder_preset, marginal_samples, path_streams,
-                    sample_jump_events, scheme_agreement, solve_averaged_ode,
-                    tangency_check, transversal_comparison, truncate_gamma)
+                    IntegratorConfig, JumpEvents, LinearK, RngStream,
+                    averaged_field, averaging, characteristic_function,
+                    circle_law_distance, cli, deviation_scaling, dpi_k,
+                    estimate_eta, exit_probability, experiments, fit_loglog,
+                    integrate_grid_ensemble, integrate_path, jump_flow,
+                    leaf_average_quadrature, lp_moment, make_cylinder_preset,
+                    marginal_samples, path_streams, sample_jump_events,
+                    scheme_agreement, solve_averaged_ode, tangency_check,
+                    transversal_comparison, truncate_gamma)
 from folevy.cli import main
 from folevy.drivers import _MIN_RATE, make_step_sampler
-from folevy.marcus import resolve_grid
+from folevy.marcus import _make_drift, resolve_grid, step_events
 from folevy.config import (_FLOAT, ExperimentConfig, _parse_yaml,
                            apply_overrides,
                            config_from_dict, config_to_dict, dump_config,
@@ -92,6 +96,12 @@ def test_config_rejects_unknown_entries():
         config_from_dict({"runtime": {}})
     with pytest.raises(ConfigError):
         loads_config("preset: [not, a, mapping]\n")
+    # an empty file reads as null: the defaults
+    assert config_from_dict(None) == ExperimentConfig()
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
+        config_from_dict([1])
+    with pytest.raises(ConfigError, match="section 'run' must be a mapping"):
+        apply_overrides({"run": [1]}, ["run.master_seed=3"])
 
 
 def test_apply_overrides_parses_yaml_values():
@@ -202,17 +212,21 @@ def test_output_root_that_is_no_directory_fails_before_the_compute(
 
 def test_write_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch):
     # a full disk used to end in an OSError traceback and leave a run
-    # directory with the files written before it
-    def full(path, payload):
-        raise OSError(28, "No space left on device")
+    # directory with the files written before it; a rename the file system
+    # refuses fails the same way
+    for module, hook, code in ((cli, "write_json", errno.ENOSPC),
+                               (os, "rename", errno.EACCES)):
+        def refuse(*args):
+            raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(cli, "write_json", full)
-    out = tmp_path / "runs"
-    assert main(["simulate", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write the run directory {out}/")
-    assert err.endswith("No space left on device\n") and err.count("\n") == 1
-    assert os.listdir(out) == []
+        out = tmp_path / hook
+        with monkeypatch.context() as patch:
+            patch.setattr(module, hook, refuse)
+            assert main(["simulate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write the run directory {out}/")
+        assert err.endswith(f"{os.strerror(code)}\n") and err.count("\n") == 1
+        assert os.listdir(out) == []
 
 
 def test_a_run_takes_a_name_no_directory_holds(tmp_path, monkeypatch):
@@ -415,8 +429,8 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
 
 
 class _Reached(Exception):
-    """Raised by the stand-ins for the path kernel, the stream maker and a
-    stream's generator."""
+    """Raised by the stand-ins for the path kernel, the stream maker, a
+    stream's generator, and a field's first evaluation."""
 
 
 def _reached(*args, **kwargs):
@@ -432,133 +446,223 @@ _PRESET = make_cylinder_preset()
 _ARGS = (_PRESET.fields, _PRESET.chart, _PRESET.driver)
 _AVG = averaged_field(_PRESET.chart, _PRESET.fields)
 _X0 = np.array([1.0, 0.0, 0.0])
+_XS = np.array([[1.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
 _GAMMA = GammaSubordinator(1.0)
 _TRUNCATED = truncate_gamma(_GAMMA, 0.01)
+_YS, _CDF = _TRUNCATED.ys, _TRUNCATED.cdf
 _SOL = solve_averaged_ode(_AVG, np.array([1.0, 0.0]), 0.1)
 _PSI = lambda s: s[..., 0]
-_ETA = partial(estimate_eta, *_ARGS, _PSI, _X0)
+_GENERIC = _PRESET.fields.without_exact_flow()
+# stand-ins that end the call at the first evaluation of the perturbation,
+# or of the averaged field
+_K_REACHED = replace(_PRESET.fields, perturbation=_reached)
+_AVG_REACHED = averaged_field(_PRESET.chart, _PRESET.fields, func=_reached)
+_DECOMPOSITION = IntegratorConfig(scheme="jump_decomposition")
+_INC = [[[0.1], [0.2]], [[0.3], [-0.4]]]    # 2 paths of 2 steps of 0.5
+_LINE = [1.0, 2.0, 3.0]
+# transversal points of the wrong shape, or not numbers
+_NOT_V = [[1.0], None, [1.0, 0.0, 0.0], "a", [[1, 0], [1, 0]], ["a", 0.0],
+          [[1.0, 0.0], [1.0]]]
+
+# the ensemble experiments and the grid kernel at a small size, every
+# argument a keyword a row may replace
+_TC = partial(transversal_comparison, *_ARGS, avg=_AVG, x0=_X0,
+              epsilons=[0.5], horizon=0.3, n_paths=4)
+_EXIT = partial(exit_probability, *_ARGS, avg=_AVG, x0=_X0, epsilons=[0.5],
+                gamma=0.1, n_paths=4)
+_DEV = partial(deviation_scaling, *_ARGS, x0=_X0, epsilons=[0.5, 0.25],
+               horizon=0.3, n_paths=4)
+_SCHEME = partial(scheme_agreement, *_ARGS, x0=_X0, n_paths=4)
+_ETA = partial(estimate_eta, *_ARGS, psi=_PSI, x0=_X0,
+               horizons=[5.0, 10.0, 20.0], n_paths=100)
+_RUNS = {"transversal_comparison": _TC, "exit_probability": _EXIT,
+         "deviation_scaling": _DEV, "scheme_agreement": _SCHEME,
+         "estimate_eta": _ETA}
+_ENS = partial(integrate_grid_ensemble, fields=_PRESET.fields,
+               driver=_PRESET.driver, x0=_X0, horizon=1.0, eps=0.1,
+               cfg=IntegratorConfig(), streams=[_Unread()] * 3)
+# the same with integrate_path and the grid kernel, each ended at its
+# first piece of work: the averaged solve, the leaf mean, a draw or a path
+_UNWORKED = {**_RUNS, "integrate_grid_ensemble": _ENS,
+             "transversal_comparison": partial(_TC, avg=_AVG_REACHED),
+             "exit_probability": partial(_EXIT, avg=_AVG_REACHED),
+             "estimate_eta": partial(_ETA, psi=_reached),
+             "integrate_path": partial(integrate_path, *_ARGS, x0=_X0,
+                                       horizon=1.0, rng=_Unread())}
+# the callers of _check_start, and those of _grid_config
+_STARTED = sorted(_UNWORKED.keys() - {"integrate_grid_ensemble"})
+_GRIDDED = sorted(_UNWORKED.keys() - {"integrate_path", "scheme_agreement"})
 
 
-# The one table of argument checks: site -> (the call with value v in
-# place of one argument, its valid value, its kind, values out of its
-# range).  The row of a _real, _reals or _count call is keyed by the
-# function that makes it (a __post_init__ by its class) and the value it
-# checks, `self.` dropped; any other row by the function it calls and
-# the argument that it varies.
+# The one table of the library's rejections: site -> (the call with value
+# v in place of one argument, its valid value, its kind, values out of its
+# range).  The row of a _real, _reals, _count or _floats call is keyed by
+# the function that makes it (a __post_init__ by its class, a nested
+# function by the one that defines it) and the value it checks, `self.`
+# dropped; the row of a `raise ConfigError` or `raise DomainError`, of
+# kind "raise", by that function and a name for the check.
 _SITES = {
-    "transversal_comparison.epsilons": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, v, 0.3, n_paths=4), [0.5], "list",
-        [[0.0], [1.5], [-0.5]]),
-    "transversal_comparison.horizon": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], v, n_paths=4), 0.3, "real", [0, -1.0]),
-    "transversal_comparison.p": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
-    "transversal_comparison.n_paths": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=v), 4, "count", [1, 0, 10 ** 11]),
-    "transversal_comparison.master_seed": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, master_seed=v), 0,
-        "count", []),
-    "transversal_comparison.stream_base": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, stream_base=v), 0,
-        "count", []),
-    "transversal_comparison.ode_step": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, ode_step=v), 1e-3,
-        "real", [0, -1e-3]),
-    "transversal_comparison.threads": (lambda v: transversal_comparison(
-        *_ARGS, _AVG, _X0, [0.5], 0.3, n_paths=4, threads=v), 1, "count",
-        [0]),
-    "exit_probability.epsilons": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, v, 0.1, n_paths=4), [0.5], "list", [[1.5], [2.0]]),
-    "exit_probability.gamma": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], v, n_paths=4), 0.1, "real", [0, 0.0, -1.0]),
-    "exit_probability.n_paths": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=v), 4, "count",
-        [1, 10 ** 11]),
-    "exit_probability.master_seed": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, master_seed=v), 0,
-        "count", []),
-    "exit_probability.stream_base": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, stream_base=v), 0,
-        "count", []),
-    "exit_probability.ode_step": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, ode_step=v), 1e-3,
-        "real", [0]),
-    "exit_probability.search_horizon": (lambda v: exit_probability(
-        *_ARGS, _AVG, _X0, [0.5], 0.1, n_paths=4, search_horizon=v), 50.0,
-        "real", [0, -1.0]),
-    "deviation_scaling.epsilons": (lambda v: deviation_scaling(
-        *_ARGS, _X0, v, 0.3, n_paths=4), [0.5, 0.25], "list",
-        [[0.0], [0.5], [0.5, 0.5], [-0.1], ["a"]]),
-    "deviation_scaling.horizon": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5, 0.25], v, n_paths=4), 0.3, "real", [0, 0.0]),
-    "deviation_scaling.observable": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5, 0.25], 0.3, v, n_paths=4), "radial", None,
-        ["angular"]),
-    "deviation_scaling.p": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5, 0.25], 0.3, p=v, n_paths=4), 2, "real", [0.5]),
-    "deviation_scaling.n_paths": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=v), 4, "count",
-        [1, 10 ** 11]),
-    "deviation_scaling.master_seed": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=4, master_seed=v), 0,
-        "count", []),
-    "deviation_scaling.stream_base": (lambda v: deviation_scaling(
-        *_ARGS, _X0, [0.5, 0.25], 0.3, n_paths=4, stream_base=v), 0,
-        "count", []),
-    "scheme_agreement.horizon": (lambda v: scheme_agreement(
-        *_ARGS, _X0, horizon=v, n_paths=4), 2.0, "real", [0]),
-    "scheme_agreement.eps": (lambda v: scheme_agreement(
-        *_ARGS, _X0, eps=v, n_paths=4), 0.5, "real", [0, 1.5]),
-    "scheme_agreement.level_cutoff": (lambda v: scheme_agreement(
-        *_ARGS, _X0, levels=((v, 0.04),), n_paths=4), 0.08, "real",
-        [0.002, 0.001]),
-    "scheme_agreement.level_step": (lambda v: scheme_agreement(
-        *_ARGS, _X0, levels=((0.08, v),), n_paths=4), 0.04, "real", [0]),
-    "scheme_agreement.n_paths": (lambda v: scheme_agreement(
-        *_ARGS, _X0, n_paths=v), 4, "count", [1, 3.5, 10 ** 11]),
-    "scheme_agreement.master_seed": (lambda v: scheme_agreement(
-        *_ARGS, _X0, n_paths=4, master_seed=v), 0, "count", []),
-    "scheme_agreement.stream_base": (lambda v: scheme_agreement(
-        *_ARGS, _X0, n_paths=4, stream_base=v), 0, "count", []),
-    "scheme_agreement.threads": (lambda v: scheme_agreement(
-        *_ARGS, _X0, n_paths=4, threads=v), 1, "count", [0]),
-    "estimate_eta.horizons": (lambda v: _ETA(v, n_paths=100),
-                              [5.0, 10.0, 20.0], "list",
-                              [[5.0, -10.0, 20.0], [-1.0, 5.0, 10.0],
-                               ["abc", 20, 30], [5.0, 10.0], [5.0, 5.0, 10.0],
-                               [5.0055, 10.0, 20.0]]),
-    "estimate_eta.psi": (lambda v: estimate_eta(
-        *_ARGS, v, _X0, [5.0, 10.0, 20.0], n_paths=100), _PSI, None,
-        ["radial", 1.0, None]),
-    "estimate_eta.p": (lambda v: _ETA([5.0, 10.0, 20.0], p=v, n_paths=100),
-                       2, "real", [1, 1.5]),
-    "estimate_eta.n_paths": (lambda v: _ETA([5.0, 10.0, 20.0], n_paths=v),
-                             100, "count", [50, 99, 100.5, 10 ** 11]),
-    "estimate_eta.master_seed": (lambda v: _ETA(
-        [5.0, 10.0, 20.0], n_paths=100, master_seed=v), 0, "count", []),
-    "estimate_eta.stream_base": (lambda v: _ETA(
-        [5.0, 10.0, 20.0], n_paths=100, stream_base=v), 0, "count", []),
+    # each experiment's seed and first stream index are counts
+    **{f"{name}.{key}": (lambda v, run=run, key=key: run(**{key: v}), 0,
+                         "count", [])
+       for name, run in _RUNS.items()
+       for key in ("master_seed", "stream_base")},
+    "transversal_comparison.epsilons": (lambda v: _TC(epsilons=v), [0.5],
+                                        "list", [[0.0], [1.5], [-0.5]]),
+    "transversal_comparison.horizon": (lambda v: _TC(horizon=v), 0.3, "real",
+                                       [0, -1.0]),
+    "transversal_comparison.p": (lambda v: _TC(p=v), 2, "real", [0.5]),
+    "transversal_comparison.n_paths": (lambda v: _TC(n_paths=v), 4, "count",
+                                       [1, 0]),
+    "transversal_comparison.ode_step": (lambda v: _TC(ode_step=v), 1e-3,
+                                        "real", [0, -1e-3]),
+    "transversal_comparison.threads": (lambda v: _TC(threads=v), 1, "count",
+                                       [0]),
+    # the averaged path reaches r_max = 5 at s = 2 log 5
+    "transversal_comparison.boundary": (lambda v: _TC(horizon=v), 0.3,
+                                        "raise", [5.0]),
+    "exit_probability.epsilons": (lambda v: _EXIT(epsilons=v), [0.5], "list",
+                                  [[1.5], [2.0]]),
+    "exit_probability.gamma": (lambda v: _EXIT(gamma=v), 0.1, "real",
+                               [0, 0.0, -1.0]),
+    "exit_probability.n_paths": (lambda v: _EXIT(n_paths=v), 4, "count", [1]),
+    "exit_probability.ode_step": (lambda v: _EXIT(ode_step=v), 1e-3, "real",
+                                  [0]),
+    "exit_probability.search_horizon": (lambda v: _EXIT(search_horizon=v),
+                                        50.0, "real", [0, -1.0]),
+    # up to s = 1 the averaged path keeps a gap above 1.4 to the boundary
+    "exit_probability.near_exit": (lambda v: _EXIT(search_horizon=v), 50.0,
+                                   "raise", [1.0]),
+    "deviation_scaling.epsilons": (lambda v: _DEV(epsilons=v), [0.5, 0.25],
+                                   "list", [[0.0], [-0.1], ["a"]]),
+    "deviation_scaling.distinct_eps": (lambda v: _DEV(epsilons=v),
+                                       [0.5, 0.25], "raise",
+                                       [[0.5], [0.5, 0.5]]),
+    "deviation_scaling.horizon": (lambda v: _DEV(horizon=v), 0.3, "real",
+                                  [0, 0.0]),
+    "deviation_scaling.p": (lambda v: _DEV(p=v), 2, "real", [0.5]),
+    "deviation_scaling.n_paths": (lambda v: _DEV(n_paths=v), 4, "count", [1]),
+    "_resolve_observable.observable": (lambda v: _DEV(observable=v),
+                                       "radial", "raise",
+                                       ["angular", _PSI, ["radial"],
+                                        {"radial": 1}]),
+    "scheme_agreement.horizon": (lambda v: _SCHEME(horizon=v), 2.0, "real",
+                                 [0, 0.0]),
+    "scheme_agreement.eps": (lambda v: _SCHEME(eps=v), 0.5, "real",
+                             [0, 0.0, 1.5]),
+    "scheme_agreement.level_cutoff": (lambda v: _SCHEME(levels=((v, 0.04),)),
+                                      0.08, "real", [0.002, 0.001]),
+    "scheme_agreement.level_step": (lambda v: _SCHEME(levels=((0.08, v),)),
+                                    0.04, "real", [0]),
+    "scheme_agreement.levels": (lambda v: _SCHEME(levels=v), ((0.08, 0.04),),
+                                "raise", [[], [(0.08,)], [(0.08, 0.04, 1)], 5,
+                                          [0.08, 0.04]]),
+    "scheme_agreement.n_paths": (lambda v: _SCHEME(n_paths=v), 4, "count",
+                                 [1, 3.5]),
+    "scheme_agreement.threads": (lambda v: _SCHEME(threads=v), 1, "count",
+                                 [0]),
+    # a driver without closed-form small-jump means, before any path
+    "mean_below.driver": (lambda v: scheme_agreement(
+        _PRESET.fields, _PRESET.chart, v, _X0, n_paths=4), _GAMMA, "raise",
+        [_TRUNCATED]),
+    "estimate_eta.horizons": (lambda v: _ETA(horizons=v), [5.0, 10.0, 20.0],
+                              "list", [[5.0, -10.0, 20.0], [-1.0, 5.0, 10.0],
+                                       ["abc", 20, 30]]),
+    "estimate_eta.distinct_horizons": (lambda v: _ETA(horizons=v),
+                                       [5.0, 10.0, 20.0], "raise",
+                                       [[5.0, 10.0], [5.0, 5.0, 10.0]]),
+    "estimate_eta.grid": (lambda v: _ETA(horizons=v), [5.0, 10.0, 20.0],
+                          "raise", [[5.0055, 10.0, 20.0]]),
+    "estimate_eta.psi": (lambda v: _ETA(psi=v), _PSI, "raise",
+                         ["radial", 1.0, None]),
+    "estimate_eta.p": (lambda v: _ETA(p=v), 2, "real", [1, 1.5]),
+    "estimate_eta.n_paths": (lambda v: _ETA(n_paths=v), 100, "count",
+                             [50, 99, 100.5]),
+    # every experiment plans its path-steps before the first path
+    "_check_plan.path_steps": (lambda v: _RUNS[v[0]](n_paths=v[1]),
+                               ("deviation_scaling", 4), "raise",
+                               [(name, 10 ** 11) for name in sorted(_RUNS)]),
+    # every caller rejects the scheme before any solve, leaf mean or draw
+    "_grid_config.scheme": (lambda v: _UNWORKED[v[0]](cfg=v[1]),
+                            ("estimate_eta", None), "raise",
+                            [(name, _DECOMPOSITION) for name in _GRIDDED]),
     "lp_moment.p": (lambda v: lp_moment([1.0, 2.0], v), 2, "real",
                     [0.5, -1, "2"]),
+    "lp_moment.samples": (lambda v: lp_moment(v, 2), [1.0, 2.0], "raise",
+                          [[], np.empty((0, 3)), [1.0, math.nan],
+                           [1.0, math.inf], [1.0, -math.inf]]),
+    # rejected before LAPACK sees them
+    "fit_loglog.points": (lambda v: fit_loglog(*v), (_LINE, _LINE), "raise", [
+        ([-1.0, 2.0, 3.0], _LINE), ([0.0, 2.0, 3.0], _LINE),
+        ([1.0, 1.0, 1.0], _LINE), ([math.nan, 2.0, 3.0], _LINE),
+        ([math.inf, 2.0, 3.0], _LINE), (_LINE, [1.0, math.nan, 3.0]),
+        (_LINE, [1.0, math.inf, 3.0]), (_LINE, [1.0, 2.0]), ([2.0], [1.0]),
+        ([], []), ([[1.0, 2.0]], [[1.0, 2.0]])]),
     "time_to_margin.gamma": (lambda v: _SOL.time_to_margin(v), 0.1, "real",
                              [-0.1]),
+    "interp.s": (lambda v: _SOL.interp(v), 0.05, "floats", ["a", ["a", 0.1]]),
+    # a nan fails every comparison, so it used to interpolate nan
+    "interp.range": (lambda v: _SOL.interp(v), 0.05, "raise",
+                     [-0.5, 1.5, math.nan, [0.05, math.nan], math.inf,
+                      -math.inf]),
     "solve_averaged_ode.horizon": (lambda v: solve_averaged_ode(
-        _AVG, np.array([1.0, 0.0]), v), 0.1, "real", [0, -1.0]),
+        _AVG, np.array([1.0, 0.0]), v), 0.1, "real", [0, 0.0, -1.0]),
     "solve_averaged_ode.step": (lambda v: solve_averaged_ode(
-        _AVG, np.array([1.0, 0.0]), 0.1, v), 1e-3, "real", [0]),
+        _AVG, np.array([1.0, 0.0]), 0.1, v), 1e-3, "real", [0, -1e-3]),
+    # the start is checked before the field is evaluated
+    "solve_averaged_ode.v0": (lambda v: solve_averaged_ode(
+        _AVG_REACHED, v, 1.0), [1.0, 0.0], "floats", _NOT_V),
+    "solve_averaged_ode.domain": (lambda v: solve_averaged_ode(
+        _AVG_REACHED, v, 1.0), [1.0, 0.0], "raise",
+        [[9.0, 0.0], [0.1, 0.0], [1.0, 20.0]]),
+    "averaged_field.func": (lambda v: averaged_field(
+        _PRESET.chart, _PRESET.fields, func=v), _PSI, "raise",
+        ["analytic", np.array([0.0, 1.0])]),
+    "leaf_average_quadrature.v": (lambda v: leaf_average_quadrature(
+        _PRESET.chart, _reached, v), [1.0, 0.0], "floats", _NOT_V),
+    # np.arange(8.5) has 9 nodes, so a fractional count divided the sum
+    # of 9 values by 8.5
     "_leaf_mean.n_nodes": (lambda v: leaf_average_quadrature(
         _PRESET.chart, _PSI, np.array([1.0, 0.0]), n_nodes=v), 64, "count",
-        [7, 10 ** 8, 10 ** 11, 10 ** 400]),
+        [4, 7, 8.5, 9.0, np.float64(16.0), 10 ** 8, 10 ** 11, 10 ** 400]),
     "make_cylinder_preset.r_min": (lambda v: make_cylinder_preset(
-        r_min=v, r_max=2.0), 0.5, "real", [1.5, 0.0]),
+        r_min=v, r_max=2.0), 0.5, "real", []),
     "make_cylinder_preset.r_max": (lambda v: make_cylinder_preset(
-        r_min=0.5, r_max=v), 2.0, "real", [0.9]),
+        r_min=0.5, r_max=v), 2.0, "real", []),
+    "make_cylinder_preset.radii": (lambda v: make_cylinder_preset(*v),
+                                   (0.5, 2.0), "raise",
+                                   [(1.5, 2.0), (0.0, 2.0), (0.5, 0.9)]),
     "make_cylinder_preset.z_min": (lambda v: make_cylinder_preset(
-        z_min=v, z_max=-1.0), -2.0, "real", [1.0]),
+        z_min=v, z_max=-1.0), -2.0, "real", []),
     "make_cylinder_preset.z_max": (lambda v: make_cylinder_preset(
-        z_min=1.0, z_max=v), 2.0, "real", [-1.0]),
+        z_min=1.0, z_max=v), 2.0, "real", []),
+    "make_cylinder_preset.heights": (lambda v: make_cylinder_preset(
+        z_min=v[0], z_max=v[1]), (-2.0, 2.0), "raise",
+        [(1.0, -1.0), (1.0, 1.0)]),
+    # a name or a number failed only at the first field evaluation
+    "make_cylinder_preset.k_choice": (lambda v: make_cylinder_preset(
+        k_choice=v), ConstantK(0.0, 0.0, 1.0), "raise",
+        ["linear", 3.0, [ConstantK(0.0, 0.0, 1.0)]]),
+    # the shape is checked before the domain and the perturbation
+    "dpi_k.x": (lambda v: dpi_k(_PRESET.chart, _K_REACHED, v), _X0, "floats",
+                [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], "a", 1.0, [[1.0, 0.0]],
+                 [[1.0, 0.0, 0.0], [1.0]]]),
+    # one point outside a batch
+    "dpi_k.domain": (lambda v: dpi_k(_PRESET.chart, _K_REACHED, v), _X0,
+                     "raise", [[10.0, 0.0, 0.0], [_X0, [0.1, 0.0, 0.0]]]),
+    "tangency_check.points": (lambda v: tangency_check(
+        _PRESET.fields, _PRESET.chart, v), _XS, "floats",
+        [np.ones((2, 2)), np.ones((2, 3, 1)), "abc",
+         [[1.0, 0.0], [1.0, 0.0, 0.0]], None]),
+    "tangency_check.array": (lambda v: tangency_check(
+        _PRESET.fields, _PRESET.chart, v), _XS, "raise",
+        [np.empty((0, 3)), _X0, [[1.0, 0.0, math.nan]],
+         [[1.0, 0.0, math.inf]], [[1.0, 0.0, -math.inf]]]),
+    "tangency_check.domain": (lambda v: tangency_check(
+        _PRESET.fields, _PRESET.chart, [_X0, v]), _XS[1], "raise",
+        [[10.0, 0.0, 0.0], [0.1, 0.0, 0.0], [1.0, 0.0, 20.0]]),
     "IntegratorConfig.scheme": (lambda v: IntegratorConfig(scheme=v),
-                                "grid_increment", None,
+                                "grid_increment", "raise",
                                 ["euler", "exact_leaf"]),
     "IntegratorConfig.step_h": (lambda v: IntegratorConfig(step_h=v), 0.01,
                                 "real", [0, 0.0, -1e-3]),
@@ -570,23 +674,72 @@ _SITES = {
     "resolve_grid.horizon": (lambda v: resolve_grid(
         IntegratorConfig(), 0.1, v), 1.0, "real", [-1, -1.0]),
     # a step so fine that the horizon takes more than 1e8 of them
-    "resolve_grid.step_h": (lambda v: resolve_grid(
-        IntegratorConfig(step_h=v), 0.1, 1.0), 0.01, None, [1e-9]),
-    "integrate_grid_ensemble.eps": (lambda v: integrate_grid_ensemble(
-        _ARGS[0], _ARGS[2], _X0, 1.0, v, IntegratorConfig(), [_Unread()],
-        contains=_PRESET.chart.contains), 0.1, "real", [-1.0, 2.0]),
-    "integrate_grid_ensemble.pair_eps": (lambda v: integrate_grid_ensemble(
-        _ARGS[0], _ARGS[2], _X0, 1.0, 0.1, IntegratorConfig(), [_Unread()],
-        pair_eps=v), 0.1, "real", [-1.0, 2.0]),
+    "_step_count.steps": (lambda v: resolve_grid(
+        IntegratorConfig(step_h=v), 0.1, 1.0), 0.01, "raise", [1e-9]),
+    # one value for a batch of states, alone or beside a drift
+    "_make_drift.perturbation": (lambda v: _make_drift(replace(
+        _PRESET.fields, drift=v[0], perturbation=lambda x: v[1]), 0.3)(_XS),
+        (None, _XS), "raise", [(drift, value) for drift in (None, _PSI)
+                               for value in (np.array([0.1, 0.0, 0.2]), 0.5)]),
+    "integrate_grid_ensemble.eps": (lambda v: _ENS(
+        eps=v, contains=_PRESET.chart.contains), 0.1, "real", [-1.0, 2.0]),
+    "integrate_grid_ensemble.pair_eps": (lambda v: _ENS(pair_eps=v), 0.1,
+                                         "real", [-1.0, 2.0]),
+    # 3 paths start from one point or from one row each, checked before
+    # any stream draws
+    "integrate_grid_ensemble.x0": (lambda v: _ENS(x0=v), _X0, "floats",
+                                   ["abc", ["a", 0.0, 0.0],
+                                    [["a", 0.0, 0.0]] * 3]),
+    "integrate_grid_ensemble.x0_rows": (lambda v: _ENS(x0=np.ones(v)), (3, 3),
+                                        "raise", [(2, 3), (1, 3), (4, 3),
+                                                  (3, 1, 3), ()]),
+    # supplied increments are checked before any step
+    "integrate_grid_ensemble.increments": (lambda v: _ENS(
+        fields=_K_REACHED, driver=None, cfg=IntegratorConfig(step_h=0.5),
+        streams=None, increments=v), _INC, "floats",
+        [np.full((2, 2, 1), "a"), [[[0.1]]]]),
+    "integrate_grid_ensemble.increment_block": (lambda v: _ENS(
+        fields=_K_REACHED, driver=None, cfg=IntegratorConfig(step_h=0.5),
+        streams=None, increments=v), _INC, "raise",
+        [_INC[0], [_INC]] + [[_INC[0], [[0.3], [z]]]
+                             for z in (math.nan, math.inf, -math.inf)]),
+    # one error class whatever the field set, before either flow
+    "jump_flow.sizes": (lambda v: jump_flow(v[0], _XS, v[1]),
+                        (_GENERIC, [[0.5], [0.2]]), "raise",
+                        [(fields, z) for fields in (_PRESET.fields, _GENERIC)
+                         for z in (math.nan, math.inf, -math.inf,
+                                   [[0.5], [math.nan]], [[0.5], [math.inf]],
+                                   [[0.5], [-math.inf]])]),
+    # jumps needing more than 1e4 substeps (2e5 for z = 1e4), whatever the
+    # good row beside them
+    "_jump_rk4.substeps": (lambda v: jump_flow(_GENERIC, _XS, [[0.5], [v]]),
+                           0.2, "raise", [1e300, 1e7, 1e4]),
+    # sizes are checked before any step; two rows of one jump each
+    "step_events.sizes": (lambda v: step_events(
+        _K_REACHED, _XS, np.linspace(0.0, 1.0, 11), JumpEvents(
+            np.array([0.3, 0.5]), np.array([[0.5], [v]]), np.array([1, 1]),
+            np.zeros(1)), 0.3, IntegratorConfig()), 0.2, "raise",
+        [math.nan, math.inf, -math.inf]),
     "integrate_path.eps": (lambda v: integrate_path(
         *_ARGS, _X0, 1.0, v, rng=_Unread()), 0.1, "real", [-0.1, 1.5]),
     "integrate_path.horizon": (lambda v: integrate_path(
         *_ARGS, _X0, v, rng=_Unread()), 1.0, "real", [-1.0]),
+    # every caller checks the start before any solve, leaf mean or path
+    "_check_start.x0": (lambda v: _UNWORKED[v[0]](x0=v[1]),
+                        ("integrate_path", _X0), "floats",
+                        [(name, x0) for name in _STARTED
+                         for x0 in ([1.0, 0.0], "abc", ["a", 0.0, 0.0])]),
+    "_check_start.domain": (lambda v: _UNWORKED[v[0]](x0=v[1]),
+                            ("integrate_path", _X0), "raise",
+                            [(name, x0) for name in _STARTED
+                             for x0 in ([10.0, 0.0, 0.0], [0.0, 0.0, 0.0])]),
     # the drivers take None and an int -1 as well
     "GammaSubordinator.rate": (lambda v: GammaSubordinator(v), _MIN_RATE,
                                "real", [0, 0.0, -1.0, -1, None, 1e-151,
                                         math.nextafter(_MIN_RATE, 0.0),
                                         1e-200, 5e-324]),
+    "finite_law.driver": (lambda v: sample_jump_events(v, 1.0, _Unread()),
+                          _TRUNCATED, "raise", [_GAMMA]),
     "tail_mass.cutoff": (lambda v: _GAMMA.tail_mass(v), 0.05, "real",
                          [0.0, -1, None]),
     "TruncatedMeasure.cutoff": (lambda v: replace(
@@ -595,14 +748,27 @@ _SITES = {
         _TRUNCATED, restricted_mass=v), 1.0, "real", [0, 0.0, -1, None]),
     "TruncatedMeasure.compensator": (lambda v: replace(
         _TRUNCATED, compensator=v), 0.0, "real", [-1.0, -1, -1e-3, None]),
+    # np.interp needs increasing sizes and a CDF from 0 to 1
+    "TruncatedMeasure.table": (lambda v: replace(
+        _TRUNCATED, ys=v[0], cdf=v[1]), (_YS, _CDF), "raise",
+        [(_YS[::-1], _CDF), (_YS, 0.5 * _CDF), (_YS, _CDF[::-1]),
+         (_YS[:-1], _CDF), (_YS[:1], _CDF[:1])]),
     "truncate_gamma.cutoff": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
                               "real", [0, 0.0, -1, -0.1, None]),
+    # E1(1000) is 0, and 1e-14 * E1(710) underflows
+    "truncate_gamma.tail_mass": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
+                                 "raise", [1000.0, 710.0]),
     "make_step_sampler.h": (lambda v: make_step_sampler(_GAMMA, v), 0.1,
                             "real", [0.0, -0.1, -1, None]),
     "characteristic_function.t": (lambda v: characteristic_function(
         _GAMMA, 1.0, v), 1.0, "real", [-1.0, -1, None]),
     "characteristic_function.u": (lambda v: characteristic_function(
-        _GAMMA, v, 1.0), 1.0, "real", [[1.0, math.nan], [math.inf]]),
+        _GAMMA, v, 1.0), 1.0, "raise", [[1.0, math.nan], [math.inf],
+                                        10 ** 400, math.nan, "1", True]),
+    # only the Gamma driver has a closed-form characteristic function
+    "cf.driver": (lambda v: characteristic_function(v[0], v[1], 1.5),
+                  (_GAMMA, 1.0), "raise",
+                  [(_TRUNCATED, 1.0), (_TRUNCATED, np.array([0.5, 2.0]))]),
     "marginal_samples.t": (lambda v: marginal_samples(
         _GAMMA, v, 10, _Unread()), 1.0, "real", [-1.0, -1, None]),
     "marginal_samples.n": (lambda v: marginal_samples(
@@ -619,8 +785,29 @@ _SITES = {
     "sample_jump_events.horizon": (lambda v: sample_jump_events(
         truncate_gamma(_GAMMA, 0.05), v, _Unread()), 1.0, "real",
         [-1.0, -1, None]),
+    "sample_jump_events.streams": (lambda v: sample_jump_events(
+        _TRUNCATED, 1.0, *v), [_Unread()], "raise", [[]]),
+    # a later row may start before the row above it ends
+    "JumpEvents.table": (lambda v: JumpEvents(*v, np.zeros(1)),
+                         ([0.5, 0.2, 0.3], np.zeros((3, 1)), np.array([1, 2])),
+                         "raise", [
+        (np.zeros(2), np.zeros((2, 1)), np.array([1])),
+        (np.zeros(2), np.zeros((2, 1)), np.array([3, -1])),
+        (np.zeros(2), np.zeros((2, 1)), np.array([1.0, 1.0])),
+        (np.zeros(2), np.zeros((2, 2)), np.array([2])),
+        (np.zeros(2), np.zeros(2), np.array([2])),
+        (np.zeros((2, 1)), np.zeros((2, 1)), np.array([2]))]),
+    "JumpEvents.order": (lambda v: JumpEvents(*v, np.zeros(1)),
+                         ([0.5, 0.2, 0.3], np.zeros((3, 1)), np.array([1, 2])),
+                         "raise", [
+        ([0.5, 0.2], np.zeros((2, 1)), np.array([2])),
+        ([0.5, 0.2, 0.1], np.zeros((3, 1)), np.array([1, 2])),
+        ([0.5, math.nan], np.zeros((2, 1)), np.array([2]))]),
     "RngStream.master_seed": (lambda v: RngStream(v), 1, "count", []),
     "RngStream.stream_index": (lambda v: RngStream(1, v), 1, "count", []),
+    "generate_state.dtype": (lambda v: RngStream(1).generate_state(2, v),
+                             np.uint32, "raise",
+                             [np.float64, np.int32, np.uint16]),
     "path_streams.master_seed": (lambda v: path_streams(v, 0, 2), 1,
                                  "count", []),
     "path_streams.base": (lambda v: path_streams(1, v, 2), 0, "count", []),
@@ -630,6 +817,7 @@ _SITES = {
 
 # site -> a fragment of the message its every rejection holds
 _POSITIVE = "must be positive and finite"
+_INCREMENTS = "increments must be finite numbers of shape"
 _MESSAGES = {
     "GammaSubordinator.rate": f"rate must be at least {_MIN_RATE} and finite",
     "tail_mass.cutoff": f"cutoff {_POSITIVE}",
@@ -646,8 +834,59 @@ _MESSAGES = {
     "circle_law_distance.n_paths": "must be a nonnegative integer",
     "integrate_grid_ensemble.eps": "eps must be nonnegative and at most 1",
     "integrate_grid_ensemble.pair_eps": "pair_eps must be nonnegative",
+    "transversal_comparison.boundary": "reaches the transversal boundary",
+    "exit_probability.near_exit": "no near-exit time",
+    "deviation_scaling.distinct_eps": "needs two distinct eps values",
+    "_resolve_observable.observable": "unknown observable",
+    "scheme_agreement.levels": "levels must be a nonempty list",
+    "mean_below.driver": "needs the Gamma driver",
+    "estimate_eta.distinct_horizons": "need at least three distinct horizons",
+    "estimate_eta.grid": "horizons must sit on the integration grid",
     "estimate_eta.psi": "psi must be callable",
+    "_check_plan.path_steps": "path-steps, more than the 1e+10 allowed",
+    "_grid_config.scheme": "grid-based schemes only",
+    "lp_moment.samples": "needs a nonempty array of finite samples",
+    "fit_loglog.points": "fit_loglog needs finite positive x",
+    "interp.s": "interp needs times that are numbers",
+    "interp.range": "outside the solved range",
+    "solve_averaged_ode.v0": "transversal point of dimension 2",
+    "solve_averaged_ode.domain": "v0 lies outside the transversal domain",
+    "averaged_field.func": "func must be callable",
+    "leaf_average_quadrature.v": "transversal point of dimension 2",
+    "make_cylinder_preset.radii": "need 0 < r_min < 1 < r_max",
+    "make_cylinder_preset.heights": "need z_min < z_max",
+    "make_cylinder_preset.k_choice": "k_choice must be a field",
+    "dpi_k.x": "dpi_k needs points of dimension 3",
+    "dpi_k.domain": "dpi_k evaluated outside the chart domain",
+    "tangency_check.points": "tangency_check needs a nonempty finite",
+    "tangency_check.array": "tangency_check needs a nonempty finite",
+    "tangency_check.domain": "tangency_check evaluated outside the chart",
+    "IntegratorConfig.scheme": "scheme must be one of",
+    "_step_count.steps": "steps, more than the 1e+08 allowed",
+    "_make_drift.perturbation": "must return one vector per state",
+    "integrate_grid_ensemble.x0": "one row for each of the 3 paths",
+    "integrate_grid_ensemble.x0_rows": "one row for each of the 3 paths",
+    "integrate_grid_ensemble.increments": _INCREMENTS,
+    "integrate_grid_ensemble.increment_block": _INCREMENTS,
+    "jump_flow.sizes": "jump_flow needs finite jump sizes",
+    "_jump_rk4.substeps": "Runge-Kutta substeps allowed",
+    "step_events.sizes": "step_events needs finite jump sizes",
+    "_check_start.x0": "x0 must be a point of dimension 3",
+    "_check_start.domain": "lies outside the chart domain",
+    "finite_law.driver": "apply truncate_gamma(spec, cutoff) first",
+    "TruncatedMeasure.table": "ys and cdf must be an increasing table",
+    "truncate_gamma.tail_mass": "too small or too large to tabulate",
+    "characteristic_function.u": "u must be finite numbers",
+    "cf.driver": "the characteristic function needs the Gamma driver",
+    "sample_jump_events.streams": "needs at least one stream",
+    "JumpEvents.table": "a jump table needs times (n,), sizes (n, dimension)",
+    "JumpEvents.order": "a jump table needs each row in time order",
+    "generate_state.dtype": "only support uint32 or uint64",
 }
+# the rows that raise DomainError; every other row raises ConfigError
+_EXCEPTIONS = dict.fromkeys(["solve_averaged_ode.domain", "dpi_k.domain",
+                             "tangency_check.domain", "_check_start.domain"],
+                            DomainError)
 
 # invalid for any argument of the kind: an integer past the float range,
 # nan and +-inf, strings, bools, and for counts non-integral values
@@ -671,13 +910,15 @@ def _no_work(monkeypatch):
 
 @pytest.mark.parametrize("site, value", _CASES,
                          ids=[f"{s}-{v!r:.24}" for s, v in _CASES])
-def test_invalid_numbers_are_config_errors_before_any_path(site, value,
-                                                           monkeypatch):
+def test_invalid_arguments_are_rejected_before_any_work(site, value,
+                                                        monkeypatch, capfd):
     assert issubclass(ConfigError, ValueError)
     _no_work(monkeypatch)
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(_EXCEPTIONS.get(site, ConfigError)) as info:
         _SITES[site][0](value)
     assert _MESSAGES.get(site, "") in str(info.value)
+    # nothing reached a library that prints, such as LAPACK's DLASCL line
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("site", sorted(_SITES))
@@ -689,37 +930,6 @@ def test_argument_sites_accept_their_valid_value(site, monkeypatch):
         call(valid)
     except _Reached:
         pass
-
-
-_STARTS = {
-    "transversal_comparison": lambda x0: transversal_comparison(
-        *_ARGS, _AVG, x0, [0.5], 0.3, n_paths=4),
-    "exit_probability": lambda x0: exit_probability(
-        *_ARGS, _AVG, x0, [0.5], 0.1, n_paths=4),
-    "deviation_scaling": lambda x0: deviation_scaling(
-        *_ARGS, x0, [0.5, 0.25], 0.3, n_paths=4),
-    "scheme_agreement": lambda x0: scheme_agreement(*_ARGS, x0, n_paths=4),
-    "estimate_eta": lambda x0: estimate_eta(
-        *_ARGS, lambda s: s[..., 0], x0, [5.0, 10.0, 20.0], n_paths=100),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_STARTS))
-def test_ensemble_experiments_check_the_start_first(name, monkeypatch):
-    # a start outside U is a DomainError and one of the wrong dimension a
-    # ConfigError, both before the averaged solve, the leaf mean or a path
-    _no_work(monkeypatch)
-    monkeypatch.setattr(experiments, "solve_averaged_ode", _reached)
-    monkeypatch.setattr(averaging, "leaf_average_quadrature", _reached)
-    run = _STARTS[name]
-    for x0 in ([10.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
-        with pytest.raises(DomainError, match="outside the chart domain"):
-            run(np.array(x0))
-    for x0 in (np.array([1.0, 0.0]), "abc", ["a", 0.0, 0.0]):
-        with pytest.raises(ConfigError, match="dimension 3"):
-            run(x0)
-    with pytest.raises(_Reached):
-        run(_X0)
 
 
 KEYS = [(sec.name, key.name, getattr(getattr(ExperimentConfig(), sec.name),
@@ -853,29 +1063,42 @@ _LEVELS = {"scheme_agreement.c": "scheme_agreement.level_cutoff",
 
 
 def test_every_argument_check_has_a_row_in_the_table():
-    # each _real, _reals or _count call outside the config has a row of
-    # _SITES with an argument kind under the key the table's comment gives
-    keys = []
+    # outside the config and the command line, each _real, _reals or
+    # _count call has a row of an argument kind under the key the table's
+    # comment gives, each _floats call a row of kind "floats", and each
+    # function as many rows of kind "raise" as it has raise statements
+    checks, floats, raises = [], [], []
 
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             name = owner
             if isinstance(child, ast.ClassDef) or (
                     isinstance(child, ast.FunctionDef)
-                    and child.name != "__post_init__"):
+                    and child.name != "__post_init__"
+                    and (owner is None or isinstance(node, ast.ClassDef))):
                 name = child.name
-            if isinstance(child, ast.Call) and getattr(
-                    child.func, "id", None) in ("_real", "_reals", "_count"):
+            called = getattr(getattr(child, "func", None), "id", None)
+            if isinstance(child, ast.Call) and called in (
+                    "_real", "_reals", "_count", "_floats"):
                 value = ast.unparse(child.args[0]).removeprefix("self.")
                 key = f"{name}.{value}"
-                keys.append(_LEVELS.get(key, key))
+                found = floats if called == "_floats" else checks
+                found.append(_LEVELS.get(key, key))
+            raised = getattr(getattr(child, "exc", None), "func", None)
+            if isinstance(child, ast.Raise) and getattr(raised, "id", None) \
+                    in ("ConfigError", "DomainError"):
+                raises.append(name)
             walk(child, name)
 
     for name, tree in _package_trees():
-        if name not in ("config.py", "errors.py"):
+        if name not in ("cli.py", "config.py", "errors.py"):
             walk(tree, None)
-    assert len(keys) > 60
-    assert [k for k in keys if _SITES.get(k, (0, 0, None))[2] is None] == []
+    kinds = {site: row[2] for site, row in _SITES.items()}
+    assert len(checks) > 60 and len(raises) >= 40
+    assert [k for k in checks if kinds.get(k) not in _INVALID] == []
+    assert sorted(floats) == sorted(k for k in kinds if kinds[k] == "floats")
+    assert sorted(raises) == sorted(k.split(".")[0] for k in kinds
+                                    if kinds[k] == "raise")
 
 
 def test_compare_solves_the_averaged_ode_once(tmp_path, monkeypatch):
@@ -1086,6 +1309,30 @@ SUBCOMMANDS = [
          doc["within_mc_bound"] and doc["max_abs_gap"] <= doc["mc_bound"]]),
     ("check", [], {"check.json": "all_passed checks"},
      lambda col, doc: [doc["all_passed"], len(doc["checks"]) == 7]),
+    ("check", ["--set", "preset.k_choice=constant"],
+     {"check.json": "all_passed checks"},
+     lambda col, doc: [doc["all_passed"], len(doc["checks"]) == 7]),
+    # past s = 2 log 5, where w_r = exp(s/2) reaches r_max = 5, the path
+    # ends one step beyond the boundary
+    ("average", ["--set", "experiment.horizon=5"],
+     {"averaged_field.csv": ("r z q_r q_z", 25),
+      "averaged_path.csv": ("s w_r w_z", 3220),
+      "summary.json": "boundary_time final_value gamma method solved_until "
+                      "t_gamma"},
+     lambda col, doc: [
+         abs(doc["boundary_time"] - 2 * math.log(5)) <= 1e-6,
+         col("averaged_path.csv", "w_r")[-1] > 5.0]),
+    # a constant vertical field has no radial part: the errors vanish
+    ("eta", ["--set", "preset.k_choice=constant",
+             "--set", "preset.k_constant=[0, 0, 1]",
+             "--set", "experiment.horizons=[1.0, 2.0, 4.0]",
+             "--set", "experiment.n_paths=100"],
+     {"eta.csv": ("t lp_error p fitted_exponent fitted_constant", 3),
+      "summary.json": "constant exponent horizons identically_zero "
+                      "lp_errors n_paths observable p"},
+     lambda col, doc: [
+         not col("eta.csv", "lp_error").any(),
+         doc["exponent"] == 0.0 and doc["identically_zero"] is True]),
     # a path that leaves U: only its last row, at the exit time, is exited
     ("simulate", ["--set", "preset.r_max=1.05"],
      {"trajectory.csv": ("t x y z r theta is_jump exited", 50),
@@ -1099,8 +1346,9 @@ SUBCOMMANDS = [
 
 
 @pytest.mark.parametrize("command, args, files, holds", SUBCOMMANDS,
-                         ids=[row[0] for row in SUBCOMMANDS[:-1]]
-                         + ["simulate-exits"])
+                         ids=[row[0] for row in SUBCOMMANDS[:8]]
+                         + ["check-constant", "average-boundary",
+                            "eta-exact", "simulate-exits"])
 def test_subcommand_run_directory_and_wrote_lines(tmp_path, capsys, command,
                                                   args, files, holds):
     out = tmp_path / "runs"
@@ -1143,6 +1391,9 @@ def test_csv_cells_spell_each_value_one_way(value, text):
 
 @pytest.mark.parametrize("value, text", [
     (float("nan"), "null"), (np.array([[1, 2]]), "[[1, 2]]"),
+    ({"a": np.float64("nan"), "b": float("inf"), "c": float("nan"),
+      "d": np.float32("-inf")},
+     '{"a": null, "b": null, "c": null, "d": null}'),
     (np.array([0.5, 1.0]), "[0.5, 1.0]"),
     ((np.bool_(True), np.int64(3)), "[true, 3]"),
     ({"a": np.float64(0.25)}, '{"a": 0.25}')])

@@ -16,12 +16,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from folevy import (BlowupError, ConfigError, ConstantK, IntegratorConfig,
-                    RngStream, averaged_field, deviation_scaling,
-                    estimate_eta, exit_probability, integrate_path, lp_moment,
-                    make_cylinder_preset, projected_perturbation,
-                    scheme_agreement, transversal_comparison, truncate_gamma)
-from folevy import averaging, experiments
+from folevy import (BlowupError, ConstantK, IntegratorConfig, RngStream,
+                    averaged_field, deviation_scaling, exit_probability,
+                    integrate_path, lp_moment, make_cylinder_preset,
+                    projected_perturbation, scheme_agreement,
+                    transversal_comparison)
 from folevy.experiments import _nonincreasing_in_eps
 from folevy.marcus import resolve_grid
 
@@ -120,15 +119,6 @@ def test_comparison_running_sup_stops_at_each_exit():
         assert lp_moment(np.array(kept), 2)[0] > 5 * result.sup_norm[i, 0]
 
 
-def test_comparison_rejects_horizon_past_boundary():
-    preset = make_cylinder_preset(r_max=2.0)
-    avg = averaged_field(preset.chart, preset.fields)
-    with pytest.raises(ConfigError):
-        transversal_comparison(preset.fields, preset.chart, preset.driver,
-                               avg, X0, epsilons=[0.1], horizon=2.0,
-                               n_paths=4, master_seed=SEED)
-
-
 def test_comparison_zero_perturbation_is_exact():
     preset = make_cylinder_preset(k_choice=ConstantK(0.0, 0.0, 0.0))
     avg = averaged_field(preset.chart, preset.fields,
@@ -164,16 +154,6 @@ def test_exit_probability_zero_when_start_is_close():
     assert result.t_gamma == 0.0
     assert np.all(result.probabilities == 0.0)
     assert np.all(result.std_errors == 0.0)
-
-
-def test_exit_probability_needs_a_near_exit():
-    preset, _ = _constant_vertical_setup(k3=0.0)
-    avg = averaged_field(preset.chart, preset.fields,
-                         func=lambda v: np.zeros(2))
-    with pytest.raises(ConfigError):
-        exit_probability(preset.fields, preset.chart, preset.driver, avg, X0,
-                         epsilons=[0.1], gamma=0.1, n_paths=8,
-                         search_horizon=5.0, master_seed=SEED)
 
 
 def test_exit_probability_raises_on_non_finite_paths():
@@ -216,49 +196,6 @@ def test_deviation_identically_zero_for_insensitive_observable():
     assert result.summary()["linear_in_eps"] is None
 
 
-@pytest.mark.parametrize("observable", [
-    lambda x: x[..., 2] ** 2, ["radial"], {"radial": 1}])
-def test_deviation_takes_only_an_observable_name(monkeypatch, observable):
-    # a list or a dict is not hashable: the OBSERVABLES lookup gave a bare
-    # TypeError for them
-    def no_path(*args, **kwargs):
-        raise AssertionError("a path ran before the observable was rejected")
-
-    monkeypatch.setattr(experiments, "integrate_grid_ensemble", no_path)
-    preset = make_cylinder_preset()
-    with pytest.raises(ConfigError, match="unknown observable"):
-        deviation_scaling(preset.fields, preset.chart, preset.driver, X0,
-                          epsilons=[0.5, 0.25], horizon=1.0,
-                          observable=observable, n_paths=4)
-
-
-def test_grid_experiments_reject_jump_decomposition_before_any_work(
-        monkeypatch):
-    # the grid ensemble cannot run the jump decomposition, so neither the
-    # averaged ODE nor the reference leaf average may be computed first
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the scheme was rejected")
-
-    monkeypatch.setattr(experiments, "solve_averaged_ode", no_work)
-    monkeypatch.setattr(averaging, "leaf_average_quadrature", no_work)
-    preset = make_cylinder_preset()
-    avg = averaged_field(preset.chart, preset.fields)
-    args = (preset.fields, preset.chart, preset.driver)
-    cfg = IntegratorConfig(scheme="jump_decomposition")
-    calls = [
-        lambda: transversal_comparison(*args, avg, X0, [0.5], 0.3, n_paths=4,
-                                       cfg=cfg),
-        lambda: exit_probability(*args, avg, X0, [0.5], 0.1, n_paths=4,
-                                 cfg=cfg),
-        lambda: deviation_scaling(*args, X0, [0.5], 0.3, n_paths=4, cfg=cfg),
-        lambda: estimate_eta(*args, lambda s: s[..., 0], X0,
-                             [5.0, 10.0, 20.0], n_paths=100, cfg=cfg),
-    ]
-    for call in calls:
-        with pytest.raises(ConfigError, match="grid-based schemes only"):
-            call()
-
-
 def test_deviation_large_p_is_not_a_false_zero():
     # |dev|**1e300 underflows to 0 for every deviation below 1, which read
     # as deviations vanishing identically
@@ -275,32 +212,6 @@ def test_deviation_large_p_is_not_a_false_zero():
 # ---------------------------------------------------------------------------
 # discretization coupling
 # ---------------------------------------------------------------------------
-
-def test_scheme_agreement_needs_gamma_driver(monkeypatch):
-    preset = make_cylinder_preset()
-    def no_path(*args):
-        raise AssertionError("a path ran before the driver was rejected")
-
-    monkeypatch.setattr(experiments, "sample_jump_events", no_path)
-    # a truncated driver has no closed-form small-jump mean per cutoff
-    with pytest.raises(ConfigError, match="needs the Gamma driver"):
-        scheme_agreement(preset.fields, preset.chart,
-                         truncate_gamma(preset.driver, 0.01), X0, n_paths=4)
-    with pytest.raises(ValueError):
-        scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
-                         eps=0.0, n_paths=4)
-    with pytest.raises(ValueError):
-        scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
-                         levels=((0.001, 0.01),), n_paths=4)
-    # not a nonempty sequence of (cutoff, step) pairs
-    for levels in ([], [(0.08,)], [(0.08, 0.04, 1)], 5, [0.08, 0.04]):
-        with pytest.raises(ConfigError, match="levels must be"):
-            scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
-                             levels=levels, n_paths=4)
-    with pytest.raises(ValueError):
-        scheme_agreement(preset.fields, preset.chart, preset.driver, X0,
-                         horizon=0.0, n_paths=4)
-
 
 def test_scheme_agreement_generic_flow_matches_closed_form():
     # without a closed-form jump flow both halves step their jumps through
