@@ -25,6 +25,7 @@ from .marcus import (IntegratorConfig, _check_plan, _check_start, _drift_rk4,
 from .rng import path_streams
 
 _ZERO_FLOOR = 1e-14
+_ODE_STEP = 1e-3        # the averaged ODE's Runge-Kutta step
 # where the largest |x|**p must lie for lp_moment to take the powers as
 # they are: there they and their variance stay finite and normal
 _POWER_RANGE = (np.finfo(float).tiny, 1e150)
@@ -127,19 +128,19 @@ class AveragedSolution:
         return float(t0 + frac * (t1 - t0))
 
 
-def solve_averaged_ode(avg: AveragedField, v0, horizon: float,
-                       step: float = 1e-3) -> AveragedSolution:
-    """Integrate dw/ds = Q(w) with classical Runge-Kutta and compensated
+def solve_averaged_ode(avg: AveragedField, v0,
+                       horizon: float) -> AveragedSolution:
+    """Integrate dw/ds = Q(w) with classical Runge-Kutta, steps of at most
+    1e-3 (so a horizon past 1e5 is a ConfigError) and compensated
     accumulation, stopping one step past the transversal boundary.  A
     non-finite state is a BlowupError with the time reached, not an exit."""
     _real(horizon, "horizon", above=0)
-    _real(step, "step", above=0)
     chart = avg.chart
     v0 = _floats(v0, (chart.vertical_dim,), f"v0 must be a transversal "
                  f"point of dimension {chart.vertical_dim}")
     if not bool(chart.vertical_contains(v0)):
         raise DomainError("v0 lies outside the transversal domain")
-    n = _step_count(horizon, step)
+    n = _step_count(horizon, _ODE_STEP)
     h = horizon / n
     y = v0.copy()
     comp = np.zeros_like(y)
@@ -181,7 +182,8 @@ def lp_moment(samples, p):
     overflows nor vanishes while a sample does not.  ConfigError unless
     the samples are nonempty and finite and p is finite and at least 1."""
     _real(p, "p", least=1)
-    samples = np.abs(np.asarray(samples, dtype=float))
+    samples = np.abs(_floats(samples, (...,), "lp_moment needs samples "
+                             "that are numbers"))
     if not samples.size or not np.isfinite(samples).all():
         raise ConfigError("lp_moment needs a nonempty array of finite samples")
     with np.errstate(over="ignore"):
@@ -208,8 +210,8 @@ def fit_loglog(x, y):
     below 1e-300 are dropped; fewer than two distinct x left returns
     (None, None).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _floats(x, (...,), "fit_loglog needs x that are numbers")
+    y = _floats(y, (...,), "fit_loglog needs y that are numbers")
     if x.ndim != 1 or x.shape != y.shape or not np.isfinite(y).all() \
             or not ((x > 0) & (x < math.inf)).all() or len(set(x)) < 2:
         raise ConfigError("fit_loglog needs finite positive x with two "

@@ -225,7 +225,7 @@ def cmd_average(cfg, preset, icfg):
     if not np.isfinite(rows).all():
         raise BlowupError("the averaged field left the finite range")
     sol = solve_averaged_ode(avg, chart.vertical_projection(exp.x0),
-                             exp.horizon, exp.ode_step)
+                             exp.horizon)
     summary = {
         "method": avg.method,
         "boundary_time": sol.boundary_time,
@@ -268,8 +268,7 @@ def cmd_compare(cfg, preset, icfg):
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
                                  _averaged(cfg, preset), exp.x0,
                                  exp.epsilons, exp.horizon, exp.p, exp.n_paths,
-                                 run.master_seed, run.stream_base, icfg,
-                                 ode_step=exp.ode_step)
+                                 run.master_seed, run.stream_base, icfg)
     lines = [f"eps={eps:g}: sup L{res.p:g} distance {res.sup_norm[i, 0]:.6g} "
              f"(se {res.sup_norm_se[i, 0]:.2g})"
              for i, eps in enumerate(res.epsilons)]
@@ -284,7 +283,7 @@ def cmd_exit_prob(cfg, preset, icfg):
     res = exit_probability(preset.fields, preset.chart, preset.driver,
                            _averaged(cfg, preset), exp.x0, exp.epsilons,
                            exp.gamma, exp.n_paths, run.master_seed,
-                           run.stream_base, icfg, ode_step=exp.ode_step,
+                           run.stream_base, icfg,
                            search_horizon=exp.search_horizon)
     lines = [f"averaged path comes within gamma={res.gamma:g} of the boundary "
              f"at s={res.t_gamma:.6g}"]
@@ -369,7 +368,7 @@ def cmd_check(cfg, preset, icfg):
 
     zs = gen.gamma(1.0, 1.0, size=64)
     x = pts[:64]
-    moved = jump_flow(fields, x, zs[:, None], icfg)
+    moved = jump_flow(fields, x, zs[:, None])
     rad_err = float(np.max(np.abs(np.hypot(moved[:, 0], moved[:, 1])
                                   - np.hypot(x[:, 0], x[:, 1]))))
     checks.append(("jump flow preserves the leaf radius",
@@ -379,7 +378,7 @@ def cmd_check(cfg, preset, icfg):
     x1 = np.array([1.1, 0.0, 0.3])
     z1 = np.array([0.7])
     exact_move = fields.exact_jump_flow(x1, z1)
-    generic_move = jump_flow(fields.without_exact_flow(), x1, z1, icfg)
+    generic_move = jump_flow(fields.without_exact_flow(), x1, z1)
     gap = float(np.max(np.abs(exact_move - generic_move)))
     checks.append(("generic jump solve matches the closed form", gap <= 1e-6,
                    f"gap {gap:.2e}"))

@@ -69,7 +69,6 @@ class ExperimentSection:
     u_values: tuple[float, ...] = (1.0, 2.0, 4.0)
     t: float = 1.0
     n_samples: int = 20000
-    ode_step: float = 1e-3
     search_horizon: float = 50.0
 
 
@@ -100,7 +99,6 @@ _RANGES = {
     "experiment.epsilons": partial(_reals, above=0, most=1),
     "experiment.horizon": partial(_real, above=0),
     "experiment.gamma": partial(_real, above=0),
-    "experiment.ode_step": partial(_real, above=0),
     "experiment.search_horizon": partial(_real, above=0),
     "experiment.p": partial(_real, least=1),
     "experiment.u_values": _reals,

@@ -185,14 +185,12 @@ class TruncatedMeasure:
     sampling interpolates.
     """
 
-    cutoff: float
     restricted_mass: float
     compensator: float
     ys: np.ndarray = field(compare=False, repr=False)
     cdf: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
-        _real(self.cutoff, "cutoff", above=0)
         _real(self.restricted_mass, "restricted mass", above=0)
         _real(self.compensator, "compensator", least=0)
         ys, cdf = np.asarray(self.ys), np.asarray(self.cdf)
@@ -265,8 +263,7 @@ def truncate_gamma(spec: GammaSubordinator, cutoff: float) -> TruncatedMeasure:
     cdf = 1.0 - _exp1(theta * ys) / mass
     cdf[0] = 0.0
     cdf = cdf / cdf[-1]
-    return TruncatedMeasure(float(cutoff), mass, spec.mean_below(cutoff), ys,
-                            cdf)
+    return TruncatedMeasure(mass, spec.mean_below(cutoff), ys, cdf)
 
 
 # ---------------------------------------------------------------------------

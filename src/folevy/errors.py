@@ -94,9 +94,13 @@ def _reals(values, name, **bounds):
 def _floats(value, shape, message):
     """`value` as a float array if it is numbers of `shape`, else
     ConfigError(message); a leading ``...`` in `shape` takes any leading
-    axes, so (..., 3) is one point of dimension 3 or a batch of them."""
+    axes, so (..., 3) is one point of dimension 3 or a batch of them.
+    Object-dtype input, such as a None that would read as nan, is not."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        if arr.dtype == object:
+            raise TypeError
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ConfigError(message) from None
     if shape[:1] == (...,):

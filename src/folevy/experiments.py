@@ -14,7 +14,7 @@ half, the shared event stepper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,8 @@ OBSERVABLES = {
 def projected_perturbation(chart: FoliatedChart, fields: VectorFieldSet,
                            component: int):
     """Observable x -> dPi(K)(x)[component], the integrand whose leaf
-    average drives the transversal motion."""
+    average drives the transversal motion along that coordinate."""
+    _count(component, "component", most=chart.vertical_dim - 1)
 
     def psi(x):
         return dpi_k(chart, fields, x)[..., component]
@@ -97,8 +98,8 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
                            avg: AveragedField, x0, epsilons, horizon: float,
                            p: float = 2, n_paths: int = 200,
                            master_seed: int = 0, stream_base: int = 0,
-                           cfg: IntegratorConfig = None, threads: int = 1,
-                           ode_step: float = 1e-3) -> ComparisonResult:
+                           cfg: IntegratorConfig = None,
+                           threads: int = 1) -> ComparisonResult:
     """L^p size of sup_{s<=horizon} |Pi(X^eps_{s/eps}) - w(s)| per eps.
 
     Paths run to horizon/eps on their own clock; the averaged solution is
@@ -121,7 +122,7 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _check_plan(n_paths, [resolve_grid(cfg, eps, horizon / eps)[0]
                           for eps in epsilons])
     x0 = _check_start(chart, x0)
-    sol = solve_averaged_ode(avg, chart.vertical_projection(x0), horizon, ode_step)
+    sol = solve_averaged_ode(avg, chart.vertical_projection(x0), horizon)
     if sol.boundary_time is not None and sol.boundary_time <= horizon:
         raise ConfigError(
             f"averaged path reaches the transversal boundary at "
@@ -193,7 +194,6 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
                      avg: AveragedField, x0, epsilons, gamma: float,
                      n_paths: int = 200, master_seed: int = 0,
                      stream_base: int = 0, cfg: IntegratorConfig = None,
-                     ode_step: float = 1e-3,
                      search_horizon: float = 50.0) -> ExitProbabilityResult:
     """Fraction of paths leaving the domain before the averaged path comes
     within gamma of the boundary (path clock: t_gamma / eps).
@@ -211,8 +211,7 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
     x0 = _check_start(chart, x0)
-    sol = solve_averaged_ode(avg, chart.vertical_projection(x0), search_horizon,
-                             ode_step)
+    sol = solve_averaged_ode(avg, chart.vertical_projection(x0), search_horizon)
     t_gamma = sol.time_to_margin(gamma)
     if t_gamma is None:
         raise ConfigError(
@@ -350,7 +349,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
                      eps: float = 0.5,
                      levels=((0.08, 0.04), (0.04, 0.02), (0.02, 0.01)),
                      n_paths: int = 128, master_seed: int = 0,
-                     stream_base: int = 0, cfg: IntegratorConfig = None,
+                     stream_base: int = 0,
                      threads: int = 1) -> SchemeAgreementResult:
     """Endpoint gap between the two discretizations on one shared jump set.
 
@@ -369,8 +368,6 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
     event half through step_events.  `threads`, a count of at least 1, has
     no effect; it stays because perfbench/workloads.py passes it.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
     _real(eps, "eps", above=0, most=1)
     _real(horizon, "horizon", above=0)
     try:
@@ -398,7 +395,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
         gaps = np.empty((len(levels), m))
         x_start = np.tile(x0, (m, 1))
         for il, (cutoff, h) in enumerate(levels):
-            grid_cfg = replace(cfg, scheme="grid_increment", step_h=h)
+            grid_cfg = IntegratorConfig(step_h=h)
             n, h_grid = resolve_grid(grid_cfg, eps, horizon)
             grid = np.arange(n + 1) * h_grid
             grid[-1] = horizon
@@ -409,7 +406,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
             keep = events.sizes[:, 0] > cutoff
             kept = JumpEvents(events.times[keep], events.sizes[keep],
                               np.bincount(row[keep], minlength=m), means[il])
-            x_events = step_events(fields, x_start, grid, kept, eps, cfg)
+            x_events = step_events(fields, x_start, grid, kept, eps)
             # each row's 1-D norm, sqrt(d . d) as np.linalg.norm computes
             # it: a batched norm rounds differently
             gaps[il] = [math.sqrt(d.dot(d)) for d in x_events - x_grid]

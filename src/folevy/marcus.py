@@ -39,17 +39,16 @@ from typing import Optional
 import numpy as np
 
 from .drivers import JumpEvents, make_step_sampler, sample_jump_events
-from .errors import (BlowupError, ConfigError, DomainError, _count, _floats,
-                     _real)
+from .errors import BlowupError, ConfigError, DomainError, _floats, _real
 from .geometry import FoliatedChart, VectorFieldSet
 from .rng import RngStream
 
 SCHEMES = ("grid_increment", "jump_decomposition")
-_MAX_SUBSTEP_ANGLE = 0.1
+_SUBSTEPS = 20          # generic jump solve: z takes ceil(20 |z|) RK4 substeps
 _CHUNK = 4096           # grid steps drawn per path at a time
 _MAX_STEPS = 10**8      # steps per path: 1000x the longest calibration run
-# jump_ode_substeps (500x the default), and the substeps of one jump in the
-# generic solve, so a jump of norm up to 1 passes at any setting
+# the substeps of one jump in the generic solve: a jump of norm above 500
+# is a ConfigError
 _MAX_SUBSTEPS = 10**4
 # paths x steps one ensemble call plans: 250x the largest calibration plan
 _MAX_PATH_STEPS = 10**10
@@ -59,16 +58,13 @@ _MAX_PATH_STEPS = 10**10
 class IntegratorConfig:
     """Numerical knobs shared by all integrators.
 
-    ``jump_ode_substeps`` counts Runge-Kutta substeps per unit jump
-    magnitude for the generic jump solve: a jump z takes max(ceil(substeps
-    * |z|), ceil(|z| / 0.1)) substeps, none for z = 0, so large jumps always
-    get proportionally more.  ``step_h`` of None resolves to 1e-2 for
-    unperturbed runs and min(1e-2, eps/10) for perturbed ones.
+    ``step_h`` of None resolves to 1e-2 for unperturbed runs and
+    min(1e-2, eps/10) for perturbed ones; the jump decomposition applies
+    the jumps above ``jump_cutoff`` at their own times.
     """
 
     scheme: str = "grid_increment"
     step_h: Optional[float] = None
-    jump_ode_substeps: int = 20
     jump_cutoff: float = 1e-3
 
     def __post_init__(self):
@@ -76,7 +72,6 @@ class IntegratorConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.step_h is not None:
             _real(self.step_h, "step_h", above=0)
-        _count(self.jump_ode_substeps, "jump_ode_substeps", 1, _MAX_SUBSTEPS)
         _real(self.jump_cutoff, "jump_cutoff", above=0)
 
     def resolve_step(self, eps):
@@ -182,7 +177,7 @@ def _make_drift(fields: VectorFieldSet, eps, comp_rate=None):
     return total
 
 
-def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
+def _jump_rk4(fields: VectorFieldSet, x, z):
     """Generic jump solve: each row takes the substeps of its own |z|, and
     rows with equal counts are solved together, so a row gets the bits it
     gets alone.  ConfigError first for a jump needing more than
@@ -193,8 +188,7 @@ def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
     zs = np.broadcast_to(z, batch + z.shape[-1:])
     with np.errstate(over="ignore"):
         mag = np.linalg.norm(zs, axis=-1)
-        counts = np.maximum(np.ceil(cfg.jump_ode_substeps * mag),
-                            np.ceil(mag / _MAX_SUBSTEP_ANGLE))
+        counts = np.ceil(_SUBSTEPS * mag)
     if not np.all(counts <= _MAX_SUBSTEPS):
         raise ConfigError(f"a jump of size {mag.max():g} needs more than the "
                           f"{_MAX_SUBSTEPS:.0e} Runge-Kutta substeps "
@@ -214,31 +208,25 @@ def _jump_rk4(fields: VectorFieldSet, x, z, cfg: IntegratorConfig):
     return out
 
 
-def jump_flow(fields: VectorFieldSet, x, z, cfg: IntegratorConfig = None):
+def jump_flow(fields: VectorFieldSet, x, z):
     """Marcus action of one jump z: time-one flow of dY/ds = F(Y) z.
 
     x and z broadcast over their leading axes, one jump per row.  Uses the
     closed-form flow when the field set carries one, otherwise the generic
-    fixed-step Runge-Kutta solve, row by row.  A non-finite jump raises
-    ConfigError before either flow; non-finite output raises BlowupError
-    with the ode time reached (1 for the closed form).
+    fixed-step Runge-Kutta solve, row by row.  Arguments that are not
+    numbers, or a non-finite jump, raise ConfigError before either flow;
+    non-finite output, BlowupError with the ode time reached (1 for the
+    closed form).
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
-    x = np.asarray(x, dtype=float)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    x = _floats(x, (...,), "jump_flow needs points that are numbers")
+    z = np.atleast_1d(_floats(z, (...,),
+                              "jump_flow needs jump sizes that are numbers"))
     if not np.isfinite(z).all():
         raise ConfigError("jump_flow needs finite jump sizes")
-    out = _flow(fields, cfg)(x, z)
+    out = (fields.exact_jump_flow or partial(_jump_rk4, fields))(x, z)
     if not np.all(np.isfinite(out)):
         raise BlowupError("the jump flow produced non-finite output", sigma=1.0)
     return out
-
-
-def _flow(fields: VectorFieldSet, cfg: IntegratorConfig):
-    """The jump flow (x, z) -> x' of the field set: its closed form, or
-    else the generic solve."""
-    return fields.exact_jump_flow or partial(_jump_rk4, fields, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +316,7 @@ def integrate_grid_ensemble(fields: VectorFieldSet, driver, x0, horizon, eps,
     x0 = _floats(x0, (...,), want)
     if x0.ndim != 1 and x0.shape[:-1] != (m_paths,):
         raise ConfigError(f"{want}, got shape {x0.shape}")
-    flow = _flow(fields, cfg)
+    flow = fields.exact_jump_flow or partial(_jump_rk4, fields)
 
     start = np.tile(x0, (m_paths, 1)) if x0.ndim == 1 else x0
     # states, compensation and drift of the primary and any pair system
@@ -429,7 +417,7 @@ def _merge_events(grid, events: JumpEvents, dim):
 
 
 def step_events(fields: VectorFieldSet, x0, grid, events: JumpEvents, eps,
-                cfg: IntegratorConfig, on_event=None):
+                on_event=None):
     """Advance the rows of x0 in lockstep, each through the grid merged
     with its own row of the jump table `events`.
 
@@ -448,7 +436,7 @@ def step_events(fields: VectorFieldSet, x0, grid, events: JumpEvents, eps,
     """
     if not np.isfinite(events.sizes).all():
         raise ConfigError("step_events needs finite jump sizes")
-    flow = _flow(fields, cfg)
+    flow = fields.exact_jump_flow or partial(_jump_rk4, fields)
     states = np.array(x0, dtype=float)
     times, jumps, sizes = _merge_events(grid, events, fields.driver_dim)
     drift = _make_drift(fields, eps, events.compensator)
@@ -527,7 +515,7 @@ def _decomposition_path(fields, chart, driver, x0, horizon, eps, cfg, rng):
         # a non-finite state stops here too, and step_events raises on it
         return not bool(chart.contains(states[0]))
 
-    step_events(fields, x0[None, :], grid, events, eps, cfg, record)
+    step_events(fields, x0[None, :], grid, events, eps, record)
     times, states, flags = (np.array(col) for col in zip(*rec))
     exited = not bool(chart.contains(states[-1]))
     return Trajectory(times, states, flags, exited=exited,

@@ -37,9 +37,9 @@ from folevy import (ConfigError, ConstantK, DomainError, GammaSubordinator,
                     estimate_eta, exit_probability, experiments, fit_loglog,
                     integrate_grid_ensemble, integrate_path, jump_flow,
                     leaf_average_quadrature, lp_moment, make_cylinder_preset,
-                    marginal_samples, path_streams, sample_jump_events,
-                    scheme_agreement, solve_averaged_ode, tangency_check,
-                    transversal_comparison, truncate_gamma)
+                    marginal_samples, path_streams, projected_perturbation,
+                    sample_jump_events, scheme_agreement, solve_averaged_ode,
+                    tangency_check, transversal_comparison, truncate_gamma)
 from folevy.cli import main
 from folevy.drivers import _MIN_RATE, make_step_sampler
 from folevy.marcus import _make_drift, resolve_grid, step_events
@@ -321,8 +321,6 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("exit-prob", "experiment.search_horizon=.inf",
          "experiment.search_horizon"),
         ("average", "experiment.search_horizon=0", "experiment.search_horizon"),
-        ("compare", "experiment.ode_step=0", "experiment.ode_step"),
-        ("average", "experiment.ode_step=-1e-3", "experiment.ode_step"),
         ("simulate", "experiment.x0=[1, 0]", "experiment.x0"),
         ("simulate", "experiment.x0=[1, 0, .nan]", "experiment.x0"),
         ("simulate", "experiment.x0=[1, 0, z]", "experiment.x0"),
@@ -369,10 +367,6 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "run.out_dir=5", "run.out_dir"),
         ("simulate", "run.stream_base=0.001", "stream_index must be"),
         ("simulate", "run.stream_base=-7", "stream_index must be"),
-        ("simulate", "run.threads=1", "unknown config key run.threads"),
-        ("simulate", "integrator.splitting=lie",
-         "unknown config key integrator.splitting"),
-        ("simulate", "preset.kappa=0.5", "unknown config key preset.kappa"),
         # the Gamma rate has a floor of 1e-150; a subnormal one is below it
         ("simulate", "preset.theta=9.99e-151", "rate must be at least 1e-150"),
         ("charfn", "preset.theta=5e-324", "rate must be at least 1e-150"),
@@ -383,22 +377,18 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
          "u = 1e+20 times a draw of Z_t"),
         # Z_t near 1e300: no u of the defaults leaves u*Z a phase
         ("charfn", "experiment.t=1e300", "is at least 2**52"),
-        ("compare", "experiment.method=quadrature",
-         "unknown config key experiment.method"),
         ("simulate", "preset.k_constant=[1, 2, .nan]", "preset.k_constant"),
         ("charfn", "experiment.t=.nan", "experiment.t"),
         ("charfn", "experiment.t=.inf", "experiment.t"),
         ("simulate", "integrator.step_h=.inf", "integrator.step_h"),
         ("simulate", "integrator.step_h=1e-9", "more than the 1e+08 allowed"),
         ("simulate", "integrator.step_h=1e-320", "more than the 1e+08 allowed"),
-        ("average", "experiment.ode_step=1e-300", "more than the 1e+08 allowed"),
+        ("average", "experiment.horizon=1e6", "more than the 1e+08 allowed"),
         # counts that size an allocation up front have a ceiling
         ("average", "experiment.n_nodes=100000000000",
          "n_nodes must be at least 8 and at most 10000000"),
         ("charfn", "experiment.n_samples=100000000000",
          "experiment.n_samples must be at least 1 and at most 10000000"),
-        ("check", "integrator.jump_ode_substeps=1000000000000",
-         "jump_ode_substeps must be at least 1 and at most 10000"),
         ("average", "experiment.n_r=100000000000",
          "experiment.n_r must be at least 1 and at most 100000"),
         ("average", "experiment.n_z=100000000000",
@@ -412,6 +402,12 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("eta", "experiment.n_paths=100000000000",
          "path-steps, more than the 1e+10 allowed"),
     ]
+    # keys that are gone, or never were
+    cases += [(command, f"{key}=1", f"unknown config key {key}")
+              for command in ("simulate", "compare")
+              for key in ("run.threads", "preset.kappa", "experiment.method",
+                          "experiment.ode_step", "integrator.splitting",
+                          "integrator.jump_ode_substeps")]
     # an integer past the float range is not a finite number
     cases += [(command, f"experiment.horizon={10 ** 400}",
                "experiment.horizon must be a finite number")
@@ -462,7 +458,10 @@ _INC = [[[0.1], [0.2]], [[0.3], [-0.4]]]    # 2 paths of 2 steps of 0.5
 _LINE = [1.0, 2.0, 3.0]
 # transversal points of the wrong shape, or not numbers
 _NOT_V = [[1.0], None, [1.0, 0.0, 0.0], "a", [[1, 0], [1, 0]], ["a", 0.0],
-          [[1.0, 0.0], [1.0]]]
+          [[1.0, 0.0], [1.0]], [1.0, None], [1.0, 10 ** 400]]
+# points of the right shape that numpy holds as objects: a None once read
+# as nan, an integer past the float range once escaped as OverflowError
+_OBJECT_POINTS = [[1.0, None, 0.0], [1.0, 10 ** 400, 0.0]]
 
 # the ensemble experiments and the grid kernel at a small size, every
 # argument a keyword a row may replace
@@ -514,8 +513,6 @@ _SITES = {
     "transversal_comparison.p": (lambda v: _TC(p=v), 2, "real", [0.5]),
     "transversal_comparison.n_paths": (lambda v: _TC(n_paths=v), 4, "count",
                                        [1, 0]),
-    "transversal_comparison.ode_step": (lambda v: _TC(ode_step=v), 1e-3,
-                                        "real", [0, -1e-3]),
     "transversal_comparison.threads": (lambda v: _TC(threads=v), 1, "count",
                                        [0]),
     # the averaged path reaches r_max = 5 at s = 2 log 5
@@ -526,8 +523,6 @@ _SITES = {
     "exit_probability.gamma": (lambda v: _EXIT(gamma=v), 0.1, "real",
                                [0, 0.0, -1.0]),
     "exit_probability.n_paths": (lambda v: _EXIT(n_paths=v), 4, "count", [1]),
-    "exit_probability.ode_step": (lambda v: _EXIT(ode_step=v), 1e-3, "real",
-                                  [0]),
     "exit_probability.search_horizon": (lambda v: _EXIT(search_horizon=v),
                                         50.0, "real", [0, -1.0]),
     # up to s = 1 the averaged path keeps a gap above 1.4 to the boundary
@@ -588,9 +583,18 @@ _SITES = {
                             [(name, _DECOMPOSITION) for name in _GRIDDED]),
     "lp_moment.p": (lambda v: lp_moment([1.0, 2.0], v), 2, "real",
                     [0.5, -1, "2"]),
-    "lp_moment.samples": (lambda v: lp_moment(v, 2), [1.0, 2.0], "raise",
-                          [[], np.empty((0, 3)), [1.0, math.nan],
-                           [1.0, math.inf], [1.0, -math.inf]]),
+    "lp_moment.samples": (lambda v: lp_moment(v, 2), [1.0, 2.0], "floats",
+                          ["a", [1.0, "a"], None, [1.0, None],
+                           [1.0, 10 ** 400]]),
+    "lp_moment.finite": (lambda v: lp_moment(v, 2), [1.0, 2.0], "raise",
+                         [[], np.empty((0, 3)), [1.0, math.nan],
+                          [1.0, math.inf], [1.0, -math.inf]]),
+    "fit_loglog.x": (lambda v: fit_loglog(v, _LINE), _LINE, "floats",
+                     [["a", "b", "c"], [1.0, None, 3.0], None,
+                      [1.0, 10 ** 400, 3.0]]),
+    "fit_loglog.y": (lambda v: fit_loglog(_LINE, v), _LINE, "floats",
+                     [["a", "b", "c"], [1.0, None, 3.0], None,
+                      [1.0, 10 ** 400, 3.0]]),
     # rejected before LAPACK sees them
     "fit_loglog.points": (lambda v: fit_loglog(*v), (_LINE, _LINE), "raise", [
         ([-1.0, 2.0, 3.0], _LINE), ([0.0, 2.0, 3.0], _LINE),
@@ -600,15 +604,15 @@ _SITES = {
         ([], []), ([[1.0, 2.0]], [[1.0, 2.0]])]),
     "time_to_margin.gamma": (lambda v: _SOL.time_to_margin(v), 0.1, "real",
                              [-0.1]),
-    "interp.s": (lambda v: _SOL.interp(v), 0.05, "floats", ["a", ["a", 0.1]]),
+    "interp.s": (lambda v: _SOL.interp(v), 0.05, "floats",
+                 ["a", ["a", 0.1], None, [0.05, None],
+                  [0.05, 10 ** 400]]),
     # a nan fails every comparison, so it used to interpolate nan
     "interp.range": (lambda v: _SOL.interp(v), 0.05, "raise",
                      [-0.5, 1.5, math.nan, [0.05, math.nan], math.inf,
                       -math.inf]),
     "solve_averaged_ode.horizon": (lambda v: solve_averaged_ode(
         _AVG, np.array([1.0, 0.0]), v), 0.1, "real", [0, 0.0, -1.0]),
-    "solve_averaged_ode.step": (lambda v: solve_averaged_ode(
-        _AVG, np.array([1.0, 0.0]), 0.1, v), 1e-3, "real", [0, -1e-3]),
     # the start is checked before the field is evaluated
     "solve_averaged_ode.v0": (lambda v: solve_averaged_ode(
         _AVG_REACHED, v, 1.0), [1.0, 0.0], "floats", _NOT_V),
@@ -646,14 +650,18 @@ _SITES = {
     # the shape is checked before the domain and the perturbation
     "dpi_k.x": (lambda v: dpi_k(_PRESET.chart, _K_REACHED, v), _X0, "floats",
                 [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], "a", 1.0, [[1.0, 0.0]],
-                 [[1.0, 0.0, 0.0], [1.0]]]),
+                 [[1.0, 0.0, 0.0], [1.0]], None] + _OBJECT_POINTS),
     # one point outside a batch
     "dpi_k.domain": (lambda v: dpi_k(_PRESET.chart, _K_REACHED, v), _X0,
                      "raise", [[10.0, 0.0, 0.0], [_X0, [0.1, 0.0, 0.0]]]),
+    # the preset has two transversal coordinates
+    "projected_perturbation.component": (lambda v: projected_perturbation(
+        _PRESET.chart, _PRESET.fields, v), 0, "count", [2, 5]),
     "tangency_check.points": (lambda v: tangency_check(
         _PRESET.fields, _PRESET.chart, v), _XS, "floats",
         [np.ones((2, 2)), np.ones((2, 3, 1)), "abc",
-         [[1.0, 0.0], [1.0, 0.0, 0.0]], None]),
+         [[1.0, 0.0], [1.0, 0.0, 0.0]], None]
+        + [[_X0, point] for point in _OBJECT_POINTS]),
     "tangency_check.array": (lambda v: tangency_check(
         _PRESET.fields, _PRESET.chart, v), _XS, "raise",
         [np.empty((0, 3)), _X0, [[1.0, 0.0, math.nan]],
@@ -666,9 +674,6 @@ _SITES = {
                                 ["euler", "exact_leaf"]),
     "IntegratorConfig.step_h": (lambda v: IntegratorConfig(step_h=v), 0.01,
                                 "real", [0, 0.0, -1e-3]),
-    "IntegratorConfig.jump_ode_substeps": (
-        lambda v: IntegratorConfig(jump_ode_substeps=v), 20, "count",
-        [0, 10 ** 4 + 1]),
     "IntegratorConfig.jump_cutoff": (lambda v: IntegratorConfig(
         jump_cutoff=v), 1e-3, "real", [0, -1e-3]),
     "resolve_grid.horizon": (lambda v: resolve_grid(
@@ -689,7 +694,8 @@ _SITES = {
     # any stream draws
     "integrate_grid_ensemble.x0": (lambda v: _ENS(x0=v), _X0, "floats",
                                    ["abc", ["a", 0.0, 0.0],
-                                    [["a", 0.0, 0.0]] * 3]),
+                                    [["a", 0.0, 0.0]] * 3, None]
+                                   + _OBJECT_POINTS),
     "integrate_grid_ensemble.x0_rows": (lambda v: _ENS(x0=np.ones(v)), (3, 3),
                                         "raise", [(2, 3), (1, 3), (4, 3),
                                                   (3, 1, 3), ()]),
@@ -697,7 +703,8 @@ _SITES = {
     "integrate_grid_ensemble.increments": (lambda v: _ENS(
         fields=_K_REACHED, driver=None, cfg=IntegratorConfig(step_h=0.5),
         streams=None, increments=v), _INC, "floats",
-        [np.full((2, 2, 1), "a"), [[[0.1]]]]),
+        [np.full((2, 2, 1), "a"), [[[0.1]]]]
+        + [[_INC[0], [[0.3], [z]]] for z in (None, 10 ** 400)]),
     "integrate_grid_ensemble.increment_block": (lambda v: _ENS(
         fields=_K_REACHED, driver=None, cfg=IntegratorConfig(step_h=0.5),
         streams=None, increments=v), _INC, "raise",
@@ -710,15 +717,20 @@ _SITES = {
                          for z in (math.nan, math.inf, -math.inf,
                                    [[0.5], [math.nan]], [[0.5], [math.inf]],
                                    [[0.5], [-math.inf]])]),
-    # jumps needing more than 1e4 substeps (2e5 for z = 1e4), whatever the
-    # good row beside them
+    "jump_flow.x": (lambda v: jump_flow(_GENERIC, v, 0.5), _XS, "floats",
+                    ["a", [1.0, "a", 0.0], None] + _OBJECT_POINTS),
+    "jump_flow.z": (lambda v: jump_flow(_PRESET.fields, _XS, v), 0.5,
+                    "floats", ["a", [["a"], [0.5]], [[None], [0.5]], None,
+                               [[10 ** 400], [0.5]]]),
+    # jumps needing more than 1e4 substeps at 20 per unit jump (2e5 for
+    # z = 1e4), whatever the good row beside them
     "_jump_rk4.substeps": (lambda v: jump_flow(_GENERIC, _XS, [[0.5], [v]]),
-                           0.2, "raise", [1e300, 1e7, 1e4]),
+                           0.2, "raise", [1e300, 1e7, 1e4, 501.0]),
     # sizes are checked before any step; two rows of one jump each
     "step_events.sizes": (lambda v: step_events(
         _K_REACHED, _XS, np.linspace(0.0, 1.0, 11), JumpEvents(
             np.array([0.3, 0.5]), np.array([[0.5], [v]]), np.array([1, 1]),
-            np.zeros(1)), 0.3, IntegratorConfig()), 0.2, "raise",
+            np.zeros(1)), 0.3), 0.2, "raise",
         [math.nan, math.inf, -math.inf]),
     "integrate_path.eps": (lambda v: integrate_path(
         *_ARGS, _X0, 1.0, v, rng=_Unread()), 0.1, "real", [-0.1, 1.5]),
@@ -728,7 +740,8 @@ _SITES = {
     "_check_start.x0": (lambda v: _UNWORKED[v[0]](x0=v[1]),
                         ("integrate_path", _X0), "floats",
                         [(name, x0) for name in _STARTED
-                         for x0 in ([1.0, 0.0], "abc", ["a", 0.0, 0.0])]),
+                         for x0 in ([1.0, 0.0], "abc", ["a", 0.0, 0.0],
+                                    None)]),
     "_check_start.domain": (lambda v: _UNWORKED[v[0]](x0=v[1]),
                             ("integrate_path", _X0), "raise",
                             [(name, x0) for name in _STARTED
@@ -742,8 +755,6 @@ _SITES = {
                           _TRUNCATED, "raise", [_GAMMA]),
     "tail_mass.cutoff": (lambda v: _GAMMA.tail_mass(v), 0.05, "real",
                          [0.0, -1, None]),
-    "TruncatedMeasure.cutoff": (lambda v: replace(
-        _TRUNCATED, cutoff=v), 0.01, "real", [0, 0.0, -1, -0.1, None]),
     "TruncatedMeasure.restricted_mass": (lambda v: replace(
         _TRUNCATED, restricted_mass=v), 1.0, "real", [0, 0.0, -1, None]),
     "TruncatedMeasure.compensator": (lambda v: replace(
@@ -821,7 +832,6 @@ _INCREMENTS = "increments must be finite numbers of shape"
 _MESSAGES = {
     "GammaSubordinator.rate": f"rate must be at least {_MIN_RATE} and finite",
     "tail_mass.cutoff": f"cutoff {_POSITIVE}",
-    "TruncatedMeasure.cutoff": f"cutoff {_POSITIVE}",
     "TruncatedMeasure.restricted_mass": f"restricted mass {_POSITIVE}",
     "truncate_gamma.cutoff": f"cutoff {_POSITIVE}",
     "make_step_sampler.h": f"step {_POSITIVE}",
@@ -845,9 +855,11 @@ _MESSAGES = {
     "estimate_eta.psi": "psi must be callable",
     "_check_plan.path_steps": "path-steps, more than the 1e+10 allowed",
     "_grid_config.scheme": "grid-based schemes only",
-    "lp_moment.samples": "needs a nonempty array of finite samples",
+    **dict.fromkeys(["lp_moment.samples", "fit_loglog.x", "fit_loglog.y",
+                     "interp.s", "jump_flow.x", "jump_flow.z"],
+                    "that are numbers"),
+    "lp_moment.finite": "needs a nonempty array of finite samples",
     "fit_loglog.points": "fit_loglog needs finite positive x",
-    "interp.s": "interp needs times that are numbers",
     "interp.range": "outside the solved range",
     "solve_averaged_ode.v0": "transversal point of dimension 2",
     "solve_averaged_ode.domain": "v0 lies outside the transversal domain",
@@ -1149,8 +1161,8 @@ def test_cli_check_points_lie_inside_any_domain(tmp_path, monkeypatch,
 
 
 def test_cli_check_fails_a_radius_drift_beyond_rounding(tmp_path, monkeypatch):
-    def drifting(fields, x, z, cfg):
-        moved = jump_flow(fields, x, z, cfg)
+    def drifting(fields, x, z):
+        moved = jump_flow(fields, x, z)
         moved[..., :2] *= 1 + 1e-9
         return moved
 

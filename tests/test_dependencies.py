@@ -1,11 +1,14 @@
 """The package imports no third-party module beyond its declared runtime
 dependencies: scipy and the other test tools stay out of `src/folevy`.
-Nor does a module of it import a name it never uses, and only its command
-line imports the modules that write files."""
+Nor does a module of it import a name it never uses or declare a public
+dataclass field that nothing reads, and only its command line imports
+the modules that write files."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 import re
 import sys
 from importlib.metadata import packages_distributions
@@ -77,3 +80,29 @@ def test_modules_have_no_unused_imports():
     assert len(modules) > 20
     unused = set().union(*(_unused_imports(path) for path in modules))
     assert sorted(unused - _REBIND_TARGETS) == []
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads outside its own __post_init__ is dead
+    # weight; a summary() that returns vars(self) reads them all
+    import folevy
+    reads = {}
+    for path in (p for d in ("src", "perfbench", "tests", "tools", "demos")
+                 for p in sorted((ROOT / d).rglob("*.py"))):
+        tree = ast.parse(path.read_text(), str(path))
+        inits = {id(n): c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for f in c.body
+                 if getattr(f, "name", None) == "__post_init__"
+                 for n in ast.walk(f)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.attr, set()).add(inits.get(id(n)))
+    unread = [f"{c.__name__}.{f.name}"
+              for c in (*map(vars(folevy).get, folevy.__all__),
+                        *folevy.config._SECTIONS.values())
+              if isinstance(c, type) and dataclasses.is_dataclass(c)
+              for f in dataclasses.fields(c)
+              if not reads.get(f.name, set()) - {c.__name__}
+              and "vars(self)" not in inspect.getsource(
+                  getattr(c, "summary", lambda: None))]
+    assert unread == []

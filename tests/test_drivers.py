@@ -241,8 +241,8 @@ def test_truncate_gamma_closed_forms():
     _assert_close(trunc.compensator, 1.0 - math.exp(-0.1), 1e-12)
     # value quoted to five digits: (1 - e^{-0.1}) / 1
     _assert_close(trunc.compensator, 0.09516, 1e-5)
-    # equality and hashing read the cutoff, mass and drift, not the tables
-    # built from them
+    # equality and hashing read the mass and drift, not the tables built
+    # from them
     assert isinstance(trunc, TruncatedMeasure)
     assert trunc == truncate_gamma(spec, 0.1)
     assert hash(trunc) == hash(truncate_gamma(spec, 0.1))

@@ -76,15 +76,6 @@ def test_generic_jump_solve_matches_rotation():
         assert np.max(np.abs(got - want)) <= 1e-6, f"jump z={z}"
 
 
-def test_generic_jump_solve_full_turn():
-    preset = make_cylinder_preset()
-    generic = preset.fields.without_exact_flow()
-    cfg = IntegratorConfig(jump_ode_substeps=300)
-    x = np.array([1.0, 0.0, 0.5])
-    back = jump_flow(generic, x, 2.0 * np.pi, cfg)
-    assert np.max(np.abs(back - x)) <= 1e-10
-
-
 def test_jump_flow_preserves_invariants():
     preset = make_cylinder_preset()
     generic = preset.fields.without_exact_flow()
@@ -178,38 +169,36 @@ def _textbook_jump_rk4(fields, x, z, n):
 
 def test_generic_jump_solve_is_the_textbook_rk4_loop():
     # the solve takes its substeps from the drift's RK4 step: bit for bit
-    # the textbook loop, for rows of a batch with different substep counts
-    # (none for a zero jump) and for a single row
+    # the textbook loop of ceil(20 |z|) substeps, for rows of a batch with
+    # different substep counts (none for a zero jump) and for a single row
     generic = make_cylinder_preset().fields.without_exact_flow()
-    cfg = IntegratorConfig(jump_ode_substeps=37)
     rng = np.random.default_rng(SEED)
     x = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.5, 0.5, size=(200, 3))
     z = rng.uniform(-3.0, 3.0, size=(200, 1))
     z[5] = 0.0
-    got = marcus._jump_rk4(generic, x, z, cfg)
+    got = marcus._jump_rk4(generic, x, z)
     counts = set()
     for i in range(len(x)):
-        size = float(np.linalg.norm(z[i]))
-        n = max(math.ceil(37 * size), math.ceil(size / 0.1))
+        n = math.ceil(20 * float(np.linalg.norm(z[i])))
         counts.add(n)
         want = _textbook_jump_rk4(generic, x[i], z[i], n) if n else x[i]
         assert got[i].tobytes() == want.tobytes()
     assert 0 in counts and len(counts) > 50
     x1, z1 = np.array([1.1, 0.3, -0.2]), np.array([2.5])
-    assert marcus._jump_rk4(generic, x1, z1, IntegratorConfig()).tobytes() \
+    assert marcus._jump_rk4(generic, x1, z1).tobytes() \
         == _textbook_jump_rk4(generic, x1, z1, 50).tobytes()
 
 
 def test_generic_jump_bound_does_not_depend_on_the_block_width():
-    # 1024 rows of jumps of 0.01 and 0.02 at 10**4 substeps per unit jump
-    # take 100 or 200 substeps each, about 1.4e5 over the block: the block
-    # runs as each row runs alone, and a jump past the bound fails the same
-    # way alone and in the block
+    # 1024 rows of jumps up to 5 take up to 100 substeps each, about 1e5
+    # over the block: the block runs as each row runs alone, and a jump of
+    # norm above 500, past the bound of 1e4 substeps, fails the same way
+    # alone and in the block
     generic = make_cylinder_preset().fields.without_exact_flow()
-    cfg = IntegratorConfig(step_h=0.5, jump_ode_substeps=10**4)
+    cfg = IntegratorConfig(step_h=0.5)
     rng = np.random.default_rng(SEED)
     x0 = np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.1, 0.1, size=(1024, 3))
-    inc = rng.choice([-0.01, 0.01, 0.02], size=(1024, 2, 1))
+    inc = rng.uniform(-5.0, 5.0, size=(1024, 2, 1))
 
     def run(rows, inc):
         return integrate_grid_ensemble(generic, None, x0[rows], 1.0, 0.0, cfg,
@@ -218,7 +207,7 @@ def test_generic_jump_bound_does_not_depend_on_the_block_width():
     block = run(slice(None), inc)
     for i in (0, 1, 2, 511, 1023):
         assert block[i].tobytes() == run(slice(i, i + 1), inc)[0].tobytes()
-    inc[700, 1] = 1.5               # 15000 substeps
+    inc[700, 1] = 600.0             # 12000 substeps
     for rows in (slice(None), slice(700, 701)):
         with pytest.raises(ConfigError, match="substeps"):
             run(rows, inc)
@@ -418,12 +407,11 @@ def test_step_events_rows_match_stepping_each_row_alone():
          np.array([[0.3], [0.7], [0.02], [0.4], [0.9]])),
     ]
     x0 = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [-1.5, 0.5, -2.0]])
-    cfg, c = IntegratorConfig(), np.array([0.25])
-    together = step_events(preset.fields, x0, grid, _table(events, c), 0.3,
-                           cfg)
+    c = np.array([0.25])
+    together = step_events(preset.fields, x0, grid, _table(events, c), 0.3)
     for i in range(len(events)):
         alone = step_events(preset.fields, x0[i:i + 1], grid,
-                            _table(events[i:i + 1], c), 0.3, cfg)
+                            _table(events[i:i + 1], c), 0.3)
         assert together[i].tobytes() == alone[0].tobytes()
 
 
@@ -431,13 +419,12 @@ def test_step_events_checks_the_closed_form_output():
     preset = make_cylinder_preset()
     grid = np.linspace(0.0, 1.0, 11)
     x0 = np.array([[1.0, 0.0, 0.0], [1.2, 0.0, 0.0]])
-    cfg = IntegratorConfig()
     events = _table([(np.array([0.3]), np.array([[0.5]])),
                      (np.empty(0), np.empty((0, 1)))])
     fields = replace(preset.fields,
                      exact_jump_flow=lambda x, z: np.full(x.shape, np.inf))
     with pytest.raises(BlowupError, match="left the finite range by t=1"):
-        step_events(fields, x0, grid, events, 0.3, cfg)
+        step_events(fields, x0, grid, events, 0.3)
 
 
 def _table(events, compensator=None):
@@ -516,7 +503,6 @@ def test_step_events_with_a_planar_driver_matches_the_per_row_merge(monkeypatch)
     fields = VectorFieldSet(driver_dim=2, driving=driving,
                             perturbation=ConstantK(0.0, 0.0, 1.0))
     grid = np.linspace(0.0, 2.0, 21)
-    cfg = IntegratorConfig(scheme="jump_decomposition")
     x0 = np.array([[1.0, 0.5, 0.0]])
     rng = np.random.default_rng(SEED)
     for _ in range(3):
@@ -531,8 +517,8 @@ def test_step_events_with_a_planar_driver_matches_the_per_row_merge(monkeypatch)
         _assert_same_tables(grid, [(times, sizes)], 2)
         with monkeypatch.context() as m:
             m.setattr(marcus, "_merge_events", _merge_per_row)
-            want = step_events(fields, x0, grid, events, 0.3, cfg)
-        got = step_events(fields, x0, grid, events, 0.3, cfg)
+            want = step_events(fields, x0, grid, events, 0.3)
+        got = step_events(fields, x0, grid, events, 0.3)
         assert got.tobytes() == want.tobytes()
 
 
@@ -689,8 +675,7 @@ def test_ensemble_raises_when_a_state_leaves_the_finite_range():
     grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(BlowupError, match="left the finite range by t=1"):
         step_events(huge.fields, x0[None, :], grid,
-                    _table([(np.empty(0), np.empty((0, 1)))]), 1.0,
-                    IntegratorConfig())
+                    _table([(np.empty(0), np.empty((0, 1)))]), 1.0)
 
 
 def test_generic_flows_run_row_by_row_at_any_width():
