@@ -131,10 +131,11 @@ class AveragedSolution:
 def solve_averaged_ode(avg: AveragedField, v0,
                        horizon: float) -> AveragedSolution:
     """Integrate dw/ds = Q(w) with classical Runge-Kutta, steps of at most
-    1e-3 (so a horizon past 1e5 is a ConfigError) and compensated
-    accumulation, stopping one step past the transversal boundary.  A
-    non-finite state is a BlowupError with the time reached, not an exit."""
-    _real(horizon, "horizon", above=0)
+    1e-3 over a horizon of at most 1e3 (else ConfigError: at most 1e6
+    steps) and compensated accumulation, stopping one step past the
+    transversal boundary.  A non-finite state is a BlowupError with the
+    time reached, not an exit."""
+    _real(horizon, "horizon", above=0, most=1e3)
     chart = avg.chart
     v0 = _floats(v0, (chart.vertical_dim,), f"v0 must be a transversal "
                  f"point of dimension {chart.vertical_dim}")
@@ -239,7 +240,7 @@ class RateEstimate:
 
 def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
                  x0, horizons: Sequence[float], p: float = 2,
-                 n_paths: int = 200, master_seed: int = 0, stream_base: int = 0,
+                 n_paths: int = 200, master_seed: int = 0,
                  cfg: IntegratorConfig = None) -> RateEstimate:
     """Decay rate of ergodic-average errors over unperturbed paths.
 
@@ -256,7 +257,6 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
     _real(p, "moment order p", least=2)
     _count(n_paths, "n_paths", 100)
     _count(master_seed, "master_seed")
-    _count(stream_base, "stream_base")
     if not callable(psi):
         raise ConfigError(f"psi must be callable, got {psi!r}")
     cfg = _grid_config(cfg)
@@ -273,7 +273,7 @@ def estimate_eta(fields: VectorFieldSet, chart: FoliatedChart, driver, psi,
 
     def run_block(a, b):
         m = b - a
-        streams = path_streams(master_seed, stream_base + a, m)
+        streams = path_streams(master_seed, a, m)
         integral = np.zeros(m)
         integral_comp = np.zeros(m)
         prev = np.empty(m)

@@ -168,11 +168,6 @@ def _run(args) -> int:
     return code
 
 
-def _averaged(cfg, preset):
-    return averaged_field(preset.chart, preset.fields,
-                          n_nodes=cfg.experiment.n_nodes)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -188,7 +183,7 @@ def cmd_simulate(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     traj = integrate_path(preset.fields, preset.chart, preset.driver, exp.x0,
                           exp.horizon, exp.epsilon, icfg,
-                          RngStream(run.master_seed, run.stream_base))
+                          RngStream(run.master_seed))
     x, y, z = traj.states.T
     end = traj.exit_time if traj.exited else math.inf
     rows = zip(traj.times, x, y, z, np.hypot(x, y), np.arctan2(y, x),
@@ -216,7 +211,7 @@ def cmd_average(cfg, preset, icfg):
         raise ConfigError(f"experiment.n_r x experiment.n_z must be at most "
                           f"{_MAX_FIELD_POINTS}, got {exp.n_r * exp.n_z}")
     chart = preset.chart
-    avg = _averaged(cfg, preset)
+    avg = averaged_field(chart, preset.fields)
     (r_lo, r_hi), (z_lo, z_hi) = chart.vertical_bounds
     rvals = np.linspace(r_lo, r_hi, exp.n_r + 2)[1:-1]
     zvals = np.linspace(z_lo, z_hi, exp.n_z + 2)[1:-1]
@@ -249,7 +244,7 @@ def cmd_eta(cfg, preset, icfg):
     psi = projected_perturbation(preset.chart, preset.fields, comp)
     est = estimate_eta(preset.fields, preset.chart, preset.driver, psi,
                        exp.x0, exp.horizons, exp.p, exp.n_paths,
-                       run.master_seed, run.stream_base, icfg)
+                       run.master_seed, icfg)
     if est.identically_zero:
         line = "time averages match the leaf average exactly; decay exponent 0"
     else:
@@ -266,9 +261,9 @@ def cmd_eta(cfg, preset, icfg):
 def cmd_compare(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = transversal_comparison(preset.fields, preset.chart, preset.driver,
-                                 _averaged(cfg, preset), exp.x0,
-                                 exp.epsilons, exp.horizon, exp.p, exp.n_paths,
-                                 run.master_seed, run.stream_base, icfg)
+                                 averaged_field(preset.chart, preset.fields),
+                                 exp.x0, exp.epsilons, exp.horizon, exp.p,
+                                 exp.n_paths, run.master_seed, icfg)
     lines = [f"eps={eps:g}: sup L{res.p:g} distance {res.sup_norm[i, 0]:.6g} "
              f"(se {res.sup_norm_se[i, 0]:.2g})"
              for i, eps in enumerate(res.epsilons)]
@@ -281,9 +276,9 @@ def cmd_compare(cfg, preset, icfg):
 def cmd_exit_prob(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = exit_probability(preset.fields, preset.chart, preset.driver,
-                           _averaged(cfg, preset), exp.x0, exp.epsilons,
-                           exp.gamma, exp.n_paths, run.master_seed,
-                           run.stream_base, icfg,
+                           averaged_field(preset.chart, preset.fields),
+                           exp.x0, exp.epsilons, exp.gamma, exp.n_paths,
+                           run.master_seed, icfg,
                            search_horizon=exp.search_horizon)
     lines = [f"averaged path comes within gamma={res.gamma:g} of the boundary "
              f"at s={res.t_gamma:.6g}"]
@@ -302,8 +297,7 @@ def cmd_deviation(cfg, preset, icfg):
     exp, run = cfg.experiment, cfg.run
     res = deviation_scaling(preset.fields, preset.chart, preset.driver,
                             exp.x0, exp.epsilons, exp.horizon, exp.observable,
-                            exp.p, exp.n_paths, run.master_seed,
-                            run.stream_base, icfg)
+                            exp.p, exp.n_paths, run.master_seed, icfg)
     line = ("deviations vanish identically for this observable"
             if res.identically_zero
             else f"fitted scaling exponent {res.exponent:.4f} across eps")
@@ -318,8 +312,7 @@ def cmd_charfn(cfg, preset, icfg):
     u = [float(v) for v in exp.u_values]
     exact = [characteristic_function(driver, uu, exp.t) for uu in u]
     samples = np.asarray(marginal_samples(driver, exp.t, exp.n_samples,
-                                          RngStream(run.master_seed,
-                                                    run.stream_base))).ravel()
+                                          RngStream(run.master_seed))).ravel()
     top = float(samples.max(initial=0.0))
     for uu in u:
         # from 2**52 on, the ulp of u*Z is 1 rad: e^(i*u*Z) keeps no phase

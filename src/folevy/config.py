@@ -48,7 +48,6 @@ class PresetSection:
 @dataclass(frozen=True)
 class RunSection:
     master_seed: int = 20260816
-    stream_base: int = 0
     out_dir: Optional[str] = None
 
 
@@ -63,7 +62,6 @@ class ExperimentSection:
     n_paths: int = 200
     gamma: float = 0.1
     observable: Literal["radial", "vertical"] = "radial"
-    n_nodes: int = 64
     n_r: int = 5
     n_z: int = 5
     u_values: tuple[float, ...] = (1.0, 2.0, 4.0)
@@ -99,7 +97,7 @@ _RANGES = {
     "experiment.epsilons": partial(_reals, above=0, most=1),
     "experiment.horizon": partial(_real, above=0),
     "experiment.gamma": partial(_real, above=0),
-    "experiment.search_horizon": partial(_real, above=0),
+    "experiment.search_horizon": partial(_real, above=0, most=1e3),
     "experiment.p": partial(_real, least=1),
     "experiment.u_values": _reals,
     "experiment.n_paths": partial(_count, least=2),

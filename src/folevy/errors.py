@@ -95,10 +95,11 @@ def _floats(value, shape, message):
     """`value` as a float array if it is numbers of `shape`, else
     ConfigError(message); a leading ``...`` in `shape` takes any leading
     axes, so (..., 3) is one point of dimension 3 or a batch of them.
-    Object-dtype input, such as a None that would read as nan, is not."""
+    Objects, such as a None that would read as nan, and strings, such as
+    a "0.5" that would read as 0.5, are not numbers."""
     try:
         arr = np.asarray(value)
-        if arr.dtype == object:
+        if arr.dtype.kind in "OSU":
             raise TypeError
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):

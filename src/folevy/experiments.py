@@ -97,8 +97,7 @@ class ComparisonResult:
 def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
                            avg: AveragedField, x0, epsilons, horizon: float,
                            p: float = 2, n_paths: int = 200,
-                           master_seed: int = 0, stream_base: int = 0,
-                           cfg: IntegratorConfig = None,
+                           master_seed: int = 0, cfg: IntegratorConfig = None,
                            threads: int = 1) -> ComparisonResult:
     """L^p size of sup_{s<=horizon} |Pi(X^eps_{s/eps}) - w(s)| per eps.
 
@@ -116,7 +115,6 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _real(p, "p", least=1)
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
-    _count(stream_base, "stream_base")
     _count(threads, "threads", 1)
     cfg = _grid_config(cfg)
     _check_plan(n_paths, [resolve_grid(cfg, eps, horizon / eps)[0]
@@ -140,7 +138,7 @@ def transversal_comparison(fields: VectorFieldSet, chart: FoliatedChart, driver,
 
         def run_block(a, b):
             m = b - a
-            streams = path_streams(master_seed, stream_base + a, m)
+            streams = path_streams(master_seed, a, m)
             sup = np.zeros((3, m))
             d = np.empty((3, m))    # euclidean, radial, vertical distance
             prev_active = np.ones(m, dtype=bool)
@@ -193,7 +191,7 @@ class ExitProbabilityResult:
 def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
                      avg: AveragedField, x0, epsilons, gamma: float,
                      n_paths: int = 200, master_seed: int = 0,
-                     stream_base: int = 0, cfg: IntegratorConfig = None,
+                     cfg: IntegratorConfig = None,
                      search_horizon: float = 50.0) -> ExitProbabilityResult:
     """Fraction of paths leaving the domain before the averaged path comes
     within gamma of the boundary (path clock: t_gamma / eps).
@@ -208,7 +206,6 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _real(gamma, "gamma", above=0)
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
-    _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
     x0 = _check_start(chart, x0)
     sol = solve_averaged_ode(avg, chart.vertical_projection(x0), search_horizon)
@@ -226,7 +223,7 @@ def exit_probability(fields: VectorFieldSet, chart: FoliatedChart, driver,
         path_horizon = t_gamma / eps
 
         def run_block(a, b):
-            streams = path_streams(master_seed, stream_base + a, b - a)
+            streams = path_streams(master_seed, a, b - a)
             res = integrate_grid_ensemble(fields, driver, x0, path_horizon, eps,
                                           cfg, streams, contains=chart.contains)
             return np.isfinite(res.exit_times)
@@ -265,7 +262,6 @@ class DeviationResult:
 def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
                       x0, epsilons, horizon: float, observable="radial",
                       p: float = 2, n_paths: int = 200, master_seed: int = 0,
-                      stream_base: int = 0,
                       cfg: IntegratorConfig = None) -> DeviationResult:
     """Growth in eps of sup_{t<=T & exit} |psi(X^eps_t) - psi(X^0_t)|.
 
@@ -285,7 +281,6 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
     _real(p, "p", least=1)
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
-    _count(stream_base, "stream_base")
     cfg = _grid_config(cfg)
     if len(set(epsilons)) < 2:
         raise ConfigError("deviation scaling fits across eps and needs two "
@@ -299,7 +294,7 @@ def deviation_scaling(fields: VectorFieldSet, chart: FoliatedChart, driver,
 
         def run_block(a, b):
             m = b - a
-            streams = path_streams(master_seed, stream_base + a, m)
+            streams = path_streams(master_seed, a, m)
             sup = np.zeros(m)
 
             # no mask for exited rows: the kernel freezes a row and its pair
@@ -349,7 +344,6 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
                      eps: float = 0.5,
                      levels=((0.08, 0.04), (0.04, 0.02), (0.02, 0.01)),
                      n_paths: int = 128, master_seed: int = 0,
-                     stream_base: int = 0,
                      threads: int = 1) -> SchemeAgreementResult:
     """Endpoint gap between the two discretizations on one shared jump set.
 
@@ -381,7 +375,6 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
                float(_real(h, "level steps", above=0))) for c, h in levels]
     _count(n_paths, "n_paths", 2)
     _count(master_seed, "master_seed")
-    _count(stream_base, "stream_base")
     _count(threads, "threads", 1)
     _check_plan(n_paths, [_step_count(horizon, h) for _, h in levels])
     # closed-form small-jump means: a driver without them raises before any path
@@ -413,7 +406,7 @@ def scheme_agreement(fields: VectorFieldSet, chart: FoliatedChart,
         return gaps
 
     def run_block(a, b):
-        streams = path_streams(master_seed, stream_base + a, b - a)
+        streams = path_streams(master_seed, a, b - a)
         return level_gaps(sample_jump_events(base, horizon, *streams))
 
     gaps = np.concatenate(map_blocks(run_block, n_paths), axis=1)

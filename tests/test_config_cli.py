@@ -107,7 +107,7 @@ def test_config_rejects_unknown_entries():
 def test_apply_overrides_parses_yaml_values():
     raw = apply_overrides({}, ["preset.theta=2.5",
                                "experiment.epsilons=[0.4, 0.2]",
-                               "run.stream_base=4",
+                               "run.master_seed=4",
                                "experiment.observable=vertical",
                                "integrator.step_h=1e-3",
                                "experiment.epsilon=1E-1",
@@ -118,7 +118,7 @@ def test_apply_overrides_parses_yaml_values():
     assert cfg.experiment.u_values == (1.0, 2, -5.0)
     assert cfg.preset.theta == 2.5
     assert cfg.experiment.epsilons == (0.4, 0.2)
-    assert cfg.run.stream_base == 4
+    assert cfg.run.master_seed == 4
     assert cfg.experiment.observable == "vertical"
     # a section left empty in a file reads as null and takes overrides
     raw = apply_overrides({"experiment": None}, ["experiment.horizon=0.5"])
@@ -343,7 +343,6 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
          "over the whole search horizon 0.5"),
         ("eta", "experiment.observable=bogus", "experiment.observable"),
         ("compare", "experiment.p=0.5", "experiment.p"),
-        ("average", "experiment.n_nodes=4", "n_nodes must be at least 8"),
         ("charfn", "experiment.t=-1", "t must be nonnegative"),
         ("charfn", "experiment.n_samples=0", "experiment.n_samples"),
         ("deviation", "experiment.p=0.5", "experiment.p"),
@@ -354,19 +353,15 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "integrator.step_h=abc", "integrator.step_h"),
         ("simulate", "integrator.jump_cutoff=abc", "integrator.jump_cutoff"),
         ("simulate", "preset.r_min=abc", "preset.r_min"),
-        ("average", "experiment.n_nodes=abc", "experiment.n_nodes"),
         ("average", "experiment.n_r=abc", "experiment.n_r"),
         ("eta", "experiment.horizons=abc", "experiment.horizons"),
         ("eta", "experiment.horizons=[10, abc, 100]", "experiment.horizons"),
         ("charfn", "experiment.u_values=abc", "experiment.u_values"),
         ("charfn", "experiment.u_values=[]", "experiment.u_values"),
-        ("average", "experiment.n_nodes=8.5", "n_nodes must be at least 8"),
         ("average", "experiment.n_r=0", "experiment.n_r"),
         ("average", "experiment.n_z=-1", "experiment.n_z"),
         ("average", "experiment.n_z=2.5", "experiment.n_z"),
         ("simulate", "run.out_dir=5", "run.out_dir"),
-        ("simulate", "run.stream_base=0.001", "stream_index must be"),
-        ("simulate", "run.stream_base=-7", "stream_index must be"),
         # the Gamma rate has a floor of 1e-150; a subnormal one is below it
         ("simulate", "preset.theta=9.99e-151", "rate must be at least 1e-150"),
         ("charfn", "preset.theta=5e-324", "rate must be at least 1e-150"),
@@ -383,10 +378,11 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
         ("simulate", "integrator.step_h=.inf", "integrator.step_h"),
         ("simulate", "integrator.step_h=1e-9", "more than the 1e+08 allowed"),
         ("simulate", "integrator.step_h=1e-320", "more than the 1e+08 allowed"),
-        ("average", "experiment.horizon=1e6", "more than the 1e+08 allowed"),
+        ("average", "experiment.horizon=1e6",
+         "horizon must be positive and at most 1000.0"),
+        ("exit-prob", "experiment.search_horizon=1001",
+         "experiment.search_horizon must be positive and at most 1000.0"),
         # counts that size an allocation up front have a ceiling
-        ("average", "experiment.n_nodes=100000000000",
-         "n_nodes must be at least 8 and at most 10000000"),
         ("charfn", "experiment.n_samples=100000000000",
          "experiment.n_samples must be at least 1 and at most 10000000"),
         ("average", "experiment.n_r=100000000000",
@@ -407,7 +403,8 @@ def test_invalid_path_count_fails_before_run_dir(tmp_path, capsys):
               for command in ("simulate", "compare")
               for key in ("run.threads", "preset.kappa", "experiment.method",
                           "experiment.ode_step", "integrator.splitting",
-                          "integrator.jump_ode_substeps")]
+                          "integrator.jump_ode_substeps", "run.stream_base",
+                          "experiment.n_nodes")]
     # an integer past the float range is not a finite number
     cases += [(command, f"experiment.horizon={10 ** 400}",
                "experiment.horizon must be a finite number")
@@ -501,11 +498,10 @@ _GRIDDED = sorted(_UNWORKED.keys() - {"integrate_path", "scheme_agreement"})
 # dropped; the row of a `raise ConfigError` or `raise DomainError`, of
 # kind "raise", by that function and a name for the check.
 _SITES = {
-    # each experiment's seed and first stream index are counts
-    **{f"{name}.{key}": (lambda v, run=run, key=key: run(**{key: v}), 0,
-                         "count", [])
-       for name, run in _RUNS.items()
-       for key in ("master_seed", "stream_base")},
+    # each experiment's seed is a count
+    **{f"{name}.master_seed": (lambda v, run=run: run(master_seed=v), 0,
+                               "count", [])
+       for name, run in _RUNS.items()},
     "transversal_comparison.epsilons": (lambda v: _TC(epsilons=v), [0.5],
                                         "list", [[0.0], [1.5], [-0.5]]),
     "transversal_comparison.horizon": (lambda v: _TC(horizon=v), 0.3, "real",
@@ -585,7 +581,7 @@ _SITES = {
                     [0.5, -1, "2"]),
     "lp_moment.samples": (lambda v: lp_moment(v, 2), [1.0, 2.0], "floats",
                           ["a", [1.0, "a"], None, [1.0, None],
-                           [1.0, 10 ** 400]]),
+                           [1.0, 10 ** 400], ["1", "2"]]),
     "lp_moment.finite": (lambda v: lp_moment(v, 2), [1.0, 2.0], "raise",
                          [[], np.empty((0, 3)), [1.0, math.nan],
                           [1.0, math.inf], [1.0, -math.inf]]),
@@ -612,7 +608,8 @@ _SITES = {
                      [-0.5, 1.5, math.nan, [0.05, math.nan], math.inf,
                       -math.inf]),
     "solve_averaged_ode.horizon": (lambda v: solve_averaged_ode(
-        _AVG, np.array([1.0, 0.0]), v), 0.1, "real", [0, 0.0, -1.0]),
+        _AVG, np.array([1.0, 0.0]), v), 0.1, "real",
+        [0, 0.0, -1.0, 1e3 + 1]),
     # the start is checked before the field is evaluated
     "solve_averaged_ode.v0": (lambda v: solve_averaged_ode(
         _AVG_REACHED, v, 1.0), [1.0, 0.0], "floats", _NOT_V),
@@ -721,7 +718,7 @@ _SITES = {
                     ["a", [1.0, "a", 0.0], None] + _OBJECT_POINTS),
     "jump_flow.z": (lambda v: jump_flow(_PRESET.fields, _XS, v), 0.5,
                     "floats", ["a", [["a"], [0.5]], [[None], [0.5]], None,
-                               [[10 ** 400], [0.5]]]),
+                               [[10 ** 400], [0.5]], "0.5"]),
     # jumps needing more than 1e4 substeps at 20 per unit jump (2e5 for
     # z = 1e4), whatever the good row beside them
     "_jump_rk4.substeps": (lambda v: jump_flow(_GENERIC, _XS, [[0.5], [v]]),
@@ -748,31 +745,31 @@ _SITES = {
                              for x0 in ([10.0, 0.0, 0.0], [0.0, 0.0, 0.0])]),
     # the drivers take None and an int -1 as well
     "GammaSubordinator.rate": (lambda v: GammaSubordinator(v), _MIN_RATE,
-                               "real", [0, 0.0, -1.0, -1, None, 1e-151,
+                               "real", [0, 0.0, -1.0, -1, 1e-151,
                                         math.nextafter(_MIN_RATE, 0.0),
                                         1e-200, 5e-324]),
     "finite_law.driver": (lambda v: sample_jump_events(v, 1.0, _Unread()),
                           _TRUNCATED, "raise", [_GAMMA]),
     "tail_mass.cutoff": (lambda v: _GAMMA.tail_mass(v), 0.05, "real",
-                         [0.0, -1, None]),
+                         [0.0, -1]),
     "TruncatedMeasure.restricted_mass": (lambda v: replace(
-        _TRUNCATED, restricted_mass=v), 1.0, "real", [0, 0.0, -1, None]),
+        _TRUNCATED, restricted_mass=v), 1.0, "real", [0, 0.0, -1]),
     "TruncatedMeasure.compensator": (lambda v: replace(
-        _TRUNCATED, compensator=v), 0.0, "real", [-1.0, -1, -1e-3, None]),
+        _TRUNCATED, compensator=v), 0.0, "real", [-1.0, -1, -1e-3]),
     # np.interp needs increasing sizes and a CDF from 0 to 1
     "TruncatedMeasure.table": (lambda v: replace(
         _TRUNCATED, ys=v[0], cdf=v[1]), (_YS, _CDF), "raise",
         [(_YS[::-1], _CDF), (_YS, 0.5 * _CDF), (_YS, _CDF[::-1]),
          (_YS[:-1], _CDF), (_YS[:1], _CDF[:1])]),
     "truncate_gamma.cutoff": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
-                              "real", [0, 0.0, -1, -0.1, None]),
+                              "real", [0, 0.0, -1, -0.1]),
     # E1(1000) is 0, and 1e-14 * E1(710) underflows
     "truncate_gamma.tail_mass": (lambda v: truncate_gamma(_GAMMA, v), 0.01,
                                  "raise", [1000.0, 710.0]),
     "make_step_sampler.h": (lambda v: make_step_sampler(_GAMMA, v), 0.1,
-                            "real", [0.0, -0.1, -1, None]),
+                            "real", [0.0, -0.1, -1]),
     "characteristic_function.t": (lambda v: characteristic_function(
-        _GAMMA, 1.0, v), 1.0, "real", [-1.0, -1, None]),
+        _GAMMA, 1.0, v), 1.0, "real", [-1.0, -1]),
     "characteristic_function.u": (lambda v: characteristic_function(
         _GAMMA, v, 1.0), 1.0, "raise", [[1.0, math.nan], [math.inf],
                                         10 ** 400, math.nan, "1", True]),
@@ -781,7 +778,7 @@ _SITES = {
                   (_GAMMA, 1.0), "raise",
                   [(_TRUNCATED, 1.0), (_TRUNCATED, np.array([0.5, 2.0]))]),
     "marginal_samples.t": (lambda v: marginal_samples(
-        _GAMMA, v, 10, _Unread()), 1.0, "real", [-1.0, -1, None]),
+        _GAMMA, v, 10, _Unread()), 1.0, "real", [-1.0, -1]),
     "marginal_samples.n": (lambda v: marginal_samples(
         _GAMMA, 1.0, v, _Unread()), 10, "count",
         [-3, 2.0, 10 ** 8, 10 ** 400]),
@@ -795,7 +792,7 @@ _SITES = {
         [99, 150.5, 1e6, "200", 10 ** 8, 10 ** 12, 10 ** 400]),
     "sample_jump_events.horizon": (lambda v: sample_jump_events(
         truncate_gamma(_GAMMA, 0.05), v, _Unread()), 1.0, "real",
-        [-1.0, -1, None]),
+        [-1.0, -1]),
     "sample_jump_events.streams": (lambda v: sample_jump_events(
         _TRUNCATED, 1.0, *v), [_Unread()], "raise", [[]]),
     # a later row may start before the row above it ends
@@ -901,16 +898,21 @@ _EXCEPTIONS = dict.fromkeys(["solve_averaged_ode.domain", "dpi_k.domain",
                             DomainError)
 
 # invalid for any argument of the kind: an integer past the float range,
-# nan and +-inf, strings, bools, and for counts non-integral values
+# nan and +-inf, strings, bools, None (what YAML reads from null), and for
+# counts non-integral values
 _INVALID = {
     "real": [10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf, "abc",
-             "1", True, False],
+             "1", True, False, None],
     "count": [-1, 2.5, np.float64(3.0), math.nan, math.inf, "3", True,
-              False],
+              False, None],
 }
 _INVALID["list"] = [[0.5, v] for v in _INVALID["real"]] + ["abc", [], 0.5]
+# the real arguments that are optional: None asks for the default step, or
+# for no second system
+_OPTIONAL = ["IntegratorConfig.step_h", "integrate_grid_ensemble.pair_eps"]
 _CASES = [(site, v) for site, (_, _, kind, out) in sorted(_SITES.items())
-          for v in _INVALID.get(kind, []) + out]
+          for v in _INVALID.get(kind, []) + out
+          if not (v is None and site in _OPTIONAL)]
 
 
 def _no_work(monkeypatch):
@@ -938,10 +940,11 @@ def test_argument_sites_accept_their_valid_value(site, monkeypatch):
     # each site of the test above rejects its value, not another argument
     call, valid, _, _ = _SITES[site]
     _no_work(monkeypatch)
-    try:
-        call(valid)
-    except _Reached:
-        pass
+    for v in [valid] + [None] * (site in _OPTIONAL):
+        try:
+            call(v)
+        except _Reached:
+            pass
 
 
 KEYS = [(sec.name, key.name, getattr(getattr(ExperimentConfig(), sec.name),
@@ -1072,13 +1075,17 @@ def test_package_raises_no_bare_value_error():
 # scheme_agreement checks each of its levels as a pair (c, h)
 _LEVELS = {"scheme_agreement.c": "scheme_agreement.level_cutoff",
            "scheme_agreement.h": "scheme_agreement.level_step"}
+# argument rows checked by another row's call (solve_averaged_ode.horizon,
+# tail_mass.cutoff, marginal_samples.t, marginal_samples.n)
+_DELEGATED = ["exit_probability.search_horizon", "truncate_gamma.cutoff",
+              "circle_law_distance.t", "marginal_samples.n_at_t0"]
 
 
 def test_every_argument_check_has_a_row_in_the_table():
-    # outside the config and the command line, each _real, _reals or
-    # _count call has a row of an argument kind under the key the table's
-    # comment gives, each _floats call a row of kind "floats", and each
-    # function as many rows of kind "raise" as it has raise statements
+    # outside the config and the command line, the _real, _reals and
+    # _count calls are the rows of an argument kind (keyed as the table's
+    # comment says) bar _DELEGATED, the _floats calls those of kind
+    # "floats", and each function has a "raise" row per raise statement
     checks, floats, raises = [], [], []
 
     def walk(node, owner):
@@ -1106,8 +1113,9 @@ def test_every_argument_check_has_a_row_in_the_table():
         if name not in ("cli.py", "config.py", "errors.py"):
             walk(tree, None)
     kinds = {site: row[2] for site, row in _SITES.items()}
-    assert len(checks) > 60 and len(raises) >= 40
-    assert [k for k in checks if kinds.get(k) not in _INVALID] == []
+    assert len(raises) >= 40
+    assert sorted(set(checks).union(_DELEGATED)) == sorted(
+        k for k in kinds if kinds[k] in _INVALID)
     assert sorted(floats) == sorted(k for k in kinds if kinds[k] == "floats")
     assert sorted(raises) == sorted(k.split(".")[0] for k in kinds
                                     if kinds[k] == "raise")
@@ -1201,9 +1209,11 @@ def test_cli_non_finite_paths_exit_two(tmp_path, capsys, monkeypatch):
                       perturbation=lambda x: np.full(x.shape, np.nan))
         return replace(preset, fields=nan)
 
-    # the averaged field of the preset as configured, NaN-free
-    monkeypatch.setattr(cli, "_averaged", lambda cfg, preset: averaged_field(
-        preset.chart, preset_from_config(cfg).fields))
+    # the averaged field of the default fields, NaN-free: the run changes
+    # only r_max, which is the chart's
+    clean = preset_from_config(ExperimentConfig()).fields
+    monkeypatch.setattr(cli, "averaged_field",
+                        lambda chart, fields: averaged_field(chart, clean))
     monkeypatch.setattr(cli, "preset_from_config", nan_preset)
     out = tmp_path / "runs"
     assert main(["exit-prob", "--out", str(out), "--set", "preset.r_max=2.0",
@@ -1267,7 +1277,7 @@ SUBCOMMANDS = [
          [col("trajectory.csv", c)[-1] for c in "xyz"] == doc["final_state"],
          not col("trajectory.csv", "exited").any(),
          doc["epsilon"] == 0.0 and doc["exited"] is False]),
-    ("average", ["--set", "experiment.n_nodes=16"],
+    ("average", [],
      {"averaged_field.csv": ("r z q_r q_z", 25),
       "averaged_path.csv": ("s w_r w_z", 1001),
       "summary.json": "boundary_time final_value gamma method solved_until "
@@ -1454,12 +1464,13 @@ def test_least_rate_runs_with_finite_output(tmp_path):
 def test_effective_config_records_overrides(tmp_path):
     out = tmp_path / "runs"
     assert main(["simulate", "--out", str(out), "--seed", "123",
-                 "--set", "preset.theta=2.0", "--set", "run.stream_base=3"]) == 0
+                 "--set", "preset.theta=2.0",
+                 "--set", "experiment.epsilon=0.05"]) == 0
     eff = loads_config(open(os.path.join(_run_dir(out),
                                          "effective_config.yaml")).read())
     assert eff.preset.theta == 2.0
     assert eff.run.master_seed == 123
-    assert eff.run.stream_base == 3
+    assert eff.experiment.epsilon == 0.05
     assert eff.run.out_dir == str(out)
 
 
